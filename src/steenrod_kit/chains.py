@@ -313,6 +313,9 @@ class ChainComplex:
         }
         self.boundary_table: Dict[BasisElement, Chain] = dict(boundary)
         self.truncation_dim = truncation_dim
+        # data computed from the complex, e.g. (co)homology per degree, kept
+        # by the modules that compute it so that every holder shares it
+        self.derived: Dict[Tuple[str, int], object] = {}
         self._index: Dict[BasisElement, int] = {}
         for n, elems in self.basis.items():
             for i, b in enumerate(elems):

@@ -171,7 +171,10 @@ def sq_matrix(
     ring: Ring,
     table: DiagonalTable,
 ) -> List[List[Coefficient]]:
-    """The matrix of Sq^i: H^p → H^{p+i} (columns = images of the chosen basis)."""
+    """The matrix of Sq^i: H^p → H^{p+i} (columns = images of the chosen basis).
+
+    The chain complex and both cohomology groups are the ones memoized on
+    ``space``, shared with every other caller."""
     complex_ = space.chains(ring)
     source = cohomology(complex_, p)
     target = cohomology(complex_, p + i)

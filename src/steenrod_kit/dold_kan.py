@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bar import BarElement
 from .chains import Cell, Chain, ChainComplex, GradedMap, TensorPair, chain_of, zero_chain
 from .diagonal import DiagonalTable, xi_cell
-from .linalg import SpanSolver, field_kernel, integer_kernel, integer_solve
+from .linalg import IntegerSolver, SpanSolver, field_kernel, integer_kernel
 from .rings import Coefficient, Ring
 from .simplicial import (
     SimplicialSetPresentation,
@@ -180,20 +180,15 @@ class _Expresser:
     """Expresses vectors in the span of a fixed basis, over ℤ or a field."""
 
     def __init__(self, generators: List[List[Coefficient]], nrows: int, ring: Ring):
-        self.ring = ring
-        self.generators = generators
-        self.nrows = nrows
         if ring.is_field:
-            self._solver = SpanSolver(generators, nrows, ring)
+            self._solve = SpanSolver(generators, nrows, ring).express
         else:
             # rows of the matrix whose columns are the generators
-            self._matrix = [[g[i] for g in generators] for i in range(nrows)]
+            matrix = [[g[i] for g in generators] for i in range(nrows)]
+            self._solve = IntegerSolver(matrix, len(generators)).solve
 
     def express(self, vec: List[Coefficient]) -> List[Coefficient]:
-        if self.ring.is_field:
-            out = self._solver.express(vec)
-        else:
-            out = integer_solve(self._matrix, len(self.generators), vec)
+        out = self._solve(vec)
         if out is None:
             raise ValueError("vector is outside the expected span")
         return out
@@ -223,7 +218,7 @@ def _normalized_data(
         basis[n] = [Cell(n, ("N", a.name, n, j)) for j in range(len(vecs))]
     boundary: Dict[Cell, Chain] = {}
     for n in sorted(kernels):
-        if n == 0 or n - 1 not in kernels or not kernels[n - 1]:
+        if n == 0 or n - 1 not in kernels or not kernels[n - 1] or not kernels[n]:
             for b in basis.get(n, []):
                 boundary[b] = zero_chain(ring, n - 1)
             continue
@@ -339,9 +334,10 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
                 return False
         else:
             matrix = [[projected[j][i] for j in range(len(projected))] for i in range(c.rank(m))]
+            solver = IntegerSolver(matrix, len(projected))
             for j in range(c.rank(m)):
                 unit = [1 if i == j else 0 for i in range(c.rank(m))]
-                if integer_solve(matrix, len(projected), unit) is None:
+                if solver.solve(unit) is None:
                     return False
         # the projection intertwines ∂_N with ∂_C
         if m == 0:

@@ -1,13 +1,44 @@
 """Homology and cohomology of a ChainComplex, with representatives and
-coordinates (delegates the linear algebra to ``linalg``)."""
+coordinates (delegates the linear algebra to ``linalg``).
+
+Each group is computed once per complex and degree: the descriptors are
+kept in the complex's ``derived`` memo, so every caller holding the same
+complex shares them.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from .chains import Chain, ChainComplex
 from .linalg import HomologyDescriptor, homology_of_matrices
 from .rings import Coefficient
+
+Columns = List[Dict[int, Coefficient]]
+
+
+def _transpose(cols: Sequence[Dict[int, Coefficient]], nrows: int) -> Columns:
+    rows: Columns = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, value in col.items():
+            rows[i][j] = value
+    return rows
+
+
+def _boundaries(complex_: ChainComplex, degree: int):
+    """Columns of ∂_degree (empty in degree 0) and ∂_{degree+1}, checked to
+    compose to zero: the field engine relies on it without checking."""
+    lower = complex_.boundary_matrix(degree) if degree > 0 else []
+    upper = complex_.boundary_matrix(degree + 1)
+    ring = complex_.ring
+    for col in upper if lower else ():
+        total: Dict[int, Coefficient] = {}
+        for j, c in col.items():
+            for i, x in lower[j].items():
+                total[i] = total.get(i, 0) + c * x
+        if any(not ring.is_zero(x) for x in total.values()):
+            raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
+    return lower, upper
 
 
 def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
@@ -18,26 +49,13 @@ def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
             f"degree {degree} needs boundaries up to {degree + 1}, "
             f"but the complex is truncated at {complex_.truncation_dim}"
         )
-    boundary_out = complex_.boundary_matrix(degree) if degree > 0 else [
-        {} for _ in range(complex_.rank(degree))
-    ]
-    boundary_in = complex_.boundary_matrix(degree + 1)
-    return homology_of_matrices(
-        complex_.ring,
-        boundary_out,
-        complex_.rank(degree - 1) if degree > 0 else 0,
-        boundary_in,
-        complex_.rank(degree),
-    )
-
-
-def coboundary_matrix(complex_: ChainComplex, p: int) -> List[Dict[int, Coefficient]]:
-    """Columns of δ: C^p → C^{p+1} (transpose of ∂_{p+1}); (δu)(σ) = u(∂σ)."""
-    cols: List[Dict[int, Coefficient]] = [{} for _ in range(complex_.rank(p))]
-    for j, col in enumerate(complex_.boundary_matrix(p + 1)):
-        for i, value in col.items():
-            cols[i][j] = value
-    return cols
+    key = ("homology", degree)
+    if key not in complex_.derived:
+        lower, upper = _boundaries(complex_, degree)
+        # the rows of ∂_degree are the columns of its transpose
+        out_rows = _transpose(lower, complex_.rank(degree - 1))
+        complex_.derived[key] = homology_of_matrices(complex_.ring, out_rows, upper, complex_.rank(degree))
+    return complex_.derived[key]
 
 
 def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
@@ -48,15 +66,14 @@ def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
             f"degree {degree} needs the complex up to {degree + 1}, "
             f"but it is truncated at {complex_.truncation_dim}"
         )
-    out_cols = coboundary_matrix(complex_, degree)
-    in_cols = coboundary_matrix(complex_, degree - 1) if degree > 0 else []
-    return homology_of_matrices(
-        complex_.ring,
-        out_cols,
-        complex_.rank(degree + 1),
-        in_cols,
-        complex_.rank(degree),
-    )
+    key = ("cohomology", degree)
+    if key not in complex_.derived:
+        lower, upper = _boundaries(complex_, degree)
+        # the rows of δ^degree are the columns of ∂_{degree+1}; the columns
+        # of δ^{degree−1} those of the transpose of ∂_degree
+        in_cols = _transpose(lower, complex_.rank(degree - 1))
+        complex_.derived[key] = homology_of_matrices(complex_.ring, upper, in_cols, complex_.rank(degree))
+    return complex_.derived[key]
 
 
 def chain_from_vector(complex_: ChainComplex, degree: int, vector) -> Chain:

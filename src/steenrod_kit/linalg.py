@@ -1,18 +1,18 @@
 """Exact linear algebra: Smith normal form over ℤ, Gaussian elimination over
-fields, a bit-packed 𝔽₂ fast path, and homology with explicit cycle bases and
-change-of-basis data.
+fields, and homology with explicit cycle bases and change-of-basis data.
 
-Matrices are dense lists of rows.  Over 𝔽₂ rows are Python integers used as
-bitsets (bit j = column j), which keeps row operations at C speed without any
-floating point.
+Dense matrices are lists of rows.  (Co)homology over a field runs on one
+sparse echelon engine: vectors are dicts ``{index: nonzero entry}``, or over
+𝔽₂ Python integers used as bitsets (bit j = entry j), which keeps 𝔽₂ row
+operations at C speed.  Over ℤ homology comes from Smith normal forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .rings import Coefficient, Ring
+from .rings import ZZ, Coefficient, Ring
 
 Matrix = List[List[Coefficient]]
 Vector = List[Coefficient]
@@ -144,23 +144,34 @@ def integer_kernel(a: Matrix, ncols: int) -> List[Vector]:
     return [[v[i][j] for i in range(ncols)] for j in range(r, ncols)]
 
 
-def integer_solve(a: Matrix, ncols: int, b: Vector) -> Optional[Vector]:
-    """A solution x of A·x = b over ℤ, or None when none exists."""
-    if not a:
-        return [0] * ncols if all(x == 0 for x in b) else None
-    d, u, _, v = smith_normal_form(a)
-    ub = [sum(u[i][k] * b[k] for k in range(len(b))) for i in range(len(a))]
-    y = [0] * ncols
-    for i in range(len(a)):
-        di = d[i][i] if i < ncols else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return [sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
+class IntegerSolver:
+    """Solves A·x = b over ℤ for many right-hand sides b from one Smith
+    normal form of A."""
+
+    def __init__(self, a: Matrix, ncols: int):
+        self.ncols = ncols
+        self.nrows = len(a)
+        if a:
+            self._d, self._u, _, self._v = smith_normal_form(a)
+
+    def solve(self, b: Vector) -> Optional[Vector]:
+        """A solution x of A·x = b, or None when none exists."""
+        ncols = self.ncols
+        if not self.nrows:
+            return [0] * ncols if all(x == 0 for x in b) else None
+        d, u, v = self._d, self._u, self._v
+        ub = [sum(u[i][k] * b[k] for k in range(len(b))) for i in range(self.nrows)]
+        y = [0] * ncols
+        for i in range(self.nrows):
+            di = d[i][i] if i < ncols else 0
+            if di == 0:
+                if ub[i] != 0:
+                    return None
+            else:
+                if ub[i] % di != 0:
+                    return None
+                y[i] = ub[i] // di
+        return [sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +202,6 @@ def rref_field(rows: Matrix, ncols: int, ring: Ring) -> Tuple[Matrix, List[int]]
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
-
-
-def field_kernel(rows: Matrix, ncols: int, ring: Ring) -> List[Vector]:
-    """Basis of the kernel of a row-matrix over a field."""
-    rref, pivots = rref_field(rows, ncols, ring)
-    pivot_set = set(pivots)
-    basis: List[Vector] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ring.zero] * ncols
-        vec[free] = ring.one
-        for r, p in enumerate(pivots):
-            vec[p] = ring.neg(rref[r][free])
-        basis.append(vec)
-    return basis
 
 
 class SpanSolver:
@@ -242,77 +237,141 @@ class SpanSolver:
 
 
 # ---------------------------------------------------------------------------
-# Bit-packed 𝔽₂ elimination (rows are Python ints used as bitsets)
+# Sparse echelon engine over a field
 # ---------------------------------------------------------------------------
 
 
-def f2_pack(vec: Sequence[int]) -> int:
-    word = 0
-    for j, x in enumerate(vec):
-        if x % 2:
-            word |= 1 << j
-    return word
+class _BitVectors:
+    """𝔽₂ vectors packed into Python integers (bit j = entry j)."""
+
+    @staticmethod
+    def pack(entries: Iterable[Tuple[int, Coefficient]]) -> int:
+        word = 0
+        for j, x in entries:
+            if x % 2:
+                word |= 1 << j
+        return word
+
+    @staticmethod
+    def low(v: int) -> int:
+        return (v & -v).bit_length() - 1
+
+    @staticmethod
+    def entry(v: int, j: int) -> int:
+        return (v >> j) & 1
+
+    @staticmethod
+    def monic(v: int, j: int) -> int:
+        return v
+
+    @staticmethod
+    def clear(v: int, w: int, j: int) -> int:
+        return v ^ w
+
+    @staticmethod
+    def dot(v: int, w: int) -> int:
+        return (v & w).bit_count() & 1
+
+    @staticmethod
+    def put(v: int, j: int, c: int) -> int:
+        return v | (1 << j)
+
+    @staticmethod
+    def restrict(v: int, keep: int) -> int:
+        return v & keep
 
 
-def f2_unpack(word: int, ncols: int) -> Vector:
-    return [(word >> j) & 1 for j in range(ncols)]
+class _SparseVectors:
+    """Vectors over ℚ or 𝔽_p as dicts of nonzero entries; ``clear`` and
+    ``put`` update their first argument in place."""
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self.p = ring.p
+
+    def pack(self, entries: Iterable[Tuple[int, Coefficient]]) -> Dict[int, Coefficient]:
+        ring = self.ring
+        coerced = ((j, ring.coerce(x)) for j, x in entries)
+        return {j: x for j, x in coerced if not ring.is_zero(x)}
+
+    @staticmethod
+    def low(v: Dict[int, Coefficient]) -> int:
+        return min(v)
+
+    def entry(self, v: Dict[int, Coefficient], j: int) -> Coefficient:
+        return v.get(j, self.ring.zero)
+
+    def monic(self, v: Dict[int, Coefficient], j: int) -> Dict[int, Coefficient]:
+        if v[j] == 1:
+            return v
+        ring = self.ring
+        inv = ring.inv(v[j])
+        return {i: ring.mul(inv, x) for i, x in v.items()}
+
+    def clear(self, v: Dict[int, Coefficient], w: Dict[int, Coefficient], j: int) -> Dict[int, Coefficient]:
+        """v − v_j·w for w monic at j."""
+        c, p = v[j], self.p
+        for i, x in w.items():
+            y = v.get(i, 0) - c * x
+            if p:
+                y %= p
+            if y:
+                v[i] = y
+            else:
+                del v[i]
+        return v
+
+    def dot(self, v: Dict[int, Coefficient], w: Dict[int, Coefficient]) -> Coefficient:
+        if len(w) < len(v):
+            v, w = w, v
+        total = sum((x * w[i] for i, x in v.items() if i in w), self.ring.zero)
+        return total % self.p if self.p else total
+
+    def put(self, v: Dict[int, Coefficient], j: int, c: Coefficient) -> Dict[int, Coefficient]:
+        v[j] = c
+        return v
+
+    @staticmethod
+    def restrict(v: Dict[int, Coefficient], keep: Dict[int, Coefficient]) -> Dict[int, Coefficient]:
+        return {i: x for i, x in v.items() if i in keep}
 
 
-def f2_rref(rows: List[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """RREF of packed 𝔽₂ rows; pivots restricted to the first ``ncols`` bits."""
-    reduced: List[int] = []
-    pivots: List[int] = []
-    for row in rows:
-        for r, p in zip(reduced, pivots):
-            if (row >> p) & 1:
-                row ^= r
-        if row:
-            low = row & ((1 << ncols) - 1)
-            if low == 0:
-                continue
-            p = (low & -low).bit_length() - 1
-            # back-substitute into existing rows
-            for i in range(len(reduced)):
-                if (reduced[i] >> p) & 1:
-                    reduced[i] ^= row
-            reduced.append(row)
-            pivots.append(p)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [reduced[i] for i in order], sorted(pivots)
+def _echelon(ops, vectors: Iterable) -> Dict[int, object]:
+    """Echelon form by lowest-index pivots, without back-substitution:
+    {pivot: its vector, monic there and zero at every lower index}."""
+    pivots: Dict[int, object] = {}
+    for v in vectors:
+        while v:
+            p = ops.low(v)
+            w = pivots.get(p)
+            if w is None:
+                pivots[p] = ops.monic(v, p)
+                break
+            v = ops.clear(v, w, p)
+    return pivots
 
 
-def f2_kernel(rows: List[int], ncols: int) -> List[int]:
-    rref, pivots = f2_rref(list(rows), ncols)
-    pivot_set = set(pivots)
-    basis: List[int] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for row, p in zip(rref, pivots):
-            if (row >> free) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return basis
+def _vectors(ring: Ring):
+    return _BitVectors() if ring.characteristic == 2 else _SparseVectors(ring)
 
 
-class F2SpanSolver:
-    """𝔽₂ analogue of SpanSolver with packed rows and an identity augmentation."""
+def _kernel_vector(ops, pivots: Dict[int, object], free: int, ncols: int, ring: Ring) -> Vector:
+    """The kernel vector of an echelon form with entry 1 at the free column
+    ``free`` and 0 at the other free columns, by back-substitution."""
+    x = ops.pack([(free, ring.one)])
+    for p in sorted((q for q in pivots if q < free), reverse=True):
+        c = ops.dot(pivots[p], x)
+        if not ring.is_zero(c):
+            x = ops.put(x, p, ring.neg(c))
+    return [ops.entry(x, j) for j in range(ncols)]
 
-    def __init__(self, generators: Sequence[int], ncols: int):
-        self.ncols = ncols
-        self.ngen = len(generators)
-        augmented = [g | (1 << (ncols + i)) for i, g in enumerate(generators)]
-        self._rows, self._pivots = f2_rref(augmented, ncols)
 
-    def express(self, vec: int) -> Optional[int]:
-        work = vec
-        for row, p in zip(self._rows, self._pivots):
-            if (work >> p) & 1:
-                work ^= row
-        if work & ((1 << self.ncols) - 1):
-            return None
-        return work >> self.ncols
+def field_kernel(rows: Matrix, ncols: int, ring: Ring) -> List[Vector]:
+    """Basis of the kernel of a row-matrix over a field, one vector per free
+    column of its echelon form."""
+    ops = _vectors(ring)
+    pivots = _echelon(ops, (ops.pack(enumerate(row)) for row in rows))
+    return [_kernel_vector(ops, pivots, f, ncols, ring) for f in range(ncols) if f not in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -360,46 +419,56 @@ class HomologyDescriptor:
         return " + ".join(parts) if parts else "0"
 
 
-def _columns_to_rows(cols: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring) -> Matrix:
-    rows = [[ring.zero] * len(cols) for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows[i][j] = ring.coerce(x)
-    return rows
-
-
 def homology_of_matrices(
     ring: Ring,
-    boundary_out: Sequence[Dict[int, Coefficient]],
-    nrows_out: int,
-    boundary_in: Sequence[Dict[int, Coefficient]],
+    out_rows: Sequence[Dict[int, Coefficient]],
+    in_cols: Sequence[Dict[int, Coefficient]],
     rank_here: int,
 ) -> HomologyDescriptor:
-    """Homology ker(∂_out)/im(∂_in).
+    """Homology ker(out)/im(in) at a degree of rank ``rank_here``.
 
-    ``boundary_out`` holds the sparse columns of ∂: C_n → C_{n−1} (``nrows_out``
-    rows); ``boundary_in`` the sparse columns of ∂: C_{n+1} → C_n; ``rank_here``
-    is the rank of C_n.
+    ``out_rows`` holds the sparse rows of the map out of this degree (each a
+    vector over its basis), ``in_cols`` the sparse columns of the map into it;
+    the caller checks that out∘in = 0.
     """
-    if ring.characteristic == 2:
-        return _homology_f2(boundary_out, boundary_in, rank_here, ring)
     if ring.is_field:
-        return _homology_field(ring, boundary_out, nrows_out, boundary_in, rank_here)
-    return _homology_integers(boundary_out, nrows_out, boundary_in, rank_here)
+        return _homology_field(ring, out_rows, in_cols, rank_here)
+    return _homology_integers(out_rows, in_cols, rank_here)
 
 
-def _homology_integers(boundary_out, nrows_out, boundary_in, rank_here) -> HomologyDescriptor:
-    from .rings import ZZ
+def _homology_field(ring, out_rows, in_cols, rank_here) -> HomologyDescriptor:
+    ops = _vectors(ring)
+    kernel_pivots = _echelon(ops, (ops.pack(row.items()) for row in out_rows))
+    # a cycle is determined by its entries at the free columns: its kernel
+    # coordinates, in which the image is spanned by the restricted columns
+    free = [j for j in range(rank_here) if j not in kernel_pivots]
+    keep = ops.pack((j, ring.one) for j in free)
+    image = _echelon(ops, (ops.restrict(ops.pack(col.items()), keep) for col in in_cols))
+    classes = [f for f in free if f not in image]
+    reps = [_kernel_vector(ops, kernel_pivots, f, rank_here, ring) for f in classes]
+    ascending = sorted(image)
 
-    out_rows = _columns_to_rows(boundary_out, nrows_out, ZZ)
-    kernel = integer_kernel(out_rows, rank_here)
+    def coord_fn(cycle: Vector) -> Optional[Vector]:
+        v = ops.pack(enumerate(cycle))
+        if any(not ring.is_zero(ops.dot(row, v)) for row in kernel_pivots.values()):
+            return None
+        y = ops.restrict(v, keep)
+        for p in ascending:
+            if not ring.is_zero(ops.entry(y, p)):
+                y = ops.clear(y, image[p], p)
+        return [ops.entry(y, f) for f in classes]
+
+    return HomologyDescriptor(ring, len(classes), [], reps, coord_fn)
+
+
+def _homology_integers(out_rows, in_cols, rank_here) -> HomologyDescriptor:
+    kernel = integer_kernel([[row.get(j, 0) for j in range(rank_here)] for row in out_rows], rank_here)
     m = len(kernel)
     # express the image in kernel coordinates: K · y = image column
-    k_rows = [[kernel[j][i] for j in range(m)] for i in range(rank_here)]
+    solver = IntegerSolver([[kernel[j][i] for j in range(m)] for i in range(rank_here)], m)
     image_coords: List[Vector] = []
-    for col in boundary_in:
-        vec = [col.get(i, 0) for i in range(rank_here)]
-        y = integer_solve(k_rows, m, vec)
+    for col in in_cols:
+        y = solver.solve([col.get(i, 0) for i in range(rank_here)])
         if y is None:
             raise ArithmeticError("boundary image escaped the cycle lattice (∂²≠0?)")
         image_coords.append(y)
@@ -421,7 +490,7 @@ def _homology_integers(boundary_out, nrows_out, boundary_in, rank_here) -> Homol
         reps.append([sum(kernel[j][c] * coords[j] for j in range(m)) for c in range(rank_here)])
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:
-        y = integer_solve(k_rows, m, list(cycle))
+        y = solver.solve(list(cycle))
         if y is None:
             return None
         c = [sum(u[i][j] * y[j] for j in range(m)) for i in range(m)]
@@ -432,75 +501,3 @@ def _homology_integers(boundary_out, nrows_out, boundary_in, rank_here) -> Homol
         return out
 
     return HomologyDescriptor(ZZ, m - r, torsion, reps, coord_fn)
-
-
-def _homology_field(ring, boundary_out, nrows_out, boundary_in, rank_here) -> HomologyDescriptor:
-    out_rows = _columns_to_rows(boundary_out, nrows_out, ring)
-    kernel = field_kernel(out_rows, rank_here, ring) if out_rows else [
-        [ring.one if i == j else ring.zero for i in range(rank_here)] for j in range(rank_here)
-    ]
-    m = len(kernel)
-    solver = SpanSolver(kernel, rank_here, ring)
-    image_coords: List[Vector] = []
-    for col in boundary_in:
-        vec = [ring.coerce(col.get(i, 0)) for i in range(rank_here)]
-        y = solver.express(vec)
-        if y is None:
-            raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
-        image_coords.append(y)
-    image_rref, pivots = rref_field(image_coords, m, ring)
-    pivot_set = set(pivots)
-    free_idx = [i for i in range(m) if i not in pivot_set]
-    reps = [kernel[i] for i in free_idx]
-
-    def coord_fn(cycle: Vector) -> Optional[Vector]:
-        y = solver.express([ring.coerce(x) for x in cycle])
-        if y is None:
-            return None
-        for row, p in zip(image_rref, pivots):
-            factor = y[p]
-            if not ring.is_zero(factor):
-                y = [ring.add(a, ring.neg(ring.mul(factor, b))) for a, b in zip(y, row)]
-        return [y[i] for i in free_idx]
-
-    return HomologyDescriptor(ring, len(free_idx), [], reps, coord_fn)
-
-
-def _homology_f2(boundary_out, boundary_in, rank_here, ring) -> HomologyDescriptor:
-    nout = len(boundary_out)
-    # rows of ∂_out as bitsets over the C_n index: row i has bit j iff M[i][j]=1.
-    row_bits: Dict[int, int] = {}
-    for j, col in enumerate(boundary_out):
-        for i, x in col.items():
-            if x % 2:
-                row_bits[i] = row_bits.get(i, 0) | (1 << j)
-    kernel = f2_kernel(list(row_bits.values()), rank_here) if nout else []
-    if not nout:
-        kernel = [1 << j for j in range(rank_here)]
-    m = len(kernel)
-    solver = F2SpanSolver(kernel, rank_here)
-    image_coords: List[int] = []
-    for col in boundary_in:
-        vec = 0
-        for i, x in col.items():
-            if x % 2:
-                vec |= 1 << i
-        y = solver.express(vec)
-        if y is None:
-            raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
-        image_coords.append(y)
-    image_rref, pivots = f2_rref(image_coords, m)
-    pivot_set = set(pivots)
-    free_idx = [i for i in range(m) if i not in pivot_set]
-    reps = [f2_unpack(kernel[i], rank_here) for i in free_idx]
-
-    def coord_fn(cycle: Vector) -> Optional[Vector]:
-        y = solver.express(f2_pack([int(x) % 2 for x in cycle]))
-        if y is None:
-            return None
-        for row, p in zip(image_rref, pivots):
-            if (y >> p) & 1:
-                y ^= row
-        return [(y >> i) & 1 for i in free_idx]
-
-    return HomologyDescriptor(ring, len(free_idx), [], reps, coord_fn)

@@ -117,6 +117,7 @@ class DeltaComplex:
         self.dimension = max(self.cells) if self.cells else 0
         self.truncation_dim = self.dimension if truncation_dim is None else truncation_dim
         self.name = name
+        self._chains: Dict[Ring, ChainComplex] = {}
         if validate:
             self.validate()
 
@@ -165,6 +166,12 @@ class DeltaComplex:
         return Cell(n, (self.name, n, idx) if self.name else (n, idx))
 
     def chains(self, ring: Ring) -> ChainComplex:
+        """The cellular chain complex over ``ring``, built once per ring."""
+        if ring not in self._chains:
+            self._chains[ring] = self._build_chains(ring)
+        return self._chains[ring]
+
+    def _build_chains(self, ring: Ring) -> ChainComplex:
         basis: Dict[int, List[Cell]] = {}
         boundary: Dict[Cell, Chain] = {}
         for n in sorted(self.cells):

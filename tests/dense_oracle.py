@@ -1,0 +1,214 @@
+"""The dense elimination engine that computed (co)homology over fields before
+the sparse echelon engine of ``steenrod_kit.linalg``, kept only as a test
+oracle.
+
+Rows are dense lists, or Python ints used as bitsets over 𝔽₂; every
+echelon form is fully reduced (RREF), so kernels, representatives and
+coordinates come out in their canonical form.  ``homology`` and
+``cohomology`` mirror the library entry points without their memo.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from steenrod_kit.chains import ChainComplex
+from steenrod_kit.linalg import HomologyDescriptor, Matrix, SpanSolver, Vector, rref_field
+from steenrod_kit.rings import Coefficient, Ring
+
+
+def field_kernel(rows: Matrix, ncols: int, ring: Ring) -> List[Vector]:
+    """Basis of the kernel of a row-matrix over a field."""
+    rref, pivots = rref_field(rows, ncols, ring)
+    pivot_set = set(pivots)
+    basis: List[Vector] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [ring.zero] * ncols
+        vec[free] = ring.one
+        for r, p in enumerate(pivots):
+            vec[p] = ring.neg(rref[r][free])
+        basis.append(vec)
+    return basis
+
+
+def f2_pack(vec: Sequence[int]) -> int:
+    word = 0
+    for j, x in enumerate(vec):
+        if x % 2:
+            word |= 1 << j
+    return word
+
+
+def f2_unpack(word: int, ncols: int) -> Vector:
+    return [(word >> j) & 1 for j in range(ncols)]
+
+
+def f2_rref(rows: List[int], ncols: int) -> Tuple[List[int], List[int]]:
+    """RREF of packed 𝔽₂ rows; pivots restricted to the first ``ncols`` bits."""
+    reduced: List[int] = []
+    pivots: List[int] = []
+    for row in rows:
+        for r, p in zip(reduced, pivots):
+            if (row >> p) & 1:
+                row ^= r
+        if row:
+            low = row & ((1 << ncols) - 1)
+            if low == 0:
+                continue
+            p = (low & -low).bit_length() - 1
+            # back-substitute into existing rows
+            for i in range(len(reduced)):
+                if (reduced[i] >> p) & 1:
+                    reduced[i] ^= row
+            reduced.append(row)
+            pivots.append(p)
+    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
+    return [reduced[i] for i in order], sorted(pivots)
+
+
+def f2_kernel(rows: List[int], ncols: int) -> List[int]:
+    rref, pivots = f2_rref(list(rows), ncols)
+    pivot_set = set(pivots)
+    basis: List[int] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = 1 << free
+        for row, p in zip(rref, pivots):
+            if (row >> free) & 1:
+                vec |= 1 << p
+        basis.append(vec)
+    return basis
+
+
+class F2SpanSolver:
+    """𝔽₂ analogue of SpanSolver with packed rows and an identity augmentation."""
+
+    def __init__(self, generators: Sequence[int], ncols: int):
+        self.ncols = ncols
+        self.ngen = len(generators)
+        augmented = [g | (1 << (ncols + i)) for i, g in enumerate(generators)]
+        self._rows, self._pivots = f2_rref(augmented, ncols)
+
+    def express(self, vec: int) -> Optional[int]:
+        work = vec
+        for row, p in zip(self._rows, self._pivots):
+            if (work >> p) & 1:
+                work ^= row
+        if work & ((1 << self.ncols) - 1):
+            return None
+        return work >> self.ncols
+
+
+def _columns_to_rows(cols: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring) -> Matrix:
+    rows = [[ring.zero] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = ring.coerce(x)
+    return rows
+
+
+def _homology_field(ring, boundary_out, nrows_out, boundary_in, rank_here) -> HomologyDescriptor:
+    out_rows = _columns_to_rows(boundary_out, nrows_out, ring)
+    kernel = field_kernel(out_rows, rank_here, ring) if out_rows else [
+        [ring.one if i == j else ring.zero for i in range(rank_here)] for j in range(rank_here)
+    ]
+    m = len(kernel)
+    solver = SpanSolver(kernel, rank_here, ring)
+    image_coords: List[Vector] = []
+    for col in boundary_in:
+        vec = [ring.coerce(col.get(i, 0)) for i in range(rank_here)]
+        y = solver.express(vec)
+        if y is None:
+            raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
+        image_coords.append(y)
+    image_rref, pivots = rref_field(image_coords, m, ring)
+    pivot_set = set(pivots)
+    free_idx = [i for i in range(m) if i not in pivot_set]
+    reps = [kernel[i] for i in free_idx]
+
+    def coord_fn(cycle: Vector) -> Optional[Vector]:
+        y = solver.express([ring.coerce(x) for x in cycle])
+        if y is None:
+            return None
+        for row, p in zip(image_rref, pivots):
+            factor = y[p]
+            if not ring.is_zero(factor):
+                y = [ring.add(a, ring.neg(ring.mul(factor, b))) for a, b in zip(y, row)]
+        return [y[i] for i in free_idx]
+
+    return HomologyDescriptor(ring, len(free_idx), [], reps, coord_fn)
+
+
+def _homology_f2(boundary_out, boundary_in, rank_here, ring) -> HomologyDescriptor:
+    nout = len(boundary_out)
+    # rows of ∂_out as bitsets over the C_n index: row i has bit j iff M[i][j]=1.
+    row_bits: Dict[int, int] = {}
+    for j, col in enumerate(boundary_out):
+        for i, x in col.items():
+            if x % 2:
+                row_bits[i] = row_bits.get(i, 0) | (1 << j)
+    kernel = f2_kernel(list(row_bits.values()), rank_here) if nout else []
+    if not nout:
+        kernel = [1 << j for j in range(rank_here)]
+    m = len(kernel)
+    solver = F2SpanSolver(kernel, rank_here)
+    image_coords: List[int] = []
+    for col in boundary_in:
+        vec = 0
+        for i, x in col.items():
+            if x % 2:
+                vec |= 1 << i
+        y = solver.express(vec)
+        if y is None:
+            raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
+        image_coords.append(y)
+    image_rref, pivots = f2_rref(image_coords, m)
+    pivot_set = set(pivots)
+    free_idx = [i for i in range(m) if i not in pivot_set]
+    reps = [f2_unpack(kernel[i], rank_here) for i in free_idx]
+
+    def coord_fn(cycle: Vector) -> Optional[Vector]:
+        y = solver.express(f2_pack([int(x) % 2 for x in cycle]))
+        if y is None:
+            return None
+        for row, p in zip(image_rref, pivots):
+            if (y >> p) & 1:
+                y ^= row
+        return [(y >> i) & 1 for i in free_idx]
+
+    return HomologyDescriptor(ring, len(free_idx), [], reps, coord_fn)
+
+
+def homology_of_matrices(ring: Ring, boundary_out, nrows_out: int, boundary_in, rank_here: int) -> HomologyDescriptor:
+    """ker(∂_out)/im(∂_in) over a field, from the sparse columns of both maps."""
+    if ring.characteristic == 2:
+        return _homology_f2(boundary_out, boundary_in, rank_here, ring)
+    return _homology_field(ring, boundary_out, nrows_out, boundary_in, rank_here)
+
+
+def _transpose(cols, nrows: int):
+    rows: List[Dict[int, Coefficient]] = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, value in col.items():
+            rows[i][j] = value
+    return rows
+
+
+def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
+    boundary_out = complex_.boundary_matrix(degree) if degree > 0 else [{} for _ in range(complex_.rank(degree))]
+    return homology_of_matrices(
+        complex_.ring,
+        boundary_out,
+        complex_.rank(degree - 1) if degree > 0 else 0,
+        complex_.boundary_matrix(degree + 1),
+        complex_.rank(degree),
+    )
+
+
+def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
+    out_cols = _transpose(complex_.boundary_matrix(degree + 1), complex_.rank(degree))
+    in_cols = _transpose(complex_.boundary_matrix(degree), complex_.rank(degree - 1)) if degree > 0 else []
+    return homology_of_matrices(complex_.ring, out_cols, complex_.rank(degree + 1), in_cols, complex_.rank(degree))

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from steenrod_kit import documents, homology as homology_module
 from steenrod_kit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from steenrod_kit.documents import CACHE_ENV_VAR, CACHE_FILENAME, load_corpus, save_complex
 
@@ -73,6 +74,14 @@ def test_sq_defaults_to_f2_and_rejects_others(capsys, corpus_file):
     assert main(["sq", "--input", path, "--ring", "z"]) == EXIT_INPUT
 
 
+def test_sq_computes_each_cohomology_group_once(capsys, corpus_file, monkeypatch):
+    calls = []
+    compute = homology_module.homology_of_matrices
+    monkeypatch.setattr(homology_module, "homology_of_matrices", lambda *args: calls.append(args) or compute(*args))
+    assert main(["sq", "--input", corpus_file("rp2"), "--json"]) == EXIT_OK
+    assert len(calls) == 3  # H^0, H^1 and H^2, shared by every square
+
+
 def test_info_reports_degeneracy_freeness(capsys, corpus_file):
     path = corpus_file("counterexample")
     assert main(["info", "--input", path, "--json"]) == EXIT_OK
@@ -105,3 +114,47 @@ def test_verify_unknown_invariant_is_an_input_error(capsys):
 
 def test_missing_input_file(capsys):
     assert main(["homology", "--input", "/nonexistent/space.json"]) == EXIT_INPUT
+
+
+RP4 = str(Path(documents.__file__).parent / "corpus" / "rp4.json")
+
+# Sq^i(x^k) = C(k, i)·x^{k+i} mod 2 on H^*(RP^4; F2) = F2[x]/(x^5) (Mosher–Tangora)
+RP4_SQUARES = [
+    {"i": 0, "p": 0, "matrix": [[1]]},
+    {"i": 1, "p": 0, "matrix": [[0]]},
+    {"i": 2, "p": 0, "matrix": [[0]]},
+    {"i": 3, "p": 0, "matrix": [[0]]},
+    {"i": 4, "p": 0, "matrix": [[0]]},
+    {"i": 0, "p": 1, "matrix": [[1]]},
+    {"i": 1, "p": 1, "matrix": [[1]]},
+    {"i": 2, "p": 1, "matrix": [[0]]},
+    {"i": 3, "p": 1, "matrix": [[0]]},
+    {"i": 0, "p": 2, "matrix": [[1]]},
+    {"i": 1, "p": 2, "matrix": [[0]]},
+    {"i": 2, "p": 2, "matrix": [[1]]},
+    {"i": 0, "p": 3, "matrix": [[1]]},
+    {"i": 1, "p": 3, "matrix": [[1]]},
+    {"i": 0, "p": 4, "matrix": [[1]]},
+]
+
+
+@pytest.mark.slow
+def test_rp4_full_square_table(capsys):
+    assert main(["sq", "--input", RP4, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"space": "rp4", "squares": RP4_SQUARES}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "ring, groups",
+    [
+        ("f2", ["F2^1"] * 5),
+        # H_*(RP^4; Z) = Z, Z/2, 0, Z/2, 0 and 3 does not divide 2
+        ("f3", ["F3^1", "F3^0", "F3^0", "F3^0", "F3^0"]),
+    ],
+)
+def test_rp4_field_homology(capsys, ring, groups):
+    assert main(["homology", "--input", RP4, "--ring", ring, "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert [(r["degree"], r["group"]) for r in payload["homology"]] == list(enumerate(groups))

@@ -1,5 +1,6 @@
 import pytest
 
+from steenrod_kit.chains import Cell, Chain, ChainComplex
 from steenrod_kit.documents import load_corpus
 from steenrod_kit.homology import (
     chain_from_vector,
@@ -85,3 +86,27 @@ def test_representatives_are_cycles():
             term = cx.boundary_of_basis(basis).scale(coeff)
             boundary = term if boundary is None else boundary + term
         assert boundary is not None and boundary.is_zero()
+
+
+def test_groups_are_computed_once_per_complex_and_degree():
+    space = load_corpus("rp2")
+    cx = space.chains(F2)
+    assert space.chains(F2) is cx and space.chains(ZZ) is not cx
+    assert cohomology(cx, 1) is cohomology(cx, 1)
+    assert homology(cx, 1) is homology(cx, 1)
+    assert homology(cx, 1) is not cohomology(cx, 1)
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2, F3, QQ], ids=str)
+def test_nonzero_boundary_squared_is_an_error(ring):
+    a, b, c = Cell(0, "a"), Cell(1, "b"), Cell(2, "c")
+    boundary = {
+        a: Chain(ring, -1, {}),
+        b: Chain(ring, 0, {a: 1}),
+        c: Chain(ring, 1, {b: 1}),  # ∂∂c = a ≠ 0
+    }
+    cx = ChainComplex(ring, {0: [a], 1: [b], 2: [c]}, boundary, 2, exhaustive=True)
+    with pytest.raises(ArithmeticError):
+        homology(cx, 1)
+    with pytest.raises(ArithmeticError):
+        cohomology(cx, 1)

@@ -4,15 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steenrod_kit.linalg import (
-    F2SpanSolver,
+    IntegerSolver,
     SpanSolver,
-    f2_kernel,
-    f2_pack,
-    f2_rref,
-    f2_unpack,
     field_kernel,
+    homology_of_matrices,
     integer_kernel,
-    integer_solve,
     rref_field,
     smith_normal_form,
 )
@@ -58,10 +54,11 @@ def test_integer_kernel_and_solve():
     assert len(kern) == 2
     for vec in kern:
         assert all(sum(row[j] * vec[j] for j in range(3)) == 0 for row in a)
-    x = integer_solve(a, 3, [2, 1])
+    solver = IntegerSolver(a, 3)  # one factorization, several right-hand sides
+    x = solver.solve([2, 1])
     assert x is not None and sum(a[0][j] * x[j] for j in range(3)) == 2
-    assert integer_solve(a, 3, [1, 1]) is None  # incompatible
-    assert integer_solve([[2]], 1, [1]) is None  # 2x = 1 has no integer solution
+    assert solver.solve([1, 1]) is None  # incompatible
+    assert IntegerSolver([[2]], 1).solve([1]) is None  # 2x = 1 has no integer solution
 
 
 def test_rref_and_kernel_over_fields():
@@ -86,23 +83,33 @@ def test_span_solver():
     assert solver1.express([QQ.coerce(0), QQ.coerce(1)]) is None
 
 
-def test_f2_bitset_roundtrip_and_rref():
-    vec = [1, 0, 1, 1]
-    assert f2_unpack(f2_pack(vec), 4) == vec
-    rows = [f2_pack([1, 1, 0]), f2_pack([0, 1, 1]), f2_pack([1, 0, 1])]
-    red, pivots = f2_rref(rows, 3)
-    assert len(pivots) == 2
-    kern = f2_kernel(rows, 3)
-    assert len(kern) == 1
-    assert f2_unpack(kern[0], 3) == [1, 1, 1]
+def test_f2_engine_kernel():
+    rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    # the echelon form has pivots 0 and 1; column 2 is free
+    assert field_kernel(rows, 3, F2) == [[1, 1, 1]]
+    # the same matrix as the map out of a degree: H = ker, nothing comes in
+    h = homology_of_matrices(F2, [dict(enumerate(r)) for r in rows], [], 3)
+    assert h.dimension == 1 and h.representatives == [[1, 1, 1]]
+    assert h.coordinates([1, 1, 1]) == [1]
+    with pytest.raises(ValueError):
+        h.coordinates([1, 0, 0])  # not a cycle
 
 
-def test_f2_span_solver():
-    gens = [f2_pack([1, 1, 0]), f2_pack([0, 1, 1])]
-    solver = F2SpanSolver(gens, 3)
-    coeffs = solver.express(f2_pack([1, 0, 1]))
-    assert coeffs is not None and f2_unpack(coeffs, 2) == [1, 1]
-    assert solver.express(f2_pack([1, 0, 0])) is None
+def test_f2_engine_image_and_coordinates():
+    # the span of (1,1,0) and (0,1,1) as the image into a degree with no map out
+    gens = [{0: 1, 1: 1}, {1: 1, 2: 1}]
+    h = homology_of_matrices(F2, [], gens, 3)
+    assert h.dimension == 1 and h.representatives == [[0, 0, 1]]
+    assert h.coordinates([1, 0, 1]) == [0]  # the sum of both generators
+    assert h.coordinates([1, 0, 0]) == [1]  # outside the span
+
+
+def test_engine_image_and_coordinates_over_an_odd_field():
+    # a degree of rank 2 with boundaries spanned by (1, 2): one class, at column 1
+    h = homology_of_matrices(F5, [], [{0: 1, 1: 2}], 2)
+    assert h.representatives == [[0, 1]]
+    assert h.coordinates([3, 1]) == [0]  # 3·(1, 2) = (3, 6) ≡ (3, 1) mod 5
+    assert h.coordinates([3, 2]) == [1]  # (3, 1) + (0, 1)
 
 
 @settings(max_examples=40, deadline=None)
