@@ -348,15 +348,19 @@ class ChainComplex:
         return acc
 
     def boundary_matrix(self, n: int) -> List[Dict[int, Coefficient]]:
-        """Columns of ∂_n: C_n → C_{n−1}, one sparse column per basis element."""
-        lower = {b: i for i, b in enumerate(self.basis_in(n - 1))}
-        cols: List[Dict[int, Coefficient]] = []
-        for b in self.basis_in(n):
-            col: Dict[int, Coefficient] = {}
-            for face, coeff in self.boundary_of_basis(b).terms.items():
-                col[lower[face]] = coeff
-            cols.append(col)
-        return cols
+        """Columns of ∂_n: C_n → C_{n−1}, one sparse column per basis element.
+
+        Built once per degree and kept in ``derived``; callers must not
+        modify the columns.
+        """
+        key = ("boundary_matrix", n)
+        if key not in self.derived:
+            lower = {b: i for i, b in enumerate(self.basis_in(n - 1))}
+            self.derived[key] = [
+                {lower[face]: coeff for face, coeff in self.boundary_of_basis(b).terms.items()}
+                for b in self.basis_in(n)
+            ]
+        return self.derived[key]
 
     def check_dd_zero(self) -> bool:
         for n in self.degrees():

@@ -9,12 +9,13 @@ module provides:
 * the inverse functor Γ building a simplicial abelian group from a chain
   complex by formal degeneracies,
 * free (pointed) simplicial abelian groups ℛX and R̃X on a presented
-  simplicial set, with R̃X = ℛX / (basepoint degeneracy chain),
+  simplicial set, with R̃X = ℛX / (basepoint degeneracy chain), built and
+  validated once per presentation, ring and variant,
 * the Hurewicz map x ↦ 1·x on normalized and unnormalized chains, the
   retraction γ, and the diagonal-compatibility defect of the Hurewicz square.
 
 Everything is finite because the inputs are truncated; every linear-algebra
-step is exact (Smith form over ℤ, elimination over fields).
+step is exact (Smith form over ℤ, the sparse echelon engine over fields).
 """
 
 from __future__ import annotations
@@ -96,6 +97,10 @@ class SimplicialAbelianGroup:
         self.degeneracy_maps = {k: [dict(c) for c in v] for k, v in degeneracy_maps.items()}
         self.truncation_dim = truncation_dim
         self.name = name
+        # (level, label) -> index of that generator in its level
+        self.position: Dict[Tuple[int, object], int] = {
+            (n, label): i for n, labels in self.levels.items() for i, label in enumerate(labels)
+        }
         if validate:
             self.validate()
 
@@ -154,6 +159,7 @@ class SimplicialAbelianGroup:
 def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
     """Degree-n module = level n, boundary = Σ (−1)^i d_i."""
     ring = a.ring
+    signs = [ring.coerce(1), ring.coerce(-1)]
     basis: Dict[int, List[Cell]] = {n: [a.basis_cell(n, i) for i in range(a.rank(n))] for n in sorted(a.levels)}
     boundary: Dict[Cell, Chain] = {}
     for n in sorted(a.levels):
@@ -163,8 +169,7 @@ def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
             if n > 0 and lower:
                 for i in range(n + 1):
                     for row, c in a.face(n, i)[idx].items():
-                        sign = ring.coerce(-1 if i % 2 else 1)
-                        v = ring.add(terms.get(lower[row], ring.zero), ring.mul(sign, c))
+                        v = ring.add(terms.get(lower[row], ring.zero), ring.mul(signs[i % 2], c))
                         terms[lower[row]] = v
             boundary[b] = Chain(ring, n - 1, terms)
     return ChainComplex(ring, basis, boundary, a.truncation_dim)
@@ -313,11 +318,7 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
 
     def project(m: int, vec: List[Coefficient]) -> List[Coefficient]:
         # coordinates of the identity-word summand C_m inside level m
-        out = []
-        for j in range(c.rank(m)):
-            pos = g.levels[m].index(("G", (), m, j))
-            out.append(vec[pos])
-        return out
+        return [vec[g.position[(m, ("G", (), m, j))]] for j in range(c.rank(m))]
 
     for m in range(min(truncation, top + 1) + 1):
         vecs = kernels.get(m, [])
@@ -376,11 +377,16 @@ def _basepoint_index(x: SimplicialSetPresentation, n: int) -> int:
     return x.apply_word(0, bp, tuple(range(n - 1, -1, -1))) if n > 0 else bp
 
 
-def free_simplicial_abelian(
-    x: SimplicialSetPresentation, ring: Ring, pointed: bool = False, name: str = ""
-) -> SimplicialAbelianGroup:
+def free_simplicial_abelian(x: SimplicialSetPresentation, ring: Ring, pointed: bool = False) -> SimplicialAbelianGroup:
     """ℛX: levels free on the cells of x; pointed variant R̃X quotients by the
-    basepoint degeneracy chain (one basis vector per level)."""
+    basepoint degeneracy chain (one basis vector per level).
+
+    Built and validated once per presentation, ring and variant: the group is
+    kept on ``x.free_groups`` and every later call returns that object.
+    """
+    key = (ring, bool(pointed))
+    if key in x.free_groups:
+        return x.free_groups[key]
     dropped: Dict[int, Optional[int]] = {}
     if pointed:
         if x.n_cells(0) == 0:
@@ -417,36 +423,17 @@ def free_simplicial_abelian(
                     target = x.degeneracy(n, idx, i)
                     cols.append({reindex[(n + 1, target)]: ring.one} if (n + 1, target) in reindex else {})
                 degeneracy_maps[(n, i)] = cols
-    label = name or (f"R~({x.name})" if pointed else f"R({x.name})")
-    return SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, x.truncation_dim, name=label)
+    label = f"R~({x.name})" if pointed else f"R({x.name})"
+    group = SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, x.truncation_dim, name=label)
+    x.free_groups[key] = group
+    return group
 
 
 def pointed_unnormalized_chains(x: SimplicialSetPresentation, ring: Ring) -> ChainComplex:
     """C(X) modulo the basepoint degeneracy chain: one basis cell dropped per
     degree, boundary entries through the dropped cells erased."""
     dropped = {n: _basepoint_index(x, n) for n in sorted(x.cells)}
-    basis: Dict[int, List[Cell]] = {}
-    kept: Dict[int, List[int]] = {}
-    for n in sorted(x.cells):
-        kept[n] = [i for i in range(x.n_cells(n)) if i != dropped[n]]
-        basis[n] = [x.basis_cell(n, i) for i in kept[n]]
-    boundary: Dict[Cell, Chain] = {}
-    for n in sorted(x.cells):
-        for idx in kept[n]:
-            b = x.basis_cell(n, idx)
-            if n == 0:
-                boundary[b] = Chain(ring, -1, {})
-                continue
-            terms: Dict[Cell, Coefficient] = {}
-            for i in range(n + 1):
-                f = x.face(n, idx, i)
-                if f == dropped[n - 1]:
-                    continue
-                facet = x.basis_cell(n - 1, f)
-                sign = ring.coerce(-1 if i % 2 else 1)
-                terms[facet] = ring.add(terms.get(facet, ring.zero), sign)
-            boundary[b] = Chain(ring, n - 1, terms)
-    return ChainComplex(ring, basis, boundary, x.truncation_dim)
+    return x.chains_from_faces(ring, lambda n: [i for i in range(x.n_cells(n)) if i != dropped[n]])
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +472,13 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
     a = free_simplicial_abelian(x, ring, pointed=True)
     target, kernels = _normalized_data(a)
     source = x.normalized_chains(ring)
-    position = {(n, label): i for n, labels in a.levels.items() for i, label in enumerate(labels)}
     expressers: Dict[int, _Expresser] = {}
 
     def action(basis: Cell) -> Chain:
         n = basis.degree
         if not kernels.get(n):
             return zero_chain(ring, n)
-        pos = position.get((n, basis.label))
+        pos = a.position.get((n, basis.label))
         if pos is None:  # the basepoint chain itself
             return zero_chain(ring, n)
         vec = [ring.zero] * a.rank(n)
@@ -567,16 +553,16 @@ def hurewicz_square_defect(
     from .bar import e
 
     a = free_simplicial_abelian(x, ring, pointed=True)
-    kept = {(m, label) for m, labels in a.levels.items() for label in labels}
+    position = a.position
     full = xi_cell(e(level), x, n, idx, table, ring)
     lhs_terms: Dict[object, Coefficient] = {}
     for pair, coeff in full.terms.items():
-        if (pair.left.degree, pair.left.label) in kept and (pair.right.degree, pair.right.label) in kept:
+        if (pair.left.degree, pair.left.label) in position and (pair.right.degree, pair.right.label) in position:
             lhs_terms[pair] = coeff
     lhs = Chain(ring, full.degree, lhs_terms)
-    label = x.basis_cell(n, idx).label
-    if (n, label) not in kept:
+    pos = position.get((n, x.basis_cell(n, idx).label))
+    if pos is None:
         rhs = zero_chain(ring, full.degree)
     else:
-        rhs = xi_sab_generator(e(level), a, n, a.levels[n].index(label), table, ring)
+        rhs = xi_sab_generator(e(level), a, n, pos, table, ring)
     return lhs - rhs

@@ -1,10 +1,11 @@
-"""Exact linear algebra: Smith normal form over ℤ, Gaussian elimination over
-fields, and homology with explicit cycle bases and change-of-basis data.
+"""Exact linear algebra: Smith normal form over ℤ, one sparse echelon engine
+over fields, and homology with explicit cycle bases and change-of-basis data.
 
-Dense matrices are lists of rows.  (Co)homology over a field runs on one
-sparse echelon engine: vectors are dicts ``{index: nonzero entry}``, or over
-𝔽₂ Python integers used as bitsets (bit j = entry j), which keeps 𝔽₂ row
-operations at C speed.  Over ℤ homology comes from Smith normal forms.
+Every field computation (kernels, ranks, span solves, (co)homology) runs on
+the echelon engine: vectors are dicts ``{index: nonzero entry}``, or over 𝔽₂
+Python integers used as bitsets (bit j = entry j), which keeps 𝔽₂ row
+operations at C speed.  Dense matrices (lists of rows) remain only on the ℤ
+path, where homology comes from Smith normal forms.
 """
 
 from __future__ import annotations
@@ -175,68 +176,6 @@ class IntegerSolver:
 
 
 # ---------------------------------------------------------------------------
-# Generic field elimination
-# ---------------------------------------------------------------------------
-
-
-def rref_field(rows: Matrix, ncols: int, ring: Ring) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(rows)):
-            if not ring.is_zero(rows[i][col]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = ring.inv(rows[rank][col])
-        rows[rank] = [ring.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not ring.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [ring.add(x, ring.neg(ring.mul(factor, y))) for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-class SpanSolver:
-    """Expresses vectors in the span of a fixed generating set over a field.
-
-    Built once from generators (as vectors of length ``ncols``); ``express``
-    returns the coefficient list over the original generators, or None when
-    the vector is outside the span.
-    """
-
-    def __init__(self, generators: Sequence[Vector], ncols: int, ring: Ring):
-        self.ring = ring
-        self.ncols = ncols
-        self.ngen = len(generators)
-        augmented = []
-        for i, g in enumerate(generators):
-            tail = [ring.zero] * self.ngen
-            tail[i] = ring.one
-            augmented.append(list(g) + tail)
-        self._rows, pivots = rref_field(augmented, ncols, ring)
-        self._pivots = [p for p in pivots if p < ncols]
-
-    def express(self, vec: Vector) -> Optional[Vector]:
-        ring = self.ring
-        work = list(vec) + [ring.zero] * self.ngen
-        for row, p in zip(self._rows, self._pivots):
-            factor = work[p]
-            if not ring.is_zero(factor):
-                work = [ring.add(x, ring.neg(ring.mul(factor, y))) for x, y in zip(work, row)]
-        if any(not ring.is_zero(x) for x in work[: self.ncols]):
-            return None
-        return [ring.neg(x) for x in work[self.ncols :]]
-
-
-# ---------------------------------------------------------------------------
 # Sparse echelon engine over a field
 # ---------------------------------------------------------------------------
 
@@ -364,6 +303,42 @@ def _kernel_vector(ops, pivots: Dict[int, object], free: int, ncols: int, ring: 
         if not ring.is_zero(c):
             x = ops.put(x, p, ring.neg(c))
     return [ops.entry(x, j) for j in range(ncols)]
+
+
+def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) -> int:
+    """Rank over a field of vectors given by their (index, entry) pairs."""
+    ops = _vectors(ring)
+    return len(_echelon(ops, (ops.pack(row) for row in rows)))
+
+
+class SpanSolver:
+    """Expresses vectors in the span of a fixed generating set over a field.
+
+    Built once from generators (as vectors of length ``ncols``); ``express``
+    returns the coefficient list over the original generators, or None when
+    the vector is outside the span.  Each generator is tagged with a unit
+    vector after column ``ncols``: reducing a vector by the echelon pivots
+    below ``ncols`` leaves minus its coefficients in the tag columns.
+    """
+
+    def __init__(self, generators: Sequence[Vector], ncols: int, ring: Ring):
+        self.ring = ring
+        self.ncols = ncols
+        self.ngen = len(generators)
+        self._ops = ops = _vectors(ring)
+        tagged = (ops.pack([*enumerate(g), (ncols + i, ring.one)]) for i, g in enumerate(generators))
+        echelon = _echelon(ops, tagged)
+        self._pivots = sorted((p, w) for p, w in echelon.items() if p < ncols)
+
+    def express(self, vec: Vector) -> Optional[Vector]:
+        ops, ring, ncols = self._ops, self.ring, self.ncols
+        work = ops.pack(enumerate(vec))
+        for p, w in self._pivots:
+            if not ring.is_zero(ops.entry(work, p)):
+                work = ops.clear(work, w, p)
+        if work and ops.low(work) < ncols:
+            return None
+        return [ring.neg(ops.entry(work, ncols + i)) for i in range(self.ngen)]
 
 
 def field_kernel(rows: Matrix, ncols: int, ring: Ring) -> List[Vector]:

@@ -17,7 +17,7 @@ underlying monotone map repeats a value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chains import Cell, Chain, ChainComplex
 from .rings import Coefficient, Ring
@@ -97,11 +97,91 @@ def all_surjection_words(m: int, n: int) -> List[Word]:
 
 
 # ---------------------------------------------------------------------------
+# Face tables
+# ---------------------------------------------------------------------------
+
+
+class FaceTable:
+    """Cells per dimension with a face table: what delta-complexes and
+    simplicial-set presentations share.
+
+    Subclasses provide ``cells`` ({dimension: labels}), ``faces`` ({(n, idx):
+    the n+1 face indices, () for a vertex}), ``truncation_dim`` and ``name``.
+    """
+
+    def n_cells(self, n: int) -> int:
+        return len(self.cells.get(n, []))
+
+    def face(self, n: int, idx: int, i: int) -> int:
+        return self.faces[(n, idx)][i]
+
+    def iterated_face(self, n: int, idx: int, keep: Sequence[int]) -> Tuple[int, int]:
+        """The face keeping the vertex positions in ``keep`` (increasing)."""
+        kept = set(keep)
+        dim, cur = n, idx
+        for j in range(n, -1, -1):
+            if j not in kept:
+                cur = self.faces[(dim, cur)][j]
+                dim -= 1
+        return dim, cur
+
+    def basis_cell(self, n: int, idx: int) -> Cell:
+        return Cell(n, (self.name, n, idx) if self.name else (n, idx))
+
+    def _validate_face_targets(self) -> None:
+        for (n, idx), fs in self.faces.items():
+            expected = 0 if n == 0 else n + 1
+            if len(fs) != expected:
+                raise ValueError(f"cell ({n},{idx}) has {len(fs)} faces, expected {expected}")
+            for i, target in enumerate(fs):
+                if not 0 <= target < self.n_cells(n - 1):
+                    raise ValueError(f"face d_{i} of cell ({n},{idx}) points at missing cell {target}")
+
+    def _validate_face_identities(self) -> None:
+        """d_i d_j = d_{j−1} d_i for i < j, on every cell."""
+        faces = self.faces
+        for n in sorted(self.cells):
+            if n < 2:
+                continue
+            for idx in range(self.n_cells(n)):
+                fs = faces[(n, idx)]
+                for j in range(n + 1):
+                    below_j = faces[(n - 1, fs[j])]
+                    for i in range(j):
+                        if below_j[i] != faces[(n - 1, fs[i])][j - 1]:
+                            raise ValueError(f"face identity d_{i} d_{j} failed on cell ({n},{idx})")
+
+    def chains_from_faces(
+        self, ring: Ring, kept: Callable[[int], List[int]], exhaustive: bool = False
+    ) -> ChainComplex:
+        """The chain complex on the cells ``kept(n)`` (increasing indices) of
+        each dimension, with boundary Σ (−1)^i d_i; faces outside the kept
+        cells vanish (they are quotiented away)."""
+        signs = [ring.coerce(1), ring.coerce(-1)]
+        basis: Dict[int, List[Cell]] = {}
+        boundary: Dict[Cell, Chain] = {}
+        by_index: Dict[int, Dict[int, Cell]] = {}  # kept cells per dimension
+        for n in sorted(self.cells):
+            indices = kept(n)
+            basis[n] = [self.basis_cell(n, idx) for idx in indices]
+            by_index[n] = dict(zip(indices, basis[n]))
+            lower = by_index.get(n - 1, {})
+            for idx, b in zip(indices, basis[n]):
+                terms: Dict[Cell, Coefficient] = {}
+                for i, f in enumerate(self.faces[(n, idx)] if n else ()):
+                    facet = lower.get(f)
+                    if facet is not None:
+                        terms[facet] = ring.add(terms.get(facet, ring.zero), signs[i % 2])
+                boundary[b] = Chain(ring, n - 1, terms)
+        return ChainComplex(ring, basis, boundary, self.truncation_dim, exhaustive=exhaustive)
+
+
+# ---------------------------------------------------------------------------
 # Delta-complexes
 # ---------------------------------------------------------------------------
 
 
-class DeltaComplex:
+class DeltaComplex(FaceTable):
     """Abstract cells with face tables satisfying d_i d_j = d_{j−1} d_i (i<j)."""
 
     def __init__(
@@ -121,74 +201,18 @@ class DeltaComplex:
         if validate:
             self.validate()
 
-    # --- basic accessors ---------------------------------------------------
-    def n_cells(self, n: int) -> int:
-        return len(self.cells.get(n, []))
-
     def label(self, n: int, idx: int) -> object:
         return self.cells[n][idx]
 
-    def face(self, n: int, idx: int, i: int) -> int:
-        return self.faces[(n, idx)][i]
-
-    def iterated_face(self, n: int, idx: int, keep: Sequence[int]) -> Tuple[int, int]:
-        """The face keeping the vertex positions in ``keep`` (increasing)."""
-        drop = [j for j in range(n + 1) if j not in set(keep)]
-        dim, cur = n, idx
-        for j in sorted(drop, reverse=True):
-            cur = self.face(dim, cur, j)
-            dim -= 1
-        return dim, cur
-
     def validate(self) -> None:
-        for (n, idx), fs in self.faces.items():
-            expected = 0 if n == 0 else n + 1
-            if len(fs) != expected:
-                raise ValueError(f"cell ({n},{idx}) has {len(fs)} faces, expected {expected}")
-            for i, target in enumerate(fs):
-                if not 0 <= target < self.n_cells(n - 1):
-                    raise ValueError(f"face d_{i} of cell ({n},{idx}) points at missing cell {target}")
-        for n in sorted(self.cells):
-            if n < 2:
-                continue
-            for idx in range(self.n_cells(n)):
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = self.face(n - 1, self.face(n, idx, j), i)
-                        rhs = self.face(n - 1, self.face(n, idx, i), j - 1)
-                        if lhs != rhs:
-                            raise ValueError(
-                                f"face identity d_{i} d_{j} failed on cell ({n},{idx})"
-                            )
-
-    # --- chains -------------------------------------------------------------
-    def basis_cell(self, n: int, idx: int) -> Cell:
-        return Cell(n, (self.name, n, idx) if self.name else (n, idx))
+        self._validate_face_targets()
+        self._validate_face_identities()
 
     def chains(self, ring: Ring) -> ChainComplex:
         """The cellular chain complex over ``ring``, built once per ring."""
         if ring not in self._chains:
-            self._chains[ring] = self._build_chains(ring)
+            self._chains[ring] = self.chains_from_faces(ring, lambda n: list(range(self.n_cells(n))), exhaustive=True)
         return self._chains[ring]
-
-    def _build_chains(self, ring: Ring) -> ChainComplex:
-        basis: Dict[int, List[Cell]] = {}
-        boundary: Dict[Cell, Chain] = {}
-        for n in sorted(self.cells):
-            basis[n] = [self.basis_cell(n, i) for i in range(self.n_cells(n))]
-        for n in sorted(self.cells):
-            if n == 0:
-                for b in basis[0]:
-                    boundary[b] = Chain(ring, -1, {})
-                continue
-            for idx, b in enumerate(basis[n]):
-                terms: Dict[Cell, Coefficient] = {}
-                for i in range(n + 1):
-                    facet = self.basis_cell(n - 1, self.face(n, idx, i))
-                    sign = ring.coerce(-1 if i % 2 else 1)
-                    terms[facet] = ring.add(terms.get(facet, ring.zero), sign)
-                boundary[b] = Chain(ring, n - 1, terms)
-        return ChainComplex(ring, basis, boundary, self.truncation_dim, exhaustive=True)
 
     # --- constructors --------------------------------------------------------
     @staticmethod
@@ -245,7 +269,7 @@ def point_complex() -> DeltaComplex:
 
 
 @dataclass
-class SimplicialSetPresentation:
+class SimplicialSetPresentation(FaceTable):
     """A truncated simplicial set with explicit face and degeneracy tables.
 
     ``faces[(n, idx)]`` lists the n+1 faces of cell idx in dimension n;
@@ -263,28 +287,16 @@ class SimplicialSetPresentation:
     name: str = ""
     strict: bool = True
     basepoint: Optional[int] = None  # vertex index
+    # R(X) and R̃X per (ring, pointed), built once by dold_kan.free_simplicial_abelian
+    free_groups: Dict[Tuple[Ring, bool], object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.cells = {n: list(v) for n, v in self.cells.items() if v}
         self.validate()
 
     # --- accessors -----------------------------------------------------------
-    def n_cells(self, n: int) -> int:
-        return len(self.cells.get(n, []))
-
-    def face(self, n: int, idx: int, i: int) -> int:
-        return self.faces[(n, idx)][i]
-
     def degeneracy(self, n: int, idx: int, i: int) -> int:
         return self.degeneracies[(n, idx)][i]
-
-    def iterated_face(self, n: int, idx: int, keep: Sequence[int]) -> Tuple[int, int]:
-        drop = [j for j in range(n + 1) if j not in set(keep)]
-        dim, cur = n, idx
-        for j in sorted(drop, reverse=True):
-            cur = self.face(dim, cur, j)
-            dim -= 1
-        return dim, cur
 
     def degenerate_flags(self, n: int) -> List[bool]:
         """Which n-cells are degenerate (in the image of some s_i)."""
@@ -312,13 +324,7 @@ class SimplicialSetPresentation:
 
     # --- validation ------------------------------------------------------------
     def validate(self) -> None:
-        for (n, idx), fs in self.faces.items():
-            expected = 0 if n == 0 else n + 1
-            if len(fs) != expected:
-                raise ValueError(f"cell ({n},{idx}) has {len(fs)} faces, expected {expected}")
-            for i, target in enumerate(fs):
-                if not 0 <= target < self.n_cells(n - 1):
-                    raise ValueError(f"face d_{i} of cell ({n},{idx}) points at missing cell {target}")
+        self._validate_face_targets()
         for (n, idx), ds in self.degeneracies.items():
             if len(ds) != n + 1:
                 raise ValueError(f"cell ({n},{idx}) has {len(ds)} degeneracies")
@@ -327,16 +333,7 @@ class SimplicialSetPresentation:
                     raise ValueError(
                         f"degeneracy s_{i} of cell ({n},{idx}) points at missing cell {target}"
                     )
-        for n in sorted(self.cells):
-            if n < 2:
-                continue
-            for idx in range(self.n_cells(n)):
-                for j in range(n + 1):
-                    for i in range(j):
-                        lhs = self.face(n - 1, self.face(n, idx, j), i)
-                        rhs = self.face(n - 1, self.face(n, idx, i), j - 1)
-                        if lhs != rhs:
-                            raise ValueError(f"face identity d_{i} d_{j} failed on cell ({n},{idx})")
+        self._validate_face_identities()
         if not self.strict:
             return
         for n in sorted(self.cells):
@@ -369,50 +366,12 @@ class SimplicialSetPresentation:
                                 raise ValueError(f"identity s_i s_j failed on ({n},{idx})")
 
     # --- chains ------------------------------------------------------------------
-    def basis_cell(self, n: int, idx: int) -> Cell:
-        return Cell(n, (self.name, n, idx) if self.name else (n, idx))
-
     def unnormalized_chains(self, ring: Ring) -> ChainComplex:
-        basis: Dict[int, List[Cell]] = {}
-        boundary: Dict[Cell, Chain] = {}
-        for n in sorted(self.cells):
-            basis[n] = [self.basis_cell(n, i) for i in range(self.n_cells(n))]
-            for idx, b in enumerate(basis[n]):
-                if n == 0:
-                    boundary[b] = Chain(ring, -1, {})
-                    continue
-                terms: Dict[Cell, Coefficient] = {}
-                for i in range(n + 1):
-                    facet = self.basis_cell(n - 1, self.face(n, idx, i))
-                    sign = ring.coerce(-1 if i % 2 else 1)
-                    terms[facet] = ring.add(terms.get(facet, ring.zero), sign)
-                boundary[b] = Chain(ring, n - 1, terms)
-        return ChainComplex(ring, basis, boundary, self.truncation_dim)
+        return self.chains_from_faces(ring, lambda n: list(range(self.n_cells(n))))
 
     def normalized_chains(self, ring: Ring) -> ChainComplex:
-        basis: Dict[int, List[Cell]] = {}
-        keep: Dict[int, set] = {}
-        for n in sorted(self.cells):
-            nd = self.nondegenerate_indices(n)
-            keep[n] = set(nd)
-            basis[n] = [self.basis_cell(n, i) for i in nd]
-        boundary: Dict[Cell, Chain] = {}
-        for n in sorted(self.cells):
-            for idx in keep[n]:
-                b = self.basis_cell(n, idx)
-                if n == 0:
-                    boundary[b] = Chain(ring, -1, {})
-                    continue
-                terms: Dict[Cell, Coefficient] = {}
-                for i in range(n + 1):
-                    f = self.face(n, idx, i)
-                    if f not in keep[n - 1]:
-                        continue  # degenerate faces vanish in the quotient
-                    facet = self.basis_cell(n - 1, f)
-                    sign = ring.coerce(-1 if i % 2 else 1)
-                    terms[facet] = ring.add(terms.get(facet, ring.zero), sign)
-                boundary[b] = Chain(ring, n - 1, terms)
-        return ChainComplex(ring, basis, boundary, self.truncation_dim)
+        """Chains modulo degenerate cells: degenerate faces vanish."""
+        return self.chains_from_faces(ring, self.nondegenerate_indices)
 
 
 # ---------------------------------------------------------------------------

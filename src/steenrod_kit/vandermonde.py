@@ -18,7 +18,7 @@ from itertools import permutations
 from typing import Dict, List, Tuple
 
 from .chains import BasisElement, Chain
-from .linalg import rref_field
+from .linalg import field_rank
 from .rings import Coefficient, QQ, Ring
 
 Monomial = Tuple[BasisElement, ...]  # sorted tuple of basis elements
@@ -105,21 +105,17 @@ def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
                 raise ValueError("chains must be pairwise distinct")
     field = _fraction_field(ring)
     vectors = [TruncatedDiagonalVector.of(c, t, field) for c in cs]
-    # common coordinate space: (power, monomial) pairs
+    # common coordinate space: (power, monomial) pairs, numbered as they occur
     columns: Dict[Tuple[int, Monomial], int] = {}
-    for vec in vectors:
-        for power, comp in enumerate(vec.components):
-            for mono in comp:
-                columns.setdefault((power, mono), len(columns))
-    rows = []
-    for vec in vectors:
-        row = [field.zero] * len(columns)
-        for power, comp in enumerate(vec.components):
-            for mono, coeff in comp.items():
-                row[columns[(power, mono)]] = coeff
-        rows.append(row)
-    reduced, _ = rref_field(rows, len(columns), field)
-    return len(reduced) == t
+    rows = [
+        [
+            (columns.setdefault((power, mono), len(columns)), coeff)
+            for power, comp in enumerate(vec.components)
+            for mono, coeff in comp.items()
+        ]
+        for vec in vectors
+    ]
+    return field_rank(rows, field) == t
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The dense elimination engine that computed (co)homology over fields before
-the sparse echelon engine of ``steenrod_kit.linalg``, kept only as a test
-oracle.
+"""The dense elimination engine that computed (co)homology and span solves
+over fields before the sparse echelon engine of ``steenrod_kit.linalg``,
+kept only as a test oracle; it imports no elimination code from the library.
 
 Rows are dense lists, or Python ints used as bitsets over 𝔽₂; every
 echelon form is fully reduced (RREF), so kernels, representatives and
@@ -13,8 +13,61 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from steenrod_kit.chains import ChainComplex
-from steenrod_kit.linalg import HomologyDescriptor, Matrix, SpanSolver, Vector, rref_field
+from steenrod_kit.linalg import HomologyDescriptor, Matrix, Vector
 from steenrod_kit.rings import Coefficient, Ring
+
+
+def rref_field(rows: Matrix, ncols: int, ring: Ring) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots: List[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = None
+        for i in range(rank, len(rows)):
+            if not ring.is_zero(rows[i][col]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        inv = ring.inv(rows[rank][col])
+        rows[rank] = [ring.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and not ring.is_zero(rows[i][col]):
+                factor = rows[i][col]
+                rows[i] = [ring.add(x, ring.neg(ring.mul(factor, y))) for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+class SpanSolver:
+    """Expresses vectors in the span of a fixed generating set over a field,
+    by RREF of the generators augmented with an identity block."""
+
+    def __init__(self, generators: Sequence[Vector], ncols: int, ring: Ring):
+        self.ring = ring
+        self.ncols = ncols
+        self.ngen = len(generators)
+        augmented = []
+        for i, g in enumerate(generators):
+            tail = [ring.zero] * self.ngen
+            tail[i] = ring.one
+            augmented.append(list(g) + tail)
+        self._rows, pivots = rref_field(augmented, ncols, ring)
+        self._pivots = [p for p in pivots if p < ncols]
+
+    def express(self, vec: Vector) -> Optional[Vector]:
+        ring = self.ring
+        work = list(vec) + [ring.zero] * self.ngen
+        for row, p in zip(self._rows, self._pivots):
+            factor = work[p]
+            if not ring.is_zero(factor):
+                work = [ring.add(x, ring.neg(ring.mul(factor, y))) for x, y in zip(work, row)]
+        if any(not ring.is_zero(x) for x in work[: self.ncols]):
+            return None
+        return [ring.neg(x) for x in work[self.ncols :]]
 
 
 def field_kernel(rows: Matrix, ncols: int, ring: Ring) -> List[Vector]:

@@ -17,6 +17,7 @@ from steenrod_kit.chains import (
     zero_chain,
     GradedMap,
 )
+from steenrod_kit.homology import cohomology, homology
 from steenrod_kit.rings import F2, ZZ
 from steenrod_kit.simplicial import standard_delta
 
@@ -123,3 +124,18 @@ def test_f2_chains_coerce():
     c = Chain(F2, 1, {s: 3})
     assert c.terms[s] == 1
     assert (c + c).is_zero()
+
+
+def test_boundary_matrix_is_built_once_per_degree(monkeypatch):
+    cx = standard_delta(3).chains(F2)
+    built = []
+    original = cx.boundary_of_basis
+    monkeypatch.setattr(cx, "boundary_of_basis", lambda b: built.append(b) or original(b))
+    for degree in range(4):
+        homology(cx, degree)
+        cohomology(cx, degree)
+    assert cx.boundary_matrix(2) is cx.boundary_matrix(2)
+    # one boundary lookup per basis element: every degree built exactly once
+    assert sorted(built, key=lambda b: b.sort_key()) == sorted(
+        (b for n in cx.degrees() if n > 0 for b in cx.basis_in(n)), key=lambda b: b.sort_key()
+    )

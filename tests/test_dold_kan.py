@@ -159,3 +159,32 @@ def test_gamma_rejects_negative_grading():
     c = ChainComplex(ZZ, basis, boundary, 2)
     with pytest.raises(ValueError):
         gamma(c, 2)
+
+
+def test_free_simplicial_abelian_is_built_once_per_presentation():
+    x = _interval()
+    pointed = free_simplicial_abelian(x, ZZ, pointed=True)
+    assert free_simplicial_abelian(x, ZZ, pointed=True) is pointed
+    assert free_simplicial_abelian(x, ZZ) is not pointed
+    assert free_simplicial_abelian(x, F2, pointed=True) is not pointed
+    # an equal presentation built separately keeps its own groups
+    assert free_simplicial_abelian(_interval(), ZZ, pointed=True) is not pointed
+
+
+def test_hurewicz_square_validates_each_free_group_once(monkeypatch):
+    validated = []
+    original = SimplicialAbelianGroup.validate
+
+    def counting(self):
+        validated.append(self.name)
+        original(self)
+
+    monkeypatch.setattr(SimplicialAbelianGroup, "validate", counting)
+    table = DiagonalTable()
+    for name in ("circle", "rp2"):
+        x = freely_add_degeneracies(load_corpus(name), 3)
+        for level in range(3):
+            for n in sorted(x.cells):
+                for idx in range(x.n_cells(n)):
+                    assert hurewicz_square_defect(x, ZZ, table, level, n, idx).is_zero()
+    assert sorted(validated) == ["R~(d(circle))", "R~(d(rp2))"]

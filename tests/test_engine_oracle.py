@@ -1,7 +1,7 @@
 """The sparse echelon engine against the dense RREF engine it replaced
 (``dense_oracle``): both must yield the same canonical representatives and
 the same coordinates, for every cycle and for every cycle moved by a
-boundary."""
+boundary, and the same span solutions."""
 
 import random
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from steenrod_kit import homology as engine
+from steenrod_kit import linalg
 from steenrod_kit.documents import load_corpus
 from steenrod_kit.rings import F2, F3, QQ
 from steenrod_kit.suite import FAST_CORPUS, _random_complex
@@ -74,3 +75,36 @@ def test_engines_agree_on_random_complexes(seed, ring):
     # the complex is truncated at 3: degrees 0–2 have both maps
     for degree in range(3):
         _assert_engines_agree(complex_, degree, rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(RINGS),
+    st.integers(1, 6),
+    st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6), max_size=5),
+    st.lists(st.integers(-2, 2), min_size=5, max_size=5),
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+)
+def test_span_solvers_agree(ring, ncols, generators, weights, outside):
+    """The engine ``SpanSolver`` against the dense one: with independent
+    generators the coefficients are equal; with dependent ones both find
+    the same vectors outside the span, and the engine's coefficients
+    rebuild every vector inside it."""
+    gens = [[ring.coerce(x) for x in g[:ncols]] for g in generators]
+    new = linalg.SpanSolver(gens, ncols, ring)
+    old = dense_oracle.SpanSolver(gens, ncols, ring)
+    independent = len(dense_oracle.rref_field(gens, ncols, ring)[0]) == len(gens)
+    inside = [ring.zero] * ncols
+    for w, g in zip(weights, gens):
+        inside = [ring.add(a, ring.mul(ring.coerce(w), b)) for a, b in zip(inside, g)]
+    for vec in (inside, [ring.coerce(x) for x in outside[:ncols]]):
+        got, want = new.express(vec), old.express(vec)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        if independent:
+            assert got == want
+        rebuilt = [ring.zero] * ncols
+        for c, g in zip(got, gens):
+            rebuilt = [ring.add(a, ring.mul(c, b)) for a, b in zip(rebuilt, g)]
+        assert rebuilt == vec

@@ -8,8 +8,8 @@ from steenrod_kit.linalg import (
     SpanSolver,
     field_kernel,
     homology_of_matrices,
+    field_rank,
     integer_kernel,
-    rref_field,
     smith_normal_form,
 )
 from steenrod_kit.rings import F2, F5, QQ
@@ -61,12 +61,14 @@ def test_integer_kernel_and_solve():
     assert IntegerSolver([[2]], 1).solve([1]) is None  # 2x = 1 has no integer solution
 
 
-def test_rref_and_kernel_over_fields():
+def test_engine_rank_and_kernel_over_fields():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    red, pivots = rref_field([[QQ.coerce(x) for x in r] for r in rows], 3, QQ)
-    assert pivots == [0, 1]
+    assert field_rank((enumerate(r) for r in rows), QQ) == 2
+    assert field_rank((enumerate(r) for r in rows), F5) == 2
+    # pivots at columns 0 and 1: the one kernel vector is 1 at the free column 2
+    assert field_kernel([[QQ.coerce(x) for x in r] for r in rows], 3, QQ) == [[-1, -1, 1]]
     kern = field_kernel([[F5.coerce(x) for x in r] for r in rows], 3, F5)
-    assert len(kern) == 1
+    assert kern == [[4, 4, 1]]
     for row in rows:
         assert F5.is_zero(sum(F5.coerce(x) * k for x, k in zip(row, kern[0])))
 
