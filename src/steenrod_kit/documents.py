@@ -80,10 +80,12 @@ def document_to_complex(doc: dict) -> ComplexLike:
             for n, per_cell in doc["faces"].items()
             for i, face_list in enumerate(per_cell)
         }
-        truncation = int(doc.get("truncation_dim", max(cells) if cells else 0))
+        truncation = doc.get("truncation_dim", max(cells) if cells else 0)
         name = doc.get("name", "")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed complex document: {exc}") from exc
+    if type(truncation) is not int or truncation < 0:
+        raise ValueError(f"malformed complex document: truncation_dim must be an integer ≥ 0, not {truncation!r}")
     if kind == "delta":
         return DeltaComplex(cells, faces, truncation, name=name)
     if kind == "simplicial":

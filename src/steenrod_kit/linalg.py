@@ -1,15 +1,19 @@
-"""Exact linear algebra: Smith normal form over ℤ, one sparse echelon engine
-over fields, and homology with explicit cycle bases and change-of-basis data.
+"""Exact linear algebra: one sparse Smith normal form over ℤ, one sparse
+echelon engine over fields, and homology with explicit cycle bases and
+change-of-basis data.
 
-Every field computation (kernels, ranks, span solves, (co)homology) runs on
-the echelon engine: vectors are dicts ``{index: nonzero entry}``, or over 𝔽₂
-Python integers used as bitsets (bit j = entry j), which keeps 𝔽₂ row
-operations at C speed.  Dense matrices (lists of rows) remain only on the ℤ
-path, where homology comes from Smith normal forms.
+Every ℤ computation (kernels, solves, homology) runs on ``sparse_smith``:
+rows are dicts ``{column: nonzero entry}``, ±1 pivots are eliminated
+sparsely, and only the residual block, which holds no unit entry, goes
+through the dense ``smith_normal_form``.  Every field computation (kernels,
+ranks, span solves, (co)homology) runs on the echelon engine: vectors are
+dicts ``{index: nonzero entry}``, or over 𝔽₂ Python integers used as bitsets
+(bit j = entry j), which keeps 𝔽₂ row operations at C speed.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -17,6 +21,7 @@ from .rings import ZZ, Coefficient, Ring
 
 Matrix = List[List[Coefficient]]
 Vector = List[Coefficient]
+SparseVector = Dict[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -24,12 +29,11 @@ Vector = List[Coefficient]
 # ---------------------------------------------------------------------------
 
 
-def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Return (D, U, Uinv, V) with U·A·V = D diagonal, U and V unimodular.
+def _dense_smith(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
+    """(D, U, Uinv, V, Vinv) with U·A·V = D diagonal, U and V unimodular.
 
     Pivoting picks the smallest nonzero absolute value, which keeps
-    intermediate entries tame at desk scale.  ``Uinv`` is maintained alongside
-    U because homology representatives need it.
+    intermediate entries tame at desk scale.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -37,6 +41,7 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
@@ -49,6 +54,7 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
             d[r][i], d[r][j] = d[r][j], d[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_add(dst, src, k):  # row dst += k * row src
         if k == 0:
@@ -69,6 +75,9 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
             d[r][dst] += k * d[r][src]
         for r in range(cols):
             v[r][dst] += k * v[r][src]
+        vsrc, vdst = vinv[src], vinv[dst]  # Vinv row src -= k * row dst
+        for c in range(cols):
+            vsrc[c] -= k * vdst[c]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
@@ -131,18 +140,162 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
         if d[t][t] < 0:
             row_negate(t)
         t += 1
+    return d, u, uinv, v, vinv
+
+
+def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+    """Return (D, U, Uinv, V) with U·A·V = D diagonal, U and V unimodular.
+
+    Dense: it is the residual step of ``sparse_smith``, which every library
+    caller uses.
+    """
+    d, u, uinv, v, _ = _dense_smith(a)
     return d, u, uinv, v
 
 
+def _axpy(dst: SparseVector, src: SparseVector, k: int) -> None:
+    """dst += k·src in place, dropping entries that cancel."""
+    for j, y in src.items():
+        z = dst.get(j, 0) + k * y
+        if z:
+            dst[j] = z
+        else:
+            del dst[j]
+
+
+def _combine(terms: Iterable[Tuple[int, SparseVector]]) -> SparseVector:
+    """Σ k·vector over the (k, vector) pairs."""
+    out: SparseVector = {}
+    for k, vec in terms:
+        if k:
+            _axpy(out, vec, k)
+    return out
+
+
+@dataclass
+class SmithForm:
+    """U·A·V = D for an integer matrix A, where D is zero except at the
+    ``pivots`` (row, col, d): every d ≥ 1 and each divides the next.
+
+    U is kept by rows, U⁻¹, V and V⁻¹ by columns, as sparse dicts; only the
+    transforms asked of ``sparse_smith`` are filled in.
+    """
+
+    pivots: List[Tuple[int, int, int]]
+    u_rows: List[SparseVector]
+    uinv_cols: List[SparseVector]
+    v_cols: List[SparseVector]
+    vinv_cols: List[SparseVector]
+
+
+def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: bool = False) -> SmithForm:
+    """Smith normal form of the matrix with the given sparse rows; ``u``
+    asks for U and U⁻¹, ``v`` for V and V⁻¹.
+
+    Phase 1 repeatedly takes a ±1 entry, from the sparsest row and then the
+    shortest column, clears its column by row operations and its row by
+    column operations (which only V and V⁻¹ see: the row leaves the active
+    matrix), negating the row when the entry is −1.  No phase-1 step touches
+    U⁻¹ or V⁻¹ outside the pivot's own column of U⁻¹ and row of V⁻¹, which
+    are set once.  V does not depend on ``u``.  Phase 2 puts the
+    residual block, which holds no unit entry, in dense Smith normal form and
+    composes its transforms into the sparse ones.
+    """
+    nrows = len(rows)
+    a: List[Optional[SparseVector]] = [{j: x for j, x in row.items() if x} for row in rows]
+    cols: List[SparseVector] = [{} for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            cols[j][i] = x
+    u_rows = [{i: 1} for i in range(nrows)] if u else []
+    uinv_cols = [{i: 1} for i in range(nrows)] if u else []
+    v_cols = [{j: 1} for j in range(ncols)] if v else []
+    vinv_cols = [{j: 1} for j in range(ncols)] if v else []
+    pivots: List[Tuple[int, int, int]] = []
+
+    heap = [(len(row), i) for i, row in enumerate(a) if row]
+    heapq.heapify(heap)
+    while heap:
+        size, r = heapq.heappop(heap)
+        row = a[r]
+        if row is None or len(row) != size:
+            continue  # eliminated, or changed since it was queued
+        units = [j for j, x in row.items() if x == 1 or x == -1]
+        if not units:
+            continue  # queued again if a row operation changes it
+        c = min(units, key=lambda j: (len(cols[j]), j))
+        p = row[c]
+        # clear column c: row i −= (x·p)·row r
+        for i, x in cols[c].items():
+            if i == r:
+                continue
+            f = x * p
+            target = a[i]
+            del target[c]
+            for j, y in row.items():
+                if j == c:
+                    continue
+                z = target.get(j, 0) - f * y
+                if z:
+                    target[j] = z
+                    cols[j][i] = z
+                else:
+                    del target[j]
+                    del cols[j][i]
+            heapq.heappush(heap, (len(target), i))
+            if u:
+                _axpy(u_rows[i], u_rows[r], -f)
+                uinv_cols[r][i] = f
+        # clear row r: column j −= (y·p)·column c
+        cols[c] = {}
+        for j, y in row.items():
+            if j == c:
+                continue
+            del cols[j][r]
+            if v:
+                _axpy(v_cols[j], v_cols[c], -y * p)
+                vinv_cols[j][c] = y * p
+        if p < 0 and u:  # make the pivot +1
+            u_rows[r] = {k: -x for k, x in u_rows[r].items()}
+            uinv_cols[r] = {k: -x for k, x in uinv_cols[r].items()}
+        a[r] = None
+        pivots.append((r, c, 1))
+
+    live = [i for i, row in enumerate(a) if row]
+    if live:
+        block_cols = sorted({j for i in live for j in a[i]})
+        d, bu, buinv, bv, bvinv = _dense_smith([[a[i].get(j, 0) for j in block_cols] for i in live])
+        for t in range(min(len(live), len(block_cols))):
+            if d[t][t] == 0:
+                break
+            pivots.append((live[t], block_cols[t], d[t][t]))
+        if u:  # U ← B_U·U on the live rows, whose U⁻¹ columns were unit vectors
+            old = [u_rows[i] for i in live]
+            for i, bu_row, buinv_col in zip(live, bu, zip(*buinv)):
+                u_rows[i] = _combine(zip(bu_row, old))
+                uinv_cols[i] = {k: x for k, x in zip(live, buinv_col) if x}
+        if v:  # V ← V·B_V on the block columns, whose V⁻¹ rows were unit vectors
+            old = [v_cols[j] for j in block_cols]
+            for j, bv_col in zip(block_cols, zip(*bv)):
+                v_cols[j] = _combine(zip(bv_col, old))
+                del vinv_cols[j][j]
+            for j, bvinv_row in zip(block_cols, bvinv):
+                for k, x in zip(block_cols, bvinv_row):
+                    if x:
+                        vinv_cols[k][j] = x
+    return SmithForm(pivots, u_rows, uinv_cols, v_cols, vinv_cols)
+
+
+def _sparse_rows(a: Matrix) -> List[SparseVector]:
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
 def integer_kernel(a: Matrix, ncols: int) -> List[Vector]:
-    """Basis of the kernel lattice of an integer matrix (a saturated summand)."""
-    if not a:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    d, _, _, v = smith_normal_form(a)
-    r = 0
-    while r < min(len(d), ncols) and d[r][r] != 0:
-        r += 1
-    return [[v[i][j] for i in range(ncols)] for j in range(r, ncols)]
+    """Basis of the kernel lattice of an integer matrix (a saturated summand):
+    the columns of V at the non-pivot columns."""
+    form = sparse_smith(_sparse_rows(a), ncols, v=True)
+    pivot_cols = {c for _, c, _ in form.pivots}
+    return [[form.v_cols[j].get(i, 0) for i in range(ncols)] for j in range(ncols) if j not in pivot_cols]
 
 
 class IntegerSolver:
@@ -151,28 +304,24 @@ class IntegerSolver:
 
     def __init__(self, a: Matrix, ncols: int):
         self.ncols = ncols
-        self.nrows = len(a)
-        if a:
-            self._d, self._u, _, self._v = smith_normal_form(a)
+        self._form = sparse_smith(_sparse_rows(a), ncols, u=True, v=True)
+        self._pivot_of = {r: (c, d) for r, c, d in self._form.pivots}
 
     def solve(self, b: Vector) -> Optional[Vector]:
         """A solution x of A·x = b, or None when none exists."""
-        ncols = self.ncols
-        if not self.nrows:
-            return [0] * ncols if all(x == 0 for x in b) else None
-        d, u, v = self._d, self._u, self._v
-        ub = [sum(u[i][k] * b[k] for k in range(len(b))) for i in range(self.nrows)]
-        y = [0] * ncols
-        for i in range(self.nrows):
-            di = d[i][i] if i < ncols else 0
-            if di == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % di != 0:
-                    return None
-                y[i] = ub[i] // di
-        return [sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
+        x: SparseVector = {}
+        for r, u_row in enumerate(self._form.u_rows):
+            ub = sum(y * b[k] for k, y in u_row.items())
+            if not ub:
+                continue
+            if r not in self._pivot_of:
+                return None
+            c, d = self._pivot_of[r]
+            q, rem = divmod(ub, d)
+            if rem:
+                return None
+            _axpy(x, self._form.v_cols[c], q)
+        return [x.get(j, 0) for j in range(self.ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -437,42 +586,46 @@ def _homology_field(ring, out_rows, in_cols, rank_here) -> HomologyDescriptor:
 
 
 def _homology_integers(out_rows, in_cols, rank_here) -> HomologyDescriptor:
-    kernel = integer_kernel([[row.get(j, 0) for j in range(rank_here)] for row in out_rows], rank_here)
-    m = len(kernel)
-    # express the image in kernel coordinates: K · y = image column
-    solver = IntegerSolver([[kernel[j][i] for j in range(m)] for i in range(rank_here)], m)
-    image_coords: List[Vector] = []
-    for col in in_cols:
-        y = solver.solve([col.get(i, 0) for i in range(rank_here)])
+    cycles = sparse_smith(out_rows, rank_here, v=True)
+    pivot_cols = {c for _, c, _ in cycles.pivots}
+    free = [j for j in range(rank_here) if j not in pivot_cols]
+    position = {j: k for k, j in enumerate(free)}
+    vinv_cols = cycles.vinv_cols
+
+    def kernel_coordinates(entries: Iterable[Tuple[int, int]]) -> Optional[SparseVector]:
+        """V⁻¹z at the free columns (the kernel is spanned by V there), or
+        None when z is not a cycle: V⁻¹z is nonzero at a pivot column."""
+        acc = _combine((x, vinv_cols[j]) for j, x in entries)
+        if any(i in pivot_cols for i in acc):
+            return None
+        return {position[i]: y for i, y in acc.items()}
+
+    # the image in kernel coordinates, as rows over the incoming columns
+    image_rows: List[SparseVector] = [{} for _ in free]
+    for n, col in enumerate(in_cols):
+        y = kernel_coordinates(col.items())
         if y is None:
             raise ArithmeticError("boundary image escaped the cycle lattice (∂²≠0?)")
-        image_coords.append(y)
-    if image_coords:
-        x_rows = [[image_coords[j][i] for j in range(len(image_coords))] for i in range(m)]
-        d, u, uinv, _ = smith_normal_form(x_rows)
-        diag = [d[i][i] for i in range(min(m, len(image_coords)))]
-    else:
-        diag = []
-        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        uinv = [row[:] for row in u]
-    r = sum(1 for x in diag if x != 0)
-    torsion = [x for x in diag if x > 1]
-    torsion_idx = [i for i, x in enumerate(diag) if x > 1]
-    free_idx = list(range(r, m))
+        for k, x in y.items():
+            image_rows[k][n] = x
+    classes = sparse_smith(image_rows, len(in_cols), u=True)
+    pivot_rows = {r for r, _, _ in classes.pivots}
+    summands = [(r, d) for r, _, d in classes.pivots if d > 1]
+    summands += [(k, 0) for k in range(len(free)) if k not in pivot_rows]
     reps: List[Vector] = []
-    for i in torsion_idx + free_idx:
-        coords = [uinv[row][i] for row in range(m)]
-        reps.append([sum(kernel[j][c] * coords[j] for j in range(m)) for c in range(rank_here)])
+    for k, _ in summands:
+        rep = _combine((w, cycles.v_cols[free[i]]) for i, w in classes.uinv_cols[k].items())
+        reps.append([rep.get(j, 0) for j in range(rank_here)])
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:
-        y = solver.solve(list(cycle))
+        y = kernel_coordinates(enumerate(cycle))
         if y is None:
             return None
-        c = [sum(u[i][j] * y[j] for j in range(m)) for i in range(m)]
         out = []
-        for pos, i in enumerate(torsion_idx):
-            out.append(c[i] % torsion[pos])
-        out.extend(c[i] for i in free_idx)
+        for k, order in summands:
+            c = sum(x * y[i] for i, x in classes.u_rows[k].items() if i in y)
+            out.append(c % order if order else c)
         return out
 
-    return HomologyDescriptor(ZZ, m - r, torsion, reps, coord_fn)
+    torsion = [d for _, d in summands if d]
+    return HomologyDescriptor(ZZ, len(summands) - len(torsion), torsion, reps, coord_fn)

@@ -129,12 +129,22 @@ class FaceTable:
         return Cell(n, (self.name, n, idx) if self.name else (n, idx))
 
     def _validate_face_targets(self) -> None:
+        """Every cell of dimension n ≥ 1 has a list of n+1 integer face
+        indices, each naming a cell of dimension n−1."""
+        sizes = {n: len(labels) for n, labels in self.cells.items()}
+        for n, size in sizes.items():
+            for idx in range(size if n else 0):
+                if (n, idx) not in self.faces:
+                    raise ValueError(f"cell ({n},{idx}) has no face list")
         for (n, idx), fs in self.faces.items():
             expected = 0 if n == 0 else n + 1
             if len(fs) != expected:
                 raise ValueError(f"cell ({n},{idx}) has {len(fs)} faces, expected {expected}")
+            below = sizes.get(n - 1, 0)
             for i, target in enumerate(fs):
-                if not 0 <= target < self.n_cells(n - 1):
+                if type(target) is not int:
+                    raise ValueError(f"face d_{i} of cell ({n},{idx}) is {target!r}, not a cell index")
+                if not 0 <= target < below:
                     raise ValueError(f"face d_{i} of cell ({n},{idx}) points at missing cell {target}")
 
     def _validate_face_identities(self) -> None:

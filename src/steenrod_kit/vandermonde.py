@@ -13,6 +13,7 @@ verifies the determinant identity symbolically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Tuple
@@ -29,21 +30,34 @@ def _sorted_monomial(factors: Monomial) -> Monomial:
     return tuple(sorted(factors, key=lambda b: b.sort_key()))
 
 
-def symmetrized_power(c: Chain, power: int, field: Ring) -> Polynomial:
-    """The image of c^{⊗power} in the symmetric algebra on the chain basis."""
-    acc: Polynomial = {(): field.one}
-    for _ in range(power):
-        nxt: Polynomial = {}
-        for mono, coeff in acc.items():
-            for basis, value in c.terms.items():
-                key = _sorted_monomial(mono + (basis,))
-                v = field.add(nxt.get(key, field.zero), field.mul(coeff, field.coerce(value)))
+def _symmetrized_powers(c: Chain, count: int, field: Ring) -> List[Polynomial]:
+    """The images of c^{⊗0}, …, c^{⊗(count−1)}, each the previous times c.
+
+    Monomials are built as sorted tuples of positions in the chain's basis,
+    which is sorted by its sort keys once, and turned into basis elements at
+    the end; the chain's coefficients are coerced once.
+    """
+    basis = sorted(c.terms, key=lambda b: b.sort_key())
+    terms = [(k, field.coerce(c.terms[b])) for k, b in enumerate(basis)]
+    powers: List[Dict[Tuple[int, ...], Coefficient]] = [{(): field.one}]
+    while len(powers) < count:
+        nxt: Dict[Tuple[int, ...], Coefficient] = {}
+        for mono, coeff in powers[-1].items():
+            for k, value in terms:
+                at = bisect_right(mono, k)
+                key = mono[:at] + (k,) + mono[at:]
+                v = field.add(nxt.get(key, field.zero), field.mul(coeff, value))
                 if field.is_zero(v):
                     nxt.pop(key, None)
                 else:
                     nxt[key] = v
-        acc = nxt
-    return acc
+        powers.append(nxt)
+    return [{tuple(basis[k] for k in mono): x for mono, x in power.items()} for power in powers]
+
+
+def symmetrized_power(c: Chain, power: int, field: Ring) -> Polynomial:
+    """The image of c^{⊗power} in the symmetric algebra on the chain basis."""
+    return _symmetrized_powers(c, power + 1, field)[power]
 
 
 @dataclass
@@ -55,7 +69,7 @@ class TruncatedDiagonalVector:
 
     @staticmethod
     def of(c: Chain, t: int, field: Ring) -> "TruncatedDiagonalVector":
-        return TruncatedDiagonalVector([symmetrized_power(c, j, field) for j in range(t)], t)
+        return TruncatedDiagonalVector(_symmetrized_powers(c, t, field), t)
 
     def check_powers(self, field: Ring) -> bool:
         """Component i must be the i-fold product of component 1."""

@@ -1,10 +1,14 @@
-"""The dense elimination engine that computed (co)homology and span solves
-over fields before the sparse echelon engine of ``steenrod_kit.linalg``,
-kept only as a test oracle; it imports no elimination code from the library.
+"""The dense elimination engines that computed (co)homology and span solves
+before the sparse engines of ``steenrod_kit.linalg``, kept only as test
+oracles.
 
-Rows are dense lists, or Python ints used as bitsets over 𝔽₂; every
-echelon form is fully reduced (RREF), so kernels, representatives and
-coordinates come out in their canonical form.  ``homology`` and
+Over a field, rows are dense lists, or Python ints used as bitsets over 𝔽₂;
+every echelon form is fully reduced (RREF), so kernels, representatives and
+coordinates come out in their canonical form, and no field elimination code
+is imported from the library.  Over ℤ, homology comes from dense Smith
+normal forms of whole matrices, through the library's dense
+``smith_normal_form`` (which the sparse engine runs only on its residual
+block, and which has its own property test).  ``homology`` and
 ``cohomology`` mirror the library entry points without their memo.
 """
 
@@ -13,8 +17,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from steenrod_kit.chains import ChainComplex
-from steenrod_kit.linalg import HomologyDescriptor, Matrix, Vector
-from steenrod_kit.rings import Coefficient, Ring
+from steenrod_kit.linalg import HomologyDescriptor, Matrix, Vector, smith_normal_form
+from steenrod_kit.rings import ZZ, Coefficient, Ring
 
 
 def rref_field(rows: Matrix, ncols: int, ring: Ring) -> Tuple[Matrix, List[int]]:
@@ -235,8 +239,91 @@ def _homology_f2(boundary_out, boundary_in, rank_here, ring) -> HomologyDescript
     return HomologyDescriptor(ring, len(free_idx), [], reps, coord_fn)
 
 
+def integer_kernel(a: Matrix, ncols: int) -> List[Vector]:
+    """Basis of the kernel lattice of an integer matrix (a saturated summand)."""
+    if not a:
+        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    d, _, _, v = smith_normal_form(a)
+    r = 0
+    while r < min(len(d), ncols) and d[r][r] != 0:
+        r += 1
+    return [[v[i][j] for i in range(ncols)] for j in range(r, ncols)]
+
+
+class IntegerSolver:
+    """Solves A·x = b over ℤ from one dense Smith normal form of A."""
+
+    def __init__(self, a: Matrix, ncols: int):
+        self.ncols = ncols
+        self.nrows = len(a)
+        if a:
+            self._d, self._u, _, self._v = smith_normal_form(a)
+
+    def solve(self, b: Vector) -> Optional[Vector]:
+        ncols = self.ncols
+        if not self.nrows:
+            return [0] * ncols if all(x == 0 for x in b) else None
+        d, u, v = self._d, self._u, self._v
+        ub = [sum(u[i][k] * b[k] for k in range(len(b))) for i in range(self.nrows)]
+        y = [0] * ncols
+        for i in range(self.nrows):
+            di = d[i][i] if i < ncols else 0
+            if di == 0:
+                if ub[i] != 0:
+                    return None
+            else:
+                if ub[i] % di != 0:
+                    return None
+                y[i] = ub[i] // di
+        return [sum(v[i][j] * y[j] for j in range(ncols)) for i in range(ncols)]
+
+
+def _homology_integers(out_rows, in_cols, rank_here) -> HomologyDescriptor:
+    kernel = integer_kernel([[row.get(j, 0) for j in range(rank_here)] for row in out_rows], rank_here)
+    m = len(kernel)
+    # express the image in kernel coordinates: K · y = image column
+    solver = IntegerSolver([[kernel[j][i] for j in range(m)] for i in range(rank_here)], m)
+    image_coords: List[Vector] = []
+    for col in in_cols:
+        y = solver.solve([col.get(i, 0) for i in range(rank_here)])
+        if y is None:
+            raise ArithmeticError("boundary image escaped the cycle lattice (∂²≠0?)")
+        image_coords.append(y)
+    if image_coords:
+        x_rows = [[image_coords[j][i] for j in range(len(image_coords))] for i in range(m)]
+        d, u, uinv, _ = smith_normal_form(x_rows)
+        diag = [d[i][i] for i in range(min(m, len(image_coords)))]
+    else:
+        diag = []
+        u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        uinv = [row[:] for row in u]
+    r = sum(1 for x in diag if x != 0)
+    torsion = [x for x in diag if x > 1]
+    torsion_idx = [i for i, x in enumerate(diag) if x > 1]
+    free_idx = list(range(r, m))
+    reps: List[Vector] = []
+    for i in torsion_idx + free_idx:
+        coords = [uinv[row][i] for row in range(m)]
+        reps.append([sum(kernel[j][c] * coords[j] for j in range(m)) for c in range(rank_here)])
+
+    def coord_fn(cycle: Vector) -> Optional[Vector]:
+        y = solver.solve(list(cycle))
+        if y is None:
+            return None
+        c = [sum(u[i][j] * y[j] for j in range(m)) for i in range(m)]
+        out = []
+        for pos, i in enumerate(torsion_idx):
+            out.append(c[i] % torsion[pos])
+        out.extend(c[i] for i in free_idx)
+        return out
+
+    return HomologyDescriptor(ZZ, m - r, torsion, reps, coord_fn)
+
+
 def homology_of_matrices(ring: Ring, boundary_out, nrows_out: int, boundary_in, rank_here: int) -> HomologyDescriptor:
-    """ker(∂_out)/im(∂_in) over a field, from the sparse columns of both maps."""
+    """ker(∂_out)/im(∂_in), from the sparse columns of both maps."""
+    if not ring.is_field:
+        return _homology_integers(_transpose(boundary_out, nrows_out), boundary_in, rank_here)
     if ring.characteristic == 2:
         return _homology_f2(boundary_out, boundary_in, rank_here, ring)
     return _homology_field(ring, boundary_out, nrows_out, boundary_in, rank_here)

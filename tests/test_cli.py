@@ -116,6 +116,37 @@ def test_missing_input_file(capsys):
     assert main(["homology", "--input", "/nonexistent/space.json"]) == EXIT_INPUT
 
 
+HOSTILE_DOCUMENTS = {
+    # a 1-cell with no face list
+    "missing-faces": {"kind": "delta", "cells": {"0": ["a", "b"], "1": ["e"]}, "faces": {"0": [[], []]}},
+    # face indices given as strings
+    "string-faces": {
+        "kind": "delta",
+        "cells": {"0": ["a", "b"], "1": ["e"]},
+        "faces": {"0": [[], []], "1": [["0", "1"]]},
+    },
+    # a negative truncation, which left nothing to print
+    "negative-truncation": {
+        "kind": "simplicial",
+        "cells": {"0": ["a"]},
+        "faces": {"0": [[]]},
+        "degeneracies": {},
+        "truncation_dim": -3,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_hostile_document_is_a_one_line_input_error(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(HOSTILE_DOCUMENTS[name]))
+    assert main(["homology", "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 RP4 = str(Path(documents.__file__).parent / "corpus" / "rp4.json")
 
 # Sq^i(x^k) = C(k, i)·x^{k+i} mod 2 on H^*(RP^4; F2) = F2[x]/(x^5) (Mosher–Tangora)
@@ -152,6 +183,7 @@ def test_rp4_full_square_table(capsys):
         ("f2", ["F2^1"] * 5),
         # H_*(RP^4; Z) = Z, Z/2, 0, Z/2, 0 and 3 does not divide 2
         ("f3", ["F3^1", "F3^0", "F3^0", "F3^0", "F3^0"]),
+        ("z", ["Z", "Z/2", "0", "Z/2", "0"]),
     ],
 )
 def test_rp4_field_homology(capsys, ring, groups):

@@ -1,7 +1,12 @@
-"""The sparse echelon engine against the dense RREF engine it replaced
-(``dense_oracle``): both must yield the same canonical representatives and
-the same coordinates, for every cycle and for every cycle moved by a
-boundary, and the same span solutions."""
+"""The sparse engines against the dense engines they replaced
+(``dense_oracle``).
+
+Over a field both must yield the same canonical representatives and the
+same coordinates, for every cycle and for every cycle moved by a boundary,
+and the same span solutions.  Over ℤ the groups must agree, and the sparse
+engine's own representatives and coordinates must keep the descriptor
+contract; the sparse Smith normal form has its own property test.
+"""
 
 import random
 
@@ -12,7 +17,7 @@ import dense_oracle
 from steenrod_kit import homology as engine
 from steenrod_kit import linalg
 from steenrod_kit.documents import load_corpus
-from steenrod_kit.rings import F2, F3, QQ
+from steenrod_kit.rings import F2, F3, QQ, ZZ
 from steenrod_kit.suite import FAST_CORPUS, _random_complex
 
 RINGS = (F2, F3, QQ)
@@ -108,3 +113,127 @@ def test_span_solvers_agree(ring, ncols, generators, weights, outside):
         for c, g in zip(got, gens):
             rebuilt = [ring.add(a, ring.mul(c, b)) for a, b in zip(rebuilt, g)]
         assert rebuilt == vec
+
+
+# ---------------------------------------------------------------------------
+# ℤ: the sparse Smith normal form engine
+# ---------------------------------------------------------------------------
+
+
+def _is_cycle(complex_, degree, cohomological, vec):
+    if cohomological:  # δ(v) pairs v with every column of ∂_{degree+1}
+        return all(sum(vec[i] * x for i, x in col.items()) == 0 for col in complex_.boundary_matrix(degree + 1))
+    total = {}
+    for j, col in enumerate(complex_.boundary_matrix(degree) if degree > 0 else []):
+        for i, x in col.items():
+            total[i] = total.get(i, 0) + vec[j] * x
+    return not any(total.values())
+
+
+def _assert_integer_engine(complex_, degree, rng):
+    n = complex_.rank(degree)
+    for cohomological, new, old in (
+        (False, engine.homology, dense_oracle.homology),
+        (True, engine.cohomology, dense_oracle.cohomology),
+    ):
+        got, want = new(complex_, degree), old(complex_, degree)
+        where = (degree, new.__name__)
+        assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion), where
+        orders = got.torsion + [0] * got.free_rank
+        reps = got.representatives
+        assert len(reps) == len(orders), where
+        for k, rep in enumerate(reps):
+            assert _is_cycle(complex_, degree, cohomological, rep), where
+            assert got.coordinates(rep) == [int(i == k) for i in range(len(reps))], where
+        boundaries = _boundary_vectors(complex_, degree, cohomological)
+        for _ in range(3):
+            weights = [rng.randint(-3, 3) for _ in reps]
+            cycle = [sum(w * rep[i] for w, rep in zip(weights, reps)) for i in range(n)]
+            coords = [w % order if order else w for w, order in zip(weights, orders)]
+            assert got.coordinates(cycle) == coords, where
+            for b in boundaries:
+                k = rng.randint(-2, 2)
+                shifted = [x + k * y for x, y in zip(cycle, b)]
+                assert got.coordinates(shifted) == coords, where
+        for j in range(n):
+            unit = [int(i == j) for i in range(n)]
+            if not _is_cycle(complex_, degree, cohomological, unit):
+                with pytest.raises(ValueError):
+                    got.coordinates(unit)
+
+
+@pytest.mark.parametrize("name", FAST_CORPUS)
+def test_integer_engine_on_the_fast_corpus(name):
+    space = load_corpus(name)
+    complex_ = space.chains(ZZ)
+    rng = random.Random(name)
+    for degree in range(space.dimension + 1):
+        _assert_integer_engine(complex_, degree, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_integer_engine_on_random_complexes(seed):
+    rng = random.Random(seed)
+    complex_ = _random_complex(rng, ZZ)
+    for degree in range(3):
+        _assert_integer_engine(complex_, degree, rng)
+
+
+def _dense(vectors, size, by_columns):
+    """The matrix with the given sparse rows (or columns), as dense rows."""
+    out = [[0] * size for _ in range(size)]
+    for k, vec in enumerate(vectors):
+        for i, x in vec.items():
+            if by_columns:
+                out[i][k] = x
+            else:
+                out[k][i] = x
+    return out
+
+
+def _mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.lists(st.integers(-4, 4), min_size=36, max_size=36),
+    st.booleans(),
+    st.floats(0.0, 1.0),
+)
+def test_sparse_smith_normal_form(nrows, ncols, entries, even, density):
+    """U·A·V = D, U·U⁻¹ = I, V·V⁻¹ = I and d₁ | d₂ | …; with only even
+    entries no unit pivot exists, so the whole matrix is the residue."""
+    rng = random.Random(repr((entries, density)))
+    scale = 2 if even else 1
+    a = [[scale * entries[6 * i + j] if rng.random() < density else 0 for j in range(ncols)] for i in range(nrows)]
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    form = linalg.sparse_smith(rows, ncols, u=True, v=True)
+    u, uinv = _dense(form.u_rows, nrows, False), _dense(form.uinv_cols, nrows, True)
+    v, vinv = _dense(form.v_cols, ncols, True), _dense(form.vinv_cols, ncols, True)
+    identity = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    assert _mul(u, uinv) == identity
+    assert _mul(v, vinv) == [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    d = [[0] * ncols for _ in range(nrows)]
+    for r, c, x in form.pivots:
+        d[r][c] = x
+    if nrows and ncols:
+        assert _mul(_mul(u, a), v) == d
+    divisors = [x for _, _, x in form.pivots]
+    assert all(x >= 1 for x in divisors)
+    assert all(y % x == 0 for x, y in zip(divisors, divisors[1:]))
+    if even:
+        assert all(x % 2 == 0 for x in divisors)
+    # one side alone: the same pivots and the same transforms on that side
+    only_u = linalg.sparse_smith(rows, ncols, u=True)
+    only_v = linalg.sparse_smith(rows, ncols, v=True)
+    assert only_u.pivots == only_v.pivots == form.pivots
+    assert (only_u.u_rows, only_u.uinv_cols) == (form.u_rows, form.uinv_cols)
+    assert (only_v.v_cols, only_v.vinv_cols) == (form.v_cols, form.vinv_cols)
+    pivot_cols = {c for _, c, _ in form.pivots}
+    for j in range(ncols):  # V's columns off the pivots span the kernel
+        if j not in pivot_cols:
+            assert all(sum(row[k] * v[k][j] for k in range(ncols)) == 0 for row in a)
