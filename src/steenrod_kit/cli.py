@@ -16,8 +16,8 @@ from typing import Optional
 from .bar import e
 from .chains import Simplex, render_chain
 from .cochains import sq_matrix
-from .diagonal import xi_cell, xi_simplex
-from .documents import load_complex, load_table, resolve_cache_dir, save_table
+from .diagonal import DiagonalTable, xi_cell, xi_simplex
+from .documents import load_complex
 from .homology import cohomology, homology
 from .rings import F2, Ring, ZZ
 from .simplicial import DeltaComplex, SimplicialSetPresentation, core, forget_degeneracies, is_degeneracy_free
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="complex document (JSON)")
         p.add_argument("--ring", default=None, help="coefficients: z, q, f2, f3, f5, ... (default z; sq defaults to f2)")
         p.add_argument("--truncation", type=int, default=5, help="truncation dimension for simplicial constructions")
-        p.add_argument("--cache", help="diagonal table cache directory (else $STEENROD_CACHE, else ~/.cache/steenrod-kit)")
+        p.add_argument("--cache", metavar="DIR", help="accepted and ignored: the diagonal table is kept in memory only")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_diag = sub.add_parser("diag", help="print ξ(e_n⊗σ) in canonical term order")
@@ -79,8 +79,7 @@ def _load_input(args):
 
 def _cmd_diag(args) -> int:
     ring = _ring(args)
-    cache_dir = resolve_cache_dir(args.cache)
-    table = load_table(cache_dir)
+    table = DiagonalTable()
     if args.simplex:
         try:
             vertices = tuple(int(v) for v in args.simplex.split(","))
@@ -102,7 +101,6 @@ def _cmd_diag(args) -> int:
         label = f"xi(e{args.n} ⊗ cell({dim},{idx}))"
     else:
         raise ValueError("diag needs --simplex or --input with --cell")
-    save_table(table, cache_dir)
     if args.json:
         print(json.dumps({"query": label, "value": render_chain(chain)}))
     else:
@@ -121,8 +119,7 @@ def _cmd_sq(args) -> int:
     if ring != F2:
         raise ValueError("Steenrod squares are computed over f2")
     space = _as_delta(_load_input(args))
-    cache_dir = resolve_cache_dir(args.cache)
-    table = load_table(cache_dir)
+    table = DiagonalTable()
     complex_ = space.chains(F2)
     results = []
     ps = [args.p] if args.p is not None else list(range(space.dimension + 1))
@@ -136,7 +133,6 @@ def _cmd_sq(args) -> int:
                 continue
             matrix = sq_matrix(i, p, space, F2, table)
             results.append({"i": i, "p": p, "matrix": matrix})
-    save_table(table, cache_dir)
     if args.json:
         print(json.dumps({"space": space.name, "squares": results}))
     else:
@@ -151,6 +147,8 @@ def _cmd_homology(args) -> int:
     if isinstance(space, SimplicialSetPresentation):
         complex_ = space.normalized_chains(ring)
         top = space.truncation_dim - 1
+        if top < 0:
+            raise ValueError(f"truncation_dim {space.truncation_dim} determines no homology degree")
     else:
         complex_ = space.chains(ring)
         top = space.dimension
@@ -193,17 +191,13 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cache_dir = resolve_cache_dir(args.cache)
-    table = load_table(cache_dir)
     cfg = SuiteConfig(
         only=args.only,
         max_k=args.max_k,
         include_slow=args.slow,
         truncation=min(args.truncation, 4),
-        table=table,
     )
     report = run_suite(cfg)
-    save_table(table, cache_dir)
     if args.json:
         print(json.dumps(report))
     else:

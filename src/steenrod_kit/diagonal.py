@@ -33,23 +33,15 @@ class DiagonalTable:
     """Memoized untwisted diagonal values ξ(e_n⊗Δ^k), keyed by (n, k).
 
     Entries are write-once and idempotent (identical canonical values), so
-    concurrent fills are safe.  Serialization lives in ``documents``.
+    concurrent fills are safe.  The memo lives in process only: values are
+    recomputed by the kernel in every process and never read from disk.
     """
 
-    SCHEMA_VERSION = 1
-
-    def __init__(self, entries: Optional[Dict[Tuple[int, int], RawEntries]] = None):
-        self.entries: Dict[Tuple[int, int], RawEntries] = dict(entries or {})
+    def __init__(self) -> None:
+        self.entries: Dict[Tuple[int, int], RawEntries] = {}
 
     def raw(self, n: int, k: int) -> RawEntries:
         return kernel.xi_standard(n, k, self.entries)
-
-    def known_keys(self) -> List[Tuple[int, int]]:
-        return sorted(self.entries)
-
-    def verify_entry(self, n: int, k: int) -> bool:
-        """Chain-map compatibility of a stored entry (see chain_map_defect)."""
-        return not chain_map_defect(n, k, self)
 
 
 # ---------------------------------------------------------------------------
@@ -189,23 +181,6 @@ def normalize_diagonal(c: Chain) -> Chain:
 # ---------------------------------------------------------------------------
 
 
-def _raw_add(acc: RawEntries, other: RawEntries, scalar: int) -> None:
-    for key, value in other.items():
-        new = acc.get(key, 0) + scalar * value
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
-
-
-def _raw_twist(entries: RawEntries) -> RawEntries:
-    out: RawEntries = {}
-    for (a, b), value in entries.items():
-        sign = -1 if ((len(a) - 1) * (len(b) - 1)) % 2 else 1
-        _raw_add(out, {(b, a): sign * value}, 1)
-    return out
-
-
 def _simplex_boundary(vertices: tuple) -> List[Tuple[tuple, int]]:
     return [
         (vertices[:i] + vertices[i + 1 :], 1 if i % 2 == 0 else -1)
@@ -218,10 +193,10 @@ def _tensor_boundary(entries: RawEntries) -> RawEntries:
     out: RawEntries = {}
     for (a, b), value in entries.items():
         for face, sign in _simplex_boundary(a):
-            _raw_add(out, {(face, b): sign * value}, 1)
+            kernel.add_term(out, (face, b), sign * value)
         left_sign = -1 if (len(a) - 1) % 2 else 1
         for face, sign in _simplex_boundary(b):
-            _raw_add(out, {(a, face): left_sign * sign * value}, 1)
+            kernel.add_term(out, (a, face), left_sign * sign * value)
     return out
 
 
@@ -233,13 +208,13 @@ def chain_map_defect(n: int, k: int, table: DiagonalTable) -> RawEntries:
     if n > 0:
         plain, twisted = bar_boundary_coefficients(n)
         lower = kernel.pushforward(table.raw(n - 1, k), simplex)
-        _raw_add(rhs, lower, plain)
-        _raw_add(rhs, _raw_twist(lower), twisted)
+        kernel.add_into(rhs, lower, plain)
+        kernel.add_into(rhs, kernel.twist(lower), twisted)
     face_sign = -1 if n % 2 else 1
     for face, sign in _simplex_boundary(simplex):
-        _raw_add(rhs, kernel.pushforward(table.raw(n, len(face) - 1), face), face_sign * sign)
+        kernel.add_into(rhs, kernel.pushforward(table.raw(n, len(face) - 1), face), face_sign * sign)
     defect = dict(lhs)
-    _raw_add(defect, rhs, -1)
+    kernel.add_into(defect, rhs, -1)
     return defect
 
 
@@ -255,33 +230,21 @@ def equivariance_defect(n: int, k: int, table: DiagonalTable) -> RawEntries:
     Empty iff satisfied.
     """
     simplex = tuple(range(k + 1))
-    lhs = _tensor_boundary(_raw_twist(table.raw(n, k)))
+    lhs = _tensor_boundary(kernel.twist(table.raw(n, k)))
     rhs: RawEntries = {}
     if n > 0:
         plain, twisted = bar_boundary_coefficients(n)
         lower = kernel.pushforward(table.raw(n - 1, k), simplex)
         # ∂(T·e_n) = plain·T·e_{n−1} + twisted·e_{n−1}
-        _raw_add(rhs, _raw_twist(lower), plain)
-        _raw_add(rhs, lower, twisted)
+        kernel.add_into(rhs, kernel.twist(lower), plain)
+        kernel.add_into(rhs, lower, twisted)
     face_sign = -1 if n % 2 else 1
     for face, sign in _simplex_boundary(simplex):
-        twisted_face = _raw_twist(kernel.pushforward(table.raw(n, len(face) - 1), face))
-        _raw_add(rhs, twisted_face, face_sign * sign)
+        twisted_face = kernel.twist(kernel.pushforward(table.raw(n, len(face) - 1), face))
+        kernel.add_into(rhs, twisted_face, face_sign * sign)
     defect = dict(lhs)
-    _raw_add(defect, rhs, -1)
+    kernel.add_into(defect, rhs, -1)
     return defect
-
-
-def _raw_big_phi(entries: RawEntries, k: int) -> RawEntries:
-    out: RawEntries = {}
-    for (a, b), value in entries.items():
-        if a[-1] != k:
-            sign = 1 if len(a) % 2 == 0 else -1
-            _raw_add(out, {(a + (k,), b): sign * value}, 1)
-        if len(a) == 1 and b[-1] != k:
-            sign = 1 if len(b) % 2 == 0 else -1
-            _raw_add(out, {((k,), b + (k,)): sign * value}, 1)
-    return out
 
 
 def reference_xi(n: int, vertices: Tuple[int, ...]) -> RawEntries:
@@ -295,30 +258,18 @@ def reference_xi(n: int, vertices: Tuple[int, ...]) -> RawEntries:
     if n > k:
         return {}
     top = vertices[-1]
-
-    def local_big_phi(entries: RawEntries) -> RawEntries:
-        out: RawEntries = {}
-        for (a, b), value in entries.items():
-            if a[-1] != top:
-                sign = 1 if len(a) % 2 == 0 else -1
-                _raw_add(out, {(a + (top,), b): sign * value}, 1)
-            if len(a) == 1 and b[-1] != top:
-                sign = 1 if len(b) % 2 == 0 else -1
-                _raw_add(out, {((top,), b + (top,)): sign * value}, 1)
-        return out
-
     if n == 0:
         return kernel.aw(vertices)
     plain, twisted = bar_boundary_coefficients(n)
     lower = reference_xi(n - 1, vertices)
     bar_part: RawEntries = {}
-    _raw_add(bar_part, lower, plain)
-    _raw_add(bar_part, _raw_twist(lower), twisted)
-    result = local_big_phi(bar_part)
+    kernel.add_into(bar_part, lower, plain)
+    kernel.add_into(bar_part, kernel.twist(lower), twisted)
+    result = kernel.big_phi(bar_part, top)
     face_part: RawEntries = {}
     for face, sign in _simplex_boundary(vertices):
-        _raw_add(face_part, reference_xi(n, face), sign)
-    _raw_add(result, local_big_phi(face_part), -1 if n % 2 else 1)
+        kernel.add_into(face_part, reference_xi(n, face), sign)
+    kernel.add_into(result, kernel.big_phi(face_part, top), -1 if n % 2 else 1)
     return result
 
 
@@ -332,7 +283,7 @@ def naturality_defect(n: int, injection: Sequence[int], table: DiagonalTable) ->
     pushed = kernel.pushforward(table.raw(n, len(injection) - 1), injection)
     direct = reference_xi(n, injection)
     defect = dict(pushed)
-    _raw_add(defect, direct, -1)
+    kernel.add_into(defect, direct, -1)
     return defect
 
 
@@ -356,22 +307,14 @@ def check_prime3(k: int, table: DiagonalTable) -> bool:
     """
     from itertools import combinations
 
-    def diag0(vertices: tuple) -> RawEntries:
-        return kernel.aw(vertices)
-
     def diag1(vertices: tuple) -> RawEntries:
         return kernel.xi_on_vertices(1, vertices, table.entries)
 
     def one_x_diag(entries: RawEntries) -> dict:
         out: dict = {}
         for (a, b), value in entries.items():
-            for (x, y), w in diag0(b).items():
-                key = (a, x, y)
-                new = out.get(key, 0) + value * w
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+            for (x, y), w in kernel.aw(b).items():
+                kernel.add_term(out, (a, x, y), value * w)
         return out
 
     def triple_boundary(entries: dict) -> dict:
@@ -382,11 +325,7 @@ def check_prime3(k: int, table: DiagonalTable) -> bool:
                 sign_shift = -1 if shift % 2 else 1
                 for face, sign in _simplex_boundary(part):
                     key = tuple(face if i == pos else (a, b, c)[i] for i in range(3))
-                    new = out.get(key, 0) + sign_shift * sign * value
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
+                    kernel.add_term(out, key, sign_shift * sign * value)
                 shift += len(part) - 1
         return out
 
@@ -394,31 +333,18 @@ def check_prime3(k: int, table: DiagonalTable) -> bool:
         out: dict = {}
         for (a, b, c), value in entries.items():
             sign = -1 if ((len(c) - 1) * (len(a) + len(b) - 2)) % 2 else 1
-            key = (c, a, b)
-            new = out.get(key, 0) + sign * value
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+            kernel.add_term(out, (c, a, b), sign * value)
         return out
-
-    def add3(acc: dict, other: dict, scalar: int) -> None:
-        for key, value in other.items():
-            new = acc.get(key, 0) + scalar * value
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
 
     for d in range(k + 1):
         for verts in combinations(range(k + 1), d + 1):
             lhs = triple_boundary(one_x_diag(diag1(verts)))
             for face, sign in _simplex_boundary(verts):
-                add3(lhs, one_x_diag(diag1(face)), sign)
-            base = one_x_diag(diag0(verts))
+                kernel.add_into(lhs, one_x_diag(diag1(face)), sign)
+            base = one_x_diag(kernel.aw(verts))
             rhs = rotate(base)
-            add3(rhs, base, -1)
-            add3(lhs, rhs, -1)
+            kernel.add_into(rhs, base, -1)
+            kernel.add_into(lhs, rhs, -1)
             if lhs:
                 return False
     return True

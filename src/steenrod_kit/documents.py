@@ -1,31 +1,23 @@
-"""File formats: complex documents and the persisted diagonal table cache.
+"""File formats: complex documents and the shipped corpus.
 
 A complex document is a single JSON object describing either a delta-complex
 (``kind: "delta"``: cells per dimension with face-index lists) or a
 simplicial-set presentation (``kind: "simplicial"``: additionally degeneracy
 tables, a strictness flag, and an optional basepoint).  Face identities are
 validated on load by the constructors.
-
-The diagonal table cache is a JSON file keyed "n,k" with a schema-version
-header; entries are canonical and cheap to regenerate, so a version bump
-invalidates the whole file.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Union
 
-from .diagonal import DiagonalTable
 from .simplicial import DeltaComplex, SimplicialSetPresentation
 
 ComplexLike = Union[DeltaComplex, SimplicialSetPresentation]
 
 DOCUMENT_SCHEMA = 1
-CACHE_FILENAME = "xi_table.json"
-CACHE_ENV_VAR = "STEENROD_CACHE"
 
 
 # ---------------------------------------------------------------------------
@@ -80,20 +72,20 @@ def document_to_complex(doc: dict) -> ComplexLike:
             for n, per_cell in doc["faces"].items()
             for i, face_list in enumerate(per_cell)
         }
+        degeneracies = {
+            (int(n), i): tuple(deg_list)
+            for n, per_cell in doc.get("degeneracies", {}).items()
+            for i, deg_list in enumerate(per_cell)
+        }
         truncation = doc.get("truncation_dim", max(cells) if cells else 0)
         name = doc.get("name", "")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed complex document: {exc}") from exc
     if type(truncation) is not int or truncation < 0:
         raise ValueError(f"malformed complex document: truncation_dim must be an integer ≥ 0, not {truncation!r}")
     if kind == "delta":
         return DeltaComplex(cells, faces, truncation, name=name)
     if kind == "simplicial":
-        degeneracies = {
-            (int(n), i): tuple(deg_list)
-            for n, per_cell in doc.get("degeneracies", {}).items()
-            for i, deg_list in enumerate(per_cell)
-        }
         return SimplicialSetPresentation(
             cells,
             faces,
@@ -144,56 +136,3 @@ def load_corpus(name: str) -> ComplexLike:
         raise ValueError(f"no corpus space named {name!r}; available: {', '.join(corpus_names())}")
     return load_complex(path)
 
-
-# ---------------------------------------------------------------------------
-# Diagonal table cache
-# ---------------------------------------------------------------------------
-
-
-def table_to_document(table: DiagonalTable) -> dict:
-    entries = {}
-    for (n, k), raw in sorted(table.entries.items()):
-        entries[f"{n},{k}"] = [
-            [list(a), list(b), coeff] for (a, b), coeff in sorted(raw.items())
-        ]
-    return {"schema": DiagonalTable.SCHEMA_VERSION, "entries": entries}
-
-
-def document_to_table(doc: dict) -> DiagonalTable:
-    if doc.get("schema") != DiagonalTable.SCHEMA_VERSION:
-        return DiagonalTable()  # wholesale invalidation on version mismatch
-    entries: Dict[Tuple[int, int], dict] = {}
-    for key, rows in doc.get("entries", {}).items():
-        n, k = (int(x) for x in key.split(","))
-        entries[(n, k)] = {(tuple(a), tuple(b)): int(c) for a, b, c in rows}
-    return DiagonalTable(entries)
-
-
-def resolve_cache_dir(cli_arg: Optional[str] = None) -> Path:
-    """Precedence: explicit argument > STEENROD_CACHE > ~/.cache/steenrod-kit."""
-    if cli_arg:
-        return Path(cli_arg)
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "steenrod-kit"
-
-
-def load_table(cache_dir: Union[str, Path]) -> DiagonalTable:
-    path = Path(cache_dir) / CACHE_FILENAME
-    if not path.exists():
-        return DiagonalTable()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return DiagonalTable()
-    return document_to_table(doc)
-
-
-def save_table(table: DiagonalTable, cache_dir: Union[str, Path]) -> None:
-    path = Path(cache_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / CACHE_FILENAME, "w", encoding="utf-8") as fh:
-        json.dump(table_to_document(table), fh, separators=(",", ":"))
-        fh.write("\n")

@@ -335,10 +335,18 @@ class SimplicialSetPresentation(FaceTable):
     # --- validation ------------------------------------------------------------
     def validate(self) -> None:
         self._validate_face_targets()
+        for n in sorted(self.cells):
+            if n + 1 > self.truncation_dim:
+                continue
+            for idx in range(self.n_cells(n)):
+                if (n, idx) not in self.degeneracies:
+                    raise ValueError(f"cell ({n},{idx}) has no degeneracy list")
         for (n, idx), ds in self.degeneracies.items():
             if len(ds) != n + 1:
                 raise ValueError(f"cell ({n},{idx}) has {len(ds)} degeneracies")
             for i, target in enumerate(ds):
+                if type(target) is not int:
+                    raise ValueError(f"degeneracy s_{i} of cell ({n},{idx}) is {target!r}, not a cell index")
                 if not 0 <= target < self.n_cells(n + 1):
                     raise ValueError(
                         f"degeneracy s_{i} of cell ({n},{idx}) points at missing cell {target}"
@@ -350,8 +358,6 @@ class SimplicialSetPresentation(FaceTable):
             if n + 1 > self.truncation_dim:
                 continue
             for idx in range(self.n_cells(n)):
-                if (n, idx) not in self.degeneracies:
-                    continue
                 for i in range(n + 1):
                     s = self.degeneracy(n, idx, i)
                     # d_i s_i = d_{i+1} s_i = id

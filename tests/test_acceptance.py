@@ -26,7 +26,7 @@ from steenrod_kit.diagonal import (
     top_diagonal_sign,
     xi_simplex,
 )
-from steenrod_kit.documents import CACHE_ENV_VAR, load_corpus
+from steenrod_kit.documents import load_corpus
 from steenrod_kit.dold_kan import (
     chain_hurewicz,
     dold_kan_round_trip,
@@ -53,8 +53,7 @@ SIGN_NOTE = (
 # -- 1. golden Alexander-Whitney diagonal ------------------------------------
 
 
-def test_criterion_01_aw_golden(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))  # keep the table cache out of ~/.cache
+def test_criterion_01_aw_golden(capsys):
     start = time.monotonic()
     chain = aw_diagonal(standard_simplex(2))
     assert chain.terms == {

@@ -5,14 +5,10 @@ import pytest
 
 from steenrod_kit import documents, homology as homology_module
 from steenrod_kit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
-from steenrod_kit.documents import CACHE_ENV_VAR, CACHE_FILENAME, load_corpus, save_complex
+from steenrod_kit.documents import load_corpus, save_complex
 
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-    yield tmp_path / "cache"
-
+CORPUS = Path(documents.__file__).parent / "corpus"
+XI_E1_DELTA2 = "xi(e1 ⊗ [0,1,2]) = -[0,1,2]⊗[0,1] - [0,1,2]⊗[1,2] + [0,2]⊗[0,1,2]\n"
 
 @pytest.fixture()
 def corpus_file(tmp_path):
@@ -30,12 +26,27 @@ def test_diag_standard_simplex(capsys):
     assert "-[0,1,2]⊗[0,1] - [0,1,2]⊗[1,2] + [0,2]⊗[0,1,2]" in out
 
 
-def test_diag_writes_the_cache(isolated_cache):
-    assert main(["diag", "--n", "2", "--simplex", "0,1,2,3"]) == EXIT_OK
-    cache_file = Path(isolated_cache) / CACHE_FILENAME
-    assert cache_file.exists()
-    doc = json.loads(cache_file.read_text())
-    assert "2,3" in doc["entries"]
+def test_cache_flag_is_ignored_and_nothing_is_written(tmp_path, monkeypatch, capsys):
+    # a table file in the format older versions persisted, with one coefficient changed
+    poisoned = tmp_path / "poisoned"
+    poisoned.mkdir()
+    rows = [[[0, 1, 2], [0, 1], 5], [[0, 1, 2], [1, 2], -1], [[0, 2], [0, 1, 2], 1]]
+    (poisoned / "xi_table.json").write_text(json.dumps({"schema": 1, "entries": {"1,2": rows}}))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["diag", "--n", "1", "--simplex", "0,1,2", "--cache", str(poisoned)]) == EXIT_OK
+    assert capsys.readouterr().out == XI_E1_DELTA2
+    absent = tmp_path / "absent"
+    for argv in (
+        ["diag", "--n", "2", "--simplex", "0,1,2,3"],
+        ["sq", "--input", str(CORPUS / "rp2.json")],
+        ["verify", "--only", "cache-roundtrip"],
+    ):
+        assert main(argv + ["--cache", str(absent)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+    assert not absent.exists()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_diag_cell_of_a_document(capsys, corpus_file):
@@ -125,6 +136,24 @@ HOSTILE_DOCUMENTS = {
         "cells": {"0": ["a", "b"], "1": ["e"]},
         "faces": {"0": [[], []], "1": [["0", "1"]]},
     },
+    # the top-level tables given as arrays
+    "cells-not-an-object": {"kind": "delta", "cells": [["a"]], "faces": {"0": [[]]}},
+    # a degeneracy index given as a string
+    "string-degeneracies": {
+        "kind": "simplicial",
+        "cells": {"0": ["a"], "1": ["s0a"]},
+        "faces": {"0": [[]], "1": [[0, 0]]},
+        "degeneracies": {"0": [["0"]]},
+        "truncation_dim": 1,
+    },
+    # truncation 2 calls for degeneracies of the 1-cells, but only the vertex has a table
+    "missing-degeneracies": {
+        "kind": "simplicial",
+        "cells": {"0": ["a"], "1": ["s0a"], "2": ["s0s0a"]},
+        "faces": {"0": [[]], "1": [[0, 0]], "2": [[0, 0, 0]]},
+        "degeneracies": {"0": [[0]]},
+        "truncation_dim": 2,
+    },
     # a negative truncation, which left nothing to print
     "negative-truncation": {
         "kind": "simplicial",
@@ -147,7 +176,22 @@ def test_hostile_document_is_a_one_line_input_error(name, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-RP4 = str(Path(documents.__file__).parent / "corpus" / "rp4.json")
+def test_homology_with_no_degree_to_print_is_an_input_error(tmp_path, capsys):
+    # a valid one-vertex presentation truncated at 0 determines no homology degree
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(
+        {"kind": "simplicial", "cells": {"0": ["a"]}, "faces": {"0": [[]]}, "degeneracies": {}, "truncation_dim": 0}
+    ))
+    assert main(["info", "--input", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["homology", "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "no homology degree" in lines[0]
+
+
+RP4 = str(CORPUS / "rp4.json")
 
 # Sq^i(x^k) = C(k, i)·x^{k+i} mod 2 on H^*(RP^4; F2) = F2[x]/(x^5) (Mosher–Tangora)
 RP4_SQUARES = [

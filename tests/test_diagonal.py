@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from steenrod_kit import kernel
-from steenrod_kit.bar import eta
+from steenrod_kit.bar import eta, twist_act
 from steenrod_kit.chains import Chain, Simplex, TensorPair, chain_of, e, zero_chain
 from steenrod_kit.diagonal import (
     DiagonalTable,
@@ -98,6 +98,24 @@ def test_big_phi_squares_to_zero():
         for n in range(k):
             c = xi_standard(e(n), k, table)
             assert big_phi(k, big_phi(k, c)).is_zero()
+
+
+def test_raw_kernel_maps_agree_with_the_chain_level_maps():
+    # the kernel's Φ and signed swap on raw entries against big_phi and twist_act on chains
+    def as_chain(entries, degree):
+        return Chain(ZZ, degree, {TensorPair(Simplex(a), Simplex(b)): c for (a, b), c in entries.items()})
+
+    table = DiagonalTable()
+    for k in range(1, 5):
+        for n in range(k + 1):
+            raw = table.raw(n, k)
+            chain = xi_standard(e(n), k, table)
+            assert as_chain(kernel.big_phi(raw, k), n + k + 1) == big_phi(k, chain)
+            assert as_chain(kernel.twist(raw), n + k) == twist_act(chain)
+            doubled = dict(raw)
+            kernel.add_into(doubled, raw, 1)
+            kernel.add_into(doubled, kernel.twist(kernel.twist(raw)), -2)
+            assert doubled == {}
 
 
 def test_phi_rejects_bad_faces():
@@ -196,27 +214,3 @@ def test_xi_cell_on_delta_complex():
     over_f2 = xi_cell(e(1), d2, 2, top, table, F2)
     assert all(coeff == 1 for coeff in over_f2.terms.values())
 
-
-def test_table_verify_entry_and_keys():
-    table = DiagonalTable()
-    table.raw(2, 3)
-    assert (2, 3) in table.known_keys()
-    assert table.verify_entry(2, 3)
-
-
-@pytest.mark.skipif(not kernel.IS_COMPILED, reason="compiled kernel unavailable")
-def test_compiled_and_pure_kernels_agree():
-    from steenrod_kit import _xi_py
-
-    fast_cache: dict = {}
-    py_cache: dict = {}
-    for k in range(5):
-        for n in range(k + 1):
-            assert kernel.xi_standard(n, k, fast_cache) == _xi_py.xi_standard(
-                n, k, py_cache
-            )
-    verts = (0, 2, 3, 7)
-    assert kernel.pushforward(fast_cache[(2, 3)], verts) == _xi_py.pushforward(
-        py_cache[(2, 3)], verts
-    )
-    assert kernel.aw((0, 1, 1, 2)) == _xi_py.aw((0, 1, 1, 2))

@@ -2,21 +2,13 @@ import json
 
 import pytest
 
-from steenrod_kit.diagonal import DiagonalTable
 from steenrod_kit.documents import (
-    CACHE_ENV_VAR,
-    CACHE_FILENAME,
     complex_to_document,
     corpus_names,
     document_to_complex,
-    document_to_table,
     load_complex,
     load_corpus,
-    load_table,
-    resolve_cache_dir,
     save_complex,
-    save_table,
-    table_to_document,
 )
 from steenrod_kit.simplicial import DeltaComplex, freely_add_degeneracies, standard_delta
 
@@ -98,38 +90,3 @@ def test_corrupted_face_table_names_the_cell(tmp_path):
         load_complex(path)
     assert "1" in str(err.value)  # the offending dimension or cell is reported
 
-
-def test_table_document_roundtrip(tmp_path):
-    table = DiagonalTable()
-    table.raw(2, 3)
-    table.raw(1, 2)
-    doc = table_to_document(table)
-    again = document_to_table(doc)
-    assert again.entries == table.entries
-    save_table(table, tmp_path)
-    assert (tmp_path / CACHE_FILENAME).exists()
-    assert load_table(tmp_path).entries == table.entries
-
-
-def test_schema_mismatch_invalidates_cache():
-    table = DiagonalTable()
-    table.raw(1, 2)
-    doc = table_to_document(table)
-    doc["schema"] = -1
-    assert document_to_table(doc).entries == {}
-
-
-def test_unreadable_cache_is_ignored(tmp_path):
-    (tmp_path / CACHE_FILENAME).write_text("garbage")
-    assert load_table(tmp_path).entries == {}
-    assert load_table(tmp_path / "nonexistent").entries == {}
-
-
-def test_resolve_cache_dir_precedence(tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    assert resolve_cache_dir(str(tmp_path)) == tmp_path
-    default = resolve_cache_dir(None)
-    assert default.name == "steenrod-kit"
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
-    assert resolve_cache_dir(None) == tmp_path / "env"
-    assert resolve_cache_dir(str(tmp_path / "arg")) == tmp_path / "arg"
