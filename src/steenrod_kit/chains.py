@@ -1,9 +1,9 @@
 """Graded chains over an exact ring, chain complexes, and graded maps.
 
 Basis elements come in a handful of shapes (simplices with explicit vertex
-lists, abstract cells of a presentation, tensor pairs, bar generators, and
-bar⊗simplex pairs).  All carry a degree and a canonical sort key so that
-chains normalize to a unique form and equality is structural.
+lists, abstract cells of a presentation, tensor pairs and bar generators).
+All carry a degree and a canonical sort key so that chains normalize to a
+unique form and equality is structural.
 
 Sign conventions (used consistently everywhere):
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
+from .linalg import transpose
 from .rings import Coefficient, Ring
 
 # ---------------------------------------------------------------------------
@@ -145,22 +146,6 @@ class BarElement:
 def e(n: int) -> BarElement:
     """The untwisted bar generator e_n."""
     return BarElement(False, n)
-
-
-@dataclass(frozen=True)
-class BarSimplexPair:
-    bar: BarElement
-    simplex: Simplex
-
-    @property
-    def degree(self) -> int:
-        return self.bar.degree + self.simplex.degree
-
-    def sort_key(self):
-        return (4, self.bar.sort_key(), self.simplex.sort_key())
-
-    def __str__(self) -> str:
-        return f"{self.bar}⊗{self.simplex}"
 
 
 BasisElement = object  # union of the dataclasses above; duck-typed via .degree
@@ -294,7 +279,14 @@ def render_chain(chain: Chain) -> str:
 
 
 class ChainComplex:
-    """A nonnegatively graded free complex with explicit basis per degree."""
+    """A nonnegatively graded free complex with explicit basis per degree.
+
+    The boundary is stored only as index columns: ``boundary_matrix(n)[j]``
+    is ∂ of the j-th basis element of degree n, as ``{row: coefficient}``
+    over the basis of degree n−1.  ``boundary_of_basis`` reads a column back
+    as a Chain.  The constructor takes the boundary as Chains and converts it
+    once; ``from_columns`` takes the columns themselves.
+    """
 
     def __init__(
         self,
@@ -304,6 +296,34 @@ class ChainComplex:
         truncation_dim: int,
         exhaustive: bool = False,
     ):
+        self._setup(ring, basis, truncation_dim, exhaustive)
+        for n, elems in self.basis.items():
+            for b in elems:
+                if b.degree != n:
+                    raise ValueError(f"basis element {b} listed in degree {n}")
+        index = self._positions()
+        self._columns = {
+            n: [{index[f]: c for f, c in boundary[b].terms.items()} if b in boundary else {} for b in elems]
+            for n, elems in self.basis.items()
+        }
+
+    @classmethod
+    def from_columns(
+        cls,
+        ring: Ring,
+        basis: Mapping[int, List[BasisElement]],
+        columns: Mapping[int, List[Dict[int, Coefficient]]],
+        truncation_dim: int,
+        exhaustive: bool = False,
+    ) -> "ChainComplex":
+        """The complex whose boundary has the given columns per degree (one
+        per basis element, nonzero ring elements only), kept as they are."""
+        complex_ = cls.__new__(cls)
+        complex_._setup(ring, basis, truncation_dim, exhaustive)
+        complex_._columns = {n: columns[n] for n in complex_.basis}
+        return complex_
+
+    def _setup(self, ring: Ring, basis, truncation_dim: int, exhaustive: bool) -> None:
         # exhaustive: absent degrees are genuinely zero (the complex is not a
         # truncation of something larger), so homology is valid at every degree
         self.exhaustive = exhaustive
@@ -311,17 +331,16 @@ class ChainComplex:
         self.basis: Dict[int, List[BasisElement]] = {
             n: list(elems) for n, elems in basis.items() if elems
         }
-        self.boundary_table: Dict[BasisElement, Chain] = dict(boundary)
         self.truncation_dim = truncation_dim
         # data computed from the complex, e.g. (co)homology per degree, kept
         # by the modules that compute it so that every holder shares it
         self.derived: Dict[Tuple[str, int], object] = {}
-        self._index: Dict[BasisElement, int] = {}
-        for n, elems in self.basis.items():
-            for i, b in enumerate(elems):
-                if b.degree != n:
-                    raise ValueError(f"basis element {b} listed in degree {n}")
-                self._index[b] = i
+        self._index: Dict[BasisElement, int] | None = None
+
+    def _positions(self) -> Dict[BasisElement, int]:
+        if self._index is None:
+            self._index = {b: i for elems in self.basis.values() for i, b in enumerate(elems)}
+        return self._index
 
     def degrees(self) -> List[int]:
         return sorted(self.basis)
@@ -333,13 +352,15 @@ class ChainComplex:
         return self.basis.get(n, [])
 
     def index_of(self, basis: BasisElement) -> int:
-        return self._index[basis]
+        return self._positions()[basis]
 
     def boundary_of_basis(self, basis: BasisElement) -> Chain:
-        ch = self.boundary_table.get(basis)
-        if ch is None:
-            return zero_chain(self.ring, basis.degree - 1)
-        return ch
+        n = basis.degree
+        j = self._positions().get(basis)
+        if j is None:
+            return zero_chain(self.ring, n - 1)
+        lower = self.basis_in(n - 1)
+        return Chain(self.ring, n - 1, {lower[i]: c for i, c in self._columns[n][j].items()})
 
     def boundary(self, chain: Chain) -> Chain:
         acc = zero_chain(self.ring, chain.degree - 1)
@@ -350,55 +371,44 @@ class ChainComplex:
     def boundary_matrix(self, n: int) -> List[Dict[int, Coefficient]]:
         """Columns of ∂_n: C_n → C_{n−1}, one sparse column per basis element.
 
-        Built once per degree and kept in ``derived``; callers must not
-        modify the columns.
+        These are the stored columns; callers must not modify them.
         """
-        key = ("boundary_matrix", n)
+        return self._columns.get(n, [])
+
+    def coboundary_matrix(self, n: int) -> List[Dict[int, Coefficient]]:
+        """Columns of δ^n: C^n → C^{n+1}, the rows of ∂_{n+1}, one per basis
+        element of degree n.  Built once per degree and kept in ``derived``."""
+        key = ("coboundary_matrix", n)
         if key not in self.derived:
-            lower = {b: i for i, b in enumerate(self.basis_in(n - 1))}
-            self.derived[key] = [
-                {lower[face]: coeff for face, coeff in self.boundary_of_basis(b).terms.items()}
-                for b in self.basis_in(n)
-            ]
+            self.derived[key] = transpose(self.boundary_matrix(n + 1), self.rank(n))
         return self.derived[key]
 
-    def check_dd_zero(self) -> bool:
-        for n in self.degrees():
-            if n < 2:
-                continue
-            for b in self.basis_in(n):
-                if not self.boundary(self.boundary_of_basis(b)).is_zero():
+    def composes_to_zero(self, n: int) -> bool:
+        """Whether ∂_n ∘ ∂_{n+1} = 0, summed one column at a time in a small
+        set or dict (bitsets would span the whole basis)."""
+        lower, upper, ring = self.boundary_matrix(n), self.boundary_matrix(n + 1), self.ring
+        if ring.characteristic == 2:  # every stored entry is 1: rows hit an odd number of times
+            for col in upper if lower else ():
+                odd: set = set()
+                for j in col:
+                    odd.symmetric_difference_update(lower[j])
+                if odd:
                     return False
+            return True
+        plain, is_zero = ring.plain, ring.is_zero
+        terms = [[(i, plain(x)) for i, x in col.items()] for col in lower]
+        for col in upper if lower else ():
+            total: Dict[int, Coefficient] = {}
+            for j, c in col.items():
+                c = plain(c)
+                for i, x in terms[j]:
+                    total[i] = total.get(i, 0) + c * x
+            if not all(is_zero(x) for x in total.values()):
+                return False
         return True
 
-
-def tensor_complex(a: ChainComplex, b: ChainComplex, truncation_dim: int | None = None) -> ChainComplex:
-    if a.ring != b.ring:
-        raise ValueError("tensor factors must share a ring")
-    ring = a.ring
-    if truncation_dim is None:
-        truncation_dim = a.truncation_dim + b.truncation_dim
-    basis: Dict[int, List[BasisElement]] = {}
-    boundary: Dict[BasisElement, Chain] = {}
-    for p in a.degrees():
-        for q in b.degrees():
-            n = p + q
-            if n > truncation_dim:
-                continue
-            for x in a.basis_in(p):
-                for y in b.basis_in(q):
-                    pair = TensorPair(x, y)
-                    basis.setdefault(n, []).append(pair)
-                    terms: Dict[BasisElement, Coefficient] = {}
-                    for fx, cx in a.boundary_of_basis(x).terms.items():
-                        key = TensorPair(fx, y)
-                        terms[key] = ring.add(terms.get(key, ring.zero), cx)
-                    sign = ring.coerce(-1 if p % 2 else 1)
-                    for fy, cy in b.boundary_of_basis(y).terms.items():
-                        key = TensorPair(x, fy)
-                        terms[key] = ring.add(terms.get(key, ring.zero), ring.mul(sign, cy))
-                    boundary[pair] = Chain(ring, n - 1, terms)
-    return ChainComplex(ring, basis, boundary, truncation_dim)
+    def check_dd_zero(self) -> bool:
+        return all(self.composes_to_zero(n) for n in self.degrees())
 
 
 # ---------------------------------------------------------------------------

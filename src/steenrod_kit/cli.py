@@ -118,18 +118,29 @@ def _cmd_sq(args) -> int:
     ring = _ring(args, default=F2)
     if ring != F2:
         raise ValueError("Steenrod squares are computed over f2")
-    space = _as_delta(_load_input(args))
+    loaded = _load_input(args)
+    space = _as_delta(loaded)
+    top = space.dimension  # the highest cohomology degree a square may land in
+    if isinstance(loaded, SimplicialSetPresentation):
+        # degree truncation_dim − 1 is the last one the presentation determines
+        top = min(top, loaded.truncation_dim - 1)
+        if top < 0:
+            raise ValueError(f"truncation_dim {loaded.truncation_dim} determines no cohomology degree")
+    if args.p is not None and not 0 <= args.p <= top:
+        raise ValueError(f"--p must lie in 0..{top}, got {args.p}")
+    if args.i is not None and args.i < 0:
+        raise ValueError(f"--i must be nonnegative, got {args.i}")
     table = DiagonalTable()
     complex_ = space.chains(F2)
     results = []
-    ps = [args.p] if args.p is not None else list(range(space.dimension + 1))
+    ps = [args.p] if args.p is not None else list(range(top + 1))
     for p in ps:
         dim_p = cohomology(complex_, p).dimension
         if dim_p == 0:
             continue
-        squares = [args.i] if args.i is not None else list(range(space.dimension - p + 1))
+        squares = [args.i] if args.i is not None else list(range(top - p + 1))
         for i in squares:
-            if p + i > space.dimension:
+            if p + i > top:
                 continue
             matrix = sq_matrix(i, p, space, F2, table)
             results.append({"i": i, "p": p, "matrix": matrix})

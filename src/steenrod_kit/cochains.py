@@ -53,14 +53,15 @@ class Cochain:
         return total
 
     def coboundary(self) -> "Cochain":
-        """(δu)(σ) = u(∂σ)."""
-        ring = self.ring
+        """(δu)(σ) = u(∂σ), summed over the columns of δ at the support of u."""
+        ring, complex_ = self.ring, self.complex
+        upper = complex_.basis_in(self.degree + 1)
         values: Dict[object, Coefficient] = {}
-        for basis in self.complex.basis_in(self.degree + 1):
-            v = self.evaluate(self.complex.boundary_of_basis(basis))
-            if not ring.is_zero(v):
-                values[basis] = v
-        return Cochain(self.complex, self.degree + 1, values)
+        for x, col in zip(self.vector(), complex_.coboundary_matrix(self.degree)):
+            if not ring.is_zero(x):
+                for k, c in col.items():
+                    values[upper[k]] = ring.add(values.get(upper[k], ring.zero), ring.mul(x, c))
+        return Cochain(complex_, self.degree + 1, values)
 
     def is_cocycle(self) -> bool:
         return not self.coboundary().values

@@ -161,18 +161,17 @@ def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
     ring = a.ring
     signs = [ring.coerce(1), ring.coerce(-1)]
     basis: Dict[int, List[Cell]] = {n: [a.basis_cell(n, i) for i in range(a.rank(n))] for n in sorted(a.levels)}
-    boundary: Dict[Cell, Chain] = {}
+    columns: Dict[int, Columns] = {}
     for n in sorted(a.levels):
-        lower = basis.get(n - 1, [])
-        for idx, b in enumerate(basis[n]):
-            terms: Dict[Cell, Coefficient] = {}
-            if n > 0 and lower:
+        columns[n] = []
+        for idx in range(a.rank(n)):
+            col: Dict[int, Coefficient] = {}
+            if n > 0 and a.rank(n - 1):
                 for i in range(n + 1):
                     for row, c in a.face(n, i)[idx].items():
-                        v = ring.add(terms.get(lower[row], ring.zero), ring.mul(signs[i % 2], c))
-                        terms[lower[row]] = v
-            boundary[b] = Chain(ring, n - 1, terms)
-    return ChainComplex(ring, basis, boundary, a.truncation_dim)
+                        col[row] = ring.add(col.get(row, ring.zero), ring.mul(signs[i % 2], c))
+            columns[n].append({row: c for row, c in col.items() if not ring.is_zero(c)})
+    return ChainComplex.from_columns(ring, basis, columns, a.truncation_dim)
 
 
 def _kernel_basis(rows: List[List[Coefficient]], ncols: int, ring: Ring) -> List[List[Coefficient]]:
@@ -221,23 +220,19 @@ def _normalized_data(
     basis: Dict[int, List[Cell]] = {}
     for n, vecs in kernels.items():
         basis[n] = [Cell(n, ("N", a.name, n, j)) for j in range(len(vecs))]
-    boundary: Dict[Cell, Chain] = {}
+    columns: Dict[int, Columns] = {}
     for n in sorted(kernels):
         if n == 0 or n - 1 not in kernels or not kernels[n - 1] or not kernels[n]:
-            for b in basis.get(n, []):
-                boundary[b] = zero_chain(ring, n - 1)
+            columns[n] = [{} for _ in kernels[n]]
             continue
         expresser = _Expresser(kernels[n - 1], a.rank(n - 1), ring)
         sign = ring.coerce(-1 if n % 2 else 1)
-        for j, vec in enumerate(kernels[n]):
+        columns[n] = []
+        for vec in kernels[n]:
             image = _apply_columns(a.face(n, n), vec, ring, a.rank(n - 1))
-            image = [ring.mul(sign, x) for x in image]
-            coords = expresser.express(image)
-            terms = {
-                basis[n - 1][t]: c for t, c in enumerate(coords) if not ring.is_zero(c)
-            }
-            boundary[basis[n][j]] = Chain(ring, n - 1, terms)
-    return ChainComplex(ring, basis, boundary, a.truncation_dim), kernels
+            coords = expresser.express([ring.mul(sign, x) for x in image])
+            columns[n].append({t: c for t, c in enumerate(coords) if not ring.is_zero(c)})
+    return ChainComplex.from_columns(ring, basis, columns, a.truncation_dim), kernels
 
 
 def normalized_of_sab(a: SimplicialAbelianGroup) -> ChainComplex:
@@ -287,9 +282,7 @@ def gamma(c: ChainComplex, truncation: int, name: str = "") -> SimplicialAbelian
                         col[index[(m - 1, new_word, n, j)]] = ring.one
                     elif missing == n:
                         sign = ring.coerce(-1 if n % 2 else 1)
-                        source = c.basis_in(n)[j]
-                        for face, coeff in c.boundary_of_basis(source).terms.items():
-                            t = c.index_of(face)
+                        for t, coeff in c.boundary_matrix(n)[j].items():
                             row = index[(m - 1, new_word, n - 1, t)]
                             v = ring.add(col.get(row, ring.zero), ring.mul(sign, coeff))
                             if ring.is_zero(v):
@@ -345,10 +338,8 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
             continue
         lower = kernels.get(m - 1, [])
         for j, vec in enumerate(vecs):
-            b = normalized.boundary_of_basis(normalized.basis_in(m)[j])
             dense = [ring.zero] * g.rank(m - 1)
-            for cell, coeff in b.terms.items():
-                t = normalized.index_of(cell)
+            for t, coeff in normalized.boundary_matrix(m)[j].items():
                 for pos, x in enumerate(lower[t]):
                     dense[pos] = ring.add(dense[pos], ring.mul(coeff, x))
             left = project(m - 1, dense)
@@ -358,8 +349,7 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
             for jj, x in enumerate(proj):
                 if ring.is_zero(x):
                     continue
-                for face, coeff in c.boundary_of_basis(c.basis_in(m)[jj]).terms.items():
-                    t = c.index_of(face)
+                for t, coeff in c.boundary_matrix(m)[jj].items():
                     right[t] = ring.add(right[t], ring.mul(x, coeff))
             if left != right:
                 return False

@@ -1,5 +1,6 @@
 """Homology and cohomology of a ChainComplex, with representatives and
-coordinates (delegates the linear algebra to ``linalg``).
+coordinates (delegates the linear algebra to ``linalg``): homology takes the
+stored columns of ∂, cohomology the columns of δ, built once per degree.
 
 Each group is computed once per complex and degree: the descriptors are
 kept in the complex's ``derived`` memo, so every caller holding the same
@@ -8,37 +9,15 @@ complex shares them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 from .chains import Chain, ChainComplex
 from .linalg import HomologyDescriptor, homology_of_matrices
-from .rings import Coefficient
-
-Columns = List[Dict[int, Coefficient]]
 
 
-def _transpose(cols: Sequence[Dict[int, Coefficient]], nrows: int) -> Columns:
-    rows: Columns = [{} for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, value in col.items():
-            rows[i][j] = value
-    return rows
-
-
-def _boundaries(complex_: ChainComplex, degree: int):
-    """Columns of ∂_degree (empty in degree 0) and ∂_{degree+1}, checked to
-    compose to zero: the field engine relies on it without checking."""
-    lower = complex_.boundary_matrix(degree) if degree > 0 else []
-    upper = complex_.boundary_matrix(degree + 1)
-    ring = complex_.ring
-    for col in upper if lower else ():
-        total: Dict[int, Coefficient] = {}
-        for j, c in col.items():
-            for i, x in lower[j].items():
-                total[i] = total.get(i, 0) + c * x
-        if any(not ring.is_zero(x) for x in total.values()):
-            raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
-    return lower, upper
+def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
+    """The field engine relies on ∂_degree ∘ ∂_{degree+1} = 0 without
+    checking it."""
+    if not complex_.composes_to_zero(degree):
+        raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
 
 
 def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
@@ -51,10 +30,9 @@ def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
         )
     key = ("homology", degree)
     if key not in complex_.derived:
-        lower, upper = _boundaries(complex_, degree)
-        # the rows of ∂_degree are the columns of its transpose
-        out_rows = _transpose(lower, complex_.rank(degree - 1))
-        complex_.derived[key] = homology_of_matrices(complex_.ring, out_rows, upper, complex_.rank(degree))
+        _check_dd_zero(complex_, degree)
+        out_cols, in_cols = complex_.boundary_matrix(degree), complex_.boundary_matrix(degree + 1)
+        complex_.derived[key] = homology_of_matrices(complex_.ring, out_cols, in_cols, complex_.rank(degree))
     return complex_.derived[key]
 
 
@@ -68,11 +46,9 @@ def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
         )
     key = ("cohomology", degree)
     if key not in complex_.derived:
-        lower, upper = _boundaries(complex_, degree)
-        # the rows of δ^degree are the columns of ∂_{degree+1}; the columns
-        # of δ^{degree−1} those of the transpose of ∂_degree
-        in_cols = _transpose(lower, complex_.rank(degree - 1))
-        complex_.derived[key] = homology_of_matrices(complex_.ring, upper, in_cols, complex_.rank(degree))
+        _check_dd_zero(complex_, degree)
+        out_cols, in_cols = complex_.coboundary_matrix(degree), complex_.coboundary_matrix(degree - 1)
+        complex_.derived[key] = homology_of_matrices(complex_.ring, out_cols, in_cols, complex_.rank(degree))
     return complex_.derived[key]
 
 

@@ -1,14 +1,17 @@
-"""Exact linear algebra: one sparse Smith normal form over ℤ, one sparse
-echelon engine over fields, and homology with explicit cycle bases and
+"""Exact linear algebra: one sparse Smith normal form over ℤ, one column
+reduction engine over fields, and homology with explicit cycle bases and
 change-of-basis data.
 
 Every ℤ computation (kernels, solves, homology) runs on ``sparse_smith``:
 rows are dicts ``{column: nonzero entry}``, ±1 pivots are eliminated
 sparsely, and only the residual block, which holds no unit entry, goes
 through the dense ``smith_normal_form``.  Every field computation (kernels,
-ranks, span solves, (co)homology) runs on the echelon engine: vectors are
-dicts ``{index: nonzero entry}``, or over 𝔽₂ Python integers used as bitsets
-(bit j = entry j), which keeps 𝔽₂ row operations at C speed.
+ranks, span solves, (co)homology) runs on ``_reduce``, which reduces vectors
+(dicts ``{index: nonzero entry}``, or 𝔽₂ int bitsets) left to right by the
+pivots of the earlier ones.  Kernels reduce the columns of a map by
+highest-index pivots (the persistence order) and log each step, which yields
+the canonical kernel vector of each column that reduces to zero; images and
+span solves use lowest-index pivots.
 """
 
 from __future__ import annotations
@@ -153,14 +156,27 @@ def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
     return d, u, uinv, v
 
 
-def _axpy(dst: SparseVector, src: SparseVector, k: int) -> None:
-    """dst += k·src in place, dropping entries that cancel."""
+def _axpy(dst: SparseVector, src: SparseVector, k: int, p: Optional[int] = None) -> SparseVector:
+    """dst += k·src in place (mod p when p is given), dropping entries that
+    cancel; k is nonzero (mod p)."""
     for j, y in src.items():
         z = dst.get(j, 0) + k * y
+        if p:
+            z %= p
         if z:
             dst[j] = z
         else:
             del dst[j]
+    return dst
+
+
+def transpose(vectors: Sequence[Dict[int, Coefficient]], size: int) -> List[Dict[int, Coefficient]]:
+    """The sparse rows of the matrix with the given sparse columns (or back)."""
+    out: List[Dict[int, Coefficient]] = [{} for _ in range(size)]
+    for j, vec in enumerate(vectors):
+        for i, x in vec.items():
+            out[i][j] = x
+    return out
 
 
 def _combine(terms: Iterable[Tuple[int, SparseVector]]) -> SparseVector:
@@ -203,10 +219,7 @@ def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: b
     """
     nrows = len(rows)
     a: List[Optional[SparseVector]] = [{j: x for j, x in row.items() if x} for row in rows]
-    cols: List[SparseVector] = [{} for _ in range(ncols)]
-    for i, row in enumerate(a):
-        for j, x in row.items():
-            cols[j][i] = x
+    cols = transpose(a, ncols)
     u_rows = [{i: 1} for i in range(nrows)] if u else []
     uinv_cols = [{i: 1} for i in range(nrows)] if u else []
     v_cols = [{j: 1} for j in range(ncols)] if v else []
@@ -325,12 +338,13 @@ class IntegerSolver:
 
 
 # ---------------------------------------------------------------------------
-# Sparse echelon engine over a field
+# Column reduction engine over a field
 # ---------------------------------------------------------------------------
 
 
 class _BitVectors:
-    """𝔽₂ vectors packed into Python integers (bit j = entry j)."""
+    """𝔽₂ vectors packed into Python integers (bit j = entry j); the only
+    nonzero scalar is 1, so subtracting a multiple is XOR."""
 
     @staticmethod
     def pack(entries: Iterable[Tuple[int, Coefficient]]) -> int:
@@ -340,124 +354,105 @@ class _BitVectors:
                 word |= 1 << j
         return word
 
-    @staticmethod
-    def low(v: int) -> int:
-        return (v & -v).bit_length() - 1
-
-    @staticmethod
-    def entry(v: int, j: int) -> int:
-        return (v >> j) & 1
-
-    @staticmethod
-    def monic(v: int, j: int) -> int:
-        return v
-
-    @staticmethod
-    def clear(v: int, w: int, j: int) -> int:
-        return v ^ w
-
-    @staticmethod
-    def dot(v: int, w: int) -> int:
-        return (v & w).bit_count() & 1
-
-    @staticmethod
-    def put(v: int, j: int, c: int) -> int:
-        return v | (1 << j)
-
-    @staticmethod
-    def restrict(v: int, keep: int) -> int:
-        return v & keep
+    low = staticmethod(lambda v: (v & -v).bit_length() - 1)
+    high = staticmethod(lambda v: v.bit_length() - 1)
+    entry = staticmethod(lambda v, j: (v >> j) & 1)
+    inverse = staticmethod(lambda v, j: 1)
+    factor = staticmethod(lambda v, j, inv: 1)
+    sub = staticmethod(lambda v, w, c: v ^ w)
+    restrict = staticmethod(lambda v, keep: v & keep)
 
 
 class _SparseVectors:
-    """Vectors over ℚ or 𝔽_p as dicts of nonzero entries; ``clear`` and
-    ``put`` update their first argument in place."""
+    """Vectors over ℚ or 𝔽_p as dicts of nonzero entries; ``sub`` (v − c·w)
+    updates v in place.  Over ℚ a whole entry is kept as an int
+    (``Ring.plain``) until a division makes it a fraction."""
 
     def __init__(self, ring: Ring):
-        self.ring = ring
-        self.p = ring.p
+        self.ring, self.p = ring, ring.p
 
     def pack(self, entries: Iterable[Tuple[int, Coefficient]]) -> Dict[int, Coefficient]:
         ring = self.ring
-        coerced = ((j, ring.coerce(x)) for j, x in entries)
+        coerced = ((j, ring.plain(ring.coerce(x))) for j, x in entries)
         return {j: x for j, x in coerced if not ring.is_zero(x)}
 
-    @staticmethod
-    def low(v: Dict[int, Coefficient]) -> int:
-        return min(v)
+    low, high = staticmethod(min), staticmethod(max)
+    restrict = staticmethod(lambda v, keep: {i: x for i, x in v.items() if i in keep})
 
     def entry(self, v: Dict[int, Coefficient], j: int) -> Coefficient:
         return v.get(j, self.ring.zero)
 
-    def monic(self, v: Dict[int, Coefficient], j: int) -> Dict[int, Coefficient]:
-        if v[j] == 1:
-            return v
-        ring = self.ring
-        inv = ring.inv(v[j])
-        return {i: ring.mul(inv, x) for i, x in v.items()}
+    def inverse(self, v: Dict[int, Coefficient], j: int) -> Coefficient:
+        return self.ring.plain(self.ring.inv(v[j]))
 
-    def clear(self, v: Dict[int, Coefficient], w: Dict[int, Coefficient], j: int) -> Dict[int, Coefficient]:
-        """v − v_j·w for w monic at j."""
-        c, p = v[j], self.p
-        for i, x in w.items():
-            y = v.get(i, 0) - c * x
-            if p:
-                y %= p
-            if y:
-                v[i] = y
-            else:
-                del v[i]
-        return v
+    def factor(self, v: Dict[int, Coefficient], j: int, inv: Coefficient) -> Coefficient:
+        return self.ring.mul(v[j], inv)
 
-    def dot(self, v: Dict[int, Coefficient], w: Dict[int, Coefficient]) -> Coefficient:
-        if len(w) < len(v):
-            v, w = w, v
-        total = sum((x * w[i] for i, x in v.items() if i in w), self.ring.zero)
-        return total % self.p if self.p else total
-
-    def put(self, v: Dict[int, Coefficient], j: int, c: Coefficient) -> Dict[int, Coefficient]:
-        v[j] = c
-        return v
-
-    @staticmethod
-    def restrict(v: Dict[int, Coefficient], keep: Dict[int, Coefficient]) -> Dict[int, Coefficient]:
-        return {i: x for i, x in v.items() if i in keep}
-
-
-def _echelon(ops, vectors: Iterable) -> Dict[int, object]:
-    """Echelon form by lowest-index pivots, without back-substitution:
-    {pivot: its vector, monic there and zero at every lower index}."""
-    pivots: Dict[int, object] = {}
-    for v in vectors:
-        while v:
-            p = ops.low(v)
-            w = pivots.get(p)
-            if w is None:
-                pivots[p] = ops.monic(v, p)
-                break
-            v = ops.clear(v, w, p)
-    return pivots
+    def sub(self, v: Dict[int, Coefficient], w: Dict[int, Coefficient], c: Coefficient) -> Dict[int, Coefficient]:
+        return _axpy(v, w, -c, self.p)
 
 
 def _vectors(ring: Ring):
     return _BitVectors() if ring.characteristic == 2 else _SparseVectors(ring)
 
 
-def _kernel_vector(ops, pivots: Dict[int, object], free: int, ncols: int, ring: Ring) -> Vector:
-    """The kernel vector of an echelon form with entry 1 at the free column
-    ``free`` and 0 at the other free columns, by back-substitution."""
-    x = ops.pack([(free, ring.one)])
-    for p in sorted((q for q in pivots if q < free), reverse=True):
-        c = ops.dot(pivots[p], x)
-        if not ring.is_zero(c):
-            x = ops.put(x, p, ring.neg(c))
-    return [ops.entry(x, j) for j in range(ncols)]
+def _reduce(ops, vectors: Iterable, top: bool = False, logs: Optional[List[list]] = None) -> Dict[int, tuple]:
+    """Reduce the vectors in order, each by the pivots of the earlier ones:
+    {pivot: (position, reduced vector, inverse of its pivot entry)} over the
+    vectors that stay nonzero.  The pivot is the highest index for ``top``
+    (the persistence order), else the lowest; either way a vector reduces to
+    zero exactly when it lies in the span of the earlier ones.  ``logs`` gets
+    per vector the flat list [position, factor, …] of what it subtracted."""
+    lead, factor, sub = (ops.high if top else ops.low), ops.factor, ops.sub
+    pivots: Dict[int, tuple] = {}
+    for k, v in enumerate(vectors):
+        log = []
+        while v:
+            p = lead(v)
+            hit = pivots.get(p)
+            if hit is None:
+                pivots[p] = (k, v, ops.inverse(v, p))
+                break
+            j, w, inv = hit
+            c = factor(v, p, inv)
+            v = sub(v, w, c)
+            log += (j, c)
+        if logs is not None:
+            logs.append(log)
+    return pivots
+
+
+def _clear(ops, ring: Ring, v, pivots: Sequence[tuple]):
+    """v reduced to zero at each pivot of ascending lowest-index triples."""
+    for p, w, inv in pivots:
+        if not ring.is_zero(ops.entry(v, p)):
+            v = ops.sub(v, w, ops.factor(v, p, inv))
+    return v
+
+
+def _kernel_vector(ring: Ring, logs: List[list], f: int, size: int) -> Vector:
+    """V_f for a vector f that reduced to zero, where V_k = e_k − Σ c·V_j over
+    the log of k: 1 at f, support in f and the earlier pivots, zero image.
+    Expanded from the top down, each V_k once with its final multiplicity."""
+    out = [ring.zero] * size
+    pending, heap = {f: ring.one}, [-f]
+    while heap:
+        k = -heapq.heappop(heap)
+        out[k] = m = pending.pop(k)
+        if ring.is_zero(m):
+            continue
+        for j, c in zip(logs[k][::2], logs[k][1::2]):
+            if j not in pending:
+                pending[j] = ring.zero
+                heapq.heappush(heap, -j)
+            pending[j] = ring.add(pending[j], ring.neg(ring.mul(m, c)))
+    return out
 
 
 def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) -> int:
     """Rank over a field of vectors given by their (index, entry) pairs."""
     ops = _vectors(ring)
-    return len(_echelon(ops, (ops.pack(row) for row in rows)))
+    return len(_reduce(ops, (ops.pack(row) for row in rows)))
 
 
 class SpanSolver:
@@ -471,31 +466,28 @@ class SpanSolver:
     """
 
     def __init__(self, generators: Sequence[Vector], ncols: int, ring: Ring):
-        self.ring = ring
-        self.ncols = ncols
-        self.ngen = len(generators)
+        self.ring, self.ncols, self.ngen = ring, ncols, len(generators)
         self._ops = ops = _vectors(ring)
         tagged = (ops.pack([*enumerate(g), (ncols + i, ring.one)]) for i, g in enumerate(generators))
-        echelon = _echelon(ops, tagged)
-        self._pivots = sorted((p, w) for p, w in echelon.items() if p < ncols)
+        echelon = _reduce(ops, tagged)
+        self._pivots = sorted((p, w, inv) for p, (_, w, inv) in echelon.items() if p < ncols)
 
     def express(self, vec: Vector) -> Optional[Vector]:
         ops, ring, ncols = self._ops, self.ring, self.ncols
-        work = ops.pack(enumerate(vec))
-        for p, w in self._pivots:
-            if not ring.is_zero(ops.entry(work, p)):
-                work = ops.clear(work, w, p)
+        work = _clear(ops, ring, ops.pack(enumerate(vec)), self._pivots)
         if work and ops.low(work) < ncols:
             return None
-        return [ring.neg(ops.entry(work, ncols + i)) for i in range(self.ngen)]
+        return [ring.coerce(ring.neg(ops.entry(work, ncols + i))) for i in range(self.ngen)]
 
 
 def field_kernel(rows: Matrix, ncols: int, ring: Ring) -> List[Vector]:
-    """Basis of the kernel of a row-matrix over a field, one vector per free
-    column of its echelon form."""
+    """Basis of the kernel of a row-matrix over a field: per column in the
+    span of the earlier ones, the vector with 1 there and 0 at the others."""
     ops = _vectors(ring)
-    pivots = _echelon(ops, (ops.pack(enumerate(row)) for row in rows))
-    return [_kernel_vector(ops, pivots, f, ncols, ring) for f in range(ncols) if f not in pivots]
+    logs: List[list] = []
+    columns = (ops.pack((t, row[j]) for t, row in enumerate(rows)) for j in range(ncols))
+    kept = {k for k, _, _ in _reduce(ops, columns, top=True, logs=logs).values()}
+    return [_kernel_vector(ring, logs, f, ncols) for f in range(ncols) if f not in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -544,49 +536,52 @@ class HomologyDescriptor:
 
 
 def homology_of_matrices(
-    ring: Ring,
-    out_rows: Sequence[Dict[int, Coefficient]],
-    in_cols: Sequence[Dict[int, Coefficient]],
-    rank_here: int,
+    ring: Ring, out_cols: Sequence[Dict[int, Coefficient]], in_cols: Sequence[Dict[int, Coefficient]], rank_here: int
 ) -> HomologyDescriptor:
     """Homology ker(out)/im(in) at a degree of rank ``rank_here``.
 
-    ``out_rows`` holds the sparse rows of the map out of this degree (each a
-    vector over its basis), ``in_cols`` the sparse columns of the map into it;
+    ``out_cols`` holds the sparse columns of the map out of this degree (one
+    per basis element), ``in_cols`` the sparse columns of the map into it;
     the caller checks that out∘in = 0.
     """
     if ring.is_field:
-        return _homology_field(ring, out_rows, in_cols, rank_here)
-    return _homology_integers(out_rows, in_cols, rank_here)
+        return _homology_field(ring, out_cols, in_cols, rank_here)
+    return _homology_integers(out_cols, in_cols, rank_here)
 
 
-def _homology_field(ring, out_rows, in_cols, rank_here) -> HomologyDescriptor:
+def _homology_field(ring, out_cols, in_cols, rank_here) -> HomologyDescriptor:
     ops = _vectors(ring)
-    kernel_pivots = _echelon(ops, (ops.pack(row.items()) for row in out_rows))
-    # a cycle is determined by its entries at the free columns: its kernel
-    # coordinates, in which the image is spanned by the restricted columns
-    free = [j for j in range(rank_here) if j not in kernel_pivots]
+    out_cols = [*out_cols, *[{}] * (rank_here - len(out_cols))]  # missing columns are zero
+    logs: List[list] = []
+    # the columns in the span of the earlier ones are the free columns of the
+    # lowest-index row echelon form; a cycle is determined by its entries there
+    kept = {k for k, _, _ in _reduce(ops, (ops.pack(col.items()) for col in out_cols), top=True, logs=logs).values()}
+    free = [j for j in range(rank_here) if j not in kept]
     keep = ops.pack((j, ring.one) for j in free)
-    image = _echelon(ops, (ops.restrict(ops.pack(col.items()), keep) for col in in_cols))
+    # the image in kernel coordinates, by lowest-index pivots (an invariant of the
+    # span): the reduced independent columns span it, and right to left fill in least
+    independent = _reduce(ops, (ops.pack(col.items()) for col in in_cols), top=True).values()
+    image = _reduce(ops, (ops.restrict(w, keep) for _, w, _ in sorted(independent, key=lambda hit: -hit[0])))
     classes = [f for f in free if f not in image]
-    reps = [_kernel_vector(ops, kernel_pivots, f, rank_here, ring) for f in classes]
-    ascending = sorted(image)
+    reps = [_kernel_vector(ring, logs, f, rank_here) for f in classes]
+    ascending = sorted((p, w, inv) for p, (_, w, inv) in image.items())
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:
-        v = ops.pack(enumerate(cycle))
-        if any(not ring.is_zero(ops.dot(row, v)) for row in kernel_pivots.values()):
+        total = ops.pack(())  # packing only the columns the cycle touches
+        for j, x in enumerate(cycle):
+            if not ring.is_zero(x):
+                total = ops.sub(total, ops.pack(out_cols[j].items()), -ring.plain(x))
+        if total:
             return None
-        y = ops.restrict(v, keep)
-        for p in ascending:
-            if not ring.is_zero(ops.entry(y, p)):
-                y = ops.clear(y, image[p], p)
-        return [ops.entry(y, f) for f in classes]
+        y = _clear(ops, ring, ops.restrict(ops.pack(enumerate(cycle)), keep), ascending)
+        return [ring.coerce(ops.entry(y, f)) for f in classes]
 
     return HomologyDescriptor(ring, len(classes), [], reps, coord_fn)
 
 
-def _homology_integers(out_rows, in_cols, rank_here) -> HomologyDescriptor:
-    cycles = sparse_smith(out_rows, rank_here, v=True)
+def _homology_integers(out_cols, in_cols, rank_here) -> HomologyDescriptor:
+    nrows = max((i for col in out_cols for i in col), default=-1) + 1
+    cycles = sparse_smith(transpose(out_cols, nrows), rank_here, v=True)
     pivot_cols = {c for _, c, _ in cycles.pivots}
     free = [j for j in range(rank_here) if j not in pivot_cols]
     position = {j: k for k, j in enumerate(free)}

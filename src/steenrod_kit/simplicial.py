@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .chains import Cell, Chain, ChainComplex
+from .chains import Cell, ChainComplex
 from .rings import Coefficient, Ring
 
 # ---------------------------------------------------------------------------
@@ -165,25 +165,29 @@ class FaceTable:
         self, ring: Ring, kept: Callable[[int], List[int]], exhaustive: bool = False
     ) -> ChainComplex:
         """The chain complex on the cells ``kept(n)`` (increasing indices) of
-        each dimension, with boundary Σ (−1)^i d_i; faces outside the kept
-        cells vanish (they are quotiented away)."""
-        signs = [ring.coerce(1), ring.coerce(-1)]
+        each dimension, with boundary Σ (−1)^i d_i written straight into index
+        columns; faces outside the kept cells vanish (they are quotiented
+        away) and repeated faces add up."""
         basis: Dict[int, List[Cell]] = {}
-        boundary: Dict[Cell, Chain] = {}
-        by_index: Dict[int, Dict[int, Cell]] = {}  # kept cells per dimension
+        columns: Dict[int, List[Dict[int, Coefficient]]] = {}
+        rows: Dict[int, Dict[int, int]] = {}  # per dimension, kept cell index -> its row
         for n in sorted(self.cells):
             indices = kept(n)
             basis[n] = [self.basis_cell(n, idx) for idx in indices]
-            by_index[n] = dict(zip(indices, basis[n]))
-            lower = by_index.get(n - 1, {})
-            for idx, b in zip(indices, basis[n]):
-                terms: Dict[Cell, Coefficient] = {}
+            rows[n] = {idx: r for r, idx in enumerate(indices)}
+            lower = rows.get(n - 1, {})
+            # the signed sums that occur, each coerced once
+            value = {s: c for s in range(-n - 1, n + 2) if not ring.is_zero(c := ring.coerce(s))}
+            cols = []
+            for idx in indices:
+                col: Dict[int, int] = {}
                 for i, f in enumerate(self.faces[(n, idx)] if n else ()):
-                    facet = lower.get(f)
-                    if facet is not None:
-                        terms[facet] = ring.add(terms.get(facet, ring.zero), signs[i % 2])
-                boundary[b] = Chain(ring, n - 1, terms)
-        return ChainComplex(ring, basis, boundary, self.truncation_dim, exhaustive=exhaustive)
+                    r = lower.get(f)
+                    if r is not None:
+                        col[r] = col.get(r, 0) + (-1 if i & 1 else 1)
+                cols.append({r: value[s] for r, s in col.items() if s in value})
+            columns[n] = cols
+        return ChainComplex.from_columns(ring, basis, columns, self.truncation_dim, exhaustive)
 
 
 # ---------------------------------------------------------------------------

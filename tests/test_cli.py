@@ -93,6 +93,38 @@ def test_sq_computes_each_cohomology_group_once(capsys, corpus_file, monkeypatch
     assert len(calls) == 3  # H^0, H^1 and H^2, shared by every square
 
 
+@pytest.mark.parametrize("argv", [["--p", "7"], ["--p", "-1"], ["--i", "-1"], ["--i", "-1", "--p", "1"]])
+def test_sq_argument_out_of_range_is_an_input_error(argv, capsys, corpus_file):
+    assert main(["sq", "--input", corpus_file("rp2")] + argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_sq_stops_at_the_truncation(tmp_path, capsys, corpus_file):
+    # truncation_dim 2 determines cohomology up to degree 1, as for homology
+    assert main(["sq", "--input", corpus_file("counterexample"), "--json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["squares"] == [
+        {"i": 0, "p": 0, "matrix": [[1]]},
+        {"i": 1, "p": 0, "matrix": [[0]]},
+        {"i": 0, "p": 1, "matrix": [[1]]},
+    ]
+    assert main(["sq", "--input", corpus_file("counterexample"), "--p", "2"]) == EXIT_INPUT
+    capsys.readouterr()
+    # a presentation truncated at 0 leaves no degree at all
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(
+        {"kind": "simplicial", "cells": {"0": ["a"]}, "faces": {"0": [[]]}, "degeneracies": {}, "truncation_dim": 0}
+    ))
+    assert main(["sq", "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "no cohomology degree" in lines[0]
+
+
 def test_info_reports_degeneracy_freeness(capsys, corpus_file):
     path = corpus_file("counterexample")
     assert main(["info", "--input", path, "--json"]) == EXIT_OK
@@ -228,6 +260,7 @@ def test_rp4_full_square_table(capsys):
         # H_*(RP^4; Z) = Z, Z/2, 0, Z/2, 0 and 3 does not divide 2
         ("f3", ["F3^1", "F3^0", "F3^0", "F3^0", "F3^0"]),
         ("z", ["Z", "Z/2", "0", "Z/2", "0"]),
+        ("q", ["Q^1", "Q^0", "Q^0", "Q^0", "Q^0"]),
     ],
 )
 def test_rp4_field_homology(capsys, ring, groups):

@@ -18,6 +18,7 @@ from steenrod_kit import homology as engine
 from steenrod_kit import linalg
 from steenrod_kit.documents import load_corpus
 from steenrod_kit.rings import F2, F3, QQ, ZZ
+from steenrod_kit.simplicial import DeltaComplex
 from steenrod_kit.suite import FAST_CORPUS, _random_complex
 
 RINGS = (F2, F3, QQ)
@@ -70,6 +71,28 @@ def test_engines_agree_on_the_fast_corpus(name, ring):
     rng = random.Random(name)
     for degree in range(space.dimension + 1):
         _assert_engines_agree(complex_, degree, rng)
+
+
+def _relabeled(name, seed):
+    """A corpus space rebuilt from its facets after a seeded permutation of
+    its vertices, which reorders the cells and so the pivots."""
+    facets = load_corpus(name).cells[2]
+    vertices = sorted({v for facet in facets for v in facet})
+    image = list(vertices)
+    random.Random(seed).shuffle(image)
+    perm = dict(zip(vertices, image))
+    return DeltaComplex.from_facets([[perm[v] for v in facet] for facet in facets], name=name)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("name, seeds", [("klein", 2), ("rp2", 4)])
+def test_engines_agree_on_relabelings(name, seeds, ring):
+    for seed in range(seeds):
+        space = _relabeled(name, seed)
+        complex_ = space.chains(ring)
+        rng = random.Random(seed)
+        for degree in range(space.dimension + 1):
+            _assert_engines_agree(complex_, degree, rng)
 
 
 @settings(max_examples=60, deadline=None)

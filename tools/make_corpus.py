@@ -11,7 +11,8 @@ Writes JSON complex documents into src/steenrod_kit/corpus/:
 * klein                  — Klein bottle from a 4×4 grid with an orientation flip
 * rp4                    — RP⁴ as the antipodal quotient of the barycentric
                            subdivision of the boundary of the 5-dimensional
-                           cross-polytope (121 vertices, 1920 facets)
+                           cross-polytope (121 vertices, 1920 facets; see
+                           ``rpn_facets``, which builds RPⁿ for any n)
 * counterexample         — a simplicial-set presentation carrying the relation
                            s₀e = s₀s₀v (not degeneracy-free; strict=false)
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from itertools import combinations, product
+from math import factorial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,18 +68,19 @@ def klein_facets(n: int = 4):
     return facets
 
 
-def rp4_facets():
-    """Flags of the boundary of the 5-dimensional cross-polytope, modulo the
-    antipodal involution.
+def rpn_facets(n: int):
+    """Flags of the boundary of the (n+1)-dimensional cross-polytope, modulo
+    the antipodal involution: a triangulation of RPⁿ.
 
-    A face of ∂♦⁵ is a set of signed coordinates {±1e_i} with no axis used
+    A face of ∂♦ⁿ⁺¹ is a set of signed coordinates {±1e_i} with no axis used
     twice; the antipodal map negates every sign and acts freely, so the
     quotient of the barycentric subdivision (whose vertices are faces and
-    whose facets are complete flags) is a simplicial complex.
+    whose facets are complete flags) is a simplicial complex, with
+    (3ⁿ⁺¹ − 1)/2 vertices and 2ⁿ·(n+1)! facets.
     """
-    axes = range(1, 6)
+    axes = range(1, n + 2)
     faces = []
-    for k in range(1, 6):
+    for k in range(1, n + 2):
         for combo in combinations(axes, k):
             for signs in product((1, -1), repeat=k):
                 faces.append(frozenset(s * a for s, a in zip(signs, combo)))
@@ -89,15 +92,14 @@ def rp4_facets():
 
     reps = sorted({orbit_rep(f) for f in faces}, key=lambda r: (len(r), r))
     rep_id = {r: i for i, r in enumerate(reps)}
-    assert len(reps) == 121
+    assert len(reps) == (3 ** (n + 1) - 1) // 2
 
     facets = set()
 
     def extend(chain, current):
-        if len(chain) == 5:
+        if len(chain) == n + 1:
             facets.add(tuple(sorted(rep_id[orbit_rep(c)] for c in chain)))
             return
-        k = len(current)
         # grow the flag by one signed axis
         used = {abs(x) for x in current}
         for a in axes:
@@ -111,7 +113,7 @@ def rp4_facets():
         for s in (1, -1):
             start = frozenset({s * a})
             extend([start], start)
-    assert len(facets) == 1920
+    assert len(facets) == 2 ** n * factorial(n + 1)
     return sorted(facets)
 
 
@@ -155,7 +157,7 @@ def main() -> None:
     spaces["torus"] = DeltaComplex.from_facets(torus_facets(), name="torus")
     spaces["rp2"] = DeltaComplex.from_facets(RP2_FACETS, name="rp2")
     spaces["klein"] = DeltaComplex.from_facets(klein_facets(), name="klein")
-    spaces["rp4"] = DeltaComplex.from_facets(rp4_facets(), name="rp4")
+    spaces["rp4"] = DeltaComplex.from_facets(rpn_facets(4), name="rp4")
     spaces["counterexample"] = counterexample_presentation()
     for name, obj in sorted(spaces.items()):
         path = OUT / f"{name}.json"
