@@ -395,12 +395,11 @@ class ChainComplex:
                 if odd:
                     return False
             return True
-        plain, is_zero = ring.plain, ring.is_zero
-        terms = [[(i, plain(x)) for i, x in col.items()] for col in lower]
+        is_zero = ring.is_zero
+        terms = [list(col.items()) for col in lower]
         for col in upper if lower else ():
             total: Dict[int, Coefficient] = {}
             for j, c in col.items():
-                c = plain(c)
                 for i, x in terms[j]:
                     total[i] = total.get(i, 0) + c * x
             if not all(is_zero(x) for x in total.values()):

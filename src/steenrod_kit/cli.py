@@ -130,6 +130,9 @@ def _cmd_sq(args) -> int:
         raise ValueError(f"--p must lie in 0..{top}, got {args.p}")
     if args.i is not None and args.i < 0:
         raise ValueError(f"--i must be nonnegative, got {args.i}")
+    lowest = args.p if args.p is not None else 0
+    if args.i is not None and lowest + args.i > top:
+        raise ValueError(f"--i {args.i} from degree {lowest} lands above degree {top}, the highest computed")
     table = DiagonalTable()
     complex_ = space.chains(F2)
     results = []

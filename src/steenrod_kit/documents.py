@@ -58,15 +58,19 @@ def _label_out(label: object) -> object:
 
 
 def _label_in(label: object) -> object:
-    if isinstance(label, list):
-        return tuple(_label_in(x) for x in label)
-    return label
+    """JSON lists back to tuples: a list of scalars in one ``tuple()`` call,
+    recursing only into nested lists."""
+    if not isinstance(label, list):
+        return label
+    if list in map(type, label):
+        return tuple(map(_label_in, label))
+    return tuple(label)
 
 
 def document_to_complex(doc: dict) -> ComplexLike:
     try:
         kind = doc["kind"]
-        cells = {int(n): [_label_in(l) for l in labels] for n, labels in doc["cells"].items()}
+        cells = {int(n): list(map(_label_in, labels)) for n, labels in doc["cells"].items()}
         faces = {
             (int(n), i): tuple(face_list)
             for n, per_cell in doc["faces"].items()

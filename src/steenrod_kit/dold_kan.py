@@ -20,12 +20,12 @@ step is exact (Smith form over ℤ, the sparse echelon engine over fields).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bar import BarElement
 from .chains import Cell, Chain, ChainComplex, GradedMap, TensorPair, chain_of, zero_chain
 from .diagonal import DiagonalTable, xi_cell
-from .linalg import IntegerSolver, SpanSolver, field_kernel, integer_kernel
+from .linalg import IntegerSolver, SpanSolver, _axpy, field_kernel, integer_kernel
 from .rings import Coefficient, Ring
 from .simplicial import (
     SimplicialSetPresentation,
@@ -37,38 +37,27 @@ from .simplicial import (
 Columns = List[Dict[int, Coefficient]]  # sparse columns of a linear map
 
 
+def _apply_columns(cols: Columns, entries: Iterable[Tuple[int, Coefficient]], p: int) -> Dict[int, Coefficient]:
+    """Σ x·cols[j] over the (j, x) pairs, as a sparse vector (mod p when p is
+    nonzero); entries that vanish are skipped."""
+    acc: Dict[int, Coefficient] = {}
+    for j, x in entries:
+        if x % p if p else x:
+            _axpy(acc, cols[j], x, p)
+    return acc
+
+
 def _compose(second: Columns, first: Columns, ring: Ring) -> Columns:
     """Columns of (second ∘ first)."""
-    out: Columns = []
-    for col in first:
-        acc: Dict[int, Coefficient] = {}
-        for mid, c1 in col.items():
-            for row, c2 in second[mid].items():
-                v = ring.add(acc.get(row, ring.zero), ring.mul(c1, c2))
-                if ring.is_zero(v):
-                    acc.pop(row, None)
-                else:
-                    acc[row] = v
-        out.append(acc)
-    return out
+    p = ring.characteristic
+    return [_apply_columns(second, col.items(), p) for col in first]
 
 
-def _identity_columns(rank: int, ring: Ring) -> Columns:
-    return [{i: ring.one} for i in range(rank)]
-
-
-def _columns_equal(a: Columns, b: Columns) -> bool:
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-
-def _apply_columns(cols: Columns, vec: Sequence[Coefficient], ring: Ring, nrows: int) -> List[Coefficient]:
-    out = [ring.zero] * nrows
-    for j, x in enumerate(vec):
-        if ring.is_zero(x):
-            continue
-        for row, c in cols[j].items():
-            out[row] = ring.add(out[row], ring.mul(x, c))
-    return out
+def _coerced(cols: Columns, ring: Ring) -> Columns:
+    """A copy of the columns with each entry as ``ring.coerce`` gives it and
+    the zeros dropped, as ``_apply_columns`` needs them."""
+    coerce, is_zero = ring.coerce, ring.is_zero
+    return [{r: x for r, y in col.items() if not is_zero(x := coerce(y))} for col in cols]
 
 
 class SimplicialAbelianGroup:
@@ -93,8 +82,8 @@ class SimplicialAbelianGroup:
     ):
         self.ring = ring
         self.levels: Dict[int, List[object]] = {n: list(v) for n, v in levels.items() if v}
-        self.face_maps = {k: [dict(c) for c in v] for k, v in face_maps.items()}
-        self.degeneracy_maps = {k: [dict(c) for c in v] for k, v in degeneracy_maps.items()}
+        self.face_maps = {k: _coerced(v, ring) for k, v in face_maps.items()}
+        self.degeneracy_maps = {k: _coerced(v, ring) for k, v in degeneracy_maps.items()}
         self.truncation_dim = truncation_dim
         self.name = name
         # (level, label) -> index of that generator in its level
@@ -108,10 +97,12 @@ class SimplicialAbelianGroup:
         return len(self.levels.get(n, []))
 
     def face(self, n: int, i: int) -> Columns:
-        return self.face_maps.get((n, i), [{} for _ in range(self.rank(n))])
+        cols = self.face_maps.get((n, i))
+        return [{} for _ in range(self.rank(n))] if cols is None else cols
 
     def degeneracy(self, n: int, i: int) -> Columns:
-        return self.degeneracy_maps.get((n, i), [{} for _ in range(self.rank(n))])
+        cols = self.degeneracy_maps.get((n, i))
+        return [{} for _ in range(self.rank(n))] if cols is None else cols
 
     def basis_cell(self, n: int, idx: int) -> Cell:
         return Cell(n, self.levels[n][idx])
@@ -125,7 +116,7 @@ class SimplicialAbelianGroup:
                     for i in range(j):
                         lhs = _compose(self.face(n - 1, i), self.face(n, j), ring)
                         rhs = _compose(self.face(n - 1, j - 1), self.face(n, i), ring)
-                        if not _columns_equal(lhs, rhs):
+                        if lhs != rhs:
                             raise ValueError(f"identity d_{i} d_{j} failed at level {n} of {self.name!r}")
             # s_i s_j = s_{j+1} s_i, i ≤ j
             if n + 2 <= self.truncation_dim:
@@ -133,7 +124,7 @@ class SimplicialAbelianGroup:
                     for i in range(j + 1):
                         lhs = _compose(self.degeneracy(n + 1, i), self.degeneracy(n, j), ring)
                         rhs = _compose(self.degeneracy(n + 1, j + 1), self.degeneracy(n, i), ring)
-                        if not _columns_equal(lhs, rhs):
+                        if lhs != rhs:
                             raise ValueError(f"identity s_{i} s_{j} failed at level {n} of {self.name!r}")
             # d_i s_j mixed identities
             if n + 1 <= self.truncation_dim:
@@ -142,12 +133,12 @@ class SimplicialAbelianGroup:
                     for i in range(n + 2):
                         got = _compose(self.face(n + 1, i), s, ring)
                         if i in (j, j + 1):
-                            want = _identity_columns(self.rank(n), ring)
+                            want = [{k: ring.one} for k in range(self.rank(n))]
                         elif i < j:
                             want = _compose(self.degeneracy(n - 1, j - 1), self.face(n, i), ring)
                         else:
                             want = _compose(self.degeneracy(n - 1, j), self.face(n, i - 1), ring)
-                        if not _columns_equal(got, want):
+                        if got != want:
                             raise ValueError(f"identity d_{i} s_{j} failed at level {n} of {self.name!r}")
 
 
@@ -158,20 +149,17 @@ class SimplicialAbelianGroup:
 
 def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
     """Degree-n module = level n, boundary = Σ (−1)^i d_i."""
-    ring = a.ring
-    signs = [ring.coerce(1), ring.coerce(-1)]
+    p = a.ring.characteristic
     basis: Dict[int, List[Cell]] = {n: [a.basis_cell(n, i) for i in range(a.rank(n))] for n in sorted(a.levels)}
     columns: Dict[int, Columns] = {}
     for n in sorted(a.levels):
-        columns[n] = []
-        for idx in range(a.rank(n)):
-            col: Dict[int, Coefficient] = {}
-            if n > 0 and a.rank(n - 1):
-                for i in range(n + 1):
-                    for row, c in a.face(n, i)[idx].items():
-                        col[row] = ring.add(col.get(row, ring.zero), ring.mul(signs[i % 2], c))
-            columns[n].append({row: c for row, c in col.items() if not ring.is_zero(c)})
-    return ChainComplex.from_columns(ring, basis, columns, a.truncation_dim)
+        if n == 0 or not a.rank(n - 1):
+            columns[n] = [{} for _ in range(a.rank(n))]
+            continue
+        signs = [(i, -1 if i % 2 else 1) for i in range(n + 1)]
+        # per generator, its n+1 face columns, summed with alternating signs
+        columns[n] = [_apply_columns(faces, signs, p) for faces in zip(*(a.face(n, i) for i in range(n + 1)))]
+    return ChainComplex.from_columns(a.ring, basis, columns, a.truncation_dim)
 
 
 def _kernel_basis(rows: List[List[Coefficient]], ncols: int, ring: Ring) -> List[List[Coefficient]]:
@@ -226,11 +214,11 @@ def _normalized_data(
             columns[n] = [{} for _ in kernels[n]]
             continue
         expresser = _Expresser(kernels[n - 1], a.rank(n - 1), ring)
-        sign = ring.coerce(-1 if n % 2 else 1)
+        sign = -1 if n % 2 else 1
         columns[n] = []
         for vec in kernels[n]:
-            image = _apply_columns(a.face(n, n), vec, ring, a.rank(n - 1))
-            coords = expresser.express([ring.mul(sign, x) for x in image])
+            image = _apply_columns(a.face(n, n), ((j, sign * x) for j, x in enumerate(vec)), ring.characteristic)
+            coords = expresser.express([image.get(t, 0) for t in range(a.rank(n - 1))])
             columns[n].append({t: c for t, c in enumerate(coords) if not ring.is_zero(c)})
     return ChainComplex.from_columns(ring, basis, columns, a.truncation_dim), kernels
 
@@ -277,19 +265,16 @@ def gamma(c: ChainComplex, truncation: int, name: str = "") -> SimplicialAbelian
                 cols: Columns = []
                 for (_, word, n, j) in levels[m]:
                     new_word, missing = compose_face(word, m, i)
-                    col: Dict[int, Coefficient] = {}
                     if missing is None:
-                        col[index[(m - 1, new_word, n, j)]] = ring.one
-                    elif missing == n:
-                        sign = ring.coerce(-1 if n % 2 else 1)
-                        for t, coeff in c.boundary_matrix(n)[j].items():
-                            row = index[(m - 1, new_word, n - 1, t)]
-                            v = ring.add(col.get(row, ring.zero), ring.mul(sign, coeff))
-                            if ring.is_zero(v):
-                                col.pop(row, None)
-                            else:
-                                col[row] = v
-                    cols.append(col)
+                        cols.append({index[(m - 1, new_word, n, j)]: ring.one})
+                    elif missing == n:  # distinct t give distinct rows, so nothing cancels
+                        sign = -1 if n % 2 else 1
+                        cols.append({
+                            index[(m - 1, new_word, n - 1, t)]: ring.mul(sign, coeff)
+                            for t, coeff in c.boundary_matrix(n)[j].items()
+                        })
+                    else:
+                        cols.append({})
                 face_maps[(m, i)] = cols
             if m + 1 <= truncation:
                 degeneracy_maps[(m, i)] = [
@@ -313,11 +298,14 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
         # coordinates of the identity-word summand C_m inside level m
         return [vec[g.position[(m, ("G", (), m, j))]] for j in range(c.rank(m))]
 
+    p = ring.characteristic
+    lower: Columns = []  # the projections of the basis of N_{m−1}
     for m in range(min(truncation, top + 1) + 1):
         vecs = kernels.get(m, [])
         if len(vecs) != c.rank(m):
             return False
         if not vecs:
+            lower = []
             continue
         projected = [project(m, v) for v in vecs]
         # bijectivity of the projection restricted to N
@@ -334,25 +322,11 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
                 if solver.solve(unit) is None:
                     return False
         # the projection intertwines ∂_N with ∂_C
-        if m == 0:
-            continue
-        lower = kernels.get(m - 1, [])
-        for j, vec in enumerate(vecs):
-            dense = [ring.zero] * g.rank(m - 1)
-            for t, coeff in normalized.boundary_matrix(m)[j].items():
-                for pos, x in enumerate(lower[t]):
-                    dense[pos] = ring.add(dense[pos], ring.mul(coeff, x))
-            left = project(m - 1, dense)
-            # ∂_C applied to the projection of vec
-            proj = project(m, vec)
-            right = [ring.zero] * c.rank(m - 1)
-            for jj, x in enumerate(proj):
-                if ring.is_zero(x):
-                    continue
-                for t, coeff in c.boundary_matrix(m)[jj].items():
-                    right[t] = ring.add(right[t], ring.mul(x, coeff))
-            if left != right:
+        for j, proj in enumerate(projected if m else ()):
+            left = _apply_columns(lower, normalized.boundary_matrix(m)[j].items(), p)
+            if left != _apply_columns(c.boundary_matrix(m), enumerate(proj), p):
                 return False
+        lower = [{i: x for i, x in enumerate(v) if x} for v in projected]
     return True
 
 
@@ -463,6 +437,7 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
     target, kernels = _normalized_data(a)
     source = x.normalized_chains(ring)
     expressers: Dict[int, _Expresser] = {}
+    p = ring.characteristic
 
     def action(basis: Cell) -> Chain:
         n = basis.degree
@@ -471,15 +446,13 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
         pos = a.position.get((n, basis.label))
         if pos is None:  # the basepoint chain itself
             return zero_chain(ring, n)
-        vec = [ring.zero] * a.rank(n)
-        vec[pos] = ring.one
+        vec = {pos: ring.one}
         for i in range(n):  # P = Π (1 − s_i d_i), innermost i = 0
-            down = _apply_columns(a.face(n, i), vec, ring, a.rank(n - 1))
-            back = _apply_columns(a.degeneracy(n - 1, i), down, ring, a.rank(n))
-            vec = [ring.add(u, ring.neg(v)) for u, v in zip(vec, back)]
+            down = _apply_columns(a.face(n, i), vec.items(), p)
+            _axpy(vec, _apply_columns(a.degeneracy(n - 1, i), down.items(), p), -1, p)
         if n not in expressers:
             expressers[n] = _Expresser(kernels[n], a.rank(n), ring)
-        coords = expressers[n].express(vec)
+        coords = expressers[n].express([vec.get(t, 0) for t in range(a.rank(n))])
         terms = {
             target.basis_in(n)[t]: c for t, c in enumerate(coords) if not ring.is_zero(c)
         }

@@ -8,10 +8,11 @@ sparsely, and only the residual block, which holds no unit entry, goes
 through the dense ``smith_normal_form``.  Every field computation (kernels,
 ranks, span solves, (co)homology) runs on ``_reduce``, which reduces vectors
 (dicts ``{index: nonzero entry}``, or 𝔽₂ int bitsets) left to right by the
-pivots of the earlier ones.  Kernels reduce the columns of a map by
-highest-index pivots (the persistence order) and log each step, which yields
-the canonical kernel vector of each column that reduces to zero; images and
-span solves use lowest-index pivots.
+pivots of the earlier ones; over ℚ an entry is an int, as ``Ring.coerce``
+gives it, until a pivot's inverse makes it a fraction.  Kernels reduce the
+columns of a map by highest-index pivots (the persistence order) and log
+each step, which yields the canonical kernel vector of each column that
+reduces to zero; images and span solves use lowest-index pivots.
 """
 
 from __future__ import annotations
@@ -365,15 +366,15 @@ class _BitVectors:
 
 class _SparseVectors:
     """Vectors over ℚ or 𝔽_p as dicts of nonzero entries; ``sub`` (v − c·w)
-    updates v in place.  Over ℚ a whole entry is kept as an int
-    (``Ring.plain``) until a division makes it a fraction."""
+    updates v in place.  Over ℚ a whole entry is an int, as ``Ring.coerce``
+    and ``Ring.inv`` give it, until a division makes it a fraction."""
 
     def __init__(self, ring: Ring):
         self.ring, self.p = ring, ring.p
 
     def pack(self, entries: Iterable[Tuple[int, Coefficient]]) -> Dict[int, Coefficient]:
         ring = self.ring
-        coerced = ((j, ring.plain(ring.coerce(x))) for j, x in entries)
+        coerced = ((j, ring.coerce(x)) for j, x in entries)
         return {j: x for j, x in coerced if not ring.is_zero(x)}
 
     low, high = staticmethod(min), staticmethod(max)
@@ -383,7 +384,7 @@ class _SparseVectors:
         return v.get(j, self.ring.zero)
 
     def inverse(self, v: Dict[int, Coefficient], j: int) -> Coefficient:
-        return self.ring.plain(self.ring.inv(v[j]))
+        return self.ring.inv(v[j])
 
     def factor(self, v: Dict[int, Coefficient], j: int, inv: Coefficient) -> Coefficient:
         return self.ring.mul(v[j], inv)
@@ -570,7 +571,7 @@ def _homology_field(ring, out_cols, in_cols, rank_here) -> HomologyDescriptor:
         total = ops.pack(())  # packing only the columns the cycle touches
         for j, x in enumerate(cycle):
             if not ring.is_zero(x):
-                total = ops.sub(total, ops.pack(out_cols[j].items()), -ring.plain(x))
+                total = ops.sub(total, ops.pack(out_cols[j].items()), -ring.coerce(x))
         if total:
             return None
         y = _clear(ops, ring, ops.restrict(ops.pack(enumerate(cycle)), keep), ascending)

@@ -1,9 +1,12 @@
 """Exact coefficient rings: the integers, prime fields, and the rationals.
 
 Every computation in the package is exact; no floating point is used
-anywhere.  Ring elements are plain Python values (``int`` for the integers
-and prime fields, ``fractions.Fraction`` for the rationals) and a ``Ring``
-instance supplies the arithmetic, so chains can stay lightweight.
+anywhere.  Ring elements are plain Python values and a ``Ring`` instance
+supplies the arithmetic, so chains can stay lightweight.  Integers and
+prime-field elements are ``int``s; a rational is an ``int`` when it is whole
+(``zero``, ``one``, ``coerce`` and ``inv`` return one whenever they can,
+since int arithmetic is many times faster) and a ``fractions.Fraction`` only
+when a division made it non-whole.  ``inv`` is the only division.
 """
 
 from __future__ import annotations
@@ -81,16 +84,13 @@ class Ring:
         return self.p if self.kind == _PRIME_FIELD else 0
 
     # --- element arithmetic ----------------------------------------------
-    @property
-    def zero(self) -> Coefficient:
-        return Fraction(0) if self.kind == _RATIONALS else 0
-
-    @property
-    def one(self) -> Coefficient:
-        return Fraction(1) if self.kind == _RATIONALS else 1
+    zero = 0
+    one = 1
 
     def coerce(self, value: Coefficient) -> Coefficient:
         """Map an integer (or Fraction, for ℚ) into this ring."""
+        if type(value) is int:
+            return value % self.p if self.kind == _PRIME_FIELD else value
         if self.kind == _INTEGERS:
             if isinstance(value, Fraction):
                 if value.denominator != 1:
@@ -98,7 +98,8 @@ class Ring:
                 return int(value)
             return int(value)
         if self.kind == _RATIONALS:
-            return Fraction(value)
+            q = Fraction(value)
+            return q.numerator if q.denominator == 1 else q
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
@@ -122,15 +123,10 @@ class Ring:
         if self.kind == _PRIME_FIELD:
             return pow(a, -1, self.p)
         if self.kind == _RATIONALS:
-            return Fraction(1) / a
+            return self.coerce(Fraction(1) / a)
         if a in (1, -1):
             return a
         raise ZeroDivisionError(f"{a} is not a unit in the integers")
-
-    def plain(self, a: Coefficient) -> Coefficient:
-        """``a`` as an int when it is a whole rational: Fraction arithmetic
-        accepts ints, and int arithmetic is many times faster."""
-        return a.numerator if self.kind == _RATIONALS and a.denominator == 1 else a
 
     def is_zero(self, a: Coefficient) -> bool:
         return (a % self.p == 0) if self.kind == _PRIME_FIELD else a == 0

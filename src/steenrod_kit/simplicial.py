@@ -17,6 +17,7 @@ underlying monotone map repeats a value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chains import Cell, ChainComplex
@@ -50,23 +51,27 @@ def is_surjective_onto(f: Sequence[int], n: int) -> bool:
     return set(f) == set(range(n + 1))
 
 
+@lru_cache(maxsize=None)
 def compose_degeneracy(word: Word, m: int, i: int) -> Word:
     """Canonical word of s_i ∘ (the surjection [m]↠[m−j] given by ``word``).
 
-    The result is a surjection [m+1]↠[m−j].
+    The result is a surjection [m+1]↠[m−j].  Computed once per (word, m, i):
+    every cell over the same surjection shares it.
     """
     f = word_to_map(word, m)
     g = f[: i + 1] + f[i:]  # precompose with the codegeneracy repeating slot i
     return map_to_word(g)
 
 
+@lru_cache(maxsize=None)
 def compose_face(word: Word, m: int, i: int) -> Tuple[Word, Optional[int]]:
     """Factor (surjection given by ``word``) ∘ δ_i through its epi-mono pieces.
 
     Returns (word', v): if v is None, the composite [m−1]→[n] is onto and
     ``word'`` is its canonical word; otherwise the composite misses the single
     value v, the factorization is δ_v ∘ (surjection with word ``word'``), and
-    the caller must take the v-th face of the underlying cell.
+    the caller must take the v-th face of the underlying cell.  Computed once
+    per (word, m, i), like ``compose_degeneracy``.
     """
     f = word_to_map(word, m)
     g = f[:i] + f[i + 1 :]

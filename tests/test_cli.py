@@ -93,7 +93,10 @@ def test_sq_computes_each_cohomology_group_once(capsys, corpus_file, monkeypatch
     assert len(calls) == 3  # H^0, H^1 and H^2, shared by every square
 
 
-@pytest.mark.parametrize("argv", [["--p", "7"], ["--p", "-1"], ["--i", "-1"], ["--i", "-1", "--p", "1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--p", "7"], ["--p", "-1"], ["--i", "-1"], ["--i", "-1", "--p", "1"], ["--i", "9"], ["--i", "2", "--p", "1"]],
+)
 def test_sq_argument_out_of_range_is_an_input_error(argv, capsys, corpus_file):
     assert main(["sq", "--input", corpus_file("rp2")] + argv) == EXIT_INPUT
     captured = capsys.readouterr()

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steenrod_kit.chains import Cell, Chain, ChainComplex, hom_differential
 from steenrod_kit.diagonal import DiagonalTable
 from steenrod_kit.documents import load_corpus
 from steenrod_kit.dold_kan import (
     SimplicialAbelianGroup,
+    _compose,
     chain_hurewicz,
     dold_kan_round_trip,
     free_simplicial_abelian,
@@ -19,7 +21,7 @@ from steenrod_kit.dold_kan import (
     pointed_unnormalized_chains,
 )
 from steenrod_kit.homology import homology
-from steenrod_kit.rings import F2, QQ, ZZ
+from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 from steenrod_kit.simplicial import freely_add_degeneracies, point_complex, standard_delta
 from steenrod_kit.suite import _random_complex
 
@@ -55,6 +57,64 @@ def test_validation_catches_broken_identities():
             {(0, 0): [{0: 1}]},
             1,
         )
+
+
+def _two_vertex_group(ring, s0_of_a, d1_of_w=1):
+    # vertices a, b; edges x, y, z, w with d_0 = d_1 = (a, b, b, b), except
+    # that d_1 w = d1_of_w·b; s_0 a = s0_of_a and s_0 b = w
+    return SimplicialAbelianGroup(
+        ring,
+        {0: ["a", "b"], 1: ["x", "y", "z", "w"]},
+        {(1, 0): [{0: 1}, {1: 1}, {1: 1}, {1: 1}], (1, 1): [{0: 1}, {1: 1}, {1: 1}, {1: d1_of_w}]},
+        {(0, 0): [s0_of_a, {3: 1}]},
+        1,
+        name="two-vertex",
+    )
+
+
+def test_validation_cancels_entries_in_the_ring():
+    # d_i s_0 a = a + b + 2b: the identity holds only once b's entry 1 + 2 cancels mod 3
+    s0_of_a = {0: 1, 1: 1, 2: 2}
+    assert _two_vertex_group(F3, s0_of_a).rank(1) == 4
+    for ring in (QQ, ZZ):
+        with pytest.raises(ValueError, match="d_0 s_0"):
+            _two_vertex_group(ring, s0_of_a)
+
+
+@pytest.mark.parametrize("ring", [F3, QQ])
+def test_validation_catches_a_factor_two(ring):
+    assert _two_vertex_group(ring, {0: 1}).rank(0) == 2
+    with pytest.raises(ValueError, match="d_1 s_0"):
+        _two_vertex_group(ring, {0: 1}, d1_of_w=2)  # d_1 s_0 b = 2b
+
+
+@st.composite
+def _composable(draw):
+    """(ring, k, second, first): sparse columns of a k×m and an m×n matrix
+    over ℤ, ℚ or 𝔽₅, entries as ``ring.coerce`` gives them, zeros dropped."""
+    ring = draw(st.sampled_from([ZZ, QQ, F5]))
+    scalars = st.integers(-4, 4) if ring == ZZ else st.fractions(-4, 4, max_denominator=3)
+
+    def columns(nrows, ncols):
+        drawn = [draw(st.dictionaries(st.integers(0, nrows - 1), scalars, max_size=nrows)) for _ in range(ncols)]
+        return [{r: x for r, y in col.items() if not ring.is_zero(x := ring.coerce(y))} for col in drawn]
+
+    k, m, n = (draw(st.integers(1, 5)) for _ in range(3))
+    return ring, k, columns(k, m), columns(m, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_composable())
+def test_compose_equals_the_dense_product(case):
+    ring, k, second, first = case
+    dense = lambda cols, nrows: [[col.get(r, 0) for col in cols] for r in range(nrows)]
+    a, b = dense(second, k), dense(first, len(second))
+    product = [[sum(a[r][t] * b[t][j] for t in range(len(second))) for j in range(len(first))] for r in range(k)]
+    if ring.characteristic:
+        product = [[x % ring.characteristic for x in row] for row in product]
+    composed = _compose(second, first, ring)
+    assert dense(composed, k) == product
+    assert all(not ring.is_zero(x) for col in composed for x in col.values())
 
 
 def test_gamma_level_ranks():

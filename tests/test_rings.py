@@ -40,7 +40,10 @@ def test_rational_arithmetic():
     half = QQ.coerce(Fraction(1, 2))
     assert QQ.add(half, half) == 1
     assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert QQ.zero == 0 and isinstance(QQ.one, Fraction)
+    assert QQ.zero == 0
+    # a whole rational is an int; only a division that leaves one makes a Fraction
+    assert type(QQ.one) is int and type(QQ.coerce(Fraction(4, 2))) is int
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(-1)) is int
 
 
 def test_predicates():
