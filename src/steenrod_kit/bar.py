@@ -1,5 +1,5 @@
-"""The normalized bar resolution of S₂, symmetric-group utilities, block
-composition, and the composition-to-iterated-coproduct law.
+"""The normalized bar resolution of S₂, symmetric-group utilities and block
+composition.
 
 The resolution has one free ℤS₂ generator e_n per degree; its differential is
 pinned by the requirements that the diagonal recursion be a chain map and
@@ -15,7 +15,7 @@ change e_n ↦ −e_n for n ≥ 1 (so ∂² = 0 is inherited).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .chains import BarElement, BasisElement, Chain, TensorPair, e
 from .rings import Coefficient, Ring
@@ -143,61 +143,3 @@ def block_compose(sigma: Permutation, thetas: Sequence[Permutation]) -> Permutat
         direct_sum_images.extend(starts[i] + theta(j) for j in range(1, theta.size + 1))
     direct_sum = Permutation(tuple(direct_sum_images))
     return block.compose(direct_sum)
-
-
-# ---------------------------------------------------------------------------
-# Iterated coproducts from operadic recipes
-# ---------------------------------------------------------------------------
-
-
-def _flatten(basis: BasisElement) -> Tuple[BasisElement, ...]:
-    if isinstance(basis, TensorPair):
-        return _flatten(basis.left) + _flatten(basis.right)
-    return (basis,)
-
-
-def _nest(factors: Sequence[BasisElement]) -> BasisElement:
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = TensorPair(f, out)
-    return out
-
-
-def iterated_coproduct(recipe: Sequence[Tuple[int, object]], base: object, x: Chain) -> Chain:
-    """Evaluate the coproduct of an operadic composite on a chain.
-
-    ``base`` and every map id in ``recipe`` is a callable sending a basis
-    element to a Chain of tensor pairs (a diagonal C → C⊗C, degree = the
-    bar level of the map).  The recipe entries (slot, map) are applied left to
-    right: each step applies its diagonal to the ``slot``-th tensor factor
-    (1-based), with the Koszul sign for moving the map past earlier factors.
-    Output factors are right-nested tensor pairs.
-    """
-    ring = x.ring
-
-    def apply_diagonal(chain: Chain, slot: int, diag, degree_raise: int) -> Chain:
-        acc: Dict[BasisElement, Coefficient] = {}
-        for basis, coeff in chain.terms.items():
-            factors = _flatten(basis)
-            if not 1 <= slot <= len(factors):
-                raise IndexError(f"slot {slot} out of range for {len(factors)} factors")
-            before = factors[: slot - 1]
-            sign = 1
-            if degree_raise % 2:
-                crossed = sum(f.degree for f in before)
-                sign = -1 if crossed % 2 else 1
-            expanded = diag(factors[slot - 1])
-            for term, c2 in expanded.terms.items():
-                new_factors = before + _flatten(term) + factors[slot:]
-                key = _nest(new_factors)
-                contrib = ring.mul(ring.mul(coeff, c2), ring.coerce(sign))
-                acc[key] = ring.add(acc.get(key, ring.zero), contrib)
-        return Chain(ring, chain.degree + degree_raise, acc)
-
-    def degree_of(diag) -> int:
-        return getattr(diag, "degree_raise", 0)
-
-    out = apply_diagonal(x, 1, base, degree_of(base)) if base is not None else x
-    for slot, diag in recipe:
-        out = apply_diagonal(out, slot, diag, degree_of(diag))
-    return out

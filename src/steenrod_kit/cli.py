@@ -3,7 +3,9 @@
     steenrod-kit <diag|sq|homology|info|verify> [options]
 
 Exit codes: 0 = all requested checks passed, 1 = verification failures,
-2 = input error (unreadable file, malformed document, bad arguments).
+2 = input error (unreadable file, malformed document, bad arguments),
+3 = internal error (any other exception, reported on one line: a fault of
+the program, not of its input).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .rings import F2, Ring, ZZ
 from .simplicial import DeltaComplex, SimplicialSetPresentation, core, forget_degeneracies, is_degeneracy_free
 from .suite import SuiteConfig, run_suite
 
-EXIT_OK, EXIT_FAIL, EXIT_INPUT = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,6 +238,9 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the program: one line, no traceback, its own code
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Cochains, cup-i products, and Steenrod squares on delta-complex cells.
 
+A cochain is a vector over the basis of one degree; on a delta-complex's
+chains, index k of degree n is the n-cell k, so cup-i reads cochain values
+through per-dimension face index lists and builds no cell object.
+
 A cup-i product is the pairing dual to the level-i diagonal:
 
     (u ⌣_i v)(σ) = (u⊗v)(ξ(e_i⊗σ)),
@@ -14,74 +18,71 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from .chains import Cell, Chain, ChainComplex
+from .chains import ChainComplex
 from .diagonal import DiagonalTable
-from .homology import cohomology, vector_from_chain
+from .homology import cohomology
 from .linalg import HomologyDescriptor
 from .rings import Coefficient, Ring
 from .simplicial import DeltaComplex
 
 
 class Cochain:
-    """A linear functional on one degree of a complex, given by its values on
-    basis elements (missing entries are zero)."""
+    """A linear functional on one degree of a complex, kept as its values in
+    basis order: entry k is the value on the k-th basis element."""
 
     def __init__(self, complex_: ChainComplex, degree: int, values: Dict[object, Coefficient]):
-        self.complex = complex_
-        self.degree = degree
+        """The functional with the given values on basis elements (missing
+        entries are zero)."""
+        self.complex, self.degree = complex_, degree
         ring = complex_.ring
-        self.values = {}
+        self._vector = [ring.zero] * complex_.rank(degree)
         for basis, coeff in values.items():
             coeff = ring.coerce(coeff)
             if ring.is_zero(coeff):
                 continue
             if basis.degree != degree:
                 raise ValueError(f"value on {basis} of degree {basis.degree} in a degree-{degree} cochain")
-            self.values[basis] = coeff
+            self._vector[complex_.index_of(basis)] = coeff
+
+    @staticmethod
+    def from_vector(complex_: ChainComplex, degree: int, vector) -> "Cochain":
+        return Cochain._wrap(complex_, degree, list(map(complex_.ring.coerce, vector)))
+
+    @staticmethod
+    def _wrap(complex_: ChainComplex, degree: int, vector: List[Coefficient]) -> "Cochain":
+        """The cochain with this vector of ring elements, kept as it is."""
+        cochain = Cochain.__new__(Cochain)
+        cochain.complex, cochain.degree, cochain._vector = complex_, degree, vector
+        return cochain
 
     @property
     def ring(self) -> Ring:
         return self.complex.ring
 
-    def evaluate(self, chain: Chain) -> Coefficient:
-        ring = self.ring
-        total = ring.zero
-        for basis, coeff in chain.terms.items():
-            value = self.values.get(basis)
-            if value is not None:
-                total = ring.add(total, ring.mul(coeff, value))
-        return total
+    @property
+    def values(self) -> Dict[object, Coefficient]:
+        """The nonzero values, by basis element."""
+        basis, is_zero = self.complex.basis_in(self.degree), self.ring.is_zero
+        return {basis[k]: x for k, x in enumerate(self._vector) if not is_zero(x)}
+
+    def vector(self) -> List[Coefficient]:
+        return list(self._vector)
 
     def coboundary(self) -> "Cochain":
         """(δu)(σ) = u(∂σ), summed over the columns of δ at the support of u."""
         ring, complex_ = self.ring, self.complex
-        upper = complex_.basis_in(self.degree + 1)
-        values: Dict[object, Coefficient] = {}
-        for x, col in zip(self.vector(), complex_.coboundary_matrix(self.degree)):
+        out = [ring.zero] * complex_.rank(self.degree + 1)
+        for x, col in zip(self._vector, complex_.coboundary_matrix(self.degree)):
             if not ring.is_zero(x):
                 for k, c in col.items():
-                    values[upper[k]] = ring.add(values.get(upper[k], ring.zero), ring.mul(x, c))
-        return Cochain(complex_, self.degree + 1, values)
+                    out[k] = ring.add(out[k], ring.mul(x, c))
+        return Cochain._wrap(complex_, self.degree + 1, out)
 
     def is_cocycle(self) -> bool:
-        return not self.coboundary().values
+        return all(map(self.ring.is_zero, self.coboundary()._vector))
 
     def __add__(self, other: "Cochain") -> "Cochain":
-        ring = self.ring
-        values = dict(self.values)
-        for basis, coeff in other.values.items():
-            values[basis] = ring.add(values.get(basis, ring.zero), coeff)
-        return Cochain(self.complex, self.degree, values)
-
-    def vector(self) -> List[Coefficient]:
-        ring = self.ring
-        return [self.values.get(b, ring.zero) for b in self.complex.basis_in(self.degree)]
-
-    @staticmethod
-    def from_vector(complex_: ChainComplex, degree: int, vector) -> "Cochain":
-        return Cochain(
-            complex_, degree, dict(zip(complex_.basis_in(degree), vector))
-        )
+        return Cochain._wrap(self.complex, self.degree, list(map(self.ring.add, self._vector, other._vector)))
 
     def __str__(self) -> str:
         parts = [
@@ -100,7 +101,10 @@ def cup_i(
     """(u ⌣_i v)(σ) = (u⊗v)(ξ(e_i⊗σ)) on the cells of a delta-complex.
 
     ``u`` and ``v`` must live on ``space.chains(ring)`` (equivalently, the
-    normalized chains of the freely-degenerate presentation of ``space``).
+    normalized chains of the freely-degenerate presentation of ``space``),
+    whose basis index k is cell k.  The terms of ξ(e_i⊗Δⁿ) in the bidegree
+    of u⊗v are taken once, and each of their vertex subsets becomes the index
+    of that face of every n-cell, so u and v are read by index throughout.
     Out-of-range i (negative, or exceeding min(deg u, deg v)) yields the zero
     cochain: the diagonal has no terms in the required bidegree.
     """
@@ -108,30 +112,18 @@ def cup_i(
         raise ValueError("cochains over different rings")
     ring = u.ring
     p, q = u.degree, v.degree
-    out_degree = p + q - i
-    complex_ = u.complex
-    values: Dict[object, Coefficient] = {}
-    if i < 0 or out_degree < 0:
-        return Cochain(complex_, max(out_degree, 0), {})
-    eval_sign = ring.coerce(-1 if (p * q) % 2 else 1)  # (−1)^{deg v·deg a} with deg a = p
-    for idx in range(space.n_cells(out_degree)):
-        total = ring.zero
-        for (a, b), coeff in table.raw(i, out_degree).items():
-            if len(a) - 1 != p or len(b) - 1 != q:
-                continue
-            da, ia = space.iterated_face(out_degree, idx, a)
-            db, ib = space.iterated_face(out_degree, idx, b)
-            left = u.values.get(space.basis_cell(da, ia))
-            if left is None:
-                continue
-            right = v.values.get(space.basis_cell(db, ib))
-            if right is None:
-                continue
-            total = ring.add(total, ring.mul(ring.coerce(coeff), ring.mul(left, right)))
-        total = ring.mul(total, eval_sign)
-        if not ring.is_zero(total):
-            values[space.basis_cell(out_degree, idx)] = total
-    return Cochain(complex_, out_degree, values)
+    n = p + q - i
+    if i < 0 or n < 0:
+        return Cochain(u.complex, max(n, 0), {})
+    terms = [(a, b, ring.coerce(c)) for (a, b), c in table.raw(i, n).items() if len(a) == p + 1 and len(b) == q + 1]
+    faces = {keep: space.face_indices(n, keep) for keep in {k for a, b, _ in terms for k in (a, b)}}
+    out = [ring.zero] * space.n_cells(n)
+    for a, b, c in terms:
+        for k, x, y in zip(range(len(out)), map(u._vector.__getitem__, faces[a]), map(v._vector.__getitem__, faces[b])):
+            if not (ring.is_zero(x) or ring.is_zero(y)):
+                out[k] = ring.add(out[k], ring.mul(c, ring.mul(x, y)))
+    sign = ring.coerce(-1 if (p * q) % 2 else 1)  # (−1)^{deg v·deg a} with deg a = p
+    return Cochain._wrap(u.complex, n, [ring.mul(x, sign) for x in out])
 
 
 def steenrod_square(

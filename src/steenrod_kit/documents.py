@@ -3,13 +3,16 @@
 A complex document is a single JSON object describing either a delta-complex
 (``kind: "delta"``: cells per dimension with face-index lists) or a
 simplicial-set presentation (``kind: "simplicial"``: additionally degeneracy
-tables, a strictness flag, and an optional basepoint).  Face identities are
-validated on load by the constructors.
+tables, a strictness flag, and an optional basepoint).  A dimension's face
+(and degeneracy) lists load as one list of index tuples, the form the
+constructors keep; they check its length, its entries and the face
+identities.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -31,17 +34,12 @@ def complex_to_document(obj: ComplexLike) -> dict:
         "name": obj.name,
         "truncation_dim": obj.truncation_dim,
         "cells": {str(n): [_label_out(l) for l in obj.cells[n]] for n in sorted(obj.cells)},
-        "faces": {
-            str(n): [list(obj.faces[(n, i)]) for i in range(len(obj.cells[n]))]
-            for n in sorted(obj.cells)
-        },
+        "faces": {str(n): list(map(list, obj.faces[n])) for n in sorted(obj.cells)},
     }
     if isinstance(obj, SimplicialSetPresentation):
         doc["kind"] = "simplicial"
         doc["degeneracies"] = {
-            str(n): [list(obj.degeneracies[(n, i)]) for i in range(len(obj.cells[n]))]
-            for n in sorted(obj.cells)
-            if (n, 0) in obj.degeneracies
+            str(n): list(map(list, obj.degeneracies[n])) for n in sorted(obj.cells) if n in obj.degeneracies
         }
         doc["strict"] = obj.strict
         if obj.basepoint is not None:
@@ -67,26 +65,28 @@ def _label_in(label: object) -> object:
     return tuple(label)
 
 
+def _labels_in(labels: list) -> list:
+    """A dimension's labels, as ``_label_in`` gives them: when all are lists
+    of scalars, one ``tuple()`` call each."""
+    if set(map(type, labels)) == {list} and list not in set(map(type, chain.from_iterable(labels))):
+        return list(map(tuple, labels))
+    return list(map(_label_in, labels))
+
+
 def document_to_complex(doc: dict) -> ComplexLike:
     try:
         kind = doc["kind"]
-        cells = {int(n): list(map(_label_in, labels)) for n, labels in doc["cells"].items()}
-        faces = {
-            (int(n), i): tuple(face_list)
-            for n, per_cell in doc["faces"].items()
-            for i, face_list in enumerate(per_cell)
-        }
-        degeneracies = {
-            (int(n), i): tuple(deg_list)
-            for n, per_cell in doc.get("degeneracies", {}).items()
-            for i, deg_list in enumerate(per_cell)
-        }
+        cells = {int(n): _labels_in(labels) for n, labels in doc["cells"].items()}
+        faces = {int(n): list(map(tuple, per_cell)) for n, per_cell in doc["faces"].items()}
+        degeneracies = {int(n): list(map(tuple, per_cell)) for n, per_cell in doc.get("degeneracies", {}).items()}
         truncation = doc.get("truncation_dim", max(cells) if cells else 0)
         name = doc.get("name", "")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed complex document: {exc}") from exc
     if type(truncation) is not int or truncation < 0:
         raise ValueError(f"malformed complex document: truncation_dim must be an integer ≥ 0, not {truncation!r}")
+    if not isinstance(name, str):
+        raise ValueError(f"malformed complex document: name must be a string, not {name!r}")
     if kind == "delta":
         return DeltaComplex(cells, faces, truncation, name=name)
     if kind == "simplicial":

@@ -162,10 +162,10 @@ def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
     return ChainComplex.from_columns(a.ring, basis, columns, a.truncation_dim)
 
 
-def _kernel_basis(rows: List[List[Coefficient]], ncols: int, ring: Ring) -> List[List[Coefficient]]:
+def _kernel_basis(columns: Columns, ring: Ring) -> List[List[Coefficient]]:
     if ring.is_field:
-        return field_kernel(rows, ncols, ring)
-    return integer_kernel(rows, ncols)
+        return field_kernel(columns, ring)
+    return integer_kernel(columns)
 
 
 class _Expresser:
@@ -198,13 +198,10 @@ def _normalized_data(
         if n == 0:
             kernels[0] = [[ring.one if i == j else ring.zero for i in range(r)] for j in range(r)]
             continue
-        rows: List[List[Coefficient]] = []
-        for i in range(n):
-            cols = a.face(n, i)
-            nrows = a.rank(n - 1)
-            for t in range(nrows):
-                rows.append([cols[j].get(t, ring.zero) for j in range(r)])
-        kernels[n] = _kernel_basis(rows, r, ring)
+        # column j of d_0 … d_{n−1} stacked, d_i's entries shifted down by i·rank(n−1)
+        faces, nrows = [a.face(n, i) for i in range(n)], a.rank(n - 1)
+        stacked = [{i * nrows + t: x for i, cols in enumerate(faces) for t, x in cols[j].items()} for j in range(r)]
+        kernels[n] = _kernel_basis(stacked, ring)
     basis: Dict[int, List[Cell]] = {}
     for n, vecs in kernels.items():
         basis[n] = [Cell(n, ("N", a.name, n, j)) for j in range(len(vecs))]
@@ -379,7 +376,7 @@ def free_simplicial_abelian(x: SimplicialSetPresentation, ring: Ring, pointed: b
                     target = x.face(n, idx, i)
                     cols.append({reindex[(n - 1, target)]: ring.one} if (n - 1, target) in reindex else {})
                 face_maps[(n, i)] = cols
-            if n + 1 <= x.truncation_dim and (n, 0) in x.degeneracies:
+            if n + 1 <= x.truncation_dim and n in x.degeneracies:
                 cols = []
                 for idx in range(x.n_cells(n)):
                     if (n, idx) not in reindex:

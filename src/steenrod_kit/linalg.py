@@ -304,10 +304,12 @@ def _sparse_rows(a: Matrix) -> List[SparseVector]:
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
-def integer_kernel(a: Matrix, ncols: int) -> List[Vector]:
-    """Basis of the kernel lattice of an integer matrix (a saturated summand):
-    the columns of V at the non-pivot columns."""
-    form = sparse_smith(_sparse_rows(a), ncols, v=True)
+def integer_kernel(columns: Sequence[SparseVector]) -> List[Vector]:
+    """Basis of the kernel lattice of the integer matrix with the given sparse
+    columns (a saturated summand): the columns of V at the non-pivot columns."""
+    ncols = len(columns)
+    nrows = 1 + max((max(col) for col in columns if col), default=-1)
+    form = sparse_smith(transpose(columns, nrows), ncols, v=True)
     pivot_cols = {c for _, c, _ in form.pivots}
     return [[form.v_cols[j].get(i, 0) for i in range(ncols)] for j in range(ncols) if j not in pivot_cols]
 
@@ -481,14 +483,14 @@ class SpanSolver:
         return [ring.coerce(ring.neg(ops.entry(work, ncols + i))) for i in range(self.ngen)]
 
 
-def field_kernel(rows: Matrix, ncols: int, ring: Ring) -> List[Vector]:
-    """Basis of the kernel of a row-matrix over a field: per column in the
-    span of the earlier ones, the vector with 1 there and 0 at the others."""
+def field_kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Vector]:
+    """Basis of the kernel of the matrix with the given sparse columns over a
+    field: per column in the span of the earlier ones, the vector with 1
+    there and 0 at the others."""
     ops = _vectors(ring)
     logs: List[list] = []
-    columns = (ops.pack((t, row[j]) for t, row in enumerate(rows)) for j in range(ncols))
-    kept = {k for k, _, _ in _reduce(ops, columns, top=True, logs=logs).values()}
-    return [_kernel_vector(ring, logs, f, ncols) for f in range(ncols) if f not in kept]
+    kept = {k for k, _, _ in _reduce(ops, (ops.pack(col.items()) for col in columns), top=True, logs=logs).values()}
+    return [_kernel_vector(ring, logs, f, len(columns)) for f in range(len(columns)) if f not in kept]
 
 
 # ---------------------------------------------------------------------------

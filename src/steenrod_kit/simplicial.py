@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .chains import Cell, ChainComplex
@@ -110,61 +112,84 @@ class FaceTable:
     """Cells per dimension with a face table: what delta-complexes and
     simplicial-set presentations share.
 
-    Subclasses provide ``cells`` ({dimension: labels}), ``faces`` ({(n, idx):
-    the n+1 face indices, () for a vertex}), ``truncation_dim`` and ``name``.
+    Subclasses provide ``cells`` ({dimension: labels}), ``faces`` ({dimension
+    n: list whose entry idx is the tuple of the n+1 face indices of cell idx,
+    () for a vertex}), ``truncation_dim`` and ``name``.  A cell is its index
+    in its dimension's lists throughout.
     """
+
+    def _own_tables(self) -> None:
+        """Drop empty dimensions; the vertex face table may be left out."""
+        self.cells = {n: list(v) for n, v in self.cells.items() if v}
+        self.faces = {0: [()] * self.n_cells(0), **self.faces}
 
     def n_cells(self, n: int) -> int:
         return len(self.cells.get(n, []))
 
     def face(self, n: int, idx: int, i: int) -> int:
-        return self.faces[(n, idx)][i]
+        return self.faces[n][idx][i]
 
     def iterated_face(self, n: int, idx: int, keep: Sequence[int]) -> Tuple[int, int]:
         """The face keeping the vertex positions in ``keep`` (increasing)."""
-        kept = set(keep)
         dim, cur = n, idx
         for j in range(n, -1, -1):
-            if j not in kept:
-                cur = self.faces[(dim, cur)][j]
+            if j not in keep:
+                cur = self.faces[dim][cur][j]
                 dim -= 1
         return dim, cur
+
+    def face_indices(self, n: int, keep: Sequence[int]) -> List[int]:
+        """``iterated_face(n, idx, keep)[1]`` for every n-cell idx, in order."""
+        out = range(self.n_cells(n))
+        for dim, j in enumerate(j for j in range(n, -1, -1) if j not in keep):
+            table = self.faces.get(n - dim, ())  # absent only when there are no n-cells
+            out = [table[x][j] for x in out]
+        return list(out)
 
     def basis_cell(self, n: int, idx: int) -> Cell:
         return Cell(n, (self.name, n, idx) if self.name else (n, idx))
 
-    def _validate_face_targets(self) -> None:
-        """Every cell of dimension n ≥ 1 has a list of n+1 integer face
-        indices, each naming a cell of dimension n−1."""
-        sizes = {n: len(labels) for n, labels in self.cells.items()}
-        for n, size in sizes.items():
-            for idx in range(size if n else 0):
-                if (n, idx) not in self.faces:
-                    raise ValueError(f"cell ({n},{idx}) has no face list")
-        for (n, idx), fs in self.faces.items():
-            expected = 0 if n == 0 else n + 1
-            if len(fs) != expected:
-                raise ValueError(f"cell ({n},{idx}) has {len(fs)} faces, expected {expected}")
-            below = sizes.get(n - 1, 0)
-            for i, target in enumerate(fs):
-                if type(target) is not int:
-                    raise ValueError(f"face d_{i} of cell ({n},{idx}) is {target!r}, not a cell index")
-                if not 0 <= target < below:
-                    raise ValueError(f"face d_{i} of cell ({n},{idx}) points at missing cell {target}")
+    def _check_tables(self, tables: Dict[int, list], required: Callable[[int], bool], kind: str) -> None:
+        """Each dimension's table (``kind`` "faces" or "degeneracies") has one
+        entry per cell, and each entry n+1 (a vertex's face entry: 0) integer
+        indices of cells one dimension down (faces) or up (degeneracies)."""
+        noun, op, step = ("face", "d", -1) if kind == "faces" else ("degeneracy", "s", 1)
+        for n in sorted(set(self.cells) | set(tables)):
+            size, have = self.n_cells(n), len(tables.get(n, ()))
+            if have < size and (n in tables or required(n)):
+                raise ValueError(f"cell ({n},{have}) has no {noun} list")
+            if have > size:
+                raise ValueError(f"dimension {n} has {have} {noun} lists for {size} cells")
+        for n, table in sorted(tables.items()):
+            width, below = (n + 1 if n or step > 0 else 0), self.n_cells(n + step)
+            flat = list(chain.from_iterable(table))
+            if set(map(len, table)) <= {width} and set(map(type, flat)) <= {int}:
+                if not flat or (min(flat) >= 0 and max(flat) < below):
+                    continue
+            for idx, entry in enumerate(table):
+                if len(entry) != width:
+                    extra = f", expected {width}" if step < 0 else ""
+                    raise ValueError(f"cell ({n},{idx}) has {len(entry)} {kind}{extra}")
+                for i, target in enumerate(entry):
+                    if type(target) is not int:
+                        raise ValueError(f"{noun} {op}_{i} of cell ({n},{idx}) is {target!r}, not a cell index")
+                    if not 0 <= target < below:
+                        raise ValueError(f"{noun} {op}_{i} of cell ({n},{idx}) points at missing cell {target}")
 
     def _validate_face_identities(self) -> None:
-        """d_i d_j = d_{j−1} d_i for i < j, on every cell."""
-        faces = self.faces
+        """d_i d_j = d_{j−1} d_i for i < j, on every cell: per pair (i, j),
+        the faces of all cells of a dimension are compared at once."""
         for n in sorted(self.cells):
             if n < 2:
                 continue
-            for idx in range(self.n_cells(n)):
-                fs = faces[(n, idx)]
-                for j in range(n + 1):
-                    below_j = faces[(n - 1, fs[j])]
-                    for i in range(j):
-                        if below_j[i] != faces[(n - 1, fs[i])][j - 1]:
-                            raise ValueError(f"face identity d_{i} d_{j} failed on cell ({n},{idx})")
+            table, lower = self.faces[n], self.faces[n - 1]
+            below = list(zip(*lower))  # below[i][x]: d_i of cell x
+            at = [itemgetter(*column) for column in zip(*table)]  # at[j](seq): seq at d_j of each cell
+            failed = [(j, i) for j in range(n + 1) for i in range(j) if at[j](below[i]) != at[i](below[j - 1])]
+            for idx, fs in enumerate(table if failed else ()):
+                for j, i in failed:
+                    if lower[fs[j]][i] != lower[fs[i]][j - 1]:
+                        raise ValueError(f"face identity d_{i} d_{j} failed on cell ({n},{idx})")
 
     def chains_from_faces(
         self, ring: Ring, kept: Callable[[int], List[int]], exhaustive: bool = False
@@ -175,22 +200,25 @@ class FaceTable:
         away) and repeated faces add up."""
         basis: Dict[int, List[Cell]] = {}
         columns: Dict[int, List[Dict[int, Coefficient]]] = {}
-        rows: Dict[int, Dict[int, int]] = {}  # per dimension, kept cell index -> its row
+        rows: Dict[int, Optional[List[Optional[int]]]] = {}  # per cell its row or None; None: all kept
         for n in sorted(self.cells):
-            indices = kept(n)
+            indices, table, lower = kept(n), self.faces[n], rows.get(n - 1)
             basis[n] = [self.basis_cell(n, idx) for idx in indices]
-            rows[n] = {idx: r for r, idx in enumerate(indices)}
-            lower = rows.get(n - 1, {})
+            rows[n] = None if len(indices) == len(table) else [None] * len(table)
+            for r, idx in enumerate(indices if rows[n] else ()):
+                rows[n][idx] = r
             # the signed sums that occur, each coerced once
             value = {s: c for s in range(-n - 1, n + 2) if not ring.is_zero(c := ring.coerce(s))}
-            cols = []
-            for idx in indices:
-                col: Dict[int, int] = {}
-                for i, f in enumerate(self.faces[(n, idx)] if n else ()):
-                    r = lower.get(f)
+            signs = [value[-1 if i & 1 else 1] for i in range(n + 1)]
+            faces = [table[idx] if lower is None else [lower[f] for f in table[idx]] for idx in indices]
+            # distinct kept faces (the rule on simplicial complexes): one dict() each
+            cols = [dict(zip(fs, signs)) for fs in faces]
+            for k in [k for k, col in enumerate(cols) if len(col) < len(faces[k]) or None in col]:
+                col = {}
+                for i, r in enumerate(faces[k]):
                     if r is not None:
                         col[r] = col.get(r, 0) + (-1 if i & 1 else 1)
-                cols.append({r: value[s] for r, s in col.items() if s in value})
+                cols[k] = {r: value[s] for r, s in col.items() if s in value}
             columns[n] = cols
         return ChainComplex.from_columns(ring, basis, columns, self.truncation_dim, exhaustive)
 
@@ -206,13 +234,13 @@ class DeltaComplex(FaceTable):
     def __init__(
         self,
         cells: Dict[int, List[object]],
-        faces: Dict[Tuple[int, int], Tuple[int, ...]],
+        faces: Dict[int, List[Tuple[int, ...]]],
         truncation_dim: int | None = None,
         name: str = "",
         validate: bool = True,
     ):
-        self.cells: Dict[int, List[object]] = {n: list(v) for n, v in cells.items() if v}
-        self.faces = dict(faces)
+        self.cells, self.faces = cells, faces
+        self._own_tables()
         self.dimension = max(self.cells) if self.cells else 0
         self.truncation_dim = self.dimension if truncation_dim is None else truncation_dim
         self.name = name
@@ -224,7 +252,7 @@ class DeltaComplex(FaceTable):
         return self.cells[n][idx]
 
     def validate(self) -> None:
-        self._validate_face_targets()
+        self._check_tables(self.faces, lambda n: n > 0, "faces")
         self._validate_face_identities()
 
     def chains(self, ring: Ring) -> ChainComplex:
@@ -259,17 +287,11 @@ class DeltaComplex(FaceTable):
                 raise ValueError(f"facet {facet} has repeated vertices")
             add(ordered)
         cells = {n: sorted(v) for n, v in by_dim.items()}
-        index = {(n, lab): i for n, labs in cells.items() for i, lab in enumerate(labs)}
-        faces = {}
-        for n, labs in cells.items():
-            if n == 0:
-                for i in range(len(labs)):
-                    faces[(0, i)] = ()
-                continue
-            for idx, lab in enumerate(labs):
-                faces[(n, idx)] = tuple(
-                    index[(n - 1, lab[:i] + lab[i + 1 :])] for i in range(n + 1)
-                )
+        index = {lab: i for labs in cells.values() for i, lab in enumerate(labs)}  # lengths tell dimensions apart
+        faces = {
+            n: [tuple(index[lab[:i] + lab[i + 1 :]] for i in range(n + 1)) if n else () for lab in labs]
+            for n, labs in cells.items()
+        }
         return DeltaComplex(cells, faces, truncation_dim, name=name)
 
 
@@ -279,7 +301,7 @@ def standard_delta(k: int, truncation_dim: int | None = None) -> DeltaComplex:
 
 
 def point_complex() -> DeltaComplex:
-    return DeltaComplex({0: ["pt"]}, {(0, 0): ()}, 0, name="point")
+    return DeltaComplex({0: ["pt"]}, {0: [()]}, 0, name="point")
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +313,17 @@ def point_complex() -> DeltaComplex:
 class SimplicialSetPresentation(FaceTable):
     """A truncated simplicial set with explicit face and degeneracy tables.
 
-    ``faces[(n, idx)]`` lists the n+1 faces of cell idx in dimension n;
-    ``degeneracies[(n, idx)]`` lists its n+1 degeneracies (defined whenever
-    n+1 ≤ truncation_dim).  ``strict=False`` skips validation of the mixed
-    face/degeneracy identities (needed for the shipped counterexample that
-    deliberately carries a non-free degeneracy relation), while pure face
-    identities are always checked.
+    ``faces[n][idx]`` lists the n+1 faces of cell idx in dimension n;
+    ``degeneracies[n][idx]`` lists its n+1 degeneracies (a table for each
+    dimension n with n+1 ≤ truncation_dim).  ``strict=False`` skips
+    validation of the mixed face/degeneracy identities (needed for the
+    shipped counterexample that deliberately carries a non-free degeneracy
+    relation), while pure face identities are always checked.
     """
 
     cells: Dict[int, List[object]]
-    faces: Dict[Tuple[int, int], Tuple[int, ...]]
-    degeneracies: Dict[Tuple[int, int], Tuple[int, ...]]
+    faces: Dict[int, List[Tuple[int, ...]]]
+    degeneracies: Dict[int, List[Tuple[int, ...]]]
     truncation_dim: int
     name: str = ""
     strict: bool = True
@@ -310,22 +332,17 @@ class SimplicialSetPresentation(FaceTable):
     free_groups: Dict[Tuple[Ring, bool], object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.cells = {n: list(v) for n, v in self.cells.items() if v}
+        self._own_tables()
         self.validate()
 
     # --- accessors -----------------------------------------------------------
     def degeneracy(self, n: int, idx: int, i: int) -> int:
-        return self.degeneracies[(n, idx)][i]
+        return self.degeneracies[n][idx][i]
 
     def degenerate_flags(self, n: int) -> List[bool]:
         """Which n-cells are degenerate (in the image of some s_i)."""
         flags = [False] * self.n_cells(n)
-        if n == 0:
-            return flags
-        for idx in range(self.n_cells(n - 1)):
-            degs = self.degeneracies.get((n - 1, idx))
-            if degs is None:
-                continue
+        for degs in self.degeneracies.get(n - 1, ()):
             for img in degs:
                 flags[img] = True
         return flags
@@ -343,23 +360,8 @@ class SimplicialSetPresentation(FaceTable):
 
     # --- validation ------------------------------------------------------------
     def validate(self) -> None:
-        self._validate_face_targets()
-        for n in sorted(self.cells):
-            if n + 1 > self.truncation_dim:
-                continue
-            for idx in range(self.n_cells(n)):
-                if (n, idx) not in self.degeneracies:
-                    raise ValueError(f"cell ({n},{idx}) has no degeneracy list")
-        for (n, idx), ds in self.degeneracies.items():
-            if len(ds) != n + 1:
-                raise ValueError(f"cell ({n},{idx}) has {len(ds)} degeneracies")
-            for i, target in enumerate(ds):
-                if type(target) is not int:
-                    raise ValueError(f"degeneracy s_{i} of cell ({n},{idx}) is {target!r}, not a cell index")
-                if not 0 <= target < self.n_cells(n + 1):
-                    raise ValueError(
-                        f"degeneracy s_{i} of cell ({n},{idx}) points at missing cell {target}"
-                    )
+        self._check_tables(self.faces, lambda n: n > 0, "faces")
+        self._check_tables(self.degeneracies, lambda n: n + 1 <= self.truncation_dim, "degeneracies")
         self._validate_face_identities()
         if not self.strict:
             return
@@ -426,25 +428,19 @@ def freely_add_degeneracies(y: DeltaComplex, truncation: int, name: str = "") ->
                     index[key] = len(labels)
                     labels.append(key)
         cells[m] = labels
-    faces: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    degeneracies: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for m in range(truncation + 1):
-        for pos, (word, n, idx) in enumerate(cells[m]):
-            if m > 0:
-                fs = []
-                for i in range(m + 1):
-                    new_word, v = compose_face(word, m, i)
-                    if v is None:
-                        fs.append(index[(new_word, n, idx)])
-                    else:
-                        fs.append(index[(new_word, n - 1, y.face(n, idx, v))])
-                faces[(m, pos)] = tuple(fs)
-            else:
-                faces[(0, pos)] = ()
-            if m + 1 <= truncation:
-                degeneracies[(m, pos)] = tuple(
-                    index[(compose_degeneracy(word, m, i), n, idx)] for i in range(m + 1)
-                )
+
+    def face(word: Word, m: int, n: int, idx: int, i: int) -> int:
+        new_word, v = compose_face(word, m, i)
+        return index[(new_word, n, idx)] if v is None else index[(new_word, n - 1, y.face(n, idx, v))]
+
+    faces = {
+        m: [tuple(face(word, m, n, idx, i) for i in range(m + 1)) if m else () for word, n, idx in labels]
+        for m, labels in cells.items()
+    }
+    degeneracies = {
+        m: [tuple(index[(compose_degeneracy(word, m, i), n, idx)] for i in range(m + 1)) for word, n, idx in cells[m]]
+        for m in range(truncation)
+    }
     return SimplicialSetPresentation(
         cells, faces, degeneracies, truncation, name=name or (y.name and f"d({y.name})") or ""
     )
@@ -452,20 +448,15 @@ def freely_add_degeneracies(y: DeltaComplex, truncation: int, name: str = "") ->
 
 def forget_degeneracies(x: SimplicialSetPresentation) -> DeltaComplex:
     """Every cell of x (degenerate or not) becomes a delta-complex cell."""
-    return DeltaComplex(
-        {n: list(v) for n, v in x.cells.items()},
-        {k: v for k, v in x.faces.items()},
-        x.truncation_dim,
-        name=x.name and f"f({x.name})",
-    )
+    return DeltaComplex(x.cells, x.faces, x.truncation_dim, name=x.name and f"f({x.name})")
 
 
-def core(x: SimplicialSetPresentation) -> Tuple[DeltaComplex, Dict[Tuple[int, int], Tuple[int, int]]]:
+def core(x: SimplicialSetPresentation) -> Tuple[DeltaComplex, Dict[int, List[int]]]:
     """The delta-complex of nondegenerate cells closed under iterated faces.
 
     Cells of x that are degenerate but occur as (iterated) faces of
     nondegenerate cells are included as honest cells of the core.  Returns the
-    core and a map from core cell coordinates to x cell coordinates.
+    core and, per dimension, the index in x of each core cell.
     """
     chosen: Dict[int, set] = {n: set() for n in x.cells}
     stack = []
@@ -477,26 +468,12 @@ def core(x: SimplicialSetPresentation) -> Tuple[DeltaComplex, Dict[Tuple[int, in
         if idx in chosen[n]:
             continue
         chosen[n].add(idx)
-        if n > 0:
-            for i in range(n + 1):
-                stack.append((n - 1, x.face(n, idx, i)))
-    cells: Dict[int, List[object]] = {}
-    back: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    fwd: Dict[Tuple[int, int], int] = {}
-    for n in sorted(chosen):
-        ordered = sorted(chosen[n])
-        cells[n] = [x.cells[n][i] for i in ordered]
-        for new_idx, old_idx in enumerate(ordered):
-            back[(n, new_idx)] = (n, old_idx)
-            fwd[(n, old_idx)] = new_idx
-    faces = {}
-    for n in sorted(chosen):
-        for new_idx in range(len(cells.get(n, []))):
-            _, old_idx = back[(n, new_idx)]
-            if n == 0:
-                faces[(0, new_idx)] = ()
-            else:
-                faces[(n, new_idx)] = tuple(fwd[(n - 1, x.face(n, old_idx, i))] for i in range(n + 1))
+        for f in x.faces[n][idx]:
+            stack.append((n - 1, f))
+    back = {n: sorted(chosen[n]) for n in sorted(chosen)}
+    cells = {n: [x.cells[n][i] for i in olds] for n, olds in back.items()}
+    fwd = {n: {old: new for new, old in enumerate(olds)} for n, olds in back.items()}
+    faces = {n: [tuple(fwd[n - 1][f] for f in x.faces[n][old]) for old in olds] for n, olds in back.items()}
     return DeltaComplex(cells, faces, x.truncation_dim, name=x.name and f"core({x.name})"), back
 
 
@@ -507,8 +484,7 @@ def is_degeneracy_free(x: SimplicialSetPresentation) -> bool:
     for m in range(x.truncation_dim + 1):
         images = []
         for (word, n, core_idx) in free.cells.get(m, []):
-            _, x_idx = back[(n, core_idx)]
-            images.append(x.apply_word(n, x_idx, word))
+            images.append(x.apply_word(n, back[n][core_idx], word))
         if len(images) != x.n_cells(m) or len(set(images)) != len(images):
             return False
         if set(images) != set(range(x.n_cells(m))):

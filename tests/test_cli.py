@@ -3,8 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from steenrod_kit import documents, homology as homology_module
-from steenrod_kit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
+from steenrod_kit import cli, documents, homology as homology_module
+from steenrod_kit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from steenrod_kit.documents import load_corpus, save_complex
 
 CORPUS = Path(documents.__file__).parent / "corpus"
@@ -209,6 +209,31 @@ def test_hostile_document_is_a_one_line_input_error(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["sq", "homology", "info"])
+def test_non_string_name_is_an_input_error(command, tmp_path, capsys):
+    # sq used to end in "TypeError: unhashable type: 'list'" with a traceback
+    doc = documents.complex_to_document(load_corpus("circle"))
+    doc["name"] = ["x"]
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "name" in lines[0]
+
+
+def test_unexpected_exception_is_one_internal_error_line(monkeypatch, capsys, corpus_file):
+    def broken(args):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(cli, "_cmd_info", broken)
+    assert main(["info", "--input", corpus_file("circle")]) == EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error: RuntimeError: handler fault"]
 
 
 def test_homology_with_no_degree_to_print_is_an_input_error(tmp_path, capsys):

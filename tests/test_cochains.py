@@ -1,11 +1,15 @@
+import random
+
 import pytest
 
+from steenrod_kit.bar import e
+from steenrod_kit.chains import Simplex
 from steenrod_kit.cochains import Cochain, cup_i, sq_matrix, steenrod_square
-from steenrod_kit.diagonal import DiagonalTable
+from steenrod_kit.diagonal import DiagonalTable, xi_simplex
 from steenrod_kit.documents import load_corpus
 from steenrod_kit.homology import cohomology
 from steenrod_kit.rings import F2, ZZ
-from steenrod_kit.simplicial import standard_delta
+from steenrod_kit.simplicial import DeltaComplex, standard_delta
 
 
 def _all_ones(complex_, degree):
@@ -107,3 +111,46 @@ def test_klein_bottle_sq1():
     columns = sq_matrix(1, 1, space, F2, table)
     # the Bockstein H¹ → H² is onto for the Klein bottle (w₁² ≠ 0)
     assert len(columns) == 2 and any(col == [1] for col in columns)
+
+
+def _facets(name, seed):
+    """The top simplices of a corpus surface, after a seeded permutation of
+    its vertices unless ``seed`` is None."""
+    facets = load_corpus(name).cells[2]
+    if seed is None:
+        return facets
+    vertices = sorted({v for facet in facets for v in facet})
+    image = list(vertices)
+    random.Random(seed).shuffle(image)
+    return [[dict(zip(vertices, image))[v] for v in facet] for facet in facets]
+
+
+@pytest.mark.parametrize("ring", [F2, ZZ], ids=str)
+@pytest.mark.parametrize("name", ["torus", "rp2", "klein"])
+def test_cup_i_equals_the_diagonal_of_each_simplex(name, ring):
+    """(u ⌣_i v)(σ) against (u⊗v)(ξ(e_i⊗σ)) on the vertex list of σ: each
+    term's simplices are found by their labels, so no face table is read."""
+    table = DiagonalTable()
+    for seed in (None, 0, 1):
+        space = DeltaComplex.from_facets(_facets(name, seed), name=name)
+        cx = space.chains(ring)
+        # labels are sorted vertex tuples, so their lengths tell dimensions apart
+        position = {label: k for labels in space.cells.values() for k, label in enumerate(labels)}
+        rng = random.Random(f"{name}/{seed}")
+        cochains = {d: [rng.randint(-2, 2) for _ in range(space.n_cells(d))] for d in range(3)}
+        for p in range(3):
+            for q in range(3):
+                u = Cochain.from_vector(cx, p, cochains[p])
+                v = Cochain.from_vector(cx, q, cochains[q][::-1])  # v differs from u when p = q
+                for i in range(min(3, p + q + 1)):
+                    n = p + q - i
+                    want = []
+                    for label in space.cells.get(n, []):
+                        total = 0
+                        for pair, c in xi_simplex(e(i), Simplex(label), table, ring).terms.items():
+                            a, b = pair.left.vertices, pair.right.vertices
+                            if len(a) == p + 1 and len(b) == q + 1:
+                                sign = -1 if p * q % 2 else 1  # (−1)^{deg v·deg a}
+                                total += sign * c * u.vector()[position[a]] * v.vector()[position[b]]
+                        want.append(ring.coerce(total))
+                    assert cup_i(u, v, i, space, table).vector() == want, (seed, p, q, i)

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from steenrod_kit import documents
 from steenrod_kit.documents import (
     complex_to_document,
     corpus_names,
@@ -90,3 +92,32 @@ def test_corrupted_face_table_names_the_cell(tmp_path):
         load_complex(path)
     assert "1" in str(err.value)  # the offending dimension or cell is reported
 
+
+
+@pytest.mark.parametrize("table", ["faces", "degeneracies"])
+def test_table_longer_than_its_dimension_names_it(table, tmp_path):
+    # one face list too many used to load, and homology printed H_0 = Z, H_1 = Z
+    circle = load_corpus("circle")
+    doc = complex_to_document(freely_add_degeneracies(circle, 2) if table == "degeneracies" else circle)
+    doc[table]["1"].append(list(doc[table]["1"][0]))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"dimension 1 has {len(doc[table]['1'])} "):
+        load_complex(path)
+
+
+@pytest.mark.parametrize("table", ["faces", "degeneracies"])
+def test_table_shorter_than_its_dimension_names_the_cell(table):
+    doc = complex_to_document(freely_add_degeneracies(load_corpus("circle"), 2))
+    missing = len(doc[table]["1"]) - 1
+    doc[table]["1"].pop()
+    with pytest.raises(ValueError, match=rf"cell \(1,{missing}\) has no"):
+        document_to_complex(doc)
+
+
+def test_saving_a_shipped_document_gives_back_its_bytes(tmp_path):
+    for name in corpus_names():
+        path = tmp_path / f"{name}.json"
+        save_complex(load_corpus(name), path)
+        shipped = Path(documents.__file__).parent / "corpus" / f"{name}.json"
+        assert path.read_bytes() == shipped.read_bytes(), name

@@ -48,9 +48,14 @@ def test_smith_normal_form_properties(a):
     assert all(x >= 0 for x in diag)
 
 
+def _columns(rows):
+    """The sparse columns of a dense row-matrix, the form the kernels take."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+
+
 def test_integer_kernel_and_solve():
     a = [[2, 4, 6], [1, 2, 3]]
-    kern = integer_kernel(a, 3)
+    kern = integer_kernel(_columns(a))
     assert len(kern) == 2
     for vec in kern:
         assert all(sum(row[j] * vec[j] for j in range(3)) == 0 for row in a)
@@ -66,8 +71,8 @@ def test_engine_rank_and_kernel_over_fields():
     assert field_rank((enumerate(r) for r in rows), QQ) == 2
     assert field_rank((enumerate(r) for r in rows), F5) == 2
     # pivots at columns 0 and 1: the one kernel vector is 1 at the free column 2
-    assert field_kernel([[QQ.coerce(x) for x in r] for r in rows], 3, QQ) == [[-1, -1, 1]]
-    kern = field_kernel([[F5.coerce(x) for x in r] for r in rows], 3, F5)
+    assert field_kernel(_columns([[QQ.coerce(x) for x in r] for r in rows]), QQ) == [[-1, -1, 1]]
+    kern = field_kernel(_columns([[F5.coerce(x) for x in r] for r in rows]), F5)
     assert kern == [[4, 4, 1]]
     for row in rows:
         assert F5.is_zero(sum(F5.coerce(x) * k for x, k in zip(row, kern[0])))
@@ -88,7 +93,7 @@ def test_span_solver():
 def test_f2_engine_kernel():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     # the echelon form has pivots 0 and 1; column 2 is free
-    assert field_kernel(rows, 3, F2) == [[1, 1, 1]]
+    assert field_kernel(_columns(rows), F2) == [[1, 1, 1]]
     # the same matrix as the map out of a degree: H = ker, nothing comes in
     h = homology_of_matrices(F2, [dict(enumerate(r)) for r in rows], [], 3)
     assert h.dimension == 1 and h.representatives == [[1, 1, 1]]
@@ -118,7 +123,7 @@ def test_engine_image_and_coordinates_over_an_odd_field():
 @given(small_matrix, st.integers(0, 10**6))
 def test_integer_kernel_is_actual_kernel(a, seed):
     ncols = len(a[0])
-    kern = integer_kernel(a, ncols)
+    kern = integer_kernel(_columns(a))
     rng = random.Random(seed)
     if kern:
         weights = [rng.randint(-3, 3) for _ in kern]

@@ -93,13 +93,13 @@ def test_from_facets_rejects_repeats():
 
 def test_validate_catches_bad_face_tables():
     with pytest.raises(ValueError):
-        DeltaComplex({0: ["a"], 1: ["e"]}, {(0, 0): (), (1, 0): (0,)})  # wrong arity
+        DeltaComplex({0: ["a"], 1: ["e"]}, {0: [()], 1: [(0,)]})  # wrong arity
     # face identity broken on a 2-cell
     cells = {0: ["a", "b", "c"], 1: ["x", "y", "z"], 2: ["t"]}
     faces = {
-        (0, 0): (), (0, 1): (), (0, 2): (),
-        (1, 0): (1, 0), (1, 1): (2, 0), (1, 2): (2, 1),
-        (2, 0): (2, 1, 1),  # d_i d_j violated
+        0: [(), (), ()],
+        1: [(1, 0), (2, 0), (2, 1)],
+        2: [(2, 1, 1)],  # d_i d_j violated
     }
     with pytest.raises(ValueError):
         DeltaComplex(cells, faces)

@@ -128,16 +128,19 @@ def counterexample_presentation() -> SimplicialSetPresentation:
     """
     cells = {0: ["v"], 1: ["e", "s0v"], 2: ["q", "r"]}
     faces = {
-        (0, 0): (),
-        (1, 0): (0, 0),
-        (1, 1): (0, 0),
-        (2, 0): (0, 0, 1),   # q = s0 e: (e, e, s0v)
-        (2, 1): (1, 0, 0),   # r = s1 e: (s0v, e, e)
+        0: [()],
+        1: [(0, 0), (0, 0)],
+        2: [
+            (0, 0, 1),  # q = s0 e: (e, e, s0v)
+            (1, 0, 0),  # r = s1 e: (s0v, e, e)
+        ],
     }
     degeneracies = {
-        (0, 0): (1,),        # s0 v = s0v
-        (1, 0): (0, 1),      # s0 e = q, s1 e = r
-        (1, 1): (0, 0),      # s0 s0v = s1 s0v = q   (the relation)
+        0: [(1,)],      # s0 v = s0v
+        1: [
+            (0, 1),     # s0 e = q, s1 e = r
+            (0, 0),     # s0 s0v = s1 s0v = q   (the relation)
+        ],
     }
     return SimplicialSetPresentation(
         cells, faces, degeneracies, truncation_dim=2,
