@@ -93,7 +93,6 @@ def test_corrupted_face_table_names_the_cell(tmp_path):
     assert "1" in str(err.value)  # the offending dimension or cell is reported
 
 
-
 @pytest.mark.parametrize("table", ["faces", "degeneracies"])
 def test_table_longer_than_its_dimension_names_it(table, tmp_path):
     # one face list too many used to load, and homology printed H_0 = Z, H_1 = Z
