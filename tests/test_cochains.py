@@ -122,7 +122,8 @@ def _facets(name, seed):
     vertices = sorted({v for facet in facets for v in facet})
     image = list(vertices)
     random.Random(seed).shuffle(image)
-    return [[dict(zip(vertices, image))[v] for v in facet] for facet in facets]
+    perm = dict(zip(vertices, image))
+    return [[perm[v] for v in facet] for facet in facets]
 
 
 @pytest.mark.parametrize("ring", [F2, ZZ], ids=str)
@@ -142,6 +143,7 @@ def test_cup_i_equals_the_diagonal_of_each_simplex(name, ring):
             for q in range(3):
                 u = Cochain.from_vector(cx, p, cochains[p])
                 v = Cochain.from_vector(cx, q, cochains[q][::-1])  # v differs from u when p = q
+                u_at, v_at = u.vector(), v.vector()
                 for i in range(min(3, p + q + 1)):
                     n = p + q - i
                     want = []
@@ -151,6 +153,6 @@ def test_cup_i_equals_the_diagonal_of_each_simplex(name, ring):
                             a, b = pair.left.vertices, pair.right.vertices
                             if len(a) == p + 1 and len(b) == q + 1:
                                 sign = -1 if p * q % 2 else 1  # (−1)^{deg v·deg a}
-                                total += sign * c * u.vector()[position[a]] * v.vector()[position[b]]
+                                total += sign * c * u_at[position[a]] * v_at[position[b]]
                         want.append(ring.coerce(total))
                     assert cup_i(u, v, i, space, table).vector() == want, (seed, p, q, i)
