@@ -1,5 +1,4 @@
-"""The normalized bar resolution of S₂, symmetric-group utilities and block
-composition.
+"""The normalized bar resolution of S₂ and the signed swap T on C⊗C.
 
 The resolution has one free ℤS₂ generator e_n per degree; its differential is
 pinned by the requirements that the diagonal recursion be a chain map and
@@ -14,8 +13,7 @@ change e_n ↦ −e_n for n ≥ 1 (so ∂² = 0 is inherited).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 from .chains import BarElement, BasisElement, Chain, TensorPair, e
 from .rings import Coefficient, Ring
@@ -60,86 +58,3 @@ def twist_act(c: Chain) -> Chain:
         yield TensorPair(basis.right, basis.left), c.ring.mul(coeff, c.ring.coerce(sign))
 
     return c.map_terms(swap, c.degree)
-
-
-# ---------------------------------------------------------------------------
-# Permutations and block composition
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {1,…,n}, stored as the image tuple (images[i−1] = σ(i))."""
-
-    images: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self ∘ other."""
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.size + 1)))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def transposition(n: int, a: int, b: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return Permutation(tuple(images))
-
-
-def block_permutation(sigma: Permutation, sizes: Sequence[int]) -> Permutation:
-    """The permutation of Σα_i letters moving the i-th block (size α_i) to
-    where σ sends position i, keeping each block's internal order."""
-    n = sigma.size
-    if len(sizes) != n:
-        raise ValueError("need one block size per permuted position")
-    starts = [0] * n
-    acc = 0
-    for i in range(n):
-        starts[i] = acc
-        acc += sizes[i]
-    total = acc
-    # target position of block i: after all blocks j with σ(j) < σ(i)
-    target_starts = [0] * n
-    order = sorted(range(n), key=lambda i: sigma(i + 1))
-    acc = 0
-    for i in order:
-        target_starts[i] = acc
-        acc += sizes[i]
-    images = [0] * total
-    for i in range(n):
-        for offset in range(sizes[i]):
-            images[starts[i] + offset] = target_starts[i] + offset + 1
-    return Permutation(tuple(images))
-
-
-def block_compose(sigma: Permutation, thetas: Sequence[Permutation]) -> Permutation:
-    """Operadic composition in the permutation operad:
-    T_{α₁,…,α_n}(σ) ∘ (θ₁ ⊕ ⋯ ⊕ θ_n)."""
-    sizes = [t.size for t in thetas]
-    block = block_permutation(sigma, sizes)
-    starts = [0] * len(sizes)
-    acc = 0
-    for i, s in enumerate(sizes):
-        starts[i] = acc
-        acc += s
-    direct_sum_images: List[int] = []
-    for i, theta in enumerate(thetas):
-        direct_sum_images.extend(starts[i] + theta(j) for j in range(1, theta.size + 1))
-    direct_sum = Permutation(tuple(direct_sum_images))
-    return block.compose(direct_sum)

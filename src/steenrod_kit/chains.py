@@ -248,10 +248,6 @@ def zero_chain(ring: Ring, degree: int) -> Chain:
     return Chain(ring, degree, {})
 
 
-def render_coefficient(coeff: Coefficient) -> str:
-    return str(coeff)
-
-
 def render_chain(chain: Chain) -> str:
     """Canonical text form: terms in canonical order, ±1 rendered as signs."""
     if chain.is_zero():
@@ -265,7 +261,7 @@ def render_chain(chain: Chain) -> str:
         else:
             sign = "-" if (not isinstance(coeff, bool) and coeff < 0) else "+"
             mag = -coeff if coeff < 0 else coeff
-            text = f"{render_coefficient(mag)}·{basis}"
+            text = f"{mag}·{basis}"
         if not parts:
             parts.append(text if sign == "+" else f"-{text}")
         else:
@@ -283,54 +279,29 @@ class ChainComplex:
 
     The boundary is stored only as index columns: ``boundary_matrix(n)[j]``
     is ∂ of the j-th basis element of degree n, as ``{row: coefficient}``
-    over the basis of degree n−1.  ``boundary_of_basis`` reads a column back
-    as a Chain.  The constructor takes the boundary as Chains and converts it
-    once; ``from_columns`` takes the columns themselves.
+    over the basis of degree n−1 (nonzero ring elements only), and the
+    constructor keeps the given columns as they are.  ``boundary_of_basis``
+    reads a column back as a Chain.
     """
 
     def __init__(
         self,
         ring: Ring,
         basis: Mapping[int, List[BasisElement]],
-        boundary: Mapping[BasisElement, Chain],
-        truncation_dim: int,
-        exhaustive: bool = False,
-    ):
-        self._setup(ring, basis, truncation_dim, exhaustive)
-        for n, elems in self.basis.items():
-            for b in elems:
-                if b.degree != n:
-                    raise ValueError(f"basis element {b} listed in degree {n}")
-        index = self._positions()
-        self._columns = {
-            n: [{index[f]: c for f, c in boundary[b].terms.items()} if b in boundary else {} for b in elems]
-            for n, elems in self.basis.items()
-        }
-
-    @classmethod
-    def from_columns(
-        cls,
-        ring: Ring,
-        basis: Mapping[int, List[BasisElement]],
         columns: Mapping[int, List[Dict[int, Coefficient]]],
         truncation_dim: int,
         exhaustive: bool = False,
-    ) -> "ChainComplex":
-        """The complex whose boundary has the given columns per degree (one
-        per basis element, nonzero ring elements only), kept as they are."""
-        complex_ = cls.__new__(cls)
-        complex_._setup(ring, basis, truncation_dim, exhaustive)
-        complex_._columns = {n: columns[n] for n in complex_.basis}
-        return complex_
-
-    def _setup(self, ring: Ring, basis, truncation_dim: int, exhaustive: bool) -> None:
+    ):
         # exhaustive: absent degrees are genuinely zero (the complex is not a
         # truncation of something larger), so homology is valid at every degree
         self.exhaustive = exhaustive
         self.ring = ring
-        self.basis: Dict[int, List[BasisElement]] = {
-            n: list(elems) for n, elems in basis.items() if elems
-        }
+        self.basis: Dict[int, List[BasisElement]] = {n: list(elems) for n, elems in basis.items() if elems}
+        for n, elems in self.basis.items():
+            for b in elems:
+                if b.degree != n:
+                    raise ValueError(f"basis element {b} listed in degree {n}")
+        self._columns = {n: columns[n] for n in self.basis}
         self.truncation_dim = truncation_dim
         # data computed from the complex, e.g. (co)homology per degree, kept
         # by the modules that compute it so that every holder shares it
@@ -468,25 +439,3 @@ def hom_differential(f: GradedMap) -> GradedMap:
         return first - second.scale(sign)
 
     return GradedMap(f.source, f.target, f.degree - 1, action)
-
-
-def tensor_map_apply(f: GradedMap, g: GradedMap, x: Chain) -> Chain:
-    """Apply f⊗g to a chain of tensor pairs with the Koszul sign.
-
-    (f⊗g)(a⊗b) = (−1)^{deg(g)·deg(a)} f(a)⊗g(b).
-    """
-    ring = x.ring
-    out_degree = x.degree + f.degree + g.degree
-    acc: Dict[BasisElement, Coefficient] = {}
-    for basis, coeff in x.terms.items():
-        if not isinstance(basis, TensorPair):
-            raise ValueError(f"tensor_map_apply needs tensor-pair terms, got {basis}")
-        sign = -1 if (g.degree * basis.left.degree) % 2 else 1
-        fa = f.on_basis(basis.left)
-        gb = g.on_basis(basis.right)
-        for left, cl in fa.terms.items():
-            for right, cr in gb.terms.items():
-                key = TensorPair(left, right)
-                contrib = ring.mul(ring.mul(coeff, ring.coerce(sign)), ring.mul(cl, cr))
-                acc[key] = ring.add(acc.get(key, ring.zero), contrib)
-    return Chain(ring, out_degree, acc)

@@ -35,35 +35,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", help="complex document (JSON)")
-        p.add_argument("--ring", default=None, help="coefficients: z, q, f2, f3, f5, ... (default z; sq defaults to f2)")
-        p.add_argument("--truncation", type=int, default=5, help="truncation dimension for simplicial constructions")
+    def command(name: str, text: str, with_input: bool = True, with_ring: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=text)
+        if with_input:
+            p.add_argument("--input", help="complex document (JSON)")
+        if with_ring:
+            p.add_argument("--ring", default=None, help="coefficients: z, q, f2, f3, f5, ... (default z; sq defaults to f2)")
         p.add_argument("--cache", metavar="DIR", help="accepted and ignored: the diagonal table is kept in memory only")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        return p
 
-    p_diag = sub.add_parser("diag", help="print ξ(e_n⊗σ) in canonical term order")
-    common(p_diag)
+    p_diag = command("diag", "print ξ(e_n⊗σ) in canonical term order")
     p_diag.add_argument("--n", type=int, default=0, help="bar resolution level")
     p_diag.add_argument("--simplex", help="comma-separated vertex list, e.g. 0,1,2 (weakly increasing)")
     p_diag.add_argument("--cell", help="cell of the input complex as dim,index")
 
-    p_sq = sub.add_parser("sq", help="matrices of Steenrod squares on H^*(X;F2)")
-    common(p_sq)
+    p_sq = command("sq", "matrices of Steenrod squares on H^*(X;F2)")
     p_sq.add_argument("--i", type=int, default=None, help="which square (default: all)")
     p_sq.add_argument("--p", type=int, default=None, help="source cohomology degree (default: all)")
 
-    p_hom = sub.add_parser("homology", help="homology groups of the input complex per degree")
-    common(p_hom)
+    command("homology", "homology groups of the input complex per degree")
+    command("info", "cell counts, degeneracy-freeness, core size", with_ring=False)
 
-    p_info = sub.add_parser("info", help="cell counts, degeneracy-freeness, core size")
-    common(p_info)
-
-    p_verify = sub.add_parser("verify", help="run the named-invariant verification suite")
-    common(p_verify)
+    p_verify = command("verify", "run the named-invariant verification suite", with_input=False, with_ring=False)
     p_verify.add_argument("--only", help="run a single named invariant")
     p_verify.add_argument("--max-k", type=int, default=6, help="maximum simplex dimension for the eta_k checks")
     p_verify.add_argument("--slow", action="store_true", help="include the slow tier (RP⁴ squares)")
+    p_verify.add_argument("--truncation", type=int, default=4, help="truncation of the free presentations, 3 or 4")
     return parser
 
 
@@ -207,12 +205,13 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = SuiteConfig(
-        only=args.only,
-        max_k=args.max_k,
-        include_slow=args.slow,
-        truncation=min(args.truncation, 4),
-    )
+    # the suite is written for truncations 3 and 4: below 3 its presentations
+    # lack cells that its checks read
+    if args.truncation not in (3, 4):
+        raise ValueError(f"--truncation must be 3 or 4, got {args.truncation}")
+    if args.max_k < 0:
+        raise ValueError(f"--max-k must be nonnegative, got {args.max_k}")
+    cfg = SuiteConfig(only=args.only, max_k=args.max_k, include_slow=args.slow, truncation=args.truncation)
     report = run_suite(cfg)
     if args.json:
         print(json.dumps(report))

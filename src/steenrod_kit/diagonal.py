@@ -10,20 +10,11 @@ abstract cells).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernel
-from .bar import bar_boundary, bar_boundary_coefficients, twist_act
-from .chains import (
-    BarElement,
-    BasisElement,
-    Chain,
-    Simplex,
-    TensorPair,
-    chain_of,
-    standard_simplex,
-    zero_chain,
-)
+from .bar import bar_boundary_coefficients, twist_act
+from .chains import BarElement, BasisElement, Chain, Simplex, TensorPair, zero_chain
 from .rings import Coefficient, Ring, ZZ
 
 RawEntries = dict  # {(left vertex tuple, right vertex tuple): int}
@@ -133,17 +124,6 @@ def xi_simplex(b: BarElement, simplex: Simplex, table: DiagonalTable, ring: Ring
     return chain
 
 
-def xi_space(b: BarElement, x: Chain, table: DiagonalTable) -> Chain:
-    """Linear extension of ξ(b⊗−) over a chain of vertex-list simplices."""
-    ring = x.ring
-    acc = zero_chain(ring, x.degree + b.level)
-    for basis, coeff in x.terms.items():
-        if not isinstance(basis, Simplex):
-            raise ValueError(f"xi_space needs simplex terms, got {basis}")
-        acc = acc + xi_simplex(b, basis, table, ring).scale(coeff)
-    return acc
-
-
 def xi_cell(b: BarElement, space, n: int, idx: int, table: DiagonalTable, ring: Ring) -> Chain:
     """ξ(b⊗σ) for an abstract cell of any presentation-like object.
 
@@ -164,16 +144,6 @@ def xi_cell(b: BarElement, space, n: int, idx: int, table: DiagonalTable, ring: 
     if b.twist:
         chain = twist_act(chain)
     return chain
-
-
-def normalize_diagonal(c: Chain) -> Chain:
-    """Project C(X)⊗C(X) → N(X)⊗N(X): drop terms with a degenerate factor."""
-    terms = {
-        basis: coeff
-        for basis, coeff in c.terms.items()
-        if not (basis.left.is_degenerate or basis.right.is_degenerate)
-    }
-    return Chain(c.ring, c.degree, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ module provides:
   retraction γ, and the diagonal-compatibility defect of the Hurewicz square.
 
 Everything is finite because the inputs are truncated; every linear-algebra
-step is exact (Smith form over ℤ, the sparse echelon engine over fields).
+step is exact.  Kernels and span solves go through ``linalg.kernel`` and
+``linalg.solver``, which pick the engine for the ring (Smith form over ℤ,
+the sparse echelon engine over fields); vectors stay sparse ``{index:
+entry}`` dicts throughout, and a solve's coordinates are the boundary
+column of N as they come.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .bar import BarElement
 from .chains import Cell, Chain, ChainComplex, GradedMap, TensorPair, chain_of, zero_chain
 from .diagonal import DiagonalTable, xi_cell
-from .linalg import IntegerSolver, SpanSolver, _axpy, field_kernel, integer_kernel
+from .linalg import _axpy, kernel, solver
 from .rings import Coefficient, Ring
 from .simplicial import (
     SimplicialSetPresentation,
@@ -159,70 +163,35 @@ def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
         signs = [(i, -1 if i % 2 else 1) for i in range(n + 1)]
         # per generator, its n+1 face columns, summed with alternating signs
         columns[n] = [_apply_columns(faces, signs, p) for faces in zip(*(a.face(n, i) for i in range(n + 1)))]
-    return ChainComplex.from_columns(a.ring, basis, columns, a.truncation_dim)
+    return ChainComplex(a.ring, basis, columns, a.truncation_dim)
 
 
-def _kernel_basis(columns: Columns, ring: Ring) -> List[List[Coefficient]]:
-    if ring.is_field:
-        return field_kernel(columns, ring)
-    return integer_kernel(columns)
-
-
-class _Expresser:
-    """Expresses vectors in the span of a fixed basis, over ℤ or a field."""
-
-    def __init__(self, generators: List[List[Coefficient]], nrows: int, ring: Ring):
-        if ring.is_field:
-            self._solve = SpanSolver(generators, nrows, ring).express
-        else:
-            # rows of the matrix whose columns are the generators
-            matrix = [[g[i] for g in generators] for i in range(nrows)]
-            self._solve = IntegerSolver(matrix, len(generators)).solve
-
-    def express(self, vec: List[Coefficient]) -> List[Coefficient]:
-        out = self._solve(vec)
-        if out is None:
-            raise ValueError("vector is outside the expected span")
-        return out
-
-
-def _normalized_data(
-    a: SimplicialAbelianGroup,
-) -> Tuple[ChainComplex, Dict[int, List[List[Coefficient]]]]:
-    """The normalized complex N(a) together with the inclusion vectors of its
-    basis into the levels of ``a``."""
-    ring = a.ring
-    kernels: Dict[int, List[List[Coefficient]]] = {}
+def _normalized_data(a: SimplicialAbelianGroup) -> Tuple[ChainComplex, Dict[int, Columns]]:
+    """The normalized complex N(a) together with the inclusion of its basis
+    into the levels of ``a``, as sparse vectors per level."""
+    ring, p = a.ring, a.ring.characteristic
+    kernels: Dict[int, Columns] = {}
     for n in sorted(a.levels):
-        r = a.rank(n)
         if n == 0:
-            kernels[0] = [[ring.one if i == j else ring.zero for i in range(r)] for j in range(r)]
+            kernels[0] = [{i: ring.one} for i in range(a.rank(0))]
             continue
         # column j of d_0 … d_{n−1} stacked, d_i's entries shifted down by i·rank(n−1)
         faces, nrows = [a.face(n, i) for i in range(n)], a.rank(n - 1)
-        stacked = [{i * nrows + t: x for i, cols in enumerate(faces) for t, x in cols[j].items()} for j in range(r)]
-        kernels[n] = _kernel_basis(stacked, ring)
-    basis: Dict[int, List[Cell]] = {}
-    for n, vecs in kernels.items():
-        basis[n] = [Cell(n, ("N", a.name, n, j)) for j in range(len(vecs))]
+        kernels[n] = kernel([{i * nrows + t: x for i, cols in enumerate(faces) for t, x in cols[j].items()}
+                             for j in range(a.rank(n))], ring)
+    basis = {n: [Cell(n, ("N", a.name, n, j)) for j in range(len(vecs))] for n, vecs in kernels.items()}
     columns: Dict[int, Columns] = {}
     for n in sorted(kernels):
-        if n == 0 or n - 1 not in kernels or not kernels[n - 1] or not kernels[n]:
-            columns[n] = [{} for _ in kernels[n]]
+        columns[n] = [{} for _ in kernels[n]]
+        if n == 0 or not kernels.get(n - 1) or not kernels[n]:
             continue
-        expresser = _Expresser(kernels[n - 1], a.rank(n - 1), ring)
-        sign = -1 if n % 2 else 1
-        columns[n] = []
-        for vec in kernels[n]:
-            image = _apply_columns(a.face(n, n), ((j, sign * x) for j, x in enumerate(vec)), ring.characteristic)
-            coords = expresser.express([image.get(t, 0) for t in range(a.rank(n - 1))])
-            columns[n].append({t: c for t, c in enumerate(coords) if not ring.is_zero(c)})
-    return ChainComplex.from_columns(ring, basis, columns, a.truncation_dim), kernels
-
-
-def normalized_of_sab(a: SimplicialAbelianGroup) -> ChainComplex:
-    """N(a): degree n is ⋂_{i<n} ker d_i, boundary (−1)ⁿ d_n restricted."""
-    return _normalized_data(a)[0]
+        below, sign = solver(kernels[n - 1], a.rank(n - 1), ring), (-1 if n % 2 else 1)
+        for j, vec in enumerate(kernels[n]):
+            coords = below.solve(_apply_columns(a.face(n, n), ((t, sign * x) for t, x in vec.items()), p))
+            if coords is None:
+                raise ValueError("vector is outside the expected span")
+            columns[n][j] = coords
+    return ChainComplex(ring, basis, columns, a.truncation_dim), kernels
 
 
 # ---------------------------------------------------------------------------
@@ -290,40 +259,25 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
         truncation = top + 1
     g = gamma(c, truncation)
     normalized, kernels = _normalized_data(g)
-
-    def project(m: int, vec: List[Coefficient]) -> List[Coefficient]:
-        # coordinates of the identity-word summand C_m inside level m
-        return [vec[g.position[(m, ("G", (), m, j))]] for j in range(c.rank(m))]
-
     p = ring.characteristic
     lower: Columns = []  # the projections of the basis of N_{m−1}
     for m in range(min(truncation, top + 1) + 1):
         vecs = kernels.get(m, [])
         if len(vecs) != c.rank(m):
             return False
-        if not vecs:
-            lower = []
-            continue
-        projected = [project(m, v) for v in vecs]
+        # coordinates of the identity-word summand C_m inside level m
+        summand = {g.position[(m, ("G", (), m, j))]: j for j in range(c.rank(m))}
+        projected = [{summand[i]: x for i, x in v.items() if i in summand} for v in vecs]
         # bijectivity of the projection restricted to N
-        if ring.is_field:
-            solver = SpanSolver(projected, c.rank(m), ring)
-            units = [solver.express([ring.one if i == j else ring.zero for i in range(c.rank(m))]) for j in range(c.rank(m))]
-            if any(u is None for u in units):
-                return False
-        else:
-            matrix = [[projected[j][i] for j in range(len(projected))] for i in range(c.rank(m))]
-            solver = IntegerSolver(matrix, len(projected))
-            for j in range(c.rank(m)):
-                unit = [1 if i == j else 0 for i in range(c.rank(m))]
-                if solver.solve(unit) is None:
-                    return False
+        onto = solver(projected, c.rank(m), ring)
+        if any(onto.solve({j: ring.one}) is None for j in range(c.rank(m))):
+            return False
         # the projection intertwines ∂_N with ∂_C
         for j, proj in enumerate(projected if m else ()):
             left = _apply_columns(lower, normalized.boundary_matrix(m)[j].items(), p)
-            if left != _apply_columns(c.boundary_matrix(m), enumerate(proj), p):
+            if left != _apply_columns(c.boundary_matrix(m), proj.items(), p):
                 return False
-        lower = [{i: x for i, x in enumerate(v) if x} for v in projected]
+        lower = projected
     return True
 
 
@@ -433,7 +387,7 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
     a = free_simplicial_abelian(x, ring, pointed=True)
     target, kernels = _normalized_data(a)
     source = x.normalized_chains(ring)
-    expressers: Dict[int, _Expresser] = {}
+    solvers: Dict[int, object] = {}
     p = ring.characteristic
 
     def action(basis: Cell) -> Chain:
@@ -447,13 +401,12 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
         for i in range(n):  # P = Π (1 − s_i d_i), innermost i = 0
             down = _apply_columns(a.face(n, i), vec.items(), p)
             _axpy(vec, _apply_columns(a.degeneracy(n - 1, i), down.items(), p), -1, p)
-        if n not in expressers:
-            expressers[n] = _Expresser(kernels[n], a.rank(n), ring)
-        coords = expressers[n].express([vec.get(t, 0) for t in range(a.rank(n))])
-        terms = {
-            target.basis_in(n)[t]: c for t, c in enumerate(coords) if not ring.is_zero(c)
-        }
-        return Chain(ring, n, terms)
+        if n not in solvers:
+            solvers[n] = solver(kernels[n], a.rank(n), ring)
+        coords = solvers[n].solve(vec)
+        if coords is None:
+            raise ValueError("vector is outside the expected span")
+        return Chain(ring, n, {target.basis_in(n)[t]: c for t, c in coords.items()})
 
     return GradedMap(source, target, 0, action)
 

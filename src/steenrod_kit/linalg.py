@@ -13,6 +13,9 @@ gives it, until a pivot's inverse makes it a fraction.  Kernels reduce the
 columns of a map by highest-index pivots (the persistence order) and log
 each step, which yields the canonical kernel vector of each column that
 reduces to zero; images and span solves use lowest-index pivots.
+
+``kernel`` and ``solver`` choose the engine from the ring, so callers never
+do: both take a matrix as sparse columns and give sparse vectors back.
 """
 
 from __future__ import annotations
@@ -300,46 +303,6 @@ def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: b
     return SmithForm(pivots, u_rows, uinv_cols, v_cols, vinv_cols)
 
 
-def _sparse_rows(a: Matrix) -> List[SparseVector]:
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
-
-
-def integer_kernel(columns: Sequence[SparseVector]) -> List[Vector]:
-    """Basis of the kernel lattice of the integer matrix with the given sparse
-    columns (a saturated summand): the columns of V at the non-pivot columns."""
-    ncols = len(columns)
-    nrows = 1 + max((max(col) for col in columns if col), default=-1)
-    form = sparse_smith(transpose(columns, nrows), ncols, v=True)
-    pivot_cols = {c for _, c, _ in form.pivots}
-    return [[form.v_cols[j].get(i, 0) for i in range(ncols)] for j in range(ncols) if j not in pivot_cols]
-
-
-class IntegerSolver:
-    """Solves A·x = b over ℤ for many right-hand sides b from one Smith
-    normal form of A."""
-
-    def __init__(self, a: Matrix, ncols: int):
-        self.ncols = ncols
-        self._form = sparse_smith(_sparse_rows(a), ncols, u=True, v=True)
-        self._pivot_of = {r: (c, d) for r, c, d in self._form.pivots}
-
-    def solve(self, b: Vector) -> Optional[Vector]:
-        """A solution x of A·x = b, or None when none exists."""
-        x: SparseVector = {}
-        for r, u_row in enumerate(self._form.u_rows):
-            ub = sum(y * b[k] for k, y in u_row.items())
-            if not ub:
-                continue
-            if r not in self._pivot_of:
-                return None
-            c, d = self._pivot_of[r]
-            q, rem = divmod(ub, d)
-            if rem:
-                return None
-            _axpy(x, self._form.v_cols[c], q)
-        return [x.get(j, 0) for j in range(self.ncols)]
-
-
 # ---------------------------------------------------------------------------
 # Column reduction engine over a field
 # ---------------------------------------------------------------------------
@@ -433,17 +396,18 @@ def _clear(ops, ring: Ring, v, pivots: Sequence[tuple]):
     return v
 
 
-def _kernel_vector(ring: Ring, logs: List[list], f: int, size: int) -> Vector:
+def _kernel_vector(ring: Ring, logs: List[list], f: int) -> Dict[int, Coefficient]:
     """V_f for a vector f that reduced to zero, where V_k = e_k − Σ c·V_j over
     the log of k: 1 at f, support in f and the earlier pivots, zero image.
     Expanded from the top down, each V_k once with its final multiplicity."""
-    out = [ring.zero] * size
+    out: Dict[int, Coefficient] = {}
     pending, heap = {f: ring.one}, [-f]
     while heap:
         k = -heapq.heappop(heap)
-        out[k] = m = pending.pop(k)
+        m = pending.pop(k)
         if ring.is_zero(m):
             continue
+        out[k] = m
         for j, c in zip(logs[k][::2], logs[k][1::2]):
             if j not in pending:
                 pending[j] = ring.zero
@@ -452,45 +416,88 @@ def _kernel_vector(ring: Ring, logs: List[list], f: int, size: int) -> Vector:
     return out
 
 
+def _free_columns(ops, columns: Sequence[Dict[int, Coefficient]], logs: List[list]) -> List[int]:
+    """The columns in the span of the earlier ones, found by reducing them
+    left to right by highest-index pivots, each step logged."""
+    kept = {k for k, _, _ in _reduce(ops, (ops.pack(col.items()) for col in columns), top=True, logs=logs).values()}
+    return [f for f in range(len(columns)) if f not in kept]
+
+
 def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) -> int:
     """Rank over a field of vectors given by their (index, entry) pairs."""
     ops = _vectors(ring)
     return len(_reduce(ops, (ops.pack(row) for row in rows)))
 
 
-class SpanSolver:
-    """Expresses vectors in the span of a fixed generating set over a field.
+# ---------------------------------------------------------------------------
+# Kernels and span solves over any ring
+# ---------------------------------------------------------------------------
 
-    Built once from generators (as vectors of length ``ncols``); ``express``
-    returns the coefficient list over the original generators, or None when
-    the vector is outside the span.  Each generator is tagged with a unit
-    vector after column ``ncols``: reducing a vector by the echelon pivots
-    below ``ncols`` leaves minus its coefficients in the tag columns.
-    """
 
-    def __init__(self, generators: Sequence[Vector], ncols: int, ring: Ring):
-        self.ring, self.ncols, self.ngen = ring, ncols, len(generators)
+def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[int, Coefficient]]:
+    """Basis of the kernel of the matrix with the given sparse columns, as
+    sparse vectors.  Over a field: per column in the span of the earlier
+    ones, the vector with 1 there and 0 at the other such columns.  Over ℤ:
+    the columns of V off the pivots, a basis of the kernel lattice (a
+    saturated summand)."""
+    if ring.is_field:
+        logs: List[list] = []
+        return [_kernel_vector(ring, logs, f) for f in _free_columns(_vectors(ring), columns, logs)]
+    nrows = 1 + max((max(col) for col in columns if col), default=-1)
+    form = sparse_smith(transpose(columns, nrows), len(columns), v=True)
+    pivot_cols = {c for _, c, _ in form.pivots}
+    return [form.v_cols[j] for j in range(len(columns)) if j not in pivot_cols]
+
+
+class _FieldSolver:
+    """Each column of A is tagged with a unit vector past row ``nrows``:
+    reducing b by the echelon pivots below ``nrows`` leaves −x in the tags."""
+
+    def __init__(self, columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
+        self.ring, self.nrows, self.ncols = ring, nrows, len(columns)
         self._ops = ops = _vectors(ring)
-        tagged = (ops.pack([*enumerate(g), (ncols + i, ring.one)]) for i, g in enumerate(generators))
-        echelon = _reduce(ops, tagged)
-        self._pivots = sorted((p, w, inv) for p, (_, w, inv) in echelon.items() if p < ncols)
+        echelon = _reduce(ops, (ops.pack([*col.items(), (nrows + i, ring.one)]) for i, col in enumerate(columns)))
+        self._pivots = sorted((p, w, inv) for p, (_, w, inv) in echelon.items() if p < nrows)
 
-    def express(self, vec: Vector) -> Optional[Vector]:
-        ops, ring, ncols = self._ops, self.ring, self.ncols
-        work = _clear(ops, ring, ops.pack(enumerate(vec)), self._pivots)
-        if work and ops.low(work) < ncols:
+    def solve(self, b: Dict[int, Coefficient]) -> Optional[Dict[int, Coefficient]]:
+        ops, ring, nrows = self._ops, self.ring, self.nrows
+        work = _clear(ops, ring, ops.pack(b.items()), self._pivots)
+        if work and ops.low(work) < nrows:
             return None
-        return [ring.coerce(ring.neg(ops.entry(work, ncols + i))) for i in range(self.ngen)]
+        x = ((i, ring.coerce(ring.neg(ops.entry(work, nrows + i)))) for i in range(self.ncols))
+        return {i: c for i, c in x if not ring.is_zero(c)}
 
 
-def field_kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Vector]:
-    """Basis of the kernel of the matrix with the given sparse columns over a
-    field: per column in the span of the earlier ones, the vector with 1
-    there and 0 at the others."""
-    ops = _vectors(ring)
-    logs: List[list] = []
-    kept = {k for k, _, _ in _reduce(ops, (ops.pack(col.items()) for col in columns), top=True, logs=logs).values()}
-    return [_kernel_vector(ring, logs, f, len(columns)) for f in range(len(columns)) if f not in kept]
+class _IntegerSolver:
+    """From one Smith form U·A·V = D: A·x = b has a solution exactly when
+    U·b vanishes off the pivot rows and each pivot d divides its entry."""
+
+    def __init__(self, columns: Sequence[SparseVector], nrows: int):
+        self._form = sparse_smith(transpose(columns, nrows), len(columns), u=True, v=True)
+        self._pivot_of = {r: (c, d) for r, c, d in self._form.pivots}
+
+    def solve(self, b: SparseVector) -> Optional[SparseVector]:
+        x: SparseVector = {}
+        for r, u_row in enumerate(self._form.u_rows):
+            ub = sum(y * b[k] for k, y in u_row.items() if k in b)
+            if not ub:
+                continue
+            if r not in self._pivot_of:
+                return None
+            c, d = self._pivot_of[r]
+            q, rem = divmod(ub, d)
+            if rem:
+                return None
+            _axpy(x, self._form.v_cols[c], q)
+        return x
+
+
+def solver(columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
+    """Solves A·x = b for the matrix A with the given sparse columns over
+    ``nrows`` rows: ``.solve(b)`` takes a sparse b and gives a sparse x, or
+    None when there is none.  A is put in echelon (or Smith) form once for
+    all right-hand sides."""
+    return _FieldSolver(columns, nrows, ring) if ring.is_field else _IntegerSolver(columns, nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +565,14 @@ def _homology_field(ring, out_cols, in_cols, rank_here) -> HomologyDescriptor:
     logs: List[list] = []
     # the columns in the span of the earlier ones are the free columns of the
     # lowest-index row echelon form; a cycle is determined by its entries there
-    kept = {k for k, _, _ in _reduce(ops, (ops.pack(col.items()) for col in out_cols), top=True, logs=logs).values()}
-    free = [j for j in range(rank_here) if j not in kept]
+    free = _free_columns(ops, out_cols, logs)
     keep = ops.pack((j, ring.one) for j in free)
     # the image in kernel coordinates, by lowest-index pivots (an invariant of the
     # span): the reduced independent columns span it, and right to left fill in least
     independent = _reduce(ops, (ops.pack(col.items()) for col in in_cols), top=True).values()
     image = _reduce(ops, (ops.restrict(w, keep) for _, w, _ in sorted(independent, key=lambda hit: -hit[0])))
     classes = [f for f in free if f not in image]
-    reps = [_kernel_vector(ring, logs, f, rank_here) for f in classes]
+    reps = [[v.get(j, ring.zero) for j in range(rank_here)] for v in (_kernel_vector(ring, logs, f) for f in classes)]
     ascending = sorted((p, w, inv) for p, (_, w, inv) in image.items())
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:

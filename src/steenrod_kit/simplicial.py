@@ -220,7 +220,7 @@ class FaceTable:
                         col[r] = col.get(r, 0) + (-1 if i & 1 else 1)
                 cols[k] = {r: value[s] for r, s in col.items() if s in value}
             columns[n] = cols
-        return ChainComplex.from_columns(ring, basis, columns, self.truncation_dim, exhaustive)
+        return ChainComplex(ring, basis, columns, self.truncation_dim, exhaustive)
 
 
 # ---------------------------------------------------------------------------

@@ -209,22 +209,18 @@ def _check_sq_rp4(cfg: SuiteConfig) -> Tuple[str, str]:
 def _random_complex(rng: random.Random, ring) -> ChainComplex:
     ranks = {d: rng.randint(0, 3) for d in range(4)}
     basis = {d: [Cell(d, ("r", d, i)) for i in range(ranks[d])] for d in range(4) if ranks[d]}
-    boundary = {}
-    cycles = {d: set(range(ranks.get(d, 0))) for d in range(4)}
-    for d in range(4):
-        for i in range(ranks.get(d, 0)):
-            boundary[basis[d][i]] = Chain(ring, d - 1, {})
-        if d == 0 or not ranks.get(d, 0):
-            continue
+    columns = {d: [{} for _ in basis[d]] for d in basis}
+    cycles = {d: set(range(ranks[d])) for d in range(4)}
+    for d in range(1, 4):
         for i in range(ranks[d]):
-            lower = sorted(cycles.get(d - 1, set()))
+            lower = sorted(cycles[d - 1])
             if lower and rng.random() < 0.6:
                 t = rng.choice(lower)
-                k = rng.choice([1, 2, 3, -1])
-                boundary[basis[d][i]] = Chain(ring, d - 1, {basis[d - 1][t]: ring.coerce(k)})
+                k = ring.coerce(rng.choice([1, 2, 3, -1]))
+                columns[d][i] = {} if ring.is_zero(k) else {t: k}
                 cycles[d].discard(i)
                 cycles[d - 1].discard(t)
-    return ChainComplex(ring, basis, boundary, 3)
+    return ChainComplex(ring, basis, columns, 3)
 
 
 def _check_dold_kan_roundtrip(cfg: SuiteConfig) -> Tuple[str, str]:

@@ -1,15 +1,4 @@
-import pytest
-
-from steenrod_kit.bar import (
-    Permutation,
-    bar_boundary,
-    bar_boundary_coefficients,
-    block_compose,
-    block_permutation,
-    e,
-    eta,
-    twist_act,
-)
+from steenrod_kit.bar import bar_boundary, bar_boundary_coefficients, eta, twist_act
 from steenrod_kit.chains import BarElement, Chain, Simplex, TensorPair
 from steenrod_kit.rings import ZZ
 
@@ -46,27 +35,3 @@ def test_twist_act_koszul_sign():
     assert swapped.terms == {key: -1}
     # involution: T² = 1
     assert twist_act(swapped) == c
-
-
-def test_permutation_composition():
-    s = Permutation((2, 1, 3))
-    assert s.compose(s) == Permutation.identity(3)
-    assert Permutation.transposition(3, 1, 3) == Permutation((3, 2, 1))
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 2))
-
-
-def test_block_permutation():
-    swap = Permutation((2, 1))
-    # blocks of sizes (2, 1): the first block of two letters moves past one
-    blocked = block_permutation(swap, (2, 1))
-    assert blocked.images == (2, 3, 1)
-    assert block_permutation(swap, (1, 1)) == swap
-
-
-def test_block_compose():
-    outer = Permutation((2, 1))
-    inner = [Permutation.identity(1), Permutation((2, 1))]
-    composed = block_compose(outer, inner)
-    assert composed.size == 3
-    assert sorted(composed.images) == [1, 2, 3]

@@ -105,6 +105,36 @@ def test_sq_argument_out_of_range_is_an_input_error(argv, capsys, corpus_file):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [["--truncation", "2"], ["--truncation", "1"], ["--truncation", "9"], ["--max-k", "-3"]])
+def test_verify_argument_out_of_range_is_an_input_error(argv, capsys):
+    assert main(["verify"] + argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    # the two truncations the suite is written for both run
+    assert main(["verify", "--only", "gamma-retraction", "--truncation", "3"]) == EXIT_OK
+    assert main(["verify", "--only", "gamma-retraction", "--truncation", "4"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "--input", str(CORPUS / "circle.json"), "--truncation", "-7"],
+        ["sq", "--input", str(CORPUS / "rp2.json"), "--truncation", "3"],
+        ["info", "--input", str(CORPUS / "circle.json"), "--ring", "z"],
+        ["verify", "--input", str(CORPUS / "circle.json")],
+        ["verify", "--ring", "f2"],
+    ],
+)
+def test_option_the_command_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
 def test_sq_stops_at_the_truncation(tmp_path, capsys, corpus_file):
     # truncation_dim 2 determines cohomology up to degree 1, as for homology
     assert main(["sq", "--input", corpus_file("counterexample"), "--json"]) == EXIT_OK

@@ -17,7 +17,6 @@ from steenrod_kit.dold_kan import (
     hurewicz_chain_map,
     hurewicz_square_defect,
     moore_complex,
-    normalized_of_sab,
     pointed_unnormalized_chains,
 )
 from steenrod_kit.homology import homology
@@ -33,8 +32,7 @@ def _interval(ring=ZZ, truncation=4):
 def _sphere_complex(ring):
     # one generator in degrees 0 and 2, zero boundary
     basis = {0: [Cell(0, "pt")], 2: [Cell(2, "top")]}
-    boundary = {basis[0][0]: Chain(ring, -1, {}), basis[2][0]: Chain(ring, 1, {})}
-    return ChainComplex(ring, basis, boundary, 3)
+    return ChainComplex(ring, basis, {0: [{}], 2: [{}]}, 3)
 
 
 def test_validation_catches_broken_identities():
@@ -126,8 +124,6 @@ def test_gamma_level_ranks():
 
 def test_normalized_of_gamma_recovers_the_complex():
     c = _sphere_complex(QQ)
-    n = normalized_of_sab(gamma(c, 3))
-    assert [n.rank(d) for d in range(4)] == [c.rank(d) for d in range(4)]
     assert dold_kan_round_trip(c)
 
 
@@ -214,9 +210,7 @@ def test_hurewicz_square_defect_vanishes():
 
 
 def test_gamma_rejects_negative_grading():
-    basis = {-1: [Cell(-1, "aug")]}
-    boundary = {basis[-1][0]: Chain(ZZ, -2, {})}
-    c = ChainComplex(ZZ, basis, boundary, 2)
+    c = ChainComplex(ZZ, {-1: [Cell(-1, "aug")]}, {-1: [{}]}, 2)
     with pytest.raises(ValueError):
         gamma(c, 2)
 

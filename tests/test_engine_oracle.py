@@ -107,29 +107,35 @@ def test_engines_agree_on_random_complexes(seed, ring):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from(RINGS),
+    st.sampled_from(RINGS + (ZZ,)),
     st.integers(1, 6),
     st.lists(st.lists(st.integers(-2, 2), min_size=6, max_size=6), max_size=5),
     st.lists(st.integers(-2, 2), min_size=5, max_size=5),
     st.lists(st.integers(-2, 2), min_size=6, max_size=6),
 )
 def test_span_solvers_agree(ring, ncols, generators, weights, outside):
-    """The engine ``SpanSolver`` against the dense one: with independent
-    generators the coefficients are equal; with dependent ones both find
-    the same vectors outside the span, and the engine's coefficients
-    rebuild every vector inside it."""
+    """The engine's ``solver`` against the dense one (``SpanSolver`` over a
+    field, ``IntegerSolver`` over ℤ): both find the same vectors outside
+    the span (over ℤ solvability is a property of A and b alone); with
+    independent generators the coefficients are equal, and the engine's
+    coefficients rebuild every vector inside the span."""
     gens = [[ring.coerce(x) for x in g[:ncols]] for g in generators]
-    new = linalg.SpanSolver(gens, ncols, ring)
-    old = dense_oracle.SpanSolver(gens, ncols, ring)
-    independent = len(dense_oracle.rref_field(gens, ncols, ring)[0]) == len(gens)
+    new = linalg.solver([{i: x for i, x in enumerate(g) if x} for g in gens], ncols, ring)
+    if ring == ZZ:
+        old = dense_oracle.IntegerSolver([[g[i] for g in gens] for i in range(ncols)], len(gens))
+        express = old.solve
+    else:
+        express = dense_oracle.SpanSolver(gens, ncols, ring).express
+    independent = len(dense_oracle.rref_field(gens, ncols, QQ if ring == ZZ else ring)[0]) == len(gens)
     inside = [ring.zero] * ncols
     for w, g in zip(weights, gens):
         inside = [ring.add(a, ring.mul(ring.coerce(w), b)) for a, b in zip(inside, g)]
     for vec in (inside, [ring.coerce(x) for x in outside[:ncols]]):
-        got, want = new.express(vec), old.express(vec)
+        got, want = new.solve({i: x for i, x in enumerate(vec) if x}), express(vec)
         assert (got is None) == (want is None)
         if got is None:
             continue
+        got = [got.get(k, ring.zero) for k in range(len(gens))]
         if independent:
             assert got == want
         rebuilt = [ring.zero] * ncols

@@ -3,16 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steenrod_kit.linalg import (
-    IntegerSolver,
-    SpanSolver,
-    field_kernel,
-    homology_of_matrices,
-    field_rank,
-    integer_kernel,
-    smith_normal_form,
-)
-from steenrod_kit.rings import F2, F5, QQ
+from steenrod_kit.linalg import field_rank, homology_of_matrices, kernel, smith_normal_form, solver
+from steenrod_kit.rings import F2, F5, QQ, ZZ
 
 
 def _mat_mul(a, b):
@@ -53,17 +45,21 @@ def _columns(rows):
     return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
 
 
+def _dense(vec, size):
+    return [vec.get(i, 0) for i in range(size)]
+
+
 def test_integer_kernel_and_solve():
     a = [[2, 4, 6], [1, 2, 3]]
-    kern = integer_kernel(_columns(a))
+    kern = [_dense(v, 3) for v in kernel(_columns(a), ZZ)]
     assert len(kern) == 2
     for vec in kern:
         assert all(sum(row[j] * vec[j] for j in range(3)) == 0 for row in a)
-    solver = IntegerSolver(a, 3)  # one factorization, several right-hand sides
-    x = solver.solve([2, 1])
-    assert x is not None and sum(a[0][j] * x[j] for j in range(3)) == 2
-    assert solver.solve([1, 1]) is None  # incompatible
-    assert IntegerSolver([[2]], 1).solve([1]) is None  # 2x = 1 has no integer solution
+    s = solver(_columns(a), 2, ZZ)  # one factorization, several right-hand sides
+    x = _dense(s.solve({0: 2, 1: 1}), 3)
+    assert sum(a[0][j] * x[j] for j in range(3)) == 2
+    assert s.solve({0: 1, 1: 1}) is None  # incompatible
+    assert solver([{0: 2}], 1, ZZ).solve({0: 1}) is None  # 2x = 1 has no integer solution
 
 
 def test_engine_rank_and_kernel_over_fields():
@@ -71,29 +67,27 @@ def test_engine_rank_and_kernel_over_fields():
     assert field_rank((enumerate(r) for r in rows), QQ) == 2
     assert field_rank((enumerate(r) for r in rows), F5) == 2
     # pivots at columns 0 and 1: the one kernel vector is 1 at the free column 2
-    assert field_kernel(_columns([[QQ.coerce(x) for x in r] for r in rows]), QQ) == [[-1, -1, 1]]
-    kern = field_kernel(_columns([[F5.coerce(x) for x in r] for r in rows]), F5)
+    assert [_dense(v, 3) for v in kernel(_columns([[QQ.coerce(x) for x in r] for r in rows]), QQ)] == [[-1, -1, 1]]
+    kern = [_dense(v, 3) for v in kernel(_columns([[F5.coerce(x) for x in r] for r in rows]), F5)]
     assert kern == [[4, 4, 1]]
     for row in rows:
         assert F5.is_zero(sum(F5.coerce(x) * k for x, k in zip(row, kern[0])))
 
 
 def test_span_solver():
-    gens = [[QQ.coerce(1), QQ.coerce(0)], [QQ.coerce(1), QQ.coerce(1)]]
-    solver = SpanSolver(gens, 2, QQ)
-    coeffs = solver.express([QQ.coerce(3), QQ.coerce(2)])
+    gens = [{0: QQ.coerce(1)}, {0: QQ.coerce(1), 1: QQ.coerce(1)}]
+    coeffs = solver(gens, 2, QQ).solve({0: QQ.coerce(3), 1: QQ.coerce(2)})
     assert coeffs is not None
-    combo = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(2)]
+    combo = [sum(c * gens[k].get(i, 0) for k, c in coeffs.items()) for i in range(2)]
     assert combo == [3, 2]
     # outside a 1-dim span
-    solver1 = SpanSolver([gens[0]], 2, QQ)
-    assert solver1.express([QQ.coerce(0), QQ.coerce(1)]) is None
+    assert solver([gens[0]], 2, QQ).solve({1: QQ.coerce(1)}) is None
 
 
 def test_f2_engine_kernel():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     # the echelon form has pivots 0 and 1; column 2 is free
-    assert field_kernel(_columns(rows), F2) == [[1, 1, 1]]
+    assert [_dense(v, 3) for v in kernel(_columns(rows), F2)] == [[1, 1, 1]]
     # the same matrix as the map out of a degree: H = ker, nothing comes in
     h = homology_of_matrices(F2, [dict(enumerate(r)) for r in rows], [], 3)
     assert h.dimension == 1 and h.representatives == [[1, 1, 1]]
@@ -120,12 +114,14 @@ def test_engine_image_and_coordinates_over_an_odd_field():
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_matrix, st.integers(0, 10**6))
-def test_integer_kernel_is_actual_kernel(a, seed):
+@given(small_matrix, st.integers(0, 10**6), st.sampled_from([ZZ, QQ, F5]))
+def test_integer_kernel_is_actual_kernel(a, seed, ring):
     ncols = len(a[0])
-    kern = integer_kernel(_columns(a))
+    a = [[ring.coerce(x) for x in row] for row in a]
+    kern = [_dense(v, ncols) for v in kernel(_columns(a), ring)]
+    assert len(kern) == ncols - field_rank((enumerate(row) for row in a), QQ if ring == ZZ else ring)
     rng = random.Random(seed)
     if kern:
-        weights = [rng.randint(-3, 3) for _ in kern]
+        weights = [ring.coerce(rng.randint(-3, 3)) for _ in kern]
         combo = [sum(w * vec[j] for w, vec in zip(weights, kern)) for j in range(ncols)]
-        assert all(sum(row[j] * combo[j] for j in range(ncols)) == 0 for row in a)
+        assert all(ring.is_zero(ring.coerce(sum(row[j] * combo[j] for j in range(ncols)))) for row in a)
