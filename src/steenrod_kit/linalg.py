@@ -449,7 +449,7 @@ def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[i
     return [form.v_cols[j] for j in range(len(columns)) if j not in pivot_cols]
 
 
-class _FieldSolver:
+class _EchelonSolver:
     """Each column of A is tagged with a unit vector past row ``nrows``:
     reducing b by the echelon pivots below ``nrows`` leaves −x in the tags."""
 
@@ -468,7 +468,7 @@ class _FieldSolver:
         return {i: c for i, c in x if not ring.is_zero(c)}
 
 
-class _IntegerSolver:
+class _SmithSolver:
     """From one Smith form U·A·V = D: A·x = b has a solution exactly when
     U·b vanishes off the pivot rows and each pivot d divides its entry."""
 
@@ -497,7 +497,7 @@ def solver(columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
     ``nrows`` rows: ``.solve(b)`` takes a sparse b and gives a sparse x, or
     None when there is none.  A is put in echelon (or Smith) form once for
     all right-hand sides."""
-    return _FieldSolver(columns, nrows, ring) if ring.is_field else _IntegerSolver(columns, nrows)
+    return _EchelonSolver(columns, nrows, ring) if ring.is_field else _SmithSolver(columns, nrows)
 
 
 # ---------------------------------------------------------------------------
