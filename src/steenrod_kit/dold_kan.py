@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bar import BarElement
 from .chains import Cell, Chain, ChainComplex, GradedMap, TensorPair, chain_of, zero_chain
-from .diagonal import DiagonalTable, xi_cell
+from .diagonal import DiagonalTable
 from .linalg import _axpy, kernel, solver
 from .rings import Coefficient, Ring
 from .simplicial import (
@@ -52,9 +51,19 @@ def _apply_columns(cols: Columns, entries: Iterable[Tuple[int, Coefficient]], p:
 
 
 def _compose(second: Columns, first: Columns, ring: Ring) -> Columns:
-    """Columns of (second ∘ first)."""
+    """Columns of (second ∘ first).  A unit column {j: 1} of ``first`` gives
+    ``second[j]`` itself, not a copy: the result may share dicts with
+    ``second`` and must not be mutated."""
     p = ring.characteristic
-    return [_apply_columns(second, col.items(), p) for col in first]
+    out: Columns = []
+    for col in first:
+        if len(col) == 1:
+            ((j, x),) = col.items()
+            if x == 1:
+                out.append(second[j])
+                continue
+        out.append(_apply_columns(second, col.items(), p))
+    return out
 
 
 def _coerced(cols: Columns, ring: Ring) -> Columns:
@@ -419,9 +428,9 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
 def _sab_iterated_face(a: SimplicialAbelianGroup, n: int, idx: int, keep: Sequence[int]) -> Optional[Tuple[int, int]]:
     """Follow an iterated face of a generator through single-generator face
     maps; None when the face is zero (a quotiented basepoint cell)."""
-    drop = [j for j in range(n + 1) if j not in set(keep)]
+    kept = set(keep)
     dim, cur = n, idx
-    for j in sorted(drop, reverse=True):
+    for j in [j for j in range(n, -1, -1) if j not in kept]:
         col = a.face(dim, j)[cur]
         if not col:
             return None
@@ -430,27 +439,6 @@ def _sab_iterated_face(a: SimplicialAbelianGroup, n: int, idx: int, keep: Sequen
         cur = next(iter(col))
         dim -= 1
     return dim, cur
-
-
-def xi_sab_generator(
-    b: BarElement, a: SimplicialAbelianGroup, n: int, idx: int, table: DiagonalTable, ring: Ring
-) -> Chain:
-    """ξ(b⊗g) for a generator g of a free simplicial abelian group, via the
-    colimit extension; terms through a zero face vanish."""
-    from .bar import twist_act
-
-    acc: Dict[object, Coefficient] = {}
-    for (left, right), coeff in table.raw(b.level, n).items():
-        fa = _sab_iterated_face(a, n, idx, left)
-        fb = _sab_iterated_face(a, n, idx, right)
-        if fa is None or fb is None:
-            continue
-        key = TensorPair(a.basis_cell(*fa), a.basis_cell(*fb))
-        acc[key] = ring.add(acc.get(key, ring.zero), ring.coerce(coeff))
-    chain = Chain(ring, b.level + n, acc)
-    if b.twist:
-        chain = twist_act(chain)
-    return chain
 
 
 def hurewicz_square_defect(
@@ -462,20 +450,38 @@ def hurewicz_square_defect(
     idx: int,
 ) -> Chain:
     """(C(h)⊗C(h))∘ξ_X − ξ_{R̃X}∘(1⊗C(h)) on the cell (n, idx) at bar level
-    ``level``; zero iff the Hurewicz map respects the diagonal there."""
-    from .bar import e
+    ``level``; zero iff the Hurewicz map respects the diagonal there.
 
+    Both sides are colimit extensions of ξ(e_level⊗Δⁿ): the left one takes
+    faces in X and then the generator of R̃X with the same label (none for the
+    basepoint chain), the right one follows the face maps of R̃X from the
+    generator of the cell.  They are summed into one dict keyed by (dim,
+    index, dim, index) in R̃X's numbering, and only the nonzero remainder is
+    built as a chain of tensor pairs.
+    """
     a = free_simplicial_abelian(x, ring, pointed=True)
-    position = a.position
-    full = xi_cell(e(level), x, n, idx, table, ring)
-    lhs_terms: Dict[object, Coefficient] = {}
-    for pair, coeff in full.terms.items():
-        if (pair.left.degree, pair.left.label) in position and (pair.right.degree, pair.right.label) in position:
-            lhs_terms[pair] = coeff
-    lhs = Chain(ring, full.degree, lhs_terms)
-    pos = position.get((n, x.basis_cell(n, idx).label))
-    if pos is None:
-        rhs = zero_chain(ring, full.degree)
-    else:
-        rhs = xi_sab_generator(e(level), a, n, pos, table, ring)
-    return lhs - rhs
+    position, p = a.position, ring.characteristic
+
+    def generator(dim: int, i: int) -> Optional[int]:
+        return position.get((dim, x.basis_cell(dim, i).label))
+
+    acc: Dict[Tuple[int, int, int, int], Coefficient] = {}
+
+    def add(key: Tuple[int, int, int, int], c: Coefficient) -> None:
+        v = acc.get(key, 0) + c
+        acc[key] = v % p if p else v
+
+    pos = generator(n, idx)
+    for (left, right), coeff in table.raw(level, n).items():
+        c = ring.coerce(coeff)
+        da, ia = x.iterated_face(n, idx, left)
+        db, ib = x.iterated_face(n, idx, right)
+        ka, kb = generator(da, ia), generator(db, ib)
+        if ka is not None and kb is not None:
+            add((da, ka, db, kb), c)
+        if pos is not None:
+            fa, fb = _sab_iterated_face(a, n, pos, left), _sab_iterated_face(a, n, pos, right)
+            if fa is not None and fb is not None:
+                add((*fa, *fb), -c)
+    terms = {TensorPair(a.basis_cell(da, ka), a.basis_cell(db, kb)): v for (da, ka, db, kb), v in acc.items() if v}
+    return Chain(ring, level + n, terms)

@@ -12,7 +12,8 @@ pivots of the earlier ones; over ℚ an entry is an int, as ``Ring.coerce``
 gives it, until a pivot's inverse makes it a fraction.  Kernels reduce the
 columns of a map by highest-index pivots (the persistence order) and log
 each step, which yields the canonical kernel vector of each column that
-reduces to zero; images and span solves use lowest-index pivots.
+reduces to zero; ranks use the same order; images and span solves use
+lowest-index pivots.
 
 ``kernel`` and ``solver`` choose the engine from the ring, so callers never
 do: both take a matrix as sparse columns and give sparse vectors back.
@@ -424,9 +425,13 @@ def _free_columns(ops, columns: Sequence[Dict[int, Coefficient]], logs: List[lis
 
 
 def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) -> int:
-    """Rank over a field of vectors given by their (index, entry) pairs."""
+    """Rank over a field of vectors given by their (index, entry) pairs.
+
+    Reduced by highest-index pivots, as the kernels are: the rank does not
+    depend on the order, and a vector whose top index no earlier vector has
+    becomes a pivot as it is, with no elimination."""
     ops = _vectors(ring)
-    return len(_reduce(ops, (ops.pack(row) for row in rows)))
+    return len(_reduce(ops, (ops.pack(row) for row in rows), top=True))
 
 
 # ---------------------------------------------------------------------------

@@ -363,34 +363,67 @@ class SimplicialSetPresentation(FaceTable):
         self._check_tables(self.faces, lambda n: n > 0, "faces")
         self._check_tables(self.degeneracies, lambda n: n + 1 <= self.truncation_dim, "degeneracies")
         self._validate_face_identities()
-        if not self.strict:
-            return
+        if self.strict:
+            self._validate_mixed_identities()
+
+    def _validate_mixed_identities(self) -> None:
+        """d_i s_i = d_{i+1} s_i = id, d_j s_i = s_{i−1} d_j (j < i),
+        d_j s_i = s_i d_{j−1} (j > i+1) and s_i s_j = s_{j+1} s_i (i ≤ j) on
+        every cell: per dimension, each identity compares two index lists over
+        all cells at once, and a dimension where one fails is walked cell by
+        cell to name the first failing cell."""
+        faces = {n: [list(col) for col in zip(*table)] for n, table in self.faces.items()}  # faces[n][j][x]: d_j x
+        degs = {n: [list(col) for col in zip(*table)] for n, table in self.degeneracies.items()}
+        top = self.truncation_dim
+
+        def take(seq: List[int], indices: List[int]) -> List[int]:
+            return list(map(seq.__getitem__, indices))
+
+        def d_s(n: int, j: int, i: int) -> bool:
+            got = take(faces[n + 1][j], degs[n][i])
+            if j in (i, i + 1):
+                return got == list(range(self.n_cells(n)))
+            if j < i:
+                return got == take(degs[n - 1][i - 1], faces[n][j])
+            return got == take(degs[n - 1][i], faces[n][j - 1])
+
+        def s_s(n: int, i: int, j: int) -> bool:
+            return take(degs[n + 1][i], degs[n][j]) == take(degs[n + 1][j + 1], degs[n][i])
+
         for n in sorted(self.cells):
-            if n + 1 > self.truncation_dim:
+            if n + 1 > top:
                 continue
-            for idx in range(self.n_cells(n)):
+            held = all(d_s(n, j, i) for i in range(n + 1) for j in range(n + 2))
+            if held and n + 2 <= top:
+                held = all(s_s(n, i, j) for i in range(n + 1) for j in range(i, n + 1))
+            if not held:
+                self._name_failing_cell(n)
+
+    def _name_failing_cell(self, n: int) -> None:
+        """Raise for the first n-cell on which a mixed identity fails."""
+        for idx in range(self.n_cells(n)):
+            for i in range(n + 1):
+                s = self.degeneracy(n, idx, i)
+                # d_i s_i = d_{i+1} s_i = id
+                if self.face(n + 1, s, i) != idx or self.face(n + 1, s, i + 1) != idx:
+                    raise ValueError(f"identity d s = id failed at s_{i} of ({n},{idx})")
+                for j in range(n + 2):
+                    if j == i or j == i + 1:
+                        continue
+                    got = self.face(n + 1, s, j)
+                    if j < i:
+                        expect = self.degeneracy(n - 1, self.face(n, idx, j), i - 1)
+                    else:
+                        expect = self.degeneracy(n - 1, self.face(n, idx, j - 1), i)
+                    if got != expect:
+                        raise ValueError(f"identity d_{j} s_{i} failed on ({n},{idx})")
+            if n + 2 <= self.truncation_dim:
                 for i in range(n + 1):
-                    s = self.degeneracy(n, idx, i)
-                    # d_i s_i = d_{i+1} s_i = id
-                    if self.face(n + 1, s, i) != idx or self.face(n + 1, s, i + 1) != idx:
-                        raise ValueError(f"identity d s = id failed at s_{i} of ({n},{idx})")
-                    for j in range(n + 2):
-                        if j == i or j == i + 1:
-                            continue
-                        got = self.face(n + 1, s, j)
-                        if j < i:
-                            expect = self.degeneracy(n - 1, self.face(n, idx, j), i - 1)
-                        else:
-                            expect = self.degeneracy(n - 1, self.face(n, idx, j - 1), i)
-                        if got != expect:
-                            raise ValueError(f"identity d_{j} s_{i} failed on ({n},{idx})")
-                if n + 2 <= self.truncation_dim:
-                    for i in range(n + 1):
-                        for j in range(i, n + 1):
-                            lhs = self.degeneracy(n + 1, self.degeneracy(n, idx, j), i)
-                            rhs = self.degeneracy(n + 1, self.degeneracy(n, idx, i), j + 1)
-                            if lhs != rhs:
-                                raise ValueError(f"identity s_i s_j failed on ({n},{idx})")
+                    for j in range(i, n + 1):
+                        lhs = self.degeneracy(n + 1, self.degeneracy(n, idx, j), i)
+                        rhs = self.degeneracy(n + 1, self.degeneracy(n, idx, i), j + 1)
+                        if lhs != rhs:
+                            raise ValueError(f"identity s_i s_j failed on ({n},{idx})")
 
     # --- chains ------------------------------------------------------------------
     def unnormalized_chains(self, ring: Ring) -> ChainComplex:

@@ -30,15 +30,18 @@ def _sorted_monomial(factors: Monomial) -> Monomial:
     return tuple(sorted(factors, key=lambda b: b.sort_key()))
 
 
-def _symmetrized_powers(c: Chain, count: int, field: Ring) -> List[Polynomial]:
-    """The images of c^{⊗0}, …, c^{⊗(count−1)}, each the previous times c.
+def _symmetrized_powers(
+    terms: List[Tuple[int, Coefficient]], count: int, field: Ring
+) -> List[Dict[Tuple[int, ...], Coefficient]]:
+    """The images of c^{⊗0}, …, c^{⊗(count−1)}, each the previous times c,
+    for the chain c with the given (position, coefficient) terms.
 
-    Monomials are built as sorted tuples of positions in the chain's basis,
-    which is sorted by its sort keys once, and turned into basis elements at
-    the end; the chain's coefficients are coerced once.
+    A monomial is the sorted tuple of the positions of its factors, so
+    monomials are compared and hashed as int tuples; positions must follow
+    the sort keys of the basis elements they stand for.  Coefficients are
+    field elements as ``coerce`` gives them (mod p over 𝔽_p).
     """
-    basis = sorted(c.terms, key=lambda b: b.sort_key())
-    terms = [(k, field.coerce(c.terms[b])) for k, b in enumerate(basis)]
+    p = field.characteristic
     powers: List[Dict[Tuple[int, ...], Coefficient]] = [{(): field.one}]
     while len(powers) < count:
         nxt: Dict[Tuple[int, ...], Coefficient] = {}
@@ -46,18 +49,20 @@ def _symmetrized_powers(c: Chain, count: int, field: Ring) -> List[Polynomial]:
             for k, value in terms:
                 at = bisect_right(mono, k)
                 key = mono[:at] + (k,) + mono[at:]
-                v = field.add(nxt.get(key, field.zero), field.mul(coeff, value))
-                if field.is_zero(v):
-                    nxt.pop(key, None)
-                else:
+                v = nxt.get(key, 0) + coeff * value
+                if p:
+                    v %= p
+                if v:
                     nxt[key] = v
+                else:
+                    nxt.pop(key, None)
         powers.append(nxt)
-    return [{tuple(basis[k] for k in mono): x for mono, x in power.items()} for power in powers]
+    return powers
 
 
 def symmetrized_power(c: Chain, power: int, field: Ring) -> Polynomial:
     """The image of c^{⊗power} in the symmetric algebra on the chain basis."""
-    return _symmetrized_powers(c, power + 1, field)[power]
+    return TruncatedDiagonalVector.of(c, power + 1, field).components[power]
 
 
 @dataclass
@@ -69,7 +74,11 @@ class TruncatedDiagonalVector:
 
     @staticmethod
     def of(c: Chain, t: int, field: Ring) -> "TruncatedDiagonalVector":
-        return TruncatedDiagonalVector(_symmetrized_powers(c, t, field), t)
+        basis = sorted(c.terms, key=lambda b: b.sort_key())
+        powers = _symmetrized_powers([(k, field.coerce(c.terms[b])) for k, b in enumerate(basis)], t, field)
+        return TruncatedDiagonalVector(
+            [{tuple(basis[k] for k in mono): x for mono, x in power.items()} for power in powers], t
+        )
 
     def check_powers(self, field: Ring) -> bool:
         """Component i must be the i-fold product of component 1."""
@@ -118,17 +127,20 @@ def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
             if cs[i] == cs[j]:
                 raise ValueError("chains must be pairwise distinct")
     field = _fraction_field(ring)
-    vectors = [TruncatedDiagonalVector.of(c, t, field) for c in cs]
+    # one basis for all t chains, in sort-key order, so that a monomial is the
+    # same int tuple in every row
+    support = sorted({b for c in cs for b in c.terms}, key=lambda b: b.sort_key())
+    position = {b: k for k, b in enumerate(support)}
     # common coordinate space: (power, monomial) pairs, numbered as they occur
-    columns: Dict[Tuple[int, Monomial], int] = {}
-    rows = [
-        [
+    columns: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    rows = []
+    for c in cs:
+        terms = sorted((position[b], field.coerce(x)) for b, x in c.terms.items())
+        rows.append([
             (columns.setdefault((power, mono), len(columns)), coeff)
-            for power, comp in enumerate(vec.components)
+            for power, comp in enumerate(_symmetrized_powers(terms, t, field))
             for mono, coeff in comp.items()
-        ]
-        for vec in vectors
-    ]
+        ])
     return field_rank(rows, field) == t
 
 

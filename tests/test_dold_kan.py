@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -89,19 +90,27 @@ def test_validation_catches_a_factor_two(ring):
 @st.composite
 def _composable(draw):
     """(ring, k, second, first): sparse columns of a k×m and an m×n matrix
-    over ℤ, ℚ or 𝔽₅, entries as ``ring.coerce`` gives them, zeros dropped."""
-    ring = draw(st.sampled_from([ZZ, QQ, F5]))
-    scalars = st.integers(-4, 4) if ring == ZZ else st.fractions(-4, 4, max_denominator=3)
+    over ℤ, ℚ, 𝔽₂ or 𝔽₅, entries as ``ring.coerce`` gives them, zeros
+    dropped.  Each column is a unit column {j: 1}, a single other entry, or
+    any column."""
+    ring = draw(st.sampled_from([ZZ, QQ, F2, F5]))
+    scalars = st.integers(-4, 4) if ring in (ZZ, F2) else st.fractions(-4, 4, max_denominator=3)
+
+    def column(nrows):
+        shape = draw(st.sampled_from(["unit", "single", "any"]))
+        if shape == "any":
+            return draw(st.dictionaries(st.integers(0, nrows - 1), scalars, max_size=nrows))
+        return {draw(st.integers(0, nrows - 1)): 1 if shape == "unit" else draw(scalars)}
 
     def columns(nrows, ncols):
-        drawn = [draw(st.dictionaries(st.integers(0, nrows - 1), scalars, max_size=nrows)) for _ in range(ncols)]
+        drawn = [column(nrows) for _ in range(ncols)]
         return [{r: x for r, y in col.items() if not ring.is_zero(x := ring.coerce(y))} for col in drawn]
 
     k, m, n = (draw(st.integers(1, 5)) for _ in range(3))
     return ring, k, columns(k, m), columns(m, n)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(_composable())
 def test_compose_equals_the_dense_product(case):
     ring, k, second, first = case
@@ -110,9 +119,11 @@ def test_compose_equals_the_dense_product(case):
     product = [[sum(a[r][t] * b[t][j] for t in range(len(second))) for j in range(len(first))] for r in range(k)]
     if ring.characteristic:
         product = [[x % ring.characteristic for x in row] for row in product]
+    inputs = copy.deepcopy((second, first))
     composed = _compose(second, first, ring)
     assert dense(composed, k) == product
     assert all(not ring.is_zero(x) for col in composed for x in col.values())
+    assert (second, first) == inputs  # neither input is mutated
 
 
 def test_gamma_level_ranks():
@@ -201,12 +212,31 @@ def test_hurewicz_square_defect_vanishes():
     table = DiagonalTable()
     for name in ("circle", "rp2"):
         x = freely_add_degeneracies(load_corpus(name), 3)
-        for ring in (ZZ, F2):
+        for ring in (ZZ, QQ, F2):
             for level in range(2):
                 for n in range(3):
                     for idx in range(x.n_cells(n)):
                         defect = hurewicz_square_defect(x, ring, table, level, n, idx)
                         assert defect.is_zero(), (name, level, n, idx)
+
+
+def test_hurewicz_square_defect_sees_a_moved_face():
+    table = DiagonalTable()
+    x = freely_add_degeneracies(load_corpus("circle"), 3)
+    a = free_simplicial_abelian(x, ZZ, pointed=True)
+    assert x.free_groups[(ZZ, True)] is a
+    # after validation, point d_0 of one edge of R̃X at another vertex generator
+    d0 = a.face_maps[(1, 0)]
+    k = next(k for k, col in enumerate(d0) if col)
+    (target,) = d0[k]
+    d0[k] = {next(t for t in range(a.rank(0)) if t != target): 1}
+    defects = [
+        hurewicz_square_defect(x, ZZ, table, level, n, idx)
+        for level in range(2)
+        for n in range(3)
+        for idx in range(x.n_cells(n))
+    ]
+    assert any(not defect.is_zero() for defect in defects)
 
 
 def test_gamma_rejects_negative_grading():

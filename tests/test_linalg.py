@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
 from steenrod_kit.linalg import field_rank, homology_of_matrices, kernel, smith_normal_form, solver
 from steenrod_kit.rings import F2, F5, QQ, ZZ
 
@@ -125,3 +126,37 @@ def test_integer_kernel_is_actual_kernel(a, seed, ring):
         weights = [ring.coerce(rng.randint(-3, 3)) for _ in kern]
         combo = [sum(w * vec[j] for w, vec in zip(weights, kern)) for j in range(ncols)]
         assert all(ring.is_zero(ring.coerce(sum(row[j] * combo[j] for j in range(ncols)))) for row in a)
+
+
+@st.composite
+def _rank_case(draw):
+    """(ring, ncols, rows, permutation of the columns): integer rows over ℚ,
+    𝔽₂ or 𝔽₅ with a duplicate row and a sum of two rows appended, shuffled."""
+    ring = draw(st.sampled_from([QQ, F2, F5]))
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=5))
+    if rows:
+        rows.append(list(draw(st.sampled_from(rows))))
+        left, right = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append([x + y for x, y in zip(left, right)])
+    return ring, ncols, draw(st.permutations(rows)), draw(st.permutations(range(ncols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rank_case())
+def test_field_rank_equals_the_dense_rank(case):
+    ring, ncols, rows, perm = case
+    want = len(dense_oracle.rref_field([[ring.coerce(x) for x in row] for row in rows], ncols, ring)[1])
+    assert field_rank((enumerate(row) for row in rows), ring) == want
+    # the rank does not depend on how the columns are numbered
+    assert field_rank(([(perm[j], x) for j, x in enumerate(row) if x] for row in rows), ring) == want
+    if rows:
+        assert want < len(rows)  # the appended rows are dependent, and the deficit is seen
+
+
+def test_field_rank_reports_a_deficit_hidden_below_the_top_entries():
+    # the last row is the sum of the first two: its top entry meets a pivot and
+    # two eliminations take it to zero; a row with a new top index is a pivot
+    rows = [[(0, 1), (2, 1)], [(1, 1), (3, 1)], [(0, 1), (1, 1), (2, 1), (3, 1)]]
+    assert field_rank(rows, QQ) == field_rank(rows, F5) == field_rank(rows, F2) == 2
+    assert field_rank(rows[:2] + [[(4, 1)]], QQ) == 3

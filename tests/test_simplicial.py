@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +17,7 @@ from steenrod_kit.simplicial import (
     is_degeneracy_free,
     map_to_word,
     point_complex,
+    SimplicialSetPresentation,
     standard_delta,
     word_to_map,
 )
@@ -155,8 +159,6 @@ def test_counterexample_is_not_degeneracy_free():
 
 def test_counterexample_violates_mixed_identities_when_strict():
     x = load_corpus("counterexample")
-    import dataclasses
-
     with pytest.raises(ValueError):
         dataclasses.replace(x, strict=True)
 
@@ -175,3 +177,77 @@ def test_point_complex():
     pt = freely_add_degeneracies(point_complex(), 3)
     assert [pt.n_cells(m) for m in range(4)] == [1, 1, 1, 1]
     assert is_degeneracy_free(pt)
+
+
+def _first_mixed_failure(x):
+    """The mixed identities checked cell by cell, dimension by dimension: the
+    message of the first failure, or None."""
+    for n in sorted(x.cells):
+        if n + 1 > x.truncation_dim:
+            continue
+        for idx in range(x.n_cells(n)):
+            for i in range(n + 1):
+                s = x.degeneracy(n, idx, i)
+                if x.face(n + 1, s, i) != idx or x.face(n + 1, s, i + 1) != idx:
+                    return f"identity d s = id failed at s_{i} of ({n},{idx})"
+                for j in range(n + 2):
+                    if j in (i, i + 1):
+                        continue
+                    if j < i:
+                        expect = x.degeneracy(n - 1, x.face(n, idx, j), i - 1)
+                    else:
+                        expect = x.degeneracy(n - 1, x.face(n, idx, j - 1), i)
+                    if x.face(n + 1, s, j) != expect:
+                        return f"identity d_{j} s_{i} failed on ({n},{idx})"
+            if n + 2 <= x.truncation_dim:
+                for i in range(n + 1):
+                    for j in range(i, n + 1):
+                        if x.degeneracy(n + 1, x.degeneracy(n, idx, j), i) != x.degeneracy(
+                            n + 1, x.degeneracy(n, idx, i), j + 1
+                        ):
+                            return f"identity s_i s_j failed on ({n},{idx})"
+    return None
+
+
+@pytest.mark.parametrize("name", ["circle", "rp2", "boundary_delta3"])
+def test_corrupt_degeneracies_name_the_first_failing_cell(name):
+    x = freely_add_degeneracies(load_corpus(name), 3)
+    assert _first_mixed_failure(x) is None
+    rng = random.Random(f"degeneracies-{name}")
+    messages = set()
+    for _ in range(40):
+        tables = {n: list(table) for n, table in x.degeneracies.items()}
+        for _ in range(rng.randint(1, 2)):  # one or two entries, each pointed at another cell
+            n = rng.randrange(x.truncation_dim)
+            idx, i = rng.randrange(x.n_cells(n)), rng.randrange(n + 1)
+            entry = list(tables[n][idx])
+            entry[i] = rng.choice([c for c in range(x.n_cells(n + 1)) if c != entry[i]])
+            tables[n][idx] = tuple(entry)
+        loose = SimplicialSetPresentation(x.cells, x.faces, tables, x.truncation_dim, strict=False)
+        want = _first_mixed_failure(loose)
+        if want is None:
+            dataclasses.replace(loose, strict=True)
+            continue
+        with pytest.raises(ValueError) as caught:
+            dataclasses.replace(loose, strict=True)
+        assert str(caught.value) == want
+        messages.add(want.split(" failed")[0])
+    assert messages == {"identity d s = id", "identity s_i s_j"}
+
+
+def test_corrupt_face_names_a_d_j_s_i_failure():
+    # on the one-vertex circle, d_2 s_0 a = s_0 d_1 a for the loop a; pointing
+    # d_2 of s_0 a at a itself keeps the face identities and d s = id, and
+    # breaks only that
+    loop = DeltaComplex({0: ["v"], 1: ["a"]}, {0: [()], 1: [(0, 0)]}, name="loop")
+    x = freely_add_degeneracies(loop, 2)
+    (a,) = x.nondegenerate_indices(1)
+    s0a = x.degeneracy(1, a, 0)
+    faces = {n: list(table) for n, table in x.faces.items()}
+    faces[2][s0a] = (*faces[2][s0a][:2], a)
+    loose = SimplicialSetPresentation(x.cells, faces, x.degeneracies, x.truncation_dim, strict=False)
+    want = f"identity d_2 s_0 failed on (1,{a})"
+    assert _first_mixed_failure(loose) == want
+    with pytest.raises(ValueError) as caught:
+        dataclasses.replace(loose, strict=True)
+    assert str(caught.value) == want
