@@ -110,7 +110,7 @@ def _composable(draw):
     return ring, k, columns(k, m), columns(m, n)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(_composable())
 def test_compose_equals_the_dense_product(case):
     ring, k, second, first = case

@@ -154,9 +154,13 @@ def test_field_rank_equals_the_dense_rank(case):
         assert want < len(rows)  # the appended rows are dependent, and the deficit is seen
 
 
-def test_field_rank_reports_a_deficit_hidden_below_the_top_entries():
+def test_field_rank_eliminates_below_the_top_entries():
     # the last row is the sum of the first two: its top entry meets a pivot and
-    # two eliminations take it to zero; a row with a new top index is a pivot
+    # two eliminations take it to zero
     rows = [[(0, 1), (2, 1)], [(1, 1), (3, 1)], [(0, 1), (1, 1), (2, 1), (3, 1)]]
-    assert field_rank(rows, QQ) == field_rank(rows, F5) == field_rank(rows, F2) == 2
-    assert field_rank(rows[:2] + [[(4, 1)]], QQ) == 3
+    # two rows with one top entry are still independent
+    shared_top = [[(0, 1), (2, 1)], [(1, 1), (2, 1)]]
+    for ring in (QQ, F2, F5):
+        assert field_rank(rows, ring) == 2
+        assert field_rank(rows[:2] + [[(4, 1)]], ring) == 3
+        assert field_rank(shared_top, ring) == 2

@@ -8,6 +8,7 @@ from steenrod_kit.documents import load_corpus
 from steenrod_kit.rings import ZZ
 from steenrod_kit.simplicial import (
     DeltaComplex,
+    SimplicialSetPresentation,
     all_surjection_words,
     compose_degeneracy,
     compose_face,
@@ -17,7 +18,6 @@ from steenrod_kit.simplicial import (
     is_degeneracy_free,
     map_to_word,
     point_complex,
-    SimplicialSetPresentation,
     standard_delta,
     word_to_map,
 )
