@@ -1,8 +1,9 @@
 """Truncated Dold-Kan machinery.
 
 Simplicial abelian groups are presented by an ordered basis per level with
-face and degeneracy operators as sparse integer (or field) matrices.  The
-module provides:
+face and degeneracy operators as index lists (each generator goes to one
+generator or to 0) or as sparse integer (or field) matrices.  The module
+provides:
 
 * the Moore complex (full levels, alternating-sum boundary) and the
   normalized complex N (degreewise ⋂ ker d_i, boundary (−1)ⁿ d_n),
@@ -24,29 +25,36 @@ column of N as they come.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .chains import Cell, Chain, ChainComplex, GradedMap, TensorPair, chain_of, zero_chain
 from .diagonal import DiagonalTable
 from .linalg import _axpy, kernel, solver
 from .rings import Coefficient, Ring
-from .simplicial import (
-    SimplicialSetPresentation,
-    all_surjection_words,
-    compose_degeneracy,
-    compose_face,
-)
+from .simplicial import SimplicialSetPresentation, all_surjection_words, compose_degeneracy, compose_face
 
 Columns = List[Dict[int, Coefficient]]  # sparse columns of a linear map
+IndexMap = List[Optional[int]]  # generator j ↦ generator IndexMap[j], or 0 for None
+Map = Union[Columns, IndexMap]
 
 
-def _apply_columns(cols: Columns, entries: Iterable[Tuple[int, Coefficient]], p: int) -> Dict[int, Coefficient]:
-    """Σ x·cols[j] over the (j, x) pairs, as a sparse vector (mod p when p is
-    nonzero); entries that vanish are skipped."""
-    acc: Dict[int, Coefficient] = {}
+def _is_index(m: Map) -> bool:
+    return not m or not isinstance(m[0], dict)
+
+
+def _columns(m: Map, ring: Ring) -> Columns:
+    """The map as sparse columns: an index map gives unit columns."""
+    return [{} if k is None else {k: ring.one} for k in m] if _is_index(m) else m
+
+
+def _apply(m: Map, entries: Iterable[Tuple[int, Coefficient]], p: int, acc: Optional[Dict] = None) -> Dict:
+    """``acc`` plus Σ x·m(e_j) over the (j, x) pairs, as a sparse vector (mod p
+    when p is nonzero); entries that vanish are dropped."""
+    acc = {} if acc is None else acc
+    index = _is_index(m)
     for j, x in entries:
         if x % p if p else x:
-            _axpy(acc, cols[j], x, p)
+            _axpy(acc, m[j] if not index else {} if m[j] is None else {m[j]: 1}, x, p)
     return acc
 
 
@@ -55,50 +63,48 @@ def _compose(second: Columns, first: Columns, ring: Ring) -> Columns:
     ``second[j]`` itself, not a copy: the result may share dicts with
     ``second`` and must not be mutated."""
     p = ring.characteristic
-    out: Columns = []
-    for col in first:
-        if len(col) == 1:
-            ((j, x),) = col.items()
-            if x == 1:
-                out.append(second[j])
-                continue
-        out.append(_apply_columns(second, col.items(), p))
-    return out
-
-
-def _coerced(cols: Columns, ring: Ring) -> Columns:
-    """A copy of the columns with each entry as ``ring.coerce`` gives it and
-    the zeros dropped, as ``_apply_columns`` needs them."""
-    coerce, is_zero = ring.coerce, ring.is_zero
-    return [{r: x for r, y in col.items() if not is_zero(x := coerce(y))} for col in cols]
+    return [second[next(iter(col))] if len(col) == 1 and 1 in col.values() else _apply(second, col.items(), p)
+            for col in first]
 
 
 class SimplicialAbelianGroup:
     """A truncated simplicial object in free modules over an exact ring.
 
     ``levels[n]`` is the ordered basis of level n (arbitrary hashable labels);
-    ``face_maps[(n, i)]`` the sparse columns of d_i: level n → level n−1, and
-    ``degeneracy_maps[(n, i)]`` those of s_i: level n → level n+1 (present
-    whenever n+1 ≤ truncation_dim).  All simplicial identities are checked as
-    matrix identities up to the truncation.
+    ``face_maps[(n, i)]`` is d_i: level n → level n−1 and
+    ``degeneracy_maps[(n, i)]`` is s_i: level n → level n+1 (present whenever
+    n+1 ≤ truncation_dim).  A map is kept in the form it is given: an index
+    list (entry j the generator that generator j goes to, None for 0), or
+    sparse columns, whose entries are coerced into the ring here.  All
+    simplicial identities are checked up to the truncation, between two index
+    maps as list lookups.  ``of_cell`` is filled for ℛX and R̃X only: per
+    level, the generator of each cell of X (None for the basepoint chain).
     """
 
     def __init__(
         self,
         ring: Ring,
         levels: Dict[int, List[object]],
-        face_maps: Dict[Tuple[int, int], Columns],
-        degeneracy_maps: Dict[Tuple[int, int], Columns],
+        face_maps: Dict[Tuple[int, int], Map],
+        degeneracy_maps: Dict[Tuple[int, int], Map],
         truncation_dim: int,
         name: str = "",
         validate: bool = True,
     ):
+        coerce, is_zero = ring.coerce, ring.is_zero
+
+        def own(m: Map) -> Map:
+            if _is_index(m):
+                return m
+            return [{r: x for r, y in col.items() if not is_zero(x := coerce(y))} for col in m]
+
         self.ring = ring
         self.levels: Dict[int, List[object]] = {n: list(v) for n, v in levels.items() if v}
-        self.face_maps = {k: _coerced(v, ring) for k, v in face_maps.items()}
-        self.degeneracy_maps = {k: _coerced(v, ring) for k, v in degeneracy_maps.items()}
+        self.face_maps = {k: own(v) for k, v in face_maps.items()}
+        self.degeneracy_maps = {k: own(v) for k, v in degeneracy_maps.items()}
         self.truncation_dim = truncation_dim
         self.name = name
+        self.of_cell: Dict[int, IndexMap] = {}
         # (level, label) -> index of that generator in its level
         self.position: Dict[Tuple[int, object], int] = {
             (n, label): i for n, labels in self.levels.items() for i, label in enumerate(labels)
@@ -109,49 +115,58 @@ class SimplicialAbelianGroup:
     def rank(self, n: int) -> int:
         return len(self.levels.get(n, []))
 
-    def face(self, n: int, i: int) -> Columns:
-        cols = self.face_maps.get((n, i))
-        return [{} for _ in range(self.rank(n))] if cols is None else cols
+    def face(self, n: int, i: int) -> Map:
+        """d_i on level n as it is kept; the zero index list when absent."""
+        m = self.face_maps.get((n, i))
+        return [None] * self.rank(n) if m is None else m
 
-    def degeneracy(self, n: int, i: int) -> Columns:
-        cols = self.degeneracy_maps.get((n, i))
-        return [{} for _ in range(self.rank(n))] if cols is None else cols
+    def degeneracy(self, n: int, i: int) -> Map:
+        m = self.degeneracy_maps.get((n, i))
+        return [None] * self.rank(n) if m is None else m
 
     def basis_cell(self, n: int, idx: int) -> Cell:
         return Cell(n, self.levels[n][idx])
 
+    def _then(self, second: Map, first: Map) -> Map:
+        """second ∘ first: a list lookup when both are index maps."""
+        if _is_index(first) and _is_index(second):
+            return [None if k is None else second[k] for k in first]
+        return _compose(_columns(second, self.ring), _columns(first, self.ring), self.ring)
+
+    def _same(self, f: Map, g: Map) -> bool:
+        if _is_index(f) != _is_index(g):
+            f, g = _columns(f, self.ring), _columns(g, self.ring)
+        return f == g
+
     def validate(self) -> None:
-        ring = self.ring
+        then, same, face, degeneracy = self._then, self._same, self.face, self.degeneracy
         for n in sorted(self.levels):
             # d_i d_j = d_{j−1} d_i, i < j
             if n >= 2 and self.rank(n - 1):
                 for j in range(n + 1):
                     for i in range(j):
-                        lhs = _compose(self.face(n - 1, i), self.face(n, j), ring)
-                        rhs = _compose(self.face(n - 1, j - 1), self.face(n, i), ring)
-                        if lhs != rhs:
+                        if not same(then(face(n - 1, i), face(n, j)), then(face(n - 1, j - 1), face(n, i))):
                             raise ValueError(f"identity d_{i} d_{j} failed at level {n} of {self.name!r}")
             # s_i s_j = s_{j+1} s_i, i ≤ j
             if n + 2 <= self.truncation_dim:
                 for j in range(n + 1):
                     for i in range(j + 1):
-                        lhs = _compose(self.degeneracy(n + 1, i), self.degeneracy(n, j), ring)
-                        rhs = _compose(self.degeneracy(n + 1, j + 1), self.degeneracy(n, i), ring)
-                        if lhs != rhs:
+                        lhs = then(degeneracy(n + 1, i), degeneracy(n, j))
+                        if not same(lhs, then(degeneracy(n + 1, j + 1), degeneracy(n, i))):
                             raise ValueError(f"identity s_{i} s_{j} failed at level {n} of {self.name!r}")
             # d_i s_j mixed identities
             if n + 1 <= self.truncation_dim:
                 for j in range(n + 1):
-                    s = self.degeneracy(n, j)
+                    s = degeneracy(n, j)
                     for i in range(n + 2):
-                        got = _compose(self.face(n + 1, i), s, ring)
+                        got = then(face(n + 1, i), s)
                         if i in (j, j + 1):
-                            want = [{k: ring.one} for k in range(self.rank(n))]
+                            want: Map = list(range(self.rank(n)))
                         elif i < j:
-                            want = _compose(self.degeneracy(n - 1, j - 1), self.face(n, i), ring)
+                            want = then(degeneracy(n - 1, j - 1), face(n, i))
                         else:
-                            want = _compose(self.degeneracy(n - 1, j), self.face(n, i - 1), ring)
-                        if got != want:
+                            want = then(degeneracy(n - 1, j), face(n, i - 1))
+                        if not same(got, want):
                             raise ValueError(f"identity d_{i} s_{j} failed at level {n} of {self.name!r}")
 
 
@@ -166,12 +181,20 @@ def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
     basis: Dict[int, List[Cell]] = {n: [a.basis_cell(n, i) for i in range(a.rank(n))] for n in sorted(a.levels)}
     columns: Dict[int, Columns] = {}
     for n in sorted(a.levels):
-        if n == 0 or not a.rank(n - 1):
-            columns[n] = [{} for _ in range(a.rank(n))]
-            continue
-        signs = [(i, -1 if i % 2 else 1) for i in range(n + 1)]
-        # per generator, its n+1 face columns, summed with alternating signs
-        columns[n] = [_apply_columns(faces, signs, p) for faces in zip(*(a.face(n, i) for i in range(n + 1)))]
+        columns[n] = [{} for _ in range(a.rank(n))]
+        for i in range(n + 1 if n and a.rank(n - 1) else 0):
+            d, sign = a.face(n, i), -1 if i % 2 else 1
+            if not _is_index(d):
+                for col, image in zip(columns[n], d):
+                    _axpy(col, image, sign, p)
+                continue
+            for col, k in zip(columns[n], d):  # col += sign·e_k, as _axpy adds
+                if k is not None:
+                    z = col.get(k, 0) + sign
+                    if z % p if p else z:
+                        col[k] = z % p if p else z
+                    else:
+                        del col[k]
     return ChainComplex(a.ring, basis, columns, a.truncation_dim)
 
 
@@ -185,7 +208,7 @@ def _normalized_data(a: SimplicialAbelianGroup) -> Tuple[ChainComplex, Dict[int,
             kernels[0] = [{i: ring.one} for i in range(a.rank(0))]
             continue
         # column j of d_0 … d_{n−1} stacked, d_i's entries shifted down by i·rank(n−1)
-        faces, nrows = [a.face(n, i) for i in range(n)], a.rank(n - 1)
+        faces, nrows = [_columns(a.face(n, i), ring) for i in range(n)], a.rank(n - 1)
         kernels[n] = kernel([{i * nrows + t: x for i, cols in enumerate(faces) for t, x in cols[j].items()}
                              for j in range(a.rank(n))], ring)
     basis = {n: [Cell(n, ("N", a.name, n, j)) for j in range(len(vecs))] for n, vecs in kernels.items()}
@@ -196,7 +219,7 @@ def _normalized_data(a: SimplicialAbelianGroup) -> Tuple[ChainComplex, Dict[int,
             continue
         below, sign = solver(kernels[n - 1], a.rank(n - 1), ring), (-1 if n % 2 else 1)
         for j, vec in enumerate(kernels[n]):
-            coords = below.solve(_apply_columns(a.face(n, n), ((t, sign * x) for t, x in vec.items()), p))
+            coords = below.solve(_apply(a.face(n, n), ((t, sign * x) for t, x in vec.items()), p))
             if coords is None:
                 raise ValueError("vector is outside the expected span")
             columns[n][j] = coords
@@ -232,29 +255,32 @@ def gamma(c: ChainComplex, truncation: int, name: str = "") -> SimplicialAbelian
                     index[(m, word, n, j)] = len(labels)
                     labels.append(("G", word, n, j))
         levels[m] = labels
-    face_maps: Dict[Tuple[int, int], Columns] = {}
-    degeneracy_maps: Dict[Tuple[int, int], Columns] = {}
+    face_maps: Dict[Tuple[int, int], Map] = {}
+    degeneracy_maps: Dict[Tuple[int, int], Map] = {}
     for m in range(truncation + 1):
         for i in range(m + 1):
             if m > 0:
-                cols: Columns = []
+                images: list = []  # per generator: a generator, None for 0, or a column of ±∂
                 for (_, word, n, j) in levels[m]:
                     new_word, missing = compose_face(word, m, i)
                     if missing is None:
-                        cols.append({index[(m - 1, new_word, n, j)]: ring.one})
+                        images.append(index[(m - 1, new_word, n, j)])
                     elif missing == n:  # distinct t give distinct rows, so nothing cancels
                         sign = -1 if n % 2 else 1
-                        cols.append({
+                        col = {
                             index[(m - 1, new_word, n - 1, t)]: ring.mul(sign, coeff)
                             for t, coeff in c.boundary_matrix(n)[j].items()
-                        })
+                        }
+                        unit = len(col) == 1 and ring.one in col.values()
+                        images.append(next(iter(col)) if unit else col or None)
                     else:
-                        cols.append({})
-                face_maps[(m, i)] = cols
+                        images.append(None)
+                if any(type(k) is dict for k in images):
+                    images = [k if type(k) is dict else {} if k is None else {k: ring.one} for k in images]
+                face_maps[(m, i)] = images
             if m + 1 <= truncation:
                 degeneracy_maps[(m, i)] = [
-                    {index[(m + 1, compose_degeneracy(word, m, i), n, j)]: ring.one}
-                    for (_, word, n, j) in levels[m]
+                    index[(m + 1, compose_degeneracy(word, m, i), n, j)] for (_, word, n, j) in levels[m]
                 ]
     return SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, truncation, name=name or "gamma")
 
@@ -283,8 +309,8 @@ def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bo
             return False
         # the projection intertwines ∂_N with ∂_C
         for j, proj in enumerate(projected if m else ()):
-            left = _apply_columns(lower, normalized.boundary_matrix(m)[j].items(), p)
-            if left != _apply_columns(c.boundary_matrix(m), proj.items(), p):
+            left = _apply(lower, normalized.boundary_matrix(m)[j].items(), p)
+            if left != _apply(c.boundary_matrix(m), proj.items(), p):
                 return False
         lower = projected
     return True
@@ -311,44 +337,27 @@ def free_simplicial_abelian(x: SimplicialSetPresentation, ring: Ring, pointed: b
     key = (ring, bool(pointed))
     if key in x.free_groups:
         return x.free_groups[key]
-    dropped: Dict[int, Optional[int]] = {}
-    if pointed:
-        if x.n_cells(0) == 0:
-            raise ValueError("pointed variant needs at least one vertex")
-        for n in range(x.truncation_dim + 1):
-            dropped[n] = _basepoint_index(x, n) if x.n_cells(n) else None
-    levels: Dict[int, List[object]] = {}
-    reindex: Dict[Tuple[int, int], int] = {}
+    if pointed and x.n_cells(0) == 0:
+        raise ValueError("pointed variant needs at least one vertex")
+    of_cell: Dict[int, IndexMap] = {}
     for n in sorted(x.cells):
-        labels = []
-        for idx in range(x.n_cells(n)):
-            if pointed and dropped.get(n) == idx:
-                continue
-            reindex[(n, idx)] = len(labels)
-            labels.append(x.basis_cell(n, idx).label)
-        levels[n] = labels
-    face_maps: Dict[Tuple[int, int], Columns] = {}
-    degeneracy_maps: Dict[Tuple[int, int], Columns] = {}
-    for n in sorted(x.cells):
-        for i in range(n + 1):
-            if n > 0:
-                cols = []
-                for idx in range(x.n_cells(n)):
-                    if (n, idx) not in reindex:
-                        continue
-                    target = x.face(n, idx, i)
-                    cols.append({reindex[(n - 1, target)]: ring.one} if (n - 1, target) in reindex else {})
-                face_maps[(n, i)] = cols
-            if n + 1 <= x.truncation_dim and n in x.degeneracies:
-                cols = []
-                for idx in range(x.n_cells(n)):
-                    if (n, idx) not in reindex:
-                        continue
-                    target = x.degeneracy(n, idx, i)
-                    cols.append({reindex[(n + 1, target)]: ring.one} if (n + 1, target) in reindex else {})
-                degeneracy_maps[(n, i)] = cols
+        of_cell[n] = list(range(x.n_cells(n)))
+        if pointed:  # the basepoint chain has no generator, and the cells after it move down
+            drop = _basepoint_index(x, n)
+            of_cell[n][drop:] = [None, *range(drop, x.n_cells(n) - 1)]
+    kept = {n: [idx for idx, k in enumerate(gens) if k is not None] for n, gens in of_cell.items()}
+    levels = {n: [x.basis_cell(n, idx).label for idx in cells] for n, cells in kept.items()}
+    face_maps: Dict[Tuple[int, int], Map] = {}
+    degeneracy_maps: Dict[Tuple[int, int], Map] = {}
+    for n, cells in kept.items():
+        for i, targets in enumerate(zip(*x.faces[n]) if n > 0 else ()):
+            face_maps[(n, i)] = [of_cell[n - 1][targets[idx]] for idx in cells]
+        if n + 1 <= x.truncation_dim and n in x.degeneracies:
+            for i, targets in enumerate(zip(*x.degeneracies[n])):
+                degeneracy_maps[(n, i)] = [of_cell[n + 1][targets[idx]] for idx in cells]
     label = f"R~({x.name})" if pointed else f"R({x.name})"
     group = SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, x.truncation_dim, name=label)
+    group.of_cell = of_cell
     x.free_groups[key] = group
     return group
 
@@ -401,15 +410,13 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
 
     def action(basis: Cell) -> Chain:
         n = basis.degree
-        if not kernels.get(n):
-            return zero_chain(ring, n)
-        pos = a.position.get((n, basis.label))
-        if pos is None:  # the basepoint chain itself
+        pos = a.position.get((n, basis.label))  # None for the basepoint chain itself
+        if pos is None or not kernels.get(n):
             return zero_chain(ring, n)
         vec = {pos: ring.one}
         for i in range(n):  # P = Π (1 − s_i d_i), innermost i = 0
-            down = _apply_columns(a.face(n, i), vec.items(), p)
-            _axpy(vec, _apply_columns(a.degeneracy(n - 1, i), down.items(), p), -1, p)
+            down = _apply(a.face(n, i), vec.items(), p)
+            _axpy(vec, _apply(a.degeneracy(n - 1, i), down.items(), p), -1, p)
         if n not in solvers:
             solvers[n] = solver(kernels[n], a.rank(n), ring)
         coords = solvers[n].solve(vec)
@@ -425,22 +432,6 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
 # ---------------------------------------------------------------------------
 
 
-def _sab_iterated_face(a: SimplicialAbelianGroup, n: int, idx: int, keep: Sequence[int]) -> Optional[Tuple[int, int]]:
-    """Follow an iterated face of a generator through single-generator face
-    maps; None when the face is zero (a quotiented basepoint cell)."""
-    kept = set(keep)
-    dim, cur = n, idx
-    for j in [j for j in range(n, -1, -1) if j not in kept]:
-        col = a.face(dim, j)[cur]
-        if not col:
-            return None
-        if len(col) != 1 or next(iter(col.values())) != a.ring.one:
-            raise ValueError("face of a generator is not a single generator")
-        cur = next(iter(col))
-        dim -= 1
-    return dim, cur
-
-
 def hurewicz_square_defect(
     x: SimplicialSetPresentation,
     ring: Ring,
@@ -453,17 +444,25 @@ def hurewicz_square_defect(
     ``level``; zero iff the Hurewicz map respects the diagonal there.
 
     Both sides are colimit extensions of ξ(e_level⊗Δⁿ): the left one takes
-    faces in X and then the generator of R̃X with the same label (none for the
-    basepoint chain), the right one follows the face maps of R̃X from the
-    generator of the cell.  They are summed into one dict keyed by (dim,
+    faces in X and then their generators of R̃X through ``of_cell`` (none for
+    the basepoint chain), the right one follows the face index lists of R̃X
+    from the generator of the cell.  They are summed into one dict keyed by (dim,
     index, dim, index) in R̃X's numbering, and only the nonzero remainder is
     built as a chain of tensor pairs.
     """
     a = free_simplicial_abelian(x, ring, pointed=True)
-    position, p = a.position, ring.characteristic
+    of_cell, faces, p = a.of_cell, a.face_maps, ring.characteristic
+    pos = of_cell[n][idx]
 
-    def generator(dim: int, i: int) -> Optional[int]:
-        return position.get((dim, x.basis_cell(dim, i).label))
+    def face_of_generator(keep: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+        dim, cur = n, pos
+        for j in range(n, -1, -1):
+            if j not in keep:
+                cur = faces[(dim, j)][cur]
+                if cur is None:
+                    return None
+                dim -= 1
+        return dim, cur
 
     acc: Dict[Tuple[int, int, int, int], Coefficient] = {}
 
@@ -471,16 +470,15 @@ def hurewicz_square_defect(
         v = acc.get(key, 0) + c
         acc[key] = v % p if p else v
 
-    pos = generator(n, idx)
     for (left, right), coeff in table.raw(level, n).items():
         c = ring.coerce(coeff)
         da, ia = x.iterated_face(n, idx, left)
         db, ib = x.iterated_face(n, idx, right)
-        ka, kb = generator(da, ia), generator(db, ib)
+        ka, kb = of_cell[da][ia], of_cell[db][ib]
         if ka is not None and kb is not None:
             add((da, ka, db, kb), c)
         if pos is not None:
-            fa, fb = _sab_iterated_face(a, n, pos, left), _sab_iterated_face(a, n, pos, right)
+            fa, fb = face_of_generator(left), face_of_generator(right)
             if fa is not None and fb is not None:
                 add((*fa, *fb), -c)
     terms = {TensorPair(a.basis_cell(da, ka), a.basis_cell(db, kb)): v for (da, ka, db, kb), v in acc.items() if v}

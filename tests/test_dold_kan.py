@@ -1,5 +1,8 @@
 import copy
+import functools
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,7 +61,7 @@ def test_validation_catches_broken_identities():
         )
 
 
-def _two_vertex_group(ring, s0_of_a, d1_of_w=1):
+def _two_vertex_group(ring, s0_of_a, d1_of_w=1, validate=True):
     # vertices a, b; edges x, y, z, w with d_0 = d_1 = (a, b, b, b), except
     # that d_1 w = d1_of_w·b; s_0 a = s0_of_a and s_0 b = w
     return SimplicialAbelianGroup(
@@ -68,6 +71,7 @@ def _two_vertex_group(ring, s0_of_a, d1_of_w=1):
         {(0, 0): [s0_of_a, {3: 1}]},
         1,
         name="two-vertex",
+        validate=validate,
     )
 
 
@@ -85,6 +89,127 @@ def test_validation_catches_a_factor_two(ring):
     assert _two_vertex_group(ring, {0: 1}).rank(0) == 2
     with pytest.raises(ValueError, match="d_1 s_0"):
         _two_vertex_group(ring, {0: 1}, d1_of_w=2)  # d_1 s_0 b = 2b
+
+
+def test_column_input_is_coerced_at_the_constructor():
+    # over 𝔽₃ the column {0: 4} is the unit column {0: 1} (so d_i s_0 = id holds)
+    # and {0: 3} is the zero column
+    g = SimplicialAbelianGroup(
+        F3, {0: ["a"], 1: ["x", "y"]}, {(1, 0): [{0: 4}, {0: 3}], (1, 1): [{0: 1}, {}]}, {(0, 0): [{0: 1}]}, 1
+    )
+    assert g.face_maps[(1, 0)] == [{0: 1}, {}]
+    with pytest.raises(ValueError, match="d_0 s_0"):
+        SimplicialAbelianGroup(ZZ, g.levels, {(1, 0): [{0: 4}, {}], (1, 1): [{0: 1}, {}]}, {(0, 0): [{0: 1}]}, 1)
+    # over ℚ, Fraction(4, 2) acts as 2 and Fraction(2, 2) as 1
+    assert _two_vertex_group(QQ, {0: Fraction(2, 2)}).degeneracy_maps[(0, 0)] == [{0: 1}, {3: 1}]
+    with pytest.raises(ValueError, match="d_1 s_0"):
+        _two_vertex_group(QQ, {0: 1}, d1_of_w=Fraction(4, 2))
+    entry = _two_vertex_group(QQ, {0: 1}, d1_of_w=Fraction(4, 2), validate=False).face_maps[(1, 1)][3][1]
+    assert entry == 2 and type(entry) is int
+
+
+def _as_columns(m):
+    return [{} if t is None else {t: 1} for t in m]
+
+
+@functools.lru_cache(maxsize=None)
+def _base_group(pointed, truncation):
+    """R̃ or ℛ of the interval 𝔡(Δ¹) truncated at 1 or 2: two or three levels."""
+    return free_simplicial_abelian(_interval(truncation=truncation), ZZ, pointed=pointed)
+
+
+@st.composite
+def _unit_groups(draw):
+    """(ring, levels, faces, degeneracies, truncation): two or three levels,
+    every map an index list.  Either a valid group (ℛ or R̃ of the interval)
+    with up to two entries moved, or ranks and maps all drawn at random."""
+    ring = draw(st.sampled_from([ZZ, QQ, F2, F3]))
+    top = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        base = _base_group(draw(st.booleans()), top)
+        levels = base.levels
+        faces = {k: list(m) for k, m in base.face_maps.items()}
+        degs = {k: list(m) for k, m in base.degeneracy_maps.items()}
+    else:
+        levels = {n: [(n, k) for k in range(draw(st.integers(1, 3)))] for n in range(top + 1)}
+        faces = {(n, i): [] for n in range(1, top + 1) for i in range(n + 1)}
+        degs = {(n, i): [] for n in range(top) for i in range(n + 1)}
+    rank = lambda n: len(levels.get(n, ()))
+    target = lambda n: st.one_of(st.none(), st.integers(0, rank(n) - 1)) if rank(n) else st.none()
+    for (n, i), m in faces.items():
+        m[:] = m or [draw(target(n - 1)) for _ in range(rank(n))]
+    for (n, i), m in degs.items():
+        m[:] = m or [draw(target(n + 1)) for _ in range(rank(n))]
+    for _ in range(draw(st.integers(0, 2))):  # move entries: identities that may break
+        maps, step = draw(st.sampled_from([(faces, -1), (degs, 1)]))
+        key = draw(st.sampled_from(sorted(k for k, m in maps.items() if m)))
+        maps[key][draw(st.integers(0, len(maps[key]) - 1))] = draw(target(key[0] + step))
+    as_columns = draw(st.sets(st.sampled_from(sorted(faces) + sorted(degs))))
+    return ring, levels, faces, degs, top, as_columns
+
+
+def _validation_outcome(ring, levels, faces, degs, top):
+    try:
+        SimplicialAbelianGroup(ring, levels, faces, degs, top, name="drawn")
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_groups())
+def test_index_and_column_validation_agree(case):
+    ring, levels, faces, degs, top, mixed = case
+    as_index = _validation_outcome(ring, levels, faces, degs, top)
+    columns = [{k: _as_columns(m) for k, m in maps.items()} for maps in (faces, degs)]
+    assert _validation_outcome(ring, levels, *columns, top) == as_index
+    # some maps as columns, the others as index lists: the mixed pairs go through _compose
+    some = [{k: _as_columns(m) if k in mixed else m for k, m in maps.items()} for maps in (faces, degs)]
+    assert _validation_outcome(ring, levels, *some, top) == as_index
+    assert as_index is None or re.fullmatch(r"identity [ds]_\d [ds]_\d failed at level \d of 'drawn'", as_index)
+
+
+def test_both_forms_accept_a_valid_group_and_reject_a_broken_one():
+    base = _base_group(True, 2)
+    faces, degs = dict(base.face_maps), dict(base.degeneracy_maps)
+    assert _validation_outcome(ZZ, base.levels, faces, degs, 2) is None
+    columns = [{k: _as_columns(m) for k, m in maps.items()} for maps in (faces, degs)]
+    assert _validation_outcome(ZZ, base.levels, *columns, 2) is None
+    degs[(0, 0)] = [None] * len(degs[(0, 0)])  # s_0 = 0 on level 0
+    message = _validation_outcome(ZZ, base.levels, faces, degs, 2)
+    assert message == "identity d_0 s_0 failed at level 0 of 'drawn'"
+    columns = [{k: _as_columns(m) for k, m in maps.items()} for maps in (faces, degs)]
+    assert _validation_outcome(ZZ, base.levels, *columns, 2) == message
+
+
+def _rp2_cellular(ring):
+    # ℤ in degrees 0, 1 and 2 with ∂₂ = 2: its d_m faces of Γ stay columns
+    basis = {0: [Cell(0, "pt")], 1: [Cell(1, "e")], 2: [Cell(2, "f")]}
+    return ChainComplex(ring, basis, {0: [{}], 1: [{}], 2: [{0: 2}]}, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: free_simplicial_abelian(freely_add_degeneracies(load_corpus("circle"), 3), ZZ, pointed=True),
+    lambda: gamma(_rp2_cellular(ZZ), 3),
+], ids=["pointed-free-circle", "gamma"])
+def test_a_moved_index_entry_is_refused(build):
+    a = build()
+    rng = random.Random(11)
+    # (maps, key, j, the generators entry j of that index map can be moved to)
+    moves = [(maps, key, j, [t for t in range(a.rank(key[0] + step)) if t != target])
+             for maps, step in ((a.face_maps, -1), (a.degeneracy_maps, 1))
+             for key, m in sorted(maps.items()) if all(type(t) is not dict for t in m)
+             for j, target in enumerate(m)]
+    moves = [move for move in moves if move[3]]
+    assert len({(id(maps), key) for maps, key, _, _ in moves}) >= 8
+    pattern = rf"identity [ds]_\d [ds]_\d failed at level \d of {re.escape(repr(a.name))}"
+    for _ in range(25):
+        maps, key, j, targets = rng.choice(moves)
+        moved = {k: list(m) for k, m in maps.items()}
+        moved[key][j] = rng.choice(targets)
+        faces, degs = (moved, a.degeneracy_maps) if maps is a.face_maps else (a.face_maps, moved)
+        with pytest.raises(ValueError, match=pattern):
+            SimplicialAbelianGroup(a.ring, a.levels, faces, degs, a.truncation_dim, name=a.name)
 
 
 @st.composite
@@ -226,10 +351,10 @@ def test_hurewicz_square_defect_sees_a_moved_face():
     a = free_simplicial_abelian(x, ZZ, pointed=True)
     assert x.free_groups[(ZZ, True)] is a
     # after validation, point d_0 of one edge of R̃X at another vertex generator
+    # in its index list, the one form the map is kept in
     d0 = a.face_maps[(1, 0)]
-    k = next(k for k, col in enumerate(d0) if col)
-    (target,) = d0[k]
-    d0[k] = {next(t for t in range(a.rank(0)) if t != target): 1}
+    k = next(k for k, target in enumerate(d0) if target is not None)
+    d0[k] = next(t for t in range(a.rank(0)) if t != d0[k])
     defects = [
         hurewicz_square_defect(x, ZZ, table, level, n, idx)
         for level in range(2)
