@@ -47,10 +47,10 @@ def _columns(m: Map, ring: Ring) -> Columns:
     return [{} if k is None else {k: ring.one} for k in m] if _is_index(m) else m
 
 
-def _apply(m: Map, entries: Iterable[Tuple[int, Coefficient]], p: int, acc: Optional[Dict] = None) -> Dict:
-    """``acc`` plus Σ x·m(e_j) over the (j, x) pairs, as a sparse vector (mod p
-    when p is nonzero); entries that vanish are dropped."""
-    acc = {} if acc is None else acc
+def _apply(m: Map, entries: Iterable[Tuple[int, Coefficient]], p: int) -> Dict:
+    """Σ x·m(e_j) over the (j, x) pairs, as a sparse vector (mod p when p is
+    nonzero); entries that vanish are dropped."""
+    acc: Dict = {}
     index = _is_index(m)
     for j, x in entries:
         if x % p if p else x:
@@ -75,9 +75,10 @@ class SimplicialAbelianGroup:
     ``degeneracy_maps[(n, i)]`` is s_i: level n → level n+1 (present whenever
     n+1 ≤ truncation_dim).  A map is kept in the form it is given: an index
     list (entry j the generator that generator j goes to, None for 0), or
-    sparse columns, whose entries are coerced into the ring here.  All
-    simplicial identities are checked up to the truncation, between two index
-    maps as list lookups.  ``of_cell`` is filled for ℛX and R̃X only: per
+    sparse columns, whose entries are coerced into a new list here.  The group
+    takes an index list over as it is, with no copy: the caller must not
+    change it afterwards.  All simplicial identities are checked up to the
+    truncation, between two index maps as list lookups.  ``of_cell`` is filled for ℛX and R̃X only: per
     level, the generator of each cell of X (None for the basepoint chain).
     """
 
@@ -184,17 +185,10 @@ def moore_complex(a: SimplicialAbelianGroup) -> ChainComplex:
         columns[n] = [{} for _ in range(a.rank(n))]
         for i in range(n + 1 if n and a.rank(n - 1) else 0):
             d, sign = a.face(n, i), -1 if i % 2 else 1
-            if not _is_index(d):
-                for col, image in zip(columns[n], d):
-                    _axpy(col, image, sign, p)
-                continue
-            for col, k in zip(columns[n], d):  # col += sign·e_k, as _axpy adds
-                if k is not None:
-                    z = col.get(k, 0) + sign
-                    if z % p if p else z:
-                        col[k] = z % p if p else z
-                    else:
-                        del col[k]
+            index = _is_index(d)
+            for col, image in zip(columns[n], d):
+                if image is not None:
+                    _axpy(col, {image: 1} if index else image, sign, p)
     return ChainComplex(a.ring, basis, columns, a.truncation_dim)
 
 

@@ -434,16 +434,6 @@ def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) ->
     return len(_reduce(ops, (ops.pack(row) for row in rows), top=True))
 
 
-def _field_rank_of_elements(rows: Iterable[Dict[int, Coefficient]], ring: Ring) -> int:
-    """``field_rank`` of rows that are already {index: entry} dicts of
-    nonzero field elements, as ``Ring.coerce`` gives them: only 𝔽₂ rows are
-    packed (into bits); the others are reduced as they are, in place."""
-    ops = _vectors(ring)
-    if ring.characteristic == 2:
-        rows = (ops.pack(row.items()) for row in rows)
-    return len(_reduce(ops, rows, top=True))
-
-
 # ---------------------------------------------------------------------------
 # Kernels and span solves over any ring
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import permutations
 from typing import Dict, List, Tuple
 
 from .chains import BasisElement, Chain
-from .linalg import _field_rank_of_elements
+from .linalg import field_rank
 from .rings import Coefficient, QQ, Ring
 
 Monomial = Tuple[BasisElement, ...]  # sorted tuple of basis elements
@@ -136,14 +136,12 @@ def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
     rows = []
     for c in cs:
         terms = sorted((position[b], field.coerce(x)) for b, x in c.terms.items())
-        # distinct (power, monomial) pairs, so no column is written twice; the
-        # powers hold no zero coefficient, so the rows need no second coerce
-        rows.append({
-            columns.setdefault((power, mono), len(columns)): coeff
+        rows.append([
+            (columns.setdefault((power, mono), len(columns)), coeff)
             for power, comp in enumerate(_symmetrized_powers(terms, t, field))
             for mono, coeff in comp.items()
-        })
-    return _field_rank_of_elements(rows, field) == t
+        ])
+    return field_rank(rows, field) == t
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from steenrod_kit.chains import Chain, Simplex
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 from steenrod_kit.vandermonde import (
     TruncatedDiagonalVector,
-    _symmetrized_powers,
     symmetrized_power,
     vandermonde_det_factorization,
     vandermonde_independence,
@@ -33,14 +32,6 @@ def test_symmetrized_power_sorts_factors():
         (S[1], S[1]): 1,
     }
     assert symmetrized_power(c, 0, QQ) == {(): 1}
-
-
-def test_symmetrized_powers_drop_coefficients_that_vanish_mod_p():
-    # (a + b)^{⊗5} = a⁵ + b⁵ over 𝔽₅: every mixed coefficient C(5, k) is 0 mod 5
-    # and must be dropped, since the Vandermonde rows reach the rank uncoerced
-    powers = _symmetrized_powers([(0, 1), (1, 1)], 6, F5)
-    assert powers[5] == {(0,) * 5: 1, (1,) * 5: 1}
-    assert all(F5.coerce(x) == x and not F5.is_zero(x) for power in powers for x in power.values())
 
 
 def test_truncated_vector_power_consistency():
