@@ -394,16 +394,12 @@ class GradedMap:
         source: ChainComplex,
         target: ChainComplex,
         degree: int,
-        action: Callable[[BasisElement], Chain] | Mapping[BasisElement, Chain],
+        action: Callable[[BasisElement], Chain],
     ):
         self.source = source
         self.target = target
         self.degree = degree
-        if callable(action):
-            self._action = action
-        else:
-            table = dict(action)
-            self._action = lambda basis: table.get(basis, zero_chain(target.ring, basis.degree + degree))
+        self._action = action
 
     def on_basis(self, basis: BasisElement) -> Chain:
         out = self._action(basis)

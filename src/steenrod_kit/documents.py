@@ -90,13 +90,16 @@ def document_to_complex(doc: dict) -> ComplexLike:
     if kind == "delta":
         return DeltaComplex(cells, faces, truncation, name=name)
     if kind == "simplicial":
+        strict = doc.get("strict", True)
+        if type(strict) is not bool:
+            raise ValueError(f"malformed complex document: strict must be true or false, not {strict!r}")
         return SimplicialSetPresentation(
             cells,
             faces,
             degeneracies,
             truncation,
             name=name,
-            strict=bool(doc.get("strict", True)),
+            strict=strict,
             basepoint=doc.get("basepoint"),
         )
     raise ValueError(f"unknown complex kind: {kind!r}")

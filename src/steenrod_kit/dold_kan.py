@@ -2,8 +2,8 @@
 
 Simplicial abelian groups are presented by an ordered basis per level with
 face and degeneracy operators as index lists (each generator goes to one
-generator or to 0) or as sparse integer (or field) matrices.  The module
-provides:
+generator or to 0) or as sparse integer (or field) matrices, and checked
+against ``simplicial.simplicial_identities`` like a presentation.  It provides:
 
 * the Moore complex (full levels, alternating-sum boundary) and the
   normalized complex N (degreewise ⋂ ker d_i, boundary (−1)ⁿ d_n),
@@ -32,6 +32,7 @@ from .diagonal import DiagonalTable
 from .linalg import _axpy, kernel, solver
 from .rings import Coefficient, Ring
 from .simplicial import SimplicialSetPresentation, all_surjection_words, compose_degeneracy, compose_face
+from .simplicial import simplicial_identities
 
 Columns = List[Dict[int, Coefficient]]  # sparse columns of a linear map
 IndexMap = List[Optional[int]]  # generator j ↦ generator IndexMap[j], or 0 for None
@@ -77,8 +78,9 @@ class SimplicialAbelianGroup:
     list (entry j the generator that generator j goes to, None for 0), or
     sparse columns, whose entries are coerced into a new list here.  The group
     takes an index list over as it is, with no copy: the caller must not
-    change it afterwards.  All simplicial identities are checked up to the
-    truncation, between two index maps as list lookups.  ``of_cell`` is filled for ℛX and R̃X only: per
+    change it afterwards.  ``validate`` checks every identity that
+    ``simplicial_identities`` lists up to the truncation, composing two index
+    maps by list lookup.  ``of_cell`` is filled for ℛX and R̃X only: per
     level, the generator of each cell of X (None for the basepoint chain).
     """
 
@@ -140,35 +142,13 @@ class SimplicialAbelianGroup:
         return f == g
 
     def validate(self) -> None:
-        then, same, face, degeneracy = self._then, self._same, self.face, self.degeneracy
+        top, d, s, same = self.truncation_dim, self.face, self.degeneracy, self._same
         for n in sorted(self.levels):
-            # d_i d_j = d_{j−1} d_i, i < j
-            if n >= 2 and self.rank(n - 1):
-                for j in range(n + 1):
-                    for i in range(j):
-                        if not same(then(face(n - 1, i), face(n, j)), then(face(n - 1, j - 1), face(n, i))):
-                            raise ValueError(f"identity d_{i} d_{j} failed at level {n} of {self.name!r}")
-            # s_i s_j = s_{j+1} s_i, i ≤ j
-            if n + 2 <= self.truncation_dim:
-                for j in range(n + 1):
-                    for i in range(j + 1):
-                        lhs = then(degeneracy(n + 1, i), degeneracy(n, j))
-                        if not same(lhs, then(degeneracy(n + 1, j + 1), degeneracy(n, i))):
-                            raise ValueError(f"identity s_{i} s_{j} failed at level {n} of {self.name!r}")
-            # d_i s_j mixed identities
-            if n + 1 <= self.truncation_dim:
-                for j in range(n + 1):
-                    s = degeneracy(n, j)
-                    for i in range(n + 2):
-                        got = then(face(n + 1, i), s)
-                        if i in (j, j + 1):
-                            want: Map = list(range(self.rank(n)))
-                        elif i < j:
-                            want = then(degeneracy(n - 1, j - 1), face(n, i))
-                        else:
-                            want = then(degeneracy(n - 1, j), face(n, i - 1))
-                        if not same(got, want):
-                            raise ValueError(f"identity d_{i} s_{j} failed at level {n} of {self.name!r}")
+            identity = list(range(self.rank(n)))
+            for kind, i, j, lhs, rhs in simplicial_identities(n, top, d, s, self._then):
+                if not same(lhs, identity if rhs is None else rhs):
+                    ops = {"dd": "dd", "ss": "ss"}.get(kind, "ds")
+                    raise ValueError(f"identity {ops[0]}_{i} {ops[1]}_{j} failed at level {n} of {self.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +205,7 @@ def _normalized_data(a: SimplicialAbelianGroup) -> Tuple[ChainComplex, Dict[int,
 # ---------------------------------------------------------------------------
 
 
-def gamma(c: ChainComplex, truncation: int, name: str = "") -> SimplicialAbelianGroup:
+def gamma(c: ChainComplex, truncation: int) -> SimplicialAbelianGroup:
     """Γ(C)_m = ⊕_{m↠n} C_n with formal degeneracies.
 
     A generator of level m is (canonical word of a surjection [m]↠[n], basis
@@ -276,21 +256,20 @@ def gamma(c: ChainComplex, truncation: int, name: str = "") -> SimplicialAbelian
                 degeneracy_maps[(m, i)] = [
                     index[(m + 1, compose_degeneracy(word, m, i), n, j)] for (_, word, n, j) in levels[m]
                 ]
-    return SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, truncation, name=name or "gamma")
+    return SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, truncation, name="gamma")
 
 
-def dold_kan_round_trip(c: ChainComplex, truncation: Optional[int] = None) -> bool:
+def dold_kan_round_trip(c: ChainComplex) -> bool:
     """N(Γ(C)) ≅ C via the explicit projection onto the identity-surjection
-    summand: checks it is a degreewise bijection commuting with boundaries."""
+    summand, with Γ truncated one above the top degree of C: checks it is a
+    degreewise bijection commuting with boundaries."""
     ring = c.ring
     top = max(c.degrees(), default=0)
-    if truncation is None:
-        truncation = top + 1
-    g = gamma(c, truncation)
+    g = gamma(c, top + 1)
     normalized, kernels = _normalized_data(g)
     p = ring.characteristic
     lower: Columns = []  # the projections of the basis of N_{m−1}
-    for m in range(min(truncation, top + 1) + 1):
+    for m in range(top + 2):
         vecs = kernels.get(m, [])
         if len(vecs) != c.rank(m):
             return False

@@ -12,6 +12,9 @@ functors between them are implemented here:
 Surjections [m]↠[n] are kept in canonical form: the strictly decreasing word
 s_{i₁}⋯s_{i_j} with i₁ > ⋯ > i_j, equivalently the set of positions where the
 underlying monotone map repeats a value.
+
+``simplicial_identities`` lists the simplicial identities once, for these
+tables and for the simplicial abelian groups of ``dold_kan``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chains import Cell, ChainComplex
 from .rings import Coefficient, Ring
@@ -108,6 +111,29 @@ def all_surjection_words(m: int, n: int) -> List[Word]:
 # ---------------------------------------------------------------------------
 
 
+def simplicial_identities(n: int, top: int, d: Callable, s: Callable, then: Callable) -> Iterator[tuple]:
+    """The simplicial identities out of level n, up to truncation ``top``, as
+    (kind, i, j, lhs, rhs): ``d(m, k)`` and ``s(m, k)`` give d_k and s_k out
+    of level m, and ``then(second, first)`` composes two of them.  In order:
+    "dd", d_i d_j = d_{j−1} d_i (i < j); per s_j, "id", d_j s_j = d_{j+1} s_j =
+    id (rhs None), then "ds", d_i s_j = s_{j−1} d_i (i < j) or s_j d_{i−1}
+    (i > j+1); "ss", s_i s_j = s_{j+1} s_i (i ≤ j).  Each identity's two sides
+    are composed only when the caller reaches it."""
+    for j in range(n + 1 if n >= 2 else 0):
+        for i in range(j):
+            yield "dd", i, j, then(d(n - 1, i), d(n, j)), then(d(n - 1, j - 1), d(n, i))
+    for j in range(n + 1 if n + 1 <= top else 0):
+        sj = s(n, j)
+        for i in (j, j + 1):
+            yield "id", i, j, then(d(n + 1, i), sj), None
+        for i in chain(range(j), range(j + 2, n + 2)):
+            rhs = then(s(n - 1, j - 1), d(n, i)) if i < j else then(s(n - 1, j), d(n, i - 1))
+            yield "ds", i, j, then(d(n + 1, i), sj), rhs
+    for j in range(n + 1 if n + 2 <= top else 0):
+        for i in range(j + 1):
+            yield "ss", i, j, then(s(n + 1, i), s(n, j)), then(s(n + 1, j + 1), s(n, i))
+
+
 class FaceTable:
     """Cells per dimension with a face table: what delta-complexes and
     simplicial-set presentations share.
@@ -176,20 +202,37 @@ class FaceTable:
                     if not 0 <= target < below:
                         raise ValueError(f"{noun} {op}_{i} of cell ({n},{idx}) points at missing cell {target}")
 
-    def _validate_face_identities(self) -> None:
-        """d_i d_j = d_{j−1} d_i for i < j, on every cell: per pair (i, j),
-        the faces of all cells of a dimension are compared at once."""
+    def _validate_identities(self, degeneracies: Dict[int, list], top: int) -> None:
+        """Every simplicial identity up to truncation ``top`` (0: the face
+        identities only), each side an index tuple over the cells of a
+        dimension.  Face identities are named before mixed ones and lower
+        dimensions before higher; the failing cell is the first where a failing
+        identity's sides differ, named by the first identity differing there."""
+
+        def transposed(tables: Dict[int, list]) -> Callable[[int, int], tuple]:
+            # per map (column, getter): column[x] is the image of cell x, getter(seq) is seq ∘ map
+            maps = {n: [(col, itemgetter(*col) if len(col) > 1 else lambda seq, k=col[0]: (seq[k],))
+                        for col in zip(*table)] for n, table in tables.items()}
+            return lambda n, k: maps[n][k]
+
+        d, s = transposed(self.faces), transposed(degeneracies)
+        failed = []  # (mixed, n, kind, i, j, lhs, rhs) per failing identity
         for n in sorted(self.cells):
-            if n < 2:
-                continue
-            table, lower = self.faces[n], self.faces[n - 1]
-            below = list(zip(*lower))  # below[i][x]: d_i of cell x
-            at = [itemgetter(*column) for column in zip(*table)]  # at[j](seq): seq at d_j of each cell
-            failed = [(j, i) for j in range(n + 1) for i in range(j) if at[j](below[i]) != at[i](below[j - 1])]
-            for idx, fs in enumerate(table if failed else ()):
-                for j, i in failed:
-                    if lower[fs[j]][i] != lower[fs[i]][j - 1]:
-                        raise ValueError(f"face identity d_{i} d_{j} failed on cell ({n},{idx})")
+            same = tuple(range(self.n_cells(n)))
+            for kind, i, j, lhs, rhs in simplicial_identities(n, top, d, s, lambda second, first: first[1](second[0])):
+                rhs = same if rhs is None else rhs
+                if lhs != rhs:
+                    failed.append((kind != "dd", n, kind, i, j, lhs, rhs))
+        if failed:
+            first = min(f[:2] for f in failed)
+            group = [f[2:] for f in failed if f[:2] == first]
+            where = [next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b) for *_, lhs, rhs in group]
+            (_, n), idx = first, min(where)
+            kind, i, j, _, _ = group[where.index(idx)]
+            raise ValueError({"dd": f"face identity d_{i} d_{j} failed on cell ({n},{idx})",
+                              "id": f"identity d s = id failed at s_{j} of ({n},{idx})",
+                              "ds": f"identity d_{i} s_{j} failed on ({n},{idx})",
+                              "ss": f"identity s_i s_j failed on ({n},{idx})"}[kind])
 
     def chains_from_faces(
         self, ring: Ring, kept: Callable[[int], List[int]], exhaustive: bool = False
@@ -237,7 +280,6 @@ class DeltaComplex(FaceTable):
         faces: Dict[int, List[Tuple[int, ...]]],
         truncation_dim: int | None = None,
         name: str = "",
-        validate: bool = True,
     ):
         self.cells, self.faces = cells, faces
         self._own_tables()
@@ -245,15 +287,14 @@ class DeltaComplex(FaceTable):
         self.truncation_dim = self.dimension if truncation_dim is None else truncation_dim
         self.name = name
         self._chains: Dict[Ring, ChainComplex] = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     def label(self, n: int, idx: int) -> object:
         return self.cells[n][idx]
 
     def validate(self) -> None:
         self._check_tables(self.faces, lambda n: n > 0, "faces")
-        self._validate_face_identities()
+        self._validate_identities({}, 0)
 
     def chains(self, ring: Ring) -> ChainComplex:
         """The cellular chain complex over ``ring``, built once per ring."""
@@ -360,70 +401,12 @@ class SimplicialSetPresentation(FaceTable):
 
     # --- validation ------------------------------------------------------------
     def validate(self) -> None:
+        bp = self.basepoint
+        if bp is not None and (type(bp) is not int or not 0 <= bp < self.n_cells(0)):
+            raise ValueError(f"basepoint {bp!r} is not the index of a vertex")
         self._check_tables(self.faces, lambda n: n > 0, "faces")
         self._check_tables(self.degeneracies, lambda n: n + 1 <= self.truncation_dim, "degeneracies")
-        self._validate_face_identities()
-        if self.strict:
-            self._validate_mixed_identities()
-
-    def _validate_mixed_identities(self) -> None:
-        """d_i s_i = d_{i+1} s_i = id, d_j s_i = s_{i−1} d_j (j < i),
-        d_j s_i = s_i d_{j−1} (j > i+1) and s_i s_j = s_{j+1} s_i (i ≤ j) on
-        every cell: per dimension, each identity compares two index lists over
-        all cells at once, and a dimension where one fails is walked cell by
-        cell to name the first failing cell."""
-        faces = {n: [list(col) for col in zip(*table)] for n, table in self.faces.items()}  # faces[n][j][x]: d_j x
-        degs = {n: [list(col) for col in zip(*table)] for n, table in self.degeneracies.items()}
-        top = self.truncation_dim
-
-        def take(seq: List[int], indices: List[int]) -> List[int]:
-            return list(map(seq.__getitem__, indices))
-
-        def d_s(n: int, j: int, i: int) -> bool:
-            got = take(faces[n + 1][j], degs[n][i])
-            if j in (i, i + 1):
-                return got == list(range(self.n_cells(n)))
-            if j < i:
-                return got == take(degs[n - 1][i - 1], faces[n][j])
-            return got == take(degs[n - 1][i], faces[n][j - 1])
-
-        def s_s(n: int, i: int, j: int) -> bool:
-            return take(degs[n + 1][i], degs[n][j]) == take(degs[n + 1][j + 1], degs[n][i])
-
-        for n in sorted(self.cells):
-            if n + 1 > top:
-                continue
-            held = all(d_s(n, j, i) for i in range(n + 1) for j in range(n + 2))
-            if held and n + 2 <= top:
-                held = all(s_s(n, i, j) for i in range(n + 1) for j in range(i, n + 1))
-            if not held:
-                self._name_failing_cell(n)
-
-    def _name_failing_cell(self, n: int) -> None:
-        """Raise for the first n-cell on which a mixed identity fails."""
-        for idx in range(self.n_cells(n)):
-            for i in range(n + 1):
-                s = self.degeneracy(n, idx, i)
-                # d_i s_i = d_{i+1} s_i = id
-                if self.face(n + 1, s, i) != idx or self.face(n + 1, s, i + 1) != idx:
-                    raise ValueError(f"identity d s = id failed at s_{i} of ({n},{idx})")
-                for j in range(n + 2):
-                    if j == i or j == i + 1:
-                        continue
-                    got = self.face(n + 1, s, j)
-                    if j < i:
-                        expect = self.degeneracy(n - 1, self.face(n, idx, j), i - 1)
-                    else:
-                        expect = self.degeneracy(n - 1, self.face(n, idx, j - 1), i)
-                    if got != expect:
-                        raise ValueError(f"identity d_{j} s_{i} failed on ({n},{idx})")
-            if n + 2 <= self.truncation_dim:
-                for i in range(n + 1):
-                    for j in range(i, n + 1):
-                        lhs = self.degeneracy(n + 1, self.degeneracy(n, idx, j), i)
-                        rhs = self.degeneracy(n + 1, self.degeneracy(n, idx, i), j + 1)
-                        if lhs != rhs:
-                            raise ValueError(f"identity s_i s_j failed on ({n},{idx})")
+        self._validate_identities(self.degeneracies, self.truncation_dim if self.strict else 0)
 
     # --- chains ------------------------------------------------------------------
     def unnormalized_chains(self, ring: Ring) -> ChainComplex:
@@ -439,7 +422,7 @@ class SimplicialSetPresentation(FaceTable):
 # ---------------------------------------------------------------------------
 
 
-def freely_add_degeneracies(y: DeltaComplex, truncation: int, name: str = "") -> SimplicialSetPresentation:
+def freely_add_degeneracies(y: DeltaComplex, truncation: int) -> SimplicialSetPresentation:
     """Adjoin free degeneracies: m-cells are (n-cell of y, surjection m↠n).
 
     Cell labels are triples (word, n, core index); faces and degeneracies are
@@ -474,9 +457,7 @@ def freely_add_degeneracies(y: DeltaComplex, truncation: int, name: str = "") ->
         m: [tuple(index[(compose_degeneracy(word, m, i), n, idx)] for i in range(m + 1)) for word, n, idx in cells[m]]
         for m in range(truncation)
     }
-    return SimplicialSetPresentation(
-        cells, faces, degeneracies, truncation, name=name or (y.name and f"d({y.name})") or ""
-    )
+    return SimplicialSetPresentation(cells, faces, degeneracies, truncation, name=y.name and f"d({y.name})")
 
 
 def forget_degeneracies(x: SimplicialSetPresentation) -> DeltaComplex:

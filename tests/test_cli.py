@@ -255,6 +255,38 @@ def test_non_string_name_is_an_input_error(command, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "name" in lines[0]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("strict", "false"),  # used to read as bool("false") == True and fail the strict check
+    ("strict", 0),
+    ("strict", None),
+    ("basepoint", 7),  # used to pass info, homology and sq with exit 0
+    ("basepoint", -1),
+    ("basepoint", "x"),
+    ("basepoint", True),
+    ("basepoint", 0.0),
+])
+@pytest.mark.parametrize("command", ["info", "homology", "sq"])
+def test_wrong_strict_or_basepoint_is_an_input_error(command, field, value, tmp_path, capsys):
+    doc = documents.complex_to_document(load_corpus("counterexample"))
+    doc[field] = value
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
+
+
+def test_a_null_basepoint_is_accepted(tmp_path, capsys):
+    doc = documents.complex_to_document(load_corpus("counterexample"))
+    doc["basepoint"] = None
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", "--input", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["strict"] is False
+
+
 def test_unexpected_exception_is_one_internal_error_line(monkeypatch, capsys, corpus_file):
     def broken(args):
         raise RuntimeError("handler fault")

@@ -25,7 +25,7 @@ from steenrod_kit.dold_kan import (
 )
 from steenrod_kit.homology import homology
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
-from steenrod_kit.simplicial import freely_add_degeneracies, point_complex, standard_delta
+from steenrod_kit.simplicial import SimplicialSetPresentation, freely_add_degeneracies, point_complex, standard_delta
 from steenrod_kit.suite import _random_complex
 
 
@@ -397,3 +397,39 @@ def test_hurewicz_square_validates_each_free_group_once(monkeypatch):
                 for idx in range(x.n_cells(n)):
                     assert hurewicz_square_defect(x, ZZ, table, level, n, idx).is_zero()
     assert sorted(validated) == ["R~(d(circle))", "R~(d(rp2))"]
+
+
+def _refused(build):
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["circle", "rp2"])
+def test_a_presentation_and_the_group_on_its_tables_refuse_alike(name):
+    # a strict presentation with moved table entries is refused exactly when
+    # the simplicial abelian group on its transposed tables (index lists) is
+    x = freely_add_degeneracies(load_corpus(name), 3)
+    top = x.truncation_dim
+    rng = random.Random(f"refuse-{name}")
+    outcomes = set()
+    for _ in range(40):
+        tables = {"faces": {n: list(t) for n, t in x.faces.items()},
+                  "degeneracies": {n: list(t) for n, t in x.degeneracies.items()}}
+        for _ in range(rng.randint(0, 2)):
+            kind = rng.choice(sorted(tables))
+            n, step = (rng.randint(1, top), -1) if kind == "faces" else (rng.randrange(top), 1)
+            idx, i = rng.randrange(x.n_cells(n)), rng.randrange(n + 1)
+            entry = list(tables[kind][n][idx])
+            entry[i] = rng.randrange(x.n_cells(n + step))
+            tables[kind][n][idx] = tuple(entry)
+        faces, degeneracies = tables["faces"], tables["degeneracies"]
+        maps = [{(n, i): list(col) for n, t in table.items() for i, col in enumerate(zip(*t))}
+                for table in (faces, degeneracies)]
+        as_presentation = _refused(lambda: SimplicialSetPresentation(x.cells, faces, degeneracies, top))
+        as_group = _refused(lambda: SimplicialAbelianGroup(ZZ, x.cells, *maps, top))
+        assert as_presentation == as_group
+        outcomes.add(as_group)
+    assert outcomes == {False, True}

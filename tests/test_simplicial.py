@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +164,14 @@ def test_counterexample_violates_mixed_identities_when_strict():
         dataclasses.replace(x, strict=True)
 
 
+@pytest.mark.parametrize("basepoint", [1, -1, "0", True, 0.0])
+def test_a_basepoint_that_is_no_vertex_index_is_refused(basepoint):
+    x = load_corpus("counterexample")
+    assert dataclasses.replace(x, basepoint=None).basepoint is None
+    with pytest.raises(ValueError, match="basepoint"):
+        dataclasses.replace(x, basepoint=basepoint)
+
+
 def test_normalized_vs_unnormalized_ranks():
     x = freely_add_degeneracies(load_corpus("circle"), 3)
     unnorm = x.unnormalized_chains(ZZ)
@@ -251,3 +260,61 @@ def test_corrupt_face_names_a_d_j_s_i_failure():
     with pytest.raises(ValueError) as caught:
         dataclasses.replace(loose, strict=True)
     assert str(caught.value) == want
+
+
+def _first_face_failure(x):
+    """The face identities checked cell by cell, dimension by dimension: the
+    message of the first failure, or None."""
+    for n in sorted(x.cells):
+        for idx in range(x.n_cells(n) if n >= 2 else 0):
+            for j in range(n + 1):
+                for i in range(j):
+                    if x.face(n - 1, x.face(n, idx, j), i) != x.face(n - 1, x.face(n, idx, i), j - 1):
+                        return f"face identity d_{i} d_{j} failed on cell ({n},{idx})"
+    return None
+
+
+def _walk(x, faces, degeneracies):
+    """x's cells and truncation over other tables, as the cell walks read them."""
+    return SimpleNamespace(
+        cells=x.cells,
+        truncation_dim=x.truncation_dim,
+        n_cells=x.n_cells,
+        face=lambda n, idx, i: faces[n][idx][i],
+        degeneracy=lambda n, idx, i: degeneracies[n][idx][i],
+    )
+
+
+def _moved_tables(x, rng):
+    """Copies of x's face and degeneracy tables with one or two entries, in
+    either, each pointed at another cell of the right dimension."""
+    tables = {kind: {n: list(t) for n, t in getattr(x, kind).items()} for kind in ("faces", "degeneracies")}
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.choice(sorted(tables))
+        n, step = (rng.randint(1, x.truncation_dim), -1) if kind == "faces" else (rng.randrange(x.truncation_dim), 1)
+        idx, i = rng.randrange(x.n_cells(n)), rng.randrange(n + 1)
+        entry = list(tables[kind][n][idx])
+        others = [c for c in range(x.n_cells(n + step)) if c != entry[i]]
+        entry[i] = rng.choice(others) if others else entry[i]
+        tables[kind][n][idx] = tuple(entry)
+    return tables["faces"], tables["degeneracies"]
+
+
+@pytest.mark.parametrize("name", ["circle", "rp2", "boundary_delta3"])
+def test_corrupt_faces_and_degeneracies_name_the_first_failing_cell(name):
+    # a face identity failing anywhere is named before any mixed one
+    x = freely_add_degeneracies(load_corpus(name), 3)
+    rng = random.Random(f"tables-{name}")
+    messages = set()
+    for _ in range(60):
+        faces, degeneracies = _moved_tables(x, rng)
+        walk = _walk(x, faces, degeneracies)
+        want = _first_face_failure(walk) or _first_mixed_failure(walk)
+        if want is None:
+            SimplicialSetPresentation(x.cells, faces, degeneracies, x.truncation_dim)
+            continue
+        with pytest.raises(ValueError) as caught:
+            SimplicialSetPresentation(x.cells, faces, degeneracies, x.truncation_dim)
+        assert str(caught.value) == want
+        messages.add("face identity" if want.startswith("face") else want.split(" failed")[0])
+    assert {"face identity", "identity d s = id"} <= messages
