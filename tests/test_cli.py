@@ -278,15 +278,6 @@ def test_wrong_strict_or_basepoint_is_an_input_error(command, field, value, tmp_
     assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0]
 
 
-def test_a_null_basepoint_is_accepted(tmp_path, capsys):
-    doc = documents.complex_to_document(load_corpus("counterexample"))
-    doc["basepoint"] = None
-    path = tmp_path / "counterexample.json"
-    path.write_text(json.dumps(doc))
-    assert main(["info", "--input", str(path), "--json"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["strict"] is False
-
-
 def test_unexpected_exception_is_one_internal_error_line(monkeypatch, capsys, corpus_file):
     def broken(args):
         raise RuntimeError("handler fault")
