@@ -281,13 +281,15 @@ class ChainComplex:
     is ∂ of the j-th basis element of degree n, as ``{row: coefficient}``
     over the basis of degree n−1 (nonzero ring elements only), and the
     constructor keeps the given columns as they are.  ``boundary_of_basis``
-    reads a column back as a Chain.
+    reads a column back as a Chain.  The basis objects of a degree may be
+    built only when a Chain-level method (``basis_in``, ``index_of``,
+    ``boundary_of_basis``) first asks for them.
     """
 
     def __init__(
         self,
         ring: Ring,
-        basis: Mapping[int, List[BasisElement]],
+        basis: Mapping[int, List[BasisElement]] | Callable[[int], List[BasisElement]],
         columns: Mapping[int, List[Dict[int, Coefficient]]],
         truncation_dim: int,
         exhaustive: bool = False,
@@ -296,31 +298,50 @@ class ChainComplex:
         # truncation of something larger), so homology is valid at every degree
         self.exhaustive = exhaustive
         self.ring = ring
-        self.basis: Dict[int, List[BasisElement]] = {n: list(elems) for n, elems in basis.items() if elems}
-        for n, elems in self.basis.items():
-            for b in elems:
-                if b.degree != n:
-                    raise ValueError(f"basis element {b} listed in degree {n}")
-        self._columns = {n: columns[n] for n in self.basis}
+        # basis: the list per degree, or a function building a degree's list
+        # when a Chain-level method first asks for it; the degrees and ranks
+        # are then those of the columns
+        self._basis: Dict[int, List[BasisElement]] = {}
+        if callable(basis):
+            self._build_basis = basis
+            self._ranks = {n: len(cols) for n, cols in columns.items() if cols}
+        else:
+            self._basis = {n: self._checked(n, elems) for n, elems in basis.items() if elems}
+            self._ranks = {n: len(elems) for n, elems in self._basis.items()}
+        self._columns = {n: columns[n] for n in self._ranks}
         self.truncation_dim = truncation_dim
         # data computed from the complex, e.g. (co)homology per degree, kept
         # by the modules that compute it so that every holder shares it
         self.derived: Dict[Tuple[str, int], object] = {}
         self._index: Dict[BasisElement, int] | None = None
 
+    @staticmethod
+    def _checked(n: int, elems: Iterable[BasisElement]) -> List[BasisElement]:
+        elems = list(elems)
+        for b in elems:
+            if b.degree != n:
+                raise ValueError(f"basis element {b} listed in degree {n}")
+        return elems
+
     def _positions(self) -> Dict[BasisElement, int]:
         if self._index is None:
-            self._index = {b: i for elems in self.basis.values() for i, b in enumerate(elems)}
+            self._index = {b: i for n in self.degrees() for i, b in enumerate(self.basis_in(n))}
         return self._index
 
+    @property
+    def basis(self) -> Dict[int, List[BasisElement]]:
+        return {n: self.basis_in(n) for n in self.degrees()}
+
     def degrees(self) -> List[int]:
-        return sorted(self.basis)
+        return sorted(self._ranks)
 
     def rank(self, n: int) -> int:
-        return len(self.basis.get(n, []))
+        return self._ranks.get(n, 0)
 
     def basis_in(self, n: int) -> List[BasisElement]:
-        return self.basis.get(n, [])
+        if n not in self._basis and n in self._ranks:
+            self._basis[n] = self._checked(n, self._build_basis(n))
+        return self._basis.get(n, [])
 
     def index_of(self, basis: BasisElement) -> int:
         return self._positions()[basis]

@@ -166,10 +166,9 @@ def _cmd_homology(args) -> int:
     else:
         complex_ = space.chains(ring)
         top = space.dimension
-    rows = []
-    for degree in range(top + 1):
-        h = homology(complex_, degree)
-        rows.append({"degree": degree, "group": str(h)})
+    # top-down, so that over a field ∂ₙ₊₁'s pivots clear the reduction of ∂ₙ
+    groups = {degree: str(homology(complex_, degree)) for degree in range(top, -1, -1)}
+    rows = [{"degree": degree, "group": groups[degree]} for degree in range(top + 1)]
     if args.json:
         print(json.dumps({"space": space.name, "ring": str(ring), "homology": rows}))
     else:

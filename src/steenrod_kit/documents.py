@@ -118,10 +118,14 @@ def load_complex(path: Union[str, Path]) -> ComplexLike:
     return document_to_complex(doc)
 
 
+def document_text(obj: ComplexLike) -> str:
+    """The text of the document ``save_complex`` writes."""
+    return json.dumps(complex_to_document(obj), separators=(",", ":")) + "\n"
+
+
 def save_complex(obj: ComplexLike, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(complex_to_document(obj), fh, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(document_text(obj))
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,24 @@ class SimplicialAbelianGroup:
             f, g = _columns(f, self.ring), _columns(g, self.ring)
         return f == g
 
+    def _check_entries(self) -> None:
+        """Each map has one entry per generator, and each entry names a
+        generator of the level the map goes to."""
+        for maps, op, step in ((self.face_maps, "d", -1), (self.degeneracy_maps, "s", 1)):
+            for (n, i), m in sorted(maps.items()):
+                name, size = f"{op}_{i} on level {n} of {self.name!r}", self.rank(n + step)
+                if len(m) != self.rank(n):
+                    raise ValueError(f"{name} has {len(m)} entries for {self.rank(n)} generators")
+                targets = set(m) if _is_index(m) else {r for col in m for r in col}
+                targets.discard(None)
+                if all(type(t) is int for t in targets) and (not targets or (min(targets) >= 0 and max(targets) < size)):
+                    continue
+                pairs = enumerate(m) if _is_index(m) else ((j, r) for j, col in enumerate(m) for r in col)
+                j, t = next((j, t) for j, t in pairs if t is not None and not (type(t) is int and 0 <= t < size))
+                raise ValueError(f"{name} sends generator {j} to {t!r}, not a generator of level {n + step}")
+
     def validate(self) -> None:
+        self._check_entries()
         top, d, s, same = self.truncation_dim, self.face, self.degeneracy, self._same
         for n in sorted(self.levels):
             identity = list(range(self.rank(n)))

@@ -4,13 +4,16 @@ stored columns of ∂, cohomology the columns of δ, built once per degree.
 
 Each group is computed once per complex and degree: the descriptors are
 kept in the complex's ``derived`` memo, so every caller holding the same
-complex shares them.
+complex shares them.  Over a field each map is reduced once when the degrees
+are asked for in turn (homology downward, cohomology upward): a degree's
+out-map pivots wait in ``derived`` until the neighbouring degree takes them
+as its in-map's, which then clear its out-map (``linalg.reduce_columns``).
 """
 
 from __future__ import annotations
 
 from .chains import Chain, ChainComplex
-from .linalg import HomologyDescriptor, homology_of_matrices
+from .linalg import HomologyDescriptor, field_homology, homology_of_matrices, reduce_columns
 
 
 def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
@@ -32,7 +35,8 @@ def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     if key not in complex_.derived:
         _check_dd_zero(complex_, degree)
         out_cols, in_cols = complex_.boundary_matrix(degree), complex_.boundary_matrix(degree + 1)
-        complex_.derived[key] = homology_of_matrices(complex_.ring, out_cols, in_cols, complex_.rank(degree))
+        maps = ("boundary_pivots", degree), ("boundary_pivots", degree + 1), ("homology", degree - 1)
+        complex_.derived[key] = _group(complex_, degree, out_cols, in_cols, *maps)
     return complex_.derived[key]
 
 
@@ -48,8 +52,28 @@ def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     if key not in complex_.derived:
         _check_dd_zero(complex_, degree)
         out_cols, in_cols = complex_.coboundary_matrix(degree), complex_.coboundary_matrix(degree - 1)
-        complex_.derived[key] = homology_of_matrices(complex_.ring, out_cols, in_cols, complex_.rank(degree))
+        maps = ("coboundary_pivots", degree), ("coboundary_pivots", degree - 1), ("cohomology", degree + 1)
+        complex_.derived[key] = _group(complex_, degree, out_cols, in_cols, *maps)
     return complex_.derived[key]
+
+
+def _group(complex_: ChainComplex, degree: int, out_cols, in_cols, out_map, in_map, user) -> HomologyDescriptor:
+    """ker(out)/im(in) at ``degree``.  Over a field the in-map's pivots are
+    taken from ``derived`` at ``in_map`` when a neighbouring degree left them
+    there, and the out-map's are left at ``out_map`` unless the degree that
+    would take them, ``user``, is already computed."""
+    ring, rank, derived = complex_.ring, complex_.rank(degree), complex_.derived
+    if not ring.is_field:
+        return homology_of_matrices(ring, out_cols, in_cols, rank)
+    in_pivots = derived.pop(in_map, None)
+    if in_pivots is None:
+        in_pivots = reduce_columns(ring, in_cols)
+    logs: list = []
+    out_pivots = reduce_columns(ring, out_cols, in_pivots, logs)
+    group = field_homology(ring, out_cols, rank, out_pivots, logs, in_pivots)
+    if user not in derived:
+        derived[out_map] = out_pivots
+    return group
 
 
 def chain_from_vector(complex_: ChainComplex, degree: int, vector) -> Chain:

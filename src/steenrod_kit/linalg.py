@@ -13,7 +13,10 @@ gives it, until a pivot's inverse makes it a fraction.  Kernels reduce the
 columns of a map by highest-index pivots (the persistence order) and log
 each step, which yields the canonical kernel vector of each column that
 reduces to zero; ranks use the same order; images and span solves use
-lowest-index pivots.
+lowest-index pivots.  (Co)homology clears (Chen–Kerber's twist): the columns
+of the map out of a degree at the pivot rows of the map into it are known to
+reduce to zero and are skipped, and a class on one of them gets its log by
+reducing that column alone against the final pivots.
 
 ``kernel`` and ``solver`` choose the engine from the ring, so callers never
 do: both take a matrix as sparse columns and give sparse vectors back.
@@ -417,11 +420,45 @@ def _kernel_vector(ring: Ring, logs: List[list], f: int) -> Dict[int, Coefficien
     return out
 
 
-def _free_columns(ops, columns: Sequence[Dict[int, Coefficient]], logs: List[list]) -> List[int]:
-    """The columns in the span of the earlier ones, found by reducing them
-    left to right by highest-index pivots, each step logged."""
-    kept = {k for k, _, _ in _reduce(ops, (ops.pack(col.items()) for col in columns), top=True, logs=logs).values()}
-    return [f for f in range(len(columns)) if f not in kept]
+def reduce_columns(ring: Ring, columns: Sequence[Dict[int, Coefficient]], cleared=(), logs: Optional[List[list]] = None):
+    """The columns of a map over a field reduced left to right by
+    highest-index pivots: {pivot row: (column, reduced column, inverse of its
+    pivot entry)}, and per column its log in ``logs``.
+
+    The columns at the indices in ``cleared`` (the pivot rows of the map into
+    this degree, given out∘in = 0) are skipped with an empty log: each lies
+    in the span of the earlier ones, since a reduced in-column is a cycle
+    whose highest entry is there, so it would reduce to zero and add no
+    pivot (clearing).  The pivots are those of the full reduction."""
+    ops = _vectors(ring)
+    empty = ops.pack(())
+    vectors = (empty if k in cleared else ops.pack(col.items()) for k, col in enumerate(columns))
+    return _reduce(ops, vectors, top=True, logs=logs)
+
+
+def _replay(ops, v, pivots: Dict[int, tuple]) -> list:
+    """The log of a vector skipped by clearing, reduced alone by the final
+    pivots: the log it would have had, since a pivot is never overwritten and
+    a vector that reduces to zero adds none, so every step meets the pivot
+    it met in the full reduction."""
+    log: list = []
+    while v:
+        p = ops.high(v)
+        hit = pivots.get(p)
+        if hit is None:
+            raise ArithmeticError("a cleared column is not in the span of the earlier ones (∂²≠0?)")
+        j, w, inv = hit
+        c = ops.factor(v, p, inv)
+        v = ops.sub(v, w, c)
+        log += (j, c)
+    return log
+
+
+def _free_columns(pivots: Dict[int, tuple], size: int) -> List[int]:
+    """The columns that a reduction with these pivots reduced to zero: those
+    in the span of the earlier ones."""
+    owners = {k for k, _, _ in pivots.values()}
+    return [f for f in range(size) if f not in owners]
 
 
 def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) -> int:
@@ -447,7 +484,8 @@ def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[i
     saturated summand)."""
     if ring.is_field:
         logs: List[list] = []
-        return [_kernel_vector(ring, logs, f) for f in _free_columns(_vectors(ring), columns, logs)]
+        pivots = reduce_columns(ring, columns, logs=logs)
+        return [_kernel_vector(ring, logs, f) for f in _free_columns(pivots, len(columns))]
     nrows = 1 + max((max(col) for col in columns if col), default=-1)
     form = sparse_smith(transpose(columns, nrows), len(columns), v=True)
     pivot_cols = {c for _, c, _ in form.pivots}
@@ -560,23 +598,34 @@ def homology_of_matrices(
     the caller checks that out∘in = 0.
     """
     if ring.is_field:
-        return _homology_field(ring, out_cols, in_cols, rank_here)
+        in_pivots, logs = reduce_columns(ring, in_cols), []
+        out_pivots = reduce_columns(ring, out_cols, in_pivots, logs)
+        return field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots)
     return _homology_integers(out_cols, in_cols, rank_here)
 
 
-def _homology_field(ring, out_cols, in_cols, rank_here) -> HomologyDescriptor:
+def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> HomologyDescriptor:
+    """Homology over a field from ``reduce_columns`` of the out-map (its
+    pivots and logs, cleared by the in-map's pivot rows) and the in-map's
+    pivots.  The in-map's pivots are consumed: the dict is emptied once the
+    image has been read off it."""
     ops = _vectors(ring)
-    out_cols = [*out_cols, *[{}] * (rank_here - len(out_cols))]  # missing columns are zero
-    logs: List[list] = []
+    missing = rank_here - len(out_cols)  # missing columns are zero
+    out_cols, logs = [*out_cols, *[{}] * missing], logs + [[]] * missing
     # the columns in the span of the earlier ones are the free columns of the
     # lowest-index row echelon form; a cycle is determined by its entries there
-    free = _free_columns(ops, out_cols, logs)
+    free = _free_columns(out_pivots, rank_here)
     keep = ops.pack((j, ring.one) for j in free)
     # the image in kernel coordinates, by lowest-index pivots (an invariant of the
-    # span): the reduced independent columns span it, and right to left fill in least
-    independent = _reduce(ops, (ops.pack(col.items()) for col in in_cols), top=True).values()
-    image = _reduce(ops, (ops.restrict(w, keep) for _, w, _ in sorted(independent, key=lambda hit: -hit[0])))
+    # span): the reduced independent columns span it, and right to left fill in
+    # least; each is restricted, and let go, before the reduction starts
+    image_input = [ops.restrict(w, keep) for _, w, _ in sorted(in_pivots.values(), key=lambda hit: hit[0])]
+    in_pivots.clear()
+    image = _reduce(ops, (image_input.pop() for _ in range(len(image_input))))
     classes = [f for f in free if f not in image]
+    for f in classes:
+        if out_cols[f] and not logs[f]:  # a nonzero column that clearing skipped
+            logs[f] = _replay(ops, ops.pack(out_cols[f].items()), out_pivots)
     reps = [[v.get(j, ring.zero) for j in range(rank_here)] for v in (_kernel_vector(ring, logs, f) for f in classes)]
     ascending = sorted((p, w, inv) for p, (_, w, inv) in image.items())
 

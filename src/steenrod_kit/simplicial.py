@@ -235,18 +235,19 @@ class FaceTable:
                               "ss": f"identity s_i s_j failed on ({n},{idx})"}[kind])
 
     def chains_from_faces(
-        self, ring: Ring, kept: Callable[[int], List[int]], exhaustive: bool = False
+        self, ring: Ring, kept: Callable[[int], Sequence[int]], exhaustive: bool = False
     ) -> ChainComplex:
         """The chain complex on the cells ``kept(n)`` (increasing indices) of
         each dimension, with boundary Σ (−1)^i d_i written straight into index
         columns; faces outside the kept cells vanish (they are quotiented
-        away) and repeated faces add up."""
-        basis: Dict[int, List[Cell]] = {}
+        away) and repeated faces add up.  The basis ``Cell``s of a dimension
+        are built when a Chain-level method first asks for them."""
+        kept_cells: Dict[int, Sequence[int]] = {}
         columns: Dict[int, List[Dict[int, Coefficient]]] = {}
         rows: Dict[int, Optional[List[Optional[int]]]] = {}  # per cell its row or None; None: all kept
         for n in sorted(self.cells):
             indices, table, lower = kept(n), self.faces[n], rows.get(n - 1)
-            basis[n] = [self.basis_cell(n, idx) for idx in indices]
+            kept_cells[n] = indices
             rows[n] = None if len(indices) == len(table) else [None] * len(table)
             for r, idx in enumerate(indices if rows[n] else ()):
                 rows[n][idx] = r
@@ -263,6 +264,10 @@ class FaceTable:
                         col[r] = col.get(r, 0) + (-1 if i & 1 else 1)
                 cols[k] = {r: value[s] for r, s in col.items() if s in value}
             columns[n] = cols
+
+        def basis(n: int) -> List[Cell]:
+            return [self.basis_cell(n, idx) for idx in kept_cells[n]]
+
         return ChainComplex(ring, basis, columns, self.truncation_dim, exhaustive)
 
 
@@ -299,7 +304,7 @@ class DeltaComplex(FaceTable):
     def chains(self, ring: Ring) -> ChainComplex:
         """The cellular chain complex over ``ring``, built once per ring."""
         if ring not in self._chains:
-            self._chains[ring] = self.chains_from_faces(ring, lambda n: list(range(self.n_cells(n))), exhaustive=True)
+            self._chains[ring] = self.chains_from_faces(ring, lambda n: range(self.n_cells(n)), exhaustive=True)
         return self._chains[ring]
 
     # --- constructors --------------------------------------------------------
@@ -410,7 +415,7 @@ class SimplicialSetPresentation(FaceTable):
 
     # --- chains ------------------------------------------------------------------
     def unnormalized_chains(self, ring: Ring) -> ChainComplex:
-        return self.chains_from_faces(ring, lambda n: list(range(self.n_cells(n))))
+        return self.chains_from_faces(ring, lambda n: range(self.n_cells(n)))
 
     def normalized_chains(self, ring: Ring) -> ChainComplex:
         """Chains modulo degenerate cells: degenerate faces vanish."""

@@ -5,6 +5,7 @@ from steenrod_kit.chains import (
     BarElement,
     Cell,
     Chain,
+    ChainComplex,
     Simplex,
     TensorPair,
     chain_of,
@@ -140,3 +141,23 @@ def test_boundary_matrix_is_built_once_per_degree(monkeypatch):
     lower = cx.basis_in(1)
     for b, col in zip(cx.basis_in(2), cx.boundary_matrix(2)):
         assert original(b) == Chain(F2, 1, {lower[i]: c for i, c in col.items()})
+
+
+def test_cells_are_built_on_the_first_chain_level_call(monkeypatch):
+    space = standard_delta(3)
+    built = []
+    original = space.basis_cell
+    monkeypatch.setattr(space, "basis_cell", lambda n, idx: built.append((n, idx)) or original(n, idx))
+    cx = space.chains(F2)
+    for degree in range(4):
+        homology(cx, degree)
+        cohomology(cx, degree)
+    assert built == [] and cx.degrees() == [0, 1, 2, 3] and cx.rank(2) == 4
+    assert cx.basis_in(2) == [original(2, idx) for idx in range(4)]
+    assert built == [(2, idx) for idx in range(4)]
+    assert cx.basis_in(2) is cx.basis_in(2) and len(built) == 4
+    # the degree check runs where the basis is built
+    wrong = ChainComplex(F2, lambda n: [Cell(n + 1, "x")], {0: [{}]}, 0)
+    assert wrong.rank(0) == 1
+    with pytest.raises(ValueError, match="listed in degree 0"):
+        wrong.basis_in(0)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -85,12 +86,30 @@ def test_sq_defaults_to_f2_and_rejects_others(capsys, corpus_file):
     assert main(["sq", "--input", path, "--ring", "z"]) == EXIT_INPUT
 
 
+def _count_field_work(monkeypatch):
+    """Per map (its columns list, by identity) the field reductions of it,
+    and the list of descriptors built."""
+    reduced, built = Counter(), []
+    reduce, build = homology_module.reduce_columns, homology_module.field_homology
+    monkeypatch.setattr(homology_module, "reduce_columns",
+                        lambda ring, cols, *rest: reduced.update([id(cols)]) or reduce(ring, cols, *rest))
+    monkeypatch.setattr(homology_module, "field_homology", lambda *args: built.append(args) or build(*args))
+    return reduced, built
+
+
 def test_sq_computes_each_cohomology_group_once(capsys, corpus_file, monkeypatch):
-    calls = []
-    compute = homology_module.homology_of_matrices
-    monkeypatch.setattr(homology_module, "homology_of_matrices", lambda *args: calls.append(args) or compute(*args))
+    reduced, built = _count_field_work(monkeypatch)
     assert main(["sq", "--input", corpus_file("rp2"), "--json"]) == EXIT_OK
-    assert len(calls) == 3  # H^0, H^1 and H^2, shared by every square
+    assert len(built) == 3  # H^0, H^1 and H^2, shared by every square
+    assert len(reduced) == 4 and set(reduced.values()) == {1}  # δ^-1 … δ^2, each reduced once
+
+
+def test_sq_on_rp4_reduces_each_coboundary_map_once(capsys, monkeypatch):
+    reduced, built = _count_field_work(monkeypatch)
+    assert main(["sq", "--input", str(CORPUS / "rp4.json"), "--i", "1", "--p", "1", "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["squares"] == [{"i": 1, "p": 1, "matrix": [[1]]}]
+    assert len(built) == 2  # H^1 and H^2
+    assert len(reduced) == 3 and set(reduced.values()) == {1}  # δ^0, δ^1 and δ^2, each reduced once
 
 
 @pytest.mark.parametrize(

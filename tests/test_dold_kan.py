@@ -61,6 +61,18 @@ def test_validation_catches_broken_identities():
         )
 
 
+@pytest.mark.parametrize("faces, degs, message", [
+    ({(1, 0): [0], (1, 1): [0]}, {(0, 0): [7]}, "s_0 on level 0 of 'one-edge' sends generator 0 to 7, not a generator of level 1"),
+    ({(1, 0): [0], (1, 1): [-1]}, {(0, 0): [0]}, "d_1 on level 1 of 'one-edge' sends generator 0 to -1, not a generator of level 0"),
+    ({(1, 0): [{0: 1}], (1, 1): [{3: 1}]}, {(0, 0): [0]}, "d_1 on level 1 of 'one-edge' sends generator 0 to 3, not a generator of level 0"),
+    ({(1, 0): [0, 0], (1, 1): [0]}, {(0, 0): [0]}, "d_0 on level 1 of 'one-edge' has 2 entries for 1 generators"),
+])
+def test_a_map_entry_off_the_next_level_is_named(faces, degs, message):
+    with pytest.raises(ValueError) as err:
+        SimplicialAbelianGroup(ZZ, {0: ["a"], 1: ["x"]}, faces, degs, 1, name="one-edge")
+    assert str(err.value) == message
+
+
 def _two_vertex_group(ring, s0_of_a, d1_of_w=1, validate=True):
     # vertices a, b; edges x, y, z, w with d_0 = d_1 = (a, b, b, b), except
     # that d_1 w = d1_of_w·b; s_0 a = s0_of_a and s_0 b = w

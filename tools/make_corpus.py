@@ -15,10 +15,14 @@ Writes JSON complex documents into src/steenrod_kit/corpus/:
                            ``rpn_facets``, which builds RPⁿ for any n)
 * counterexample         — a simplicial-set presentation carrying the relation
                            s₀e = s₀s₀v (not degeneracy-free; strict=false)
+
+``--check`` regenerates every document in memory, writes nothing, and exits 1
+after naming the first shipped file that differs from it byte for byte.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from itertools import combinations, product
 from math import factorial
@@ -27,7 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from steenrod_kit.documents import complex_to_document, save_complex  # noqa: E402
+from steenrod_kit.documents import complex_to_document, document_text, save_complex  # noqa: E402
 from steenrod_kit.simplicial import DeltaComplex, SimplicialSetPresentation  # noqa: E402
 
 OUT = ROOT / "src" / "steenrod_kit" / "corpus"
@@ -148,8 +152,8 @@ def counterexample_presentation() -> SimplicialSetPresentation:
     )
 
 
-def main() -> None:
-    OUT.mkdir(parents=True, exist_ok=True)
+def shipped_spaces() -> dict:
+    """Every shipped space, by document name."""
     spaces = {}
     for k in range(1, 6):
         spaces[f"delta{k}"] = DeltaComplex.from_facets([tuple(range(k + 1))], name=f"delta{k}")
@@ -162,13 +166,38 @@ def main() -> None:
     spaces["klein"] = DeltaComplex.from_facets(klein_facets(), name="klein")
     spaces["rp4"] = DeltaComplex.from_facets(rpn_facets(4), name="rp4")
     spaces["counterexample"] = counterexample_presentation()
-    for name, obj in sorted(spaces.items()):
+    return spaces
+
+
+def check(out: Path = OUT) -> int:
+    """Regenerate every document in memory and compare it byte for byte
+    with the file in ``out``, writing nothing: 0 when all match (and ``out``
+    holds no other document), else 1 after naming the first that differs."""
+    texts = {f"{name}.json": document_text(obj) for name, obj in shipped_spaces().items()}
+    for name in sorted(set(texts) | {path.name for path in out.glob("*.json")}):
+        path = out / name
+        if name not in texts or not path.exists() or path.read_bytes() != texts[name].encode("utf-8"):
+            print(f"{path} differs from the generated document", file=sys.stderr)
+            return 1
+    print(f"{len(texts)} documents match {out}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the shipped documents with regenerated ones; write nothing")
+    if parser.parse_args(argv).check:
+        return check()
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, obj in sorted(shipped_spaces().items()):
         path = OUT / f"{name}.json"
         save_complex(obj, path)
         doc = complex_to_document(obj)
         counts = {n: len(v) for n, v in doc["cells"].items()}
         print(f"{name}: {counts} -> {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
