@@ -14,31 +14,32 @@ Sign conventions (used consistently everywhere):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from .linalg import transpose
-from .rings import Coefficient, Ring
+from .rings import Coefficient, Frozen, Ring, _set
 
 # ---------------------------------------------------------------------------
 # Basis elements
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(Frozen):
     """A simplex given by an ordered vertex list; repeats encode degeneracy.
 
     ``D_i [0..n] = [0,..,i,i,..,n]`` is the i-th degeneracy, so a simplex is
     degenerate exactly when two adjacent vertices coincide.
     """
 
-    vertices: Tuple[int, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices: Tuple[int, ...]) -> None:
+        if not vertices:
             raise ValueError("a simplex needs at least one vertex")
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+        _set(self, "vertices", tuple(vertices))
+
+    def _fields(self) -> tuple:
+        return (self.vertices,)
 
     @property
     def degree(self) -> int:
@@ -73,12 +74,17 @@ def standard_simplex(k: int) -> Simplex:
     return Simplex(tuple(range(k + 1)))
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Frozen):
     """An abstract cell of a finite presentation: a dimension and a label."""
 
-    dim: int
-    label: object
+    __slots__ = ("dim", "label")
+
+    def __init__(self, dim: int, label: object) -> None:
+        _set(self, "dim", dim)
+        _set(self, "label", label)
+
+    def _fields(self) -> tuple:
+        return (self.dim, self.label)
 
     @property
     def degree(self) -> int:
@@ -98,10 +104,15 @@ def _label_key(label):
     return (type(label).__name__, label)
 
 
-@dataclass(frozen=True)
-class TensorPair:
-    left: "BasisElement"
-    right: "BasisElement"
+class TensorPair(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "BasisElement", right: "BasisElement") -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def _fields(self) -> tuple:
+        return (self.left, self.right)
 
     @property
     def degree(self) -> int:
@@ -114,20 +125,23 @@ class TensorPair:
         return f"{self.left}⊗{self.right}"
 
 
-@dataclass(frozen=True)
-class BarElement:
+class BarElement(Frozen):
     """A basis element g·e_n of the normalized bar resolution of S₂.
 
     ``twist`` is False for the identity coefficient and True for T = (1,2);
     the degree is the bar level n.
     """
 
-    twist: bool
-    level: int
+    __slots__ = ("twist", "level")
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
+    def __init__(self, twist: bool, level: int) -> None:
+        if level < 0:
             raise ValueError("bar level must be nonnegative")
+        _set(self, "twist", twist)
+        _set(self, "level", level)
+
+    def _fields(self) -> tuple:
+        return (self.twist, self.level)
 
     @property
     def degree(self) -> int:
@@ -148,7 +162,7 @@ def e(n: int) -> BarElement:
     return BarElement(False, n)
 
 
-BasisElement = object  # union of the dataclasses above; duck-typed via .degree
+BasisElement = object  # any of the four value types above; duck-typed via .degree and .sort_key()
 
 
 # ---------------------------------------------------------------------------

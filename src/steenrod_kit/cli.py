@@ -15,15 +15,12 @@ import json
 import sys
 from typing import Optional
 
-from .bar import e
-from .chains import Simplex, render_chain
-from .cochains import sq_matrix
-from .diagonal import DiagonalTable, xi_cell, xi_simplex
+from .chains import Simplex, e, render_chain
 from .documents import load_complex
 from .homology import cohomology, homology
 from .rings import F2, Ring, ZZ
 from .simplicial import DeltaComplex, SimplicialSetPresentation, core, forget_degeneracies, is_degeneracy_free
-from .suite import SuiteConfig, run_suite
+# the diagonal, cup-i and suite modules are imported by the handlers that call them
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -78,6 +75,8 @@ def _load_input(args):
 
 
 def _cmd_diag(args) -> int:
+    from .diagonal import DiagonalTable, xi_cell, xi_simplex
+
     ring = _ring(args)
     table = DiagonalTable()
     if args.simplex:
@@ -115,6 +114,9 @@ def _as_delta(space) -> DeltaComplex:
 
 
 def _cmd_sq(args) -> int:
+    from .cochains import sq_matrix
+    from .diagonal import DiagonalTable
+
     ring = _ring(args, default=F2)
     if ring != F2:
         raise ValueError("Steenrod squares are computed over f2")
@@ -210,6 +212,8 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--truncation must be 3 or 4, got {args.truncation}")
     if args.max_k < 0:
         raise ValueError(f"--max-k must be nonnegative, got {args.max_k}")
+    from .suite import SuiteConfig, run_suite
+
     cfg = SuiteConfig(only=args.only, max_k=args.max_k, include_slow=args.slow, truncation=args.truncation)
     report = run_suite(cfg)
     if args.json:

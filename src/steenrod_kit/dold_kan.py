@@ -364,22 +364,29 @@ def pointed_unnormalized_chains(x: SimplicialSetPresentation, ring: Ring) -> Cha
 # ---------------------------------------------------------------------------
 
 
+def _pointed_chains(x: SimplicialSetPresentation, ring: Ring) -> Tuple[ChainComplex, ChainComplex]:
+    """Pointed C(X) and C(R̃X), built once per ring and kept on ``x.free_groups``."""
+    key = (ring, "chains")
+    if key not in x.free_groups:
+        rx = free_simplicial_abelian(x, ring, pointed=True)
+        x.free_groups[key] = (pointed_unnormalized_chains(x, ring), moore_complex(rx))
+    return x.free_groups[key]
+
+
 def chain_hurewicz(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
     """C(h): pointed C(X) → C(R̃X) = Moore complex of R̃X, cell ↦ 1·cell.
 
     Under the canonical basis identification the two complexes are equal, so
     the map carries each basis cell to the generator with the same label.
     """
-    source = pointed_unnormalized_chains(x, ring)
-    target = moore_complex(free_simplicial_abelian(x, ring, pointed=True))
+    source, target = _pointed_chains(x, ring)
     return GradedMap(source, target, 0, lambda basis: chain_of(ring, basis))
 
 
 def gamma_X(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
     """γ: C(R̃X) → pointed C(X), sending each chain-generator of R̃X to the
     combination of simplices of X it denotes (1·σ ↦ σ), extended linearly."""
-    source = moore_complex(free_simplicial_abelian(x, ring, pointed=True))
-    target = pointed_unnormalized_chains(x, ring)
+    target, source = _pointed_chains(x, ring)
     return GradedMap(source, target, 0, lambda basis: chain_of(ring, basis))
 
 

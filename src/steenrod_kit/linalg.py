@@ -25,7 +25,6 @@ do: both take a matrix as sparse columns and give sparse vectors back.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rings import ZZ, Coefficient, Ring
@@ -196,7 +195,6 @@ def _combine(terms: Iterable[Tuple[int, SparseVector]]) -> SparseVector:
     return out
 
 
-@dataclass
 class SmithForm:
     """U·A·V = D for an integer matrix A, where D is zero except at the
     ``pivots`` (row, col, d): every d ≥ 1 and each divides the next.
@@ -205,11 +203,15 @@ class SmithForm:
     transforms asked of ``sparse_smith`` are filled in.
     """
 
-    pivots: List[Tuple[int, int, int]]
-    u_rows: List[SparseVector]
-    uinv_cols: List[SparseVector]
-    v_cols: List[SparseVector]
-    vinv_cols: List[SparseVector]
+    def __init__(
+        self,
+        pivots: List[Tuple[int, int, int]],
+        u_rows: List[SparseVector],
+        uinv_cols: List[SparseVector],
+        v_cols: List[SparseVector],
+        vinv_cols: List[SparseVector],
+    ) -> None:
+        self.pivots, self.u_rows, self.uinv_cols, self.v_cols, self.vinv_cols = pivots, u_rows, uinv_cols, v_cols, vinv_cols
 
 
 def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: bool = False) -> SmithForm:
@@ -548,7 +550,6 @@ def solver(columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HomologyDescriptor:
     """Homology at one degree: rank/torsion, cycle representatives, coordinates.
 
@@ -558,11 +559,17 @@ class HomologyDescriptor:
     order (torsion coordinates reduced mod the torsion order).
     """
 
-    ring: Ring
-    free_rank: int
-    torsion: List[int] = field(default_factory=list)
-    representatives: List[Vector] = field(default_factory=list)
-    _coord_fn: object = None
+    def __init__(
+        self,
+        ring: Ring,
+        free_rank: int,
+        torsion: Optional[List[int]] = None,
+        representatives: Optional[List[Vector]] = None,
+        _coord_fn: object = None,
+    ) -> None:
+        self.ring, self.free_rank, self._coord_fn = ring, free_rank, _coord_fn
+        self.torsion = [] if torsion is None else torsion
+        self.representatives = [] if representatives is None else representatives
 
     @property
     def dimension(self) -> int:
@@ -577,9 +584,6 @@ class HomologyDescriptor:
         if coords is None:
             raise ValueError("vector is not a cycle in this degree")
         return coords
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         if self.ring.is_field:

@@ -11,7 +11,6 @@ when a division made it non-whole.  ``inv`` is the only division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -33,21 +32,52 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Ring:
+class Frozen:
+    """Base of the immutable value types: fields named in ``__slots__``, set through ``_set``,
+    returned by ``_fields``.  As for a frozen dataclass (whose import costs a short command more
+    than its arithmetic), equal only within a class, hashed as the field tuple, not assignable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in zip(self.__slots__, self._fields()))})"
+
+    def __reduce__(self):  # copy and pickle through __init__, not through setattr
+        return type(self), self._fields()
+
+
+_set = object.__setattr__
+
+
+class Ring(Frozen):
     """A coefficient domain: ℤ, 𝔽_p (p prime), or ℚ."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (_INTEGERS, _PRIME_FIELD, _RATIONALS):
-            raise ValueError(f"unknown ring kind: {self.kind!r}")
-        if self.kind == _PRIME_FIELD:
-            if self.p is None or not _is_prime(self.p):
-                raise ValueError(f"PrimeField characteristic must be prime, got {self.p!r}")
-        elif self.p is not None:
-            raise ValueError(f"{self.kind} takes no characteristic")
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind not in (_INTEGERS, _PRIME_FIELD, _RATIONALS):
+            raise ValueError(f"unknown ring kind: {kind!r}")
+        if kind == _PRIME_FIELD:
+            if p is None or not _is_prime(p):
+                raise ValueError(f"PrimeField characteristic must be prime, got {p!r}")
+        elif p is not None:
+            raise ValueError(f"{kind} takes no characteristic")
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.p)
 
     # --- constructors -----------------------------------------------------
     @staticmethod

@@ -19,7 +19,6 @@ tables and for the simplicial abelian groups of ``dold_kan``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -355,7 +354,6 @@ def point_complex() -> DeltaComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SimplicialSetPresentation(FaceTable):
     """A truncated simplicial set with explicit face and degeneracy tables.
 
@@ -367,17 +365,20 @@ class SimplicialSetPresentation(FaceTable):
     relation), while pure face identities are always checked.
     """
 
-    cells: Dict[int, List[object]]
-    faces: Dict[int, List[Tuple[int, ...]]]
-    degeneracies: Dict[int, List[Tuple[int, ...]]]
-    truncation_dim: int
-    name: str = ""
-    strict: bool = True
-    basepoint: Optional[int] = None  # vertex index
-    # R(X) and R̃X per (ring, pointed), built once by dold_kan.free_simplicial_abelian
-    free_groups: Dict[Tuple[Ring, bool], object] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        cells: Dict[int, List[object]],
+        faces: Dict[int, List[Tuple[int, ...]]],
+        degeneracies: Dict[int, List[Tuple[int, ...]]],
+        truncation_dim: int,
+        name: str = "",
+        strict: bool = True,
+        basepoint: Optional[int] = None,  # vertex index
+    ):
+        self.cells, self.faces, self.degeneracies, self.truncation_dim = cells, faces, degeneracies, truncation_dim
+        self.name, self.strict, self.basepoint = name, strict, basepoint
+        # per (ring, pointed) R(X) or R̃X, per (ring, "chains") pointed C(X) and C(R̃X); see dold_kan
+        self.free_groups: Dict[Tuple[Ring, object], object] = {}
         self._own_tables()
         self.validate()
 

@@ -14,11 +14,10 @@ simplex dimension in the η_k checks.  Slow items (RP⁴) run only when
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bar import e, eta
-from .chains import Cell, Chain, ChainComplex, hom_differential, render_chain
+from .chains import Cell, Chain, ChainComplex, Simplex, hom_differential, render_chain, standard_simplex
 from .cochains import sq_matrix
 from .diagonal import (
     DiagonalTable,
@@ -44,7 +43,6 @@ from .dold_kan import (
 from .homology import homology
 from .rings import F2, F5, QQ, ZZ
 from .simplicial import freely_add_degeneracies, is_degeneracy_free
-from .chains import Simplex, standard_simplex
 from .vandermonde import vandermonde_det_factorization, vandermonde_independence
 
 PASS, FAIL, DEVIATION = "pass", "fail", "deviation"
@@ -63,14 +61,18 @@ KNOWN_HOMOLOGY: Dict[str, Dict[int, Tuple[int, List[int]]]] = {
 }
 
 
-@dataclass
 class SuiteConfig:
-    only: Optional[str] = None
-    max_k: int = 6
-    include_slow: bool = False
-    truncation: int = 4
-    table: DiagonalTable = field(default_factory=DiagonalTable)
-    seed: int = 2024
+    def __init__(
+        self,
+        only: Optional[str] = None,
+        max_k: int = 6,
+        include_slow: bool = False,
+        truncation: int = 4,
+        table: Optional[DiagonalTable] = None,
+        seed: int = 2024,
+    ) -> None:
+        self.only, self.max_k, self.include_slow, self.truncation, self.seed = only, max_k, include_slow, truncation, seed
+        self.table = DiagonalTable() if table is None else table
 
 
 CheckFn = Callable[[SuiteConfig], Tuple[str, str]]

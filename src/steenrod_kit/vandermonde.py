@@ -14,7 +14,6 @@ verifies the determinant identity symbolically.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Tuple
 
@@ -65,12 +64,11 @@ def symmetrized_power(c: Chain, power: int, field: Ring) -> Polynomial:
     return TruncatedDiagonalVector.of(c, power + 1, field).components[power]
 
 
-@dataclass
 class TruncatedDiagonalVector:
     """e(c) = (1, c, c⊗c, …, c^{⊗(t−1)}), with tensor powers symmetrized."""
 
-    components: List[Polynomial]
-    t: int
+    def __init__(self, components: List[Polynomial], t: int) -> None:
+        self.components, self.t = components, t
 
     @staticmethod
     def of(c: Chain, t: int, field: Ring) -> "TruncatedDiagonalVector":

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -367,3 +369,32 @@ def test_rp4_field_homology(capsys, ring, groups):
     assert main(["homology", "--input", RP4, "--ring", ring, "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert [(r["degree"], r["group"]) for r in payload["homology"]] == list(enumerate(groups))
+
+
+# what a homology process never runs; dataclasses and inspect cost a short command more than its arithmetic
+NOT_FOR_HOMOLOGY = ["dataclasses", "inspect"] + [
+    f"steenrod_kit.{m}" for m in ("suite", "dold_kan", "vandermonde", "diagonal", "cochains", "bar", "kernel")
+]
+LOADED_PER_STEP = """
+import json, sys
+src, rp2, guarded = sys.argv[1], sys.argv[2], sys.argv[3:]
+sys.path.insert(0, src)
+loaded = {}
+import steenrod_kit.cli as cli
+loaded["import"] = [m for m in guarded if m in sys.modules]
+for command in ("homology", "sq"):
+    cli.main([command, "--input", rp2])
+    loaded[command] = [m for m in guarded if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_a_command_imports_only_the_modules_it_runs():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    # -S: no site hooks, whose own imports would say nothing about the program's
+    argv = [sys.executable, "-S", "-c", LOADED_PER_STEP, src, str(CORPUS / "rp2.json"), *NOT_FOR_HOMOLOGY]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded["import"] == [] and loaded["homology"] == []
+    assert "steenrod_kit.cochains" in loaded["sq"]
+    assert not {"dataclasses", "inspect", "steenrod_kit.suite", "steenrod_kit.dold_kan"} & set(loaded["sq"])

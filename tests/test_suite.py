@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from steenrod_kit import dold_kan, suite
 from steenrod_kit.suite import DEVIATION, FAIL, PASS, SuiteConfig, run_suite
 
 
@@ -30,3 +33,19 @@ def test_crashing_check_is_reported_as_failure():
     report = run_suite(SuiteConfig(only="hurewicz-normalized", truncation=-1))
     assert report["items"][0]["status"] == FAIL
     assert not report["passed"]
+
+
+def test_gamma_retraction_builds_each_pointed_complex_once_per_space(monkeypatch):
+    calls = Counter()
+    for module, name in [
+        (dold_kan, "moore_complex"),
+        (dold_kan, "pointed_unnormalized_chains"),
+        (suite, "gamma_X"),
+        (suite, "chain_hurewicz"),
+    ]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=original: calls.update([_n]) or _f(*a))
+    status, _ = suite._check_gamma_retraction(SuiteConfig())
+    assert status == PASS
+    # three spaces: both maps are built for each, and share its two complexes
+    assert calls == {"gamma_X": 3, "chain_hurewicz": 3, "moore_complex": 3, "pointed_unnormalized_chains": 3}
