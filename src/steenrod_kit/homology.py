@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .chains import Chain, ChainComplex
 from .linalg import HomologyDescriptor, field_homology, homology_of_matrices, reduce_columns
+from .rings import collector_paused
 
 
 def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
@@ -23,6 +24,7 @@ def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
         raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
 
 
+@collector_paused
 def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     """H_degree: ker ∂ / im ∂, as rank + torsion (or dimension over a field),
     with cycle representatives and coordinate data."""
@@ -40,6 +42,7 @@ def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     return complex_.derived[key]
 
 
+@collector_paused
 def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     """H^degree of the dual complex; representatives are cocycle vectors over
     the degree-``degree`` basis."""

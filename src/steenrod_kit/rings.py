@@ -6,15 +6,21 @@ supplies the arithmetic, so chains can stay lightweight.  Integers and
 prime-field elements are ``int``s; a rational is an ``int`` when it is whole
 (``zero``, ``one``, ``coerce`` and ``inv`` return one whenever they can,
 since int arithmetic is many times faster) and a ``fractions.Fraction`` only
-when a division made it non-whole.  ``inv`` is the only division.
+when a division made it non-whole.  ``inv`` is the only division, and
+``fractions`` (with ``decimal``) is imported only when ℚ divides or a
+non-int is coerced.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Union
+import gc
+from functools import wraps
+from typing import TYPE_CHECKING, Union
 
-Coefficient = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Coefficient = Union[int, "Fraction"]
 
 _INTEGERS = "Integers"
 _PRIME_FIELD = "PrimeField"
@@ -30,6 +36,29 @@ def _is_prime(p: int) -> bool:
             return False
         d += 1
     return True
+
+
+def collector_paused(build):
+    """Run ``build`` with the cyclic garbage collector off, and turn it back on
+    when the call returns or raises.  The bulk builders make only containers
+    that refer to no container of theirs (face and index tables, columns,
+    reduction logs), so the collector, walking them every 700 allocations,
+    finds nothing; a cycle made during the pause is freed by the first
+    collection after it.  The switch is process-wide: a caller that turned the
+    collector off keeps it off, and a nested paused call leaves it to the
+    outermost one."""
+
+    @wraps(build)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class Frozen:
@@ -121,16 +150,17 @@ class Ring(Frozen):
         """Map an integer (or Fraction, for ℚ) into this ring."""
         if type(value) is int:
             return value % self.p if self.kind == _PRIME_FIELD else value
+        import fractions  # a module import: "from fractions import" costs each call several times more
         if self.kind == _INTEGERS:
-            if isinstance(value, Fraction):
+            if isinstance(value, fractions.Fraction):
                 if value.denominator != 1:
                     raise ValueError(f"{value} is not an integer")
                 return int(value)
             return int(value)
         if self.kind == _RATIONALS:
-            q = Fraction(value)
+            q = fractions.Fraction(value)
             return q.numerator if q.denominator == 1 else q
-        if isinstance(value, Fraction):
+        if isinstance(value, fractions.Fraction):
             if value.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator of {value} vanishes mod {self.p}")
             return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
@@ -153,7 +183,8 @@ class Ring(Frozen):
         if self.kind == _PRIME_FIELD:
             return pow(a, -1, self.p)
         if self.kind == _RATIONALS:
-            return self.coerce(Fraction(1) / a)
+            import fractions
+            return self.coerce(fractions.Fraction(1) / a)
         if a in (1, -1):
             return a
         raise ZeroDivisionError(f"{a} is not a unit in the integers")

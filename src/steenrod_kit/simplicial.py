@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chains import Cell, ChainComplex
-from .rings import Coefficient, Ring
+from .rings import Coefficient, Ring, collector_paused
 
 # ---------------------------------------------------------------------------
 # Surjection-word calculus
@@ -233,6 +233,7 @@ class FaceTable:
                               "ds": f"identity d_{i} s_{j} failed on ({n},{idx})",
                               "ss": f"identity s_i s_j failed on ({n},{idx})"}[kind])
 
+    @collector_paused
     def chains_from_faces(
         self, ring: Ring, kept: Callable[[int], Sequence[int]], exhaustive: bool = False
     ) -> ChainComplex:
@@ -308,6 +309,7 @@ class DeltaComplex(FaceTable):
 
     # --- constructors --------------------------------------------------------
     @staticmethod
+    @collector_paused
     def from_facets(facets: Sequence[Sequence[int]], name: str = "", truncation_dim: int | None = None) -> "DeltaComplex":
         """Build the full subcomplex generated by facets of a simplicial complex.
 
@@ -428,6 +430,7 @@ class SimplicialSetPresentation(FaceTable):
 # ---------------------------------------------------------------------------
 
 
+@collector_paused
 def freely_add_degeneracies(y: DeltaComplex, truncation: int) -> SimplicialSetPresentation:
     """Adjoin free degeneracies: m-cells are (n-cell of y, surjection m↠n).
 

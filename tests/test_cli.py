@@ -371,8 +371,9 @@ def test_rp4_field_homology(capsys, ring, groups):
     assert [(r["degree"], r["group"]) for r in payload["homology"]] == list(enumerate(groups))
 
 
-# what a homology process never runs; dataclasses and inspect cost a short command more than its arithmetic
-NOT_FOR_HOMOLOGY = ["dataclasses", "inspect"] + [
+# what a homology process never runs; dataclasses and inspect cost a short command more than its arithmetic,
+# and fractions (with decimal) serves only ℚ, which neither ℤ homology nor 𝔽₂ squares divide in
+NOT_FOR_HOMOLOGY = ["dataclasses", "inspect", "fractions", "decimal"] + [
     f"steenrod_kit.{m}" for m in ("suite", "dold_kan", "vandermonde", "diagonal", "cochains", "bar", "kernel")
 ]
 LOADED_PER_STEP = """
@@ -397,4 +398,6 @@ def test_a_command_imports_only_the_modules_it_runs():
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert loaded["import"] == [] and loaded["homology"] == []
     assert "steenrod_kit.cochains" in loaded["sq"]
-    assert not {"dataclasses", "inspect", "steenrod_kit.suite", "steenrod_kit.dold_kan"} & set(loaded["sq"])
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "steenrod_kit.suite", "steenrod_kit.dold_kan"} & set(
+        loaded["sq"]
+    )

@@ -43,7 +43,7 @@ def test_rational_arithmetic():
     assert QQ.zero == 0
     # a whole rational is an int; only a division that leaves one makes a Fraction
     assert type(QQ.one) is int and type(QQ.coerce(Fraction(4, 2))) is int
-    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(-1)) is int
+    assert QQ.inv(2) == Fraction(1, 2) and type(QQ.inv(2)) is Fraction and type(QQ.inv(-1)) is int
 
 
 def test_predicates():
