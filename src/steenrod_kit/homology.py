@@ -12,7 +12,7 @@ as its in-map's, which then clear its out-map (``linalg.reduce_columns``).
 
 from __future__ import annotations
 
-from .chains import Chain, ChainComplex
+from .chains import ChainComplex
 from .linalg import HomologyDescriptor, field_homology, homology_of_matrices, reduce_columns
 from .rings import collector_paused
 
@@ -78,17 +78,3 @@ def _group(complex_: ChainComplex, degree: int, out_cols, in_cols, out_map, in_m
         derived[out_map] = out_pivots
     return group
 
-
-def chain_from_vector(complex_: ChainComplex, degree: int, vector) -> Chain:
-    terms = {
-        basis: coeff
-        for basis, coeff in zip(complex_.basis_in(degree), vector)
-    }
-    return Chain(complex_.ring, degree, terms)
-
-
-def vector_from_chain(complex_: ChainComplex, chain: Chain):
-    vec = [complex_.ring.zero] * complex_.rank(chain.degree)
-    for basis, coeff in chain.terms.items():
-        vec[complex_.index_of(basis)] = coeff
-    return vec

@@ -7,16 +7,19 @@ rows are dicts ``{column: nonzero entry}``, ±1 pivots are eliminated
 sparsely, and only the residual block, which holds no unit entry, goes
 through the dense ``smith_normal_form``.  Every field computation (kernels,
 ranks, span solves, (co)homology) runs on ``_reduce``, which reduces vectors
-(dicts ``{index: nonzero entry}``, or 𝔽₂ int bitsets) left to right by the
-pivots of the earlier ones; over ℚ an entry is an int, as ``Ring.coerce``
-gives it, until a pivot's inverse makes it a fraction.  Kernels reduce the
-columns of a map by highest-index pivots (the persistence order) and log
-each step, which yields the canonical kernel vector of each column that
-reduces to zero; ranks use the same order; images and span solves use
-lowest-index pivots.  (Co)homology clears (Chen–Kerber's twist): the columns
-of the map out of a degree at the pivot rows of the map into it are known to
-reduce to zero and are skipped, and a class on one of them gets its log by
-reducing that column alone against the final pivots.
+(dicts ``{index: nonzero entry}``, over 𝔽₂ as over every field) left to
+right by the pivots of the earlier ones; over ℚ an entry is an int, as
+``Ring.coerce`` gives it, until a pivot's inverse makes it a fraction.
+Entries are coerced once, where vectors come in from outside (``_pack``);
+a complex's stored columns already hold nonzero field elements and are only
+copied.  Kernels reduce the columns of a map by highest-index pivots (the
+persistence order) and log each step, which yields the canonical kernel
+vector of each column that reduces to zero; ranks use the same order;
+images and span solves use lowest-index pivots.  (Co)homology clears
+(Chen–Kerber's twist): the columns of the map out of a degree at the pivot
+rows of the map into it are known to reduce to zero and are skipped, and a
+class on one of them gets its log by reducing that column alone against the
+final pivots.
 
 ``kernel`` and ``solver`` choose the engine from the ring, so callers never
 do: both take a matrix as sparse columns and give sparse vectors back.
@@ -314,91 +317,59 @@ def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: b
 # ---------------------------------------------------------------------------
 
 
-class _BitVectors:
-    """𝔽₂ vectors packed into Python integers (bit j = entry j); the only
-    nonzero scalar is 1, so subtracting a multiple is XOR."""
-
-    @staticmethod
-    def pack(entries: Iterable[Tuple[int, Coefficient]]) -> int:
-        word = 0
-        for j, x in entries:
-            if x % 2:
-                word |= 1 << j
-        return word
-
-    low = staticmethod(lambda v: (v & -v).bit_length() - 1)
-    high = staticmethod(lambda v: v.bit_length() - 1)
-    entry = staticmethod(lambda v, j: (v >> j) & 1)
-    inverse = staticmethod(lambda v, j: 1)
-    factor = staticmethod(lambda v, j, inv: 1)
-    sub = staticmethod(lambda v, w, c: v ^ w)
-    restrict = staticmethod(lambda v, keep: v & keep)
+def _pack(ring: Ring, entries: Iterable[Tuple[int, Coefficient]]) -> Dict[int, Coefficient]:
+    """A vector given from outside as (index, entry) pairs, as the dict of its
+    coerced nonzero entries: over ℚ and 𝔽_p a coerced entry is falsy exactly
+    when it is zero."""
+    coerce = ring.coerce
+    return {j: y for j, x in entries if (y := coerce(x))}
 
 
-class _SparseVectors:
-    """Vectors over ℚ or 𝔽_p as dicts of nonzero entries; ``sub`` (v − c·w)
-    updates v in place.  Over ℚ a whole entry is an int, as ``Ring.coerce``
-    and ``Ring.inv`` give it, until a division makes it a fraction."""
-
-    def __init__(self, ring: Ring):
-        self.ring, self.p = ring, ring.p
-
-    def pack(self, entries: Iterable[Tuple[int, Coefficient]]) -> Dict[int, Coefficient]:
-        ring = self.ring
-        coerced = ((j, ring.coerce(x)) for j, x in entries)
-        return {j: x for j, x in coerced if not ring.is_zero(x)}
-
-    low, high = staticmethod(min), staticmethod(max)
-    restrict = staticmethod(lambda v, keep: {i: x for i, x in v.items() if i in keep})
-
-    def entry(self, v: Dict[int, Coefficient], j: int) -> Coefficient:
-        return v.get(j, self.ring.zero)
-
-    def inverse(self, v: Dict[int, Coefficient], j: int) -> Coefficient:
-        return self.ring.inv(v[j])
-
-    def factor(self, v: Dict[int, Coefficient], j: int, inv: Coefficient) -> Coefficient:
-        return self.ring.mul(v[j], inv)
-
-    def sub(self, v: Dict[int, Coefficient], w: Dict[int, Coefficient], c: Coefficient) -> Dict[int, Coefficient]:
-        return _axpy(v, w, -c, self.p)
-
-
-def _vectors(ring: Ring):
-    return _BitVectors() if ring.characteristic == 2 else _SparseVectors(ring)
-
-
-def _reduce(ops, vectors: Iterable, top: bool = False, logs: Optional[List[list]] = None) -> Dict[int, tuple]:
-    """Reduce the vectors in order, each by the pivots of the earlier ones:
-    {pivot: (position, reduced vector, inverse of its pivot entry)} over the
-    vectors that stay nonzero.  The pivot is the highest index for ``top``
+def _reduce(ring: Ring, vectors: Iterable[Dict[int, Coefficient]], top: bool = False,
+            logs: Optional[List[list]] = None) -> Dict[int, tuple]:
+    """Reduce the vectors in order, each in place by the pivots of the earlier
+    ones: {pivot: (position, reduced vector, inverse of its pivot entry)} over
+    the vectors that stay nonzero.  The pivot is the highest index for ``top``
     (the persistence order), else the lowest; either way a vector reduces to
     zero exactly when it lies in the span of the earlier ones.  ``logs`` gets
     per vector the flat list [position, factor, …] of what it subtracted."""
-    lead, factor, sub = (ops.high if top else ops.low), ops.factor, ops.sub
+    (lead, step), inv, mul, p = ((max, -1) if top else (min, 1)), ring.inv, ring.mul, ring.p
     pivots: Dict[int, tuple] = {}
     for k, v in enumerate(vectors):
         log = []
+        i = lead(v) if v else None
         while v:
-            p = lead(v)
-            hit = pivots.get(p)
+            hit = pivots.get(i)
             if hit is None:
-                pivots[p] = (k, v, ops.inverse(v, p))
+                pivots[i] = (k, v, inv(v[i]))
                 break
-            j, w, inv = hit
-            c = factor(v, p, inv)
-            v = sub(v, w, c)
+            j, w, w_inv = hit
+            c = mul(v[i], w_inv)
+            _axpy(v, w, -c, p)
             log += (j, c)
+            i = _lead_past(v, i, step, lead)
         if logs is not None:
             logs.append(log)
     return pivots
 
 
-def _clear(ops, ring: Ring, v, pivots: Sequence[tuple]):
-    """v reduced to zero at each pivot of ascending lowest-index triples."""
-    for p, w, inv in pivots:
-        if not ring.is_zero(ops.entry(v, p)):
-            v = ops.sub(v, w, ops.factor(v, p, inv))
+def _lead_past(v: Dict[int, Coefficient], i: int, step: int, lead) -> Optional[int]:
+    """The lead of v once its entry at the lead i has been eliminated: past i
+    (below it for ``step`` −1, above for +1) and most often close to it, so
+    about a quarter as many indices as v has entries are probed next to i
+    before ``lead`` scans all of v; None when v is zero."""
+    for j in range(i + step, i + step * (2 + len(v) // 4), step):
+        if j in v:
+            return j
+    return lead(v) if v else None
+
+
+def _clear(ring: Ring, v: Dict[int, Coefficient], pivots: Sequence[tuple]) -> Dict[int, Coefficient]:
+    """v reduced in place to zero at each pivot of ascending lowest-index triples."""
+    for i, w, w_inv in pivots:
+        x = v.get(i)
+        if x:
+            _axpy(v, w, -ring.mul(x, w_inv), ring.p)
     return v
 
 
@@ -425,34 +396,34 @@ def _kernel_vector(ring: Ring, logs: List[list], f: int) -> Dict[int, Coefficien
 def reduce_columns(ring: Ring, columns: Sequence[Dict[int, Coefficient]], cleared=(), logs: Optional[List[list]] = None):
     """The columns of a map over a field reduced left to right by
     highest-index pivots: {pivot row: (column, reduced column, inverse of its
-    pivot entry)}, and per column its log in ``logs``.
+    pivot entry)}, and per column its log in ``logs``.  The columns are taken
+    as a ``ChainComplex`` stores them (nonzero field elements) and copied,
+    since the reduction works in place.
 
     The columns at the indices in ``cleared`` (the pivot rows of the map into
     this degree, given out∘in = 0) are skipped with an empty log: each lies
     in the span of the earlier ones, since a reduced in-column is a cycle
     whose highest entry is there, so it would reduce to zero and add no
     pivot (clearing).  The pivots are those of the full reduction."""
-    ops = _vectors(ring)
-    empty = ops.pack(())
-    vectors = (empty if k in cleared else ops.pack(col.items()) for k, col in enumerate(columns))
-    return _reduce(ops, vectors, top=True, logs=logs)
+    return _reduce(ring, ({} if k in cleared else dict(col) for k, col in enumerate(columns)), top=True, logs=logs)
 
 
-def _replay(ops, v, pivots: Dict[int, tuple]) -> list:
+def _replay(ring: Ring, v: Dict[int, Coefficient], pivots: Dict[int, tuple]) -> list:
     """The log of a vector skipped by clearing, reduced alone by the final
     pivots: the log it would have had, since a pivot is never overwritten and
     a vector that reduces to zero adds none, so every step meets the pivot
     it met in the full reduction."""
     log: list = []
+    i = max(v) if v else None
     while v:
-        p = ops.high(v)
-        hit = pivots.get(p)
+        hit = pivots.get(i)
         if hit is None:
             raise ArithmeticError("a cleared column is not in the span of the earlier ones (∂²≠0?)")
-        j, w, inv = hit
-        c = ops.factor(v, p, inv)
-        v = ops.sub(v, w, c)
+        j, w, w_inv = hit
+        c = ring.mul(v[i], w_inv)
+        _axpy(v, w, -c, ring.p)
         log += (j, c)
+        i = _lead_past(v, i, -1, max)
     return log
 
 
@@ -469,8 +440,7 @@ def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) ->
     Reduced by highest-index pivots, as the kernels are: the rank does not
     depend on the order, and a vector whose top index no earlier vector has
     becomes a pivot as it is, with no elimination."""
-    ops = _vectors(ring)
-    return len(_reduce(ops, (ops.pack(row) for row in rows), top=True))
+    return len(_reduce(ring, (_pack(ring, row) for row in rows), top=True))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +456,7 @@ def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[i
     saturated summand)."""
     if ring.is_field:
         logs: List[list] = []
-        pivots = reduce_columns(ring, columns, logs=logs)
+        pivots = _reduce(ring, (_pack(ring, col.items()) for col in columns), top=True, logs=logs)
         return [_kernel_vector(ring, logs, f) for f in _free_columns(pivots, len(columns))]
     nrows = 1 + max((max(col) for col in columns if col), default=-1)
     form = sparse_smith(transpose(columns, nrows), len(columns), v=True)
@@ -499,18 +469,16 @@ class _EchelonSolver:
     reducing b by the echelon pivots below ``nrows`` leaves −x in the tags."""
 
     def __init__(self, columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
-        self.ring, self.nrows, self.ncols = ring, nrows, len(columns)
-        self._ops = ops = _vectors(ring)
-        echelon = _reduce(ops, (ops.pack([*col.items(), (nrows + i, ring.one)]) for i, col in enumerate(columns)))
+        self.ring, self.nrows = ring, nrows
+        echelon = _reduce(ring, (_pack(ring, [*col.items(), (nrows + i, ring.one)]) for i, col in enumerate(columns)))
         self._pivots = sorted((p, w, inv) for p, (_, w, inv) in echelon.items() if p < nrows)
 
     def solve(self, b: Dict[int, Coefficient]) -> Optional[Dict[int, Coefficient]]:
-        ops, ring, nrows = self._ops, self.ring, self.nrows
-        work = _clear(ops, ring, ops.pack(b.items()), self._pivots)
-        if work and ops.low(work) < nrows:
+        ring, nrows = self.ring, self.nrows
+        work = _clear(ring, _pack(ring, b.items()), self._pivots)
+        if work and min(work) < nrows:
             return None
-        x = ((i, ring.coerce(ring.neg(ops.entry(work, nrows + i)))) for i in range(self.ncols))
-        return {i: c for i, c in x if not ring.is_zero(c)}
+        return {j - nrows: ring.coerce(ring.neg(x)) for j, x in sorted(work.items())}
 
 
 class _SmithSolver:
@@ -602,7 +570,8 @@ def homology_of_matrices(
     the caller checks that out∘in = 0.
     """
     if ring.is_field:
-        in_pivots, logs = reduce_columns(ring, in_cols), []
+        out_cols = [_pack(ring, col.items()) for col in out_cols]
+        in_pivots, logs = reduce_columns(ring, [_pack(ring, col.items()) for col in in_cols]), []
         out_pivots = reduce_columns(ring, out_cols, in_pivots, logs)
         return field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots)
     return _homology_integers(out_cols, in_cols, rank_here)
@@ -613,35 +582,36 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
     pivots and logs, cleared by the in-map's pivot rows) and the in-map's
     pivots.  The in-map's pivots are consumed: the dict is emptied once the
     image has been read off it."""
-    ops = _vectors(ring)
     missing = rank_here - len(out_cols)  # missing columns are zero
-    out_cols, logs = [*out_cols, *[{}] * missing], logs + [[]] * missing
+    if missing > 0:
+        out_cols, logs = [*out_cols, *[{}] * missing], logs + [[]] * missing
     # the columns in the span of the earlier ones are the free columns of the
     # lowest-index row echelon form; a cycle is determined by its entries there
     free = _free_columns(out_pivots, rank_here)
-    keep = ops.pack((j, ring.one) for j in free)
+    keep = set(free)
     # the image in kernel coordinates, by lowest-index pivots (an invariant of the
     # span): the reduced independent columns span it, and right to left fill in
     # least; each is restricted, and let go, before the reduction starts
-    image_input = [ops.restrict(w, keep) for _, w, _ in sorted(in_pivots.values(), key=lambda hit: hit[0])]
+    image_input = [{i: x for i, x in w.items() if i in keep}
+                   for _, w, _ in sorted(in_pivots.values(), key=lambda hit: hit[0])]
     in_pivots.clear()
-    image = _reduce(ops, (image_input.pop() for _ in range(len(image_input))))
+    image = _reduce(ring, (image_input.pop() for _ in range(len(image_input))))
     classes = [f for f in free if f not in image]
     for f in classes:
         if out_cols[f] and not logs[f]:  # a nonzero column that clearing skipped
-            logs[f] = _replay(ops, ops.pack(out_cols[f].items()), out_pivots)
+            logs[f] = _replay(ring, dict(out_cols[f]), out_pivots)
     reps = [[v.get(j, ring.zero) for j in range(rank_here)] for v in (_kernel_vector(ring, logs, f) for f in classes)]
     ascending = sorted((p, w, inv) for p, (_, w, inv) in image.items())
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:
-        total = ops.pack(())  # packing only the columns the cycle touches
+        total: Dict[int, Coefficient] = {}
         for j, x in enumerate(cycle):
-            if not ring.is_zero(x):
-                total = ops.sub(total, ops.pack(out_cols[j].items()), -ring.coerce(x))
+            if y := ring.coerce(x):
+                _axpy(total, out_cols[j], y, ring.p)
         if total:
             return None
-        y = _clear(ops, ring, ops.restrict(ops.pack(enumerate(cycle)), keep), ascending)
-        return [ring.coerce(ops.entry(y, f)) for f in classes]
+        y = _clear(ring, _pack(ring, ((j, x) for j, x in enumerate(cycle) if j in keep)), ascending)
+        return [ring.coerce(y.get(f, 0)) for f in classes]
 
     return HomologyDescriptor(ring, len(classes), [], reps, coord_fn)
 

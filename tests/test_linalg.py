@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from steenrod_kit.linalg import field_rank, homology_of_matrices, kernel, smith_normal_form, solver
-from steenrod_kit.rings import F2, F5, QQ, ZZ
+from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 
 
 def _mat_mul(a, b):
@@ -50,6 +50,11 @@ def _dense(vec, size):
     return [vec.get(i, 0) for i in range(size)]
 
 
+def _coerced(vec, ring):
+    """A sparse vector of raw integer entries as the ring's nonzero elements."""
+    return {i: ring.coerce(x) for i, x in vec.items() if not ring.is_zero(ring.coerce(x))}
+
+
 def test_integer_kernel_and_solve():
     a = [[2, 4, 6], [1, 2, 3]]
     kern = [_dense(v, 3) for v in kernel(_columns(a), ZZ)]
@@ -73,6 +78,10 @@ def test_engine_rank_and_kernel_over_fields():
     assert kern == [[4, 4, 1]]
     for row in rows:
         assert F5.is_zero(sum(F5.coerce(x) * k for x, k in zip(row, kern[0])))
+    # raw entries act as their coerced values: over 𝔽₃ the 3 and the 6 are zero entries
+    for ring in (F5, F3):
+        assert kernel(_columns(rows), ring) == kernel(_columns([[ring.coerce(x) for x in r] for r in rows]), ring)
+    assert [_dense(v, 3) for v in kernel(_columns(rows), F3)] == [[2, 2, 1]]
 
 
 def test_span_solver():
@@ -83,27 +92,40 @@ def test_span_solver():
     assert combo == [3, 2]
     # outside a 1-dim span
     assert solver([gens[0]], 2, QQ).solve({1: QQ.coerce(1)}) is None
+    # raw entries solve as their coerced values do; over 𝔽₂ the 2 is a zero entry
+    raw, b = [{0: 4, 1: 2}, {0: -1, 1: 3}], {0: 3, 1: -1}
+    for ring in (F2, F3):
+        gens = [_coerced(g, ring) for g in raw]
+        coeffs = solver(raw, 2, ring).solve(b)
+        assert coeffs is not None and coeffs == solver(gens, 2, ring).solve(_coerced(b, ring))
+        combo = [ring.coerce(sum(c * gens[k].get(i, 0) for k, c in coeffs.items())) for i in range(2)]
+        assert combo == [ring.coerce(b[i]) for i in range(2)]
+        assert solver(raw[:1], 2, ring).solve({1: -1}) is None
 
 
 def test_f2_engine_kernel():
-    rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    # the echelon form has pivots 0 and 1; column 2 is free
-    assert [_dense(v, 3) for v in kernel(_columns(rows), F2)] == [[1, 1, 1]]
-    # the same matrix as the map out of a degree: H = ker, nothing comes in
-    h = homology_of_matrices(F2, [dict(enumerate(r)) for r in rows], [], 3)
-    assert h.dimension == 1 and h.representatives == [[1, 1, 1]]
-    assert h.coordinates([1, 1, 1]) == [1]
-    with pytest.raises(ValueError):
-        h.coordinates([1, 0, 0])  # not a cycle
+    # given as it is and with raw entries: 3 ≡ −1 ≡ 1, and 2 ≡ 4 ≡ 0 is dropped
+    for rows in ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[3, -1, 2], [2, 1, 3], [-1, 4, 3]]):
+        # the echelon form has pivots 0 and 1; column 2 is free
+        assert [_dense(v, 3) for v in kernel(_columns(rows), F2)] == [[1, 1, 1]]
+        # the same matrix as the map out of a degree: H = ker, nothing comes in
+        h = homology_of_matrices(F2, [dict(enumerate(r)) for r in rows], [], 3)
+        assert h.dimension == 1 and h.representatives == [[1, 1, 1]]
+        assert h.coordinates([1, 1, 1]) == [1]
+        assert h.coordinates([3, -1, 1]) == [1]
+        with pytest.raises(ValueError):
+            h.coordinates([1, 0, 0])  # not a cycle
 
 
 def test_f2_engine_image_and_coordinates():
-    # the span of (1,1,0) and (0,1,1) as the image into a degree with no map out
-    gens = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    h = homology_of_matrices(F2, [], gens, 3)
-    assert h.dimension == 1 and h.representatives == [[0, 0, 1]]
-    assert h.coordinates([1, 0, 1]) == [0]  # the sum of both generators
-    assert h.coordinates([1, 0, 0]) == [1]  # outside the span
+    # the span of (1,1,0) and (0,1,1) as the image into a degree with no map out,
+    # given as it is and with raw entries (the 2 and the 4 are zero entries)
+    for gens in ([{0: 1, 1: 1}, {1: 1, 2: 1}], [{0: 3, 1: -1, 2: 2}, {0: 4, 1: 1, 2: -1}]):
+        h = homology_of_matrices(F2, [], gens, 3)
+        assert h.dimension == 1 and h.representatives == [[0, 0, 1]]
+        assert h.coordinates([1, 0, 1]) == [0]  # the sum of both generators
+        assert h.coordinates([1, 0, 0]) == [1]  # outside the span
+        assert h.coordinates([-1, 2, 3]) == [0]
 
 
 def test_engine_image_and_coordinates_over_an_odd_field():
@@ -112,13 +134,21 @@ def test_engine_image_and_coordinates_over_an_odd_field():
     assert h.representatives == [[0, 1]]
     assert h.coordinates([3, 1]) == [0]  # 3·(1, 2) = (3, 6) ≡ (3, 1) mod 5
     assert h.coordinates([3, 2]) == [1]  # (3, 1) + (0, 1)
+    # over 𝔽₃, given as it is and with raw entries: 4 ≡ 1, −1 ≡ 2
+    for col in ({0: 1, 1: 2}, {0: 4, 1: -1}):
+        h = homology_of_matrices(F3, [], [col], 2)
+        assert h.representatives == [[0, 1]]
+        assert h.coordinates([2, 1]) == h.coordinates([-1, 4]) == [0]  # 2·(1, 2) ≡ (2, 1)
+        assert h.coordinates([2, 2]) == h.coordinates([-1, -1]) == [1]
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_matrix, st.integers(0, 10**6), st.sampled_from([ZZ, QQ, F5]))
+@given(small_matrix, st.integers(0, 10**6), st.sampled_from([ZZ, QQ, F2, F3, F5]))
 def test_integer_kernel_is_actual_kernel(a, seed, ring):
     ncols = len(a[0])
-    a = [[ring.coerce(x) for x in row] for row in a]
+    raw, a = a, [[ring.coerce(x) for x in row] for row in a]
+    if ring.is_field:  # raw entries give the kernel of their coerced values
+        assert kernel(_columns(raw), ring) == kernel(_columns(a), ring)
     kern = [_dense(v, ncols) for v in kernel(_columns(a), ring)]
     assert len(kern) == ncols - field_rank((enumerate(row) for row in a), QQ if ring == ZZ else ring)
     rng = random.Random(seed)
@@ -131,8 +161,8 @@ def test_integer_kernel_is_actual_kernel(a, seed, ring):
 @st.composite
 def _rank_case(draw):
     """(ring, ncols, rows, permutation of the columns): integer rows over ℚ,
-    𝔽₂ or 𝔽₅ with a duplicate row and a sum of two rows appended, shuffled."""
-    ring = draw(st.sampled_from([QQ, F2, F5]))
+    𝔽₂, 𝔽₃ or 𝔽₅ with a duplicate row and a sum of two rows appended, shuffled."""
+    ring = draw(st.sampled_from([QQ, F2, F3, F5]))
     ncols = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols), max_size=5))
     if rows:
