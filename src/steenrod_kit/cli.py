@@ -11,6 +11,7 @@ the program, not of its input).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Optional
@@ -245,5 +246,17 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """The process entry (``python -m steenrod_kit.cli`` and the
+    ``steenrod-kit`` script): ``main`` with the cyclic collector off, then
+    the heap frozen, so the interpreter's collection at exit walks nothing
+    the command built.  ``main`` leaves the collector as it found it and
+    never freezes, since tests and tools call it in process."""
+    gc.disable()
+    code = main(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

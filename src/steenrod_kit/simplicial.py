@@ -133,6 +133,10 @@ def simplicial_identities(n: int, top: int, d: Callable, s: Callable, then: Call
             yield "ss", i, j, then(s(n + 1, i), s(n, j)), then(s(n + 1, j + 1), s(n, i))
 
 
+def _basis_cell(name: str, n: int, idx: int) -> Cell:
+    return Cell(n, (name, n, idx) if name else (n, idx))
+
+
 class FaceTable:
     """Cells per dimension with a face table: what delta-complexes and
     simplicial-set presentations share.
@@ -172,7 +176,7 @@ class FaceTable:
         return list(out)
 
     def basis_cell(self, n: int, idx: int) -> Cell:
-        return Cell(n, (self.name, n, idx) if self.name else (n, idx))
+        return _basis_cell(self.name, n, idx)
 
     def _check_tables(self, tables: Dict[int, list], required: Callable[[int], bool], kind: str) -> None:
         """Each dimension's table (``kind`` "faces" or "degeneracies") has one
@@ -241,7 +245,9 @@ class FaceTable:
         each dimension, with boundary Σ (−1)^i d_i written straight into index
         columns; faces outside the kept cells vanish (they are quotiented
         away) and repeated faces add up.  The basis ``Cell``s of a dimension
-        are built when a Chain-level method first asks for them."""
+        are built when a Chain-level method first asks for them, by a closure
+        over the name and the kept indices: one over the table, which keeps
+        its complex, would be a cycle only the cyclic collector frees."""
         kept_cells: Dict[int, Sequence[int]] = {}
         columns: Dict[int, List[Dict[int, Coefficient]]] = {}
         rows: Dict[int, Optional[List[Optional[int]]]] = {}  # per cell its row or None; None: all kept
@@ -265,8 +271,10 @@ class FaceTable:
                 cols[k] = {r: value[s] for r, s in col.items() if s in value}
             columns[n] = cols
 
+        name = self.name
+
         def basis(n: int) -> List[Cell]:
-            return [self.basis_cell(n, idx) for idx in kept_cells[n]]
+            return [_basis_cell(name, n, idx) for idx in kept_cells[n]]
 
         return ChainComplex(ring, basis, columns, self.truncation_dim, exhaustive)
 

@@ -19,6 +19,7 @@ from steenrod_kit.chains import (
 )
 from steenrod_kit.homology import cohomology, homology
 from steenrod_kit.rings import F2, ZZ
+from steenrod_kit import simplicial
 from steenrod_kit.simplicial import standard_delta
 
 
@@ -146,14 +147,14 @@ def test_boundary_matrix_is_built_once_per_degree(monkeypatch):
 def test_cells_are_built_on_the_first_chain_level_call(monkeypatch):
     space = standard_delta(3)
     built = []
-    original = space.basis_cell
-    monkeypatch.setattr(space, "basis_cell", lambda n, idx: built.append((n, idx)) or original(n, idx))
+    original = simplicial._basis_cell
+    monkeypatch.setattr(simplicial, "_basis_cell", lambda name, n, idx: built.append((n, idx)) or original(name, n, idx))
     cx = space.chains(F2)
     for degree in range(4):
         homology(cx, degree)
         cohomology(cx, degree)
     assert built == [] and cx.degrees() == [0, 1, 2, 3] and cx.rank(2) == 4
-    assert cx.basis_in(2) == [original(2, idx) for idx in range(4)]
+    assert cx.basis_in(2) == [original(space.name, 2, idx) for idx in range(4)]
     assert built == [(2, idx) for idx in range(4)]
     assert cx.basis_in(2) is cx.basis_in(2) and len(built) == 4
     # the degree check runs where the basis is built

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -401,3 +403,64 @@ def test_a_command_imports_only_the_modules_it_runs():
     assert not {"dataclasses", "inspect", "fractions", "decimal", "steenrod_kit.suite", "steenrod_kit.dold_kan"} & set(
         loaded["sq"]
     )
+
+
+def _entry(*argv):
+    """``python -m steenrod_kit.cli`` in a fresh process, through pipes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "steenrod_kit.cli", *argv], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_the_process_entry_writes_the_whole_json_to_a_pipe(capsys):
+    argv = ["homology", "--input", str(CORPUS / "klein.json"), "--json"]
+    run = _entry(*argv)
+    assert run.returncode == EXIT_OK and run.stderr == ""
+    assert main(argv) == EXIT_OK
+    assert run.stdout == capsys.readouterr().out and json.loads(run.stdout)
+
+
+def test_the_process_entry_reports_a_missing_input_on_one_line():
+    run = _entry("homology")
+    assert run.returncode == EXIT_INPUT and run.stdout == ""
+    assert run.stderr == "error: this command needs --input FILE\n"
+
+
+def test_the_process_entry_exits_2_on_a_usage_error():
+    run = _entry("homology", "--no-such-option")
+    assert run.returncode == EXIT_INPUT and run.stdout == ""
+    assert run.stderr.startswith("usage: steenrod-kit") and "error: unrecognized arguments" in run.stderr
+
+
+def test_the_process_entry_runs_main_with_the_collector_off_and_freezes_after(monkeypatch):
+    seen = []
+    monkeypatch.setattr(sys, "argv", ["steenrod-kit", "info"])
+    monkeypatch.setattr(cli, "main", lambda argv: seen.append((argv, gc.isenabled(), gc.get_freeze_count())) or 7)
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.run()
+        assert stop.value.code == 7 and seen == [(["info"], False, 0)] and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_main_leaves_the_collector_on_and_the_heap_unfrozen(capsys, corpus_file):
+    path = corpus_file("rp2")
+    for argv in (
+        ["diag", "--n", "1", "--simplex", "0,1,2"],
+        ["sq", "--input", path],
+        ["homology", "--input", path],
+        ["info", "--input", path],
+        ["verify", "--only", "golden-b2"],
+        ["homology"],  # an input error
+    ):
+        main(argv)
+        assert gc.isenabled() and gc.get_freeze_count() == 0, argv
+
+
+def test_the_installed_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["steenrod-kit"].partition(":")
+    assert (module, name) == ("steenrod_kit.cli", "run") and callable(getattr(cli, name))

@@ -117,11 +117,16 @@ def test_nested_paused_calls_leave_the_collector_to_the_outermost():
     assert gc.isenabled() and states == [False] * 4
 
 
-def test_the_one_cycle_on_the_build_path_is_still_collected():
-    # a face table and its memoized chain complex refer to each other through the lazy basis
+def test_a_space_and_its_complex_are_freed_without_the_collector():
+    # the complex's lazy basis closes over the name and the kept indices, not
+    # the face table, so the memoized complex and its table form no cycle
     space = DeltaComplex.from_facets([(0, 1, 2), (0, 2, 3)])
-    homology(space.chains(F2), 1)
-    ref = weakref.ref(space)
-    del space
-    gc.collect()
-    assert ref() is None
+    complex_ = space.chains(F2)
+    homology(complex_, 1)
+    refs = weakref.ref(space), weakref.ref(complex_)
+    gc.disable()
+    try:
+        del space, complex_
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

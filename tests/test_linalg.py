@@ -1,10 +1,12 @@
+import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from steenrod_kit.linalg import field_rank, homology_of_matrices, kernel, smith_normal_form, solver
+from steenrod_kit.linalg import _dense_smith, field_rank, homology_of_matrices, kernel, smith_normal_form, solver
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 
 
@@ -39,6 +41,27 @@ def test_smith_normal_form_properties(a):
             assert y % x == 0
         assert not (x == 0 and y != 0)
     assert all(x >= 0 for x in diag)
+
+
+def _det(m):
+    """Cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]]) for j, x in enumerate(m[0]) if x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix)
+def test_invariant_factors_are_quotients_of_the_determinantal_divisors(a):
+    # d₁⋯d_k is the gcd of the k×k minors, computed here with no code of linalg
+    d = _dense_smith(a)[0]
+    rows, cols = len(a), len(a[0])
+    product = 1
+    for k in range(1, min(rows, cols) + 1):
+        product *= d[k - 1][k - 1]
+        minors = [_det([[a[i][j] for j in cs] for i in rs]) for rs in combinations(range(rows), k)
+                  for cs in combinations(range(cols), k)]
+        assert product == math.gcd(*minors), (k, d)
 
 
 def _columns(rows):

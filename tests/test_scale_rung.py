@@ -25,6 +25,8 @@ def test_scale_rung_times_each_command_in_its_own_process():
     for r in rows:
         assert r["space"] == "rp2" and r["exit"] == 0 and r["process_exit"] == 0
         assert 0 <= r["gc_s"] <= r["wall_s"] and len(r["collections"]) == 3 and r["peak_rss_mb"] > 0
+        # the whole python -m process includes the interpreter start and the import
+        assert r["process_wall_s"] > r["wall_s"] and r["process_peak_rss_mb"] > 0 and "process_mismatch" not in r
     assert "cells per dimension: {0: 13, 1: 36, 2: 24}" in rows[0]["output"]
     assert rows[1]["output"] == "Sq^1: H^1 -> H^2  columns = [[1]]\n"
     assert rows[2]["output"] == "H_0 = F2^1\nH_1 = F2^1\nH_2 = F2^1\n"

@@ -6,8 +6,9 @@
 Writes RPⁿ, built from ``make_corpus.rpn_facets(n)``, as a complex document
 into a temporary directory.  Then it runs ``info``, ``sq --i 1 --p 1`` and
 ``homology --ring R`` for each ring R (default: ``f2``; add ``q`` and ``z``
-on request), each through ``steenrod_kit.cli.main`` in one fresh process
-that imports the package from DIR (default: this checkout's ``src``).
+on request), each through ``steenrod_kit.cli.main`` in one fresh process,
+then once more as a fresh ``python -m steenrod_kit.cli`` process, both
+importing the package from DIR (default: this checkout's ``src``).
 
 Prints one JSON line per command:
 
@@ -16,7 +17,13 @@ Prints one JSON line per command:
   during ``cli.main``, and its collections per generation (young, middle,
   full), from ``gc.callbacks``;
 * ``peak_rss_mb``: the process's peak resident set, from ``os.wait4``;
-* ``exit`` and ``output``: the command's exit code and what it printed.
+* ``exit`` and ``output``: the command's exit code and what it printed;
+* ``process_wall_s`` and ``process_peak_rss_mb``: the whole ``python -m``
+  process, from its start to its end (interpreter start, import, the
+  command and the exit), and its peak resident set; ``process_wall_s``
+  minus ``wall_s`` is what the process spends outside ``cli.main``.  A
+  ``python -m`` run whose exit code or output differs from the
+  ``cli.main`` run is reported as ``process_mismatch`` and fails the rung.
 
 Nothing is written under the checkout: the document goes to a temporary
 directory, and no process writes bytecode.  Standard library only.
@@ -30,6 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -67,23 +75,35 @@ print(json.dumps({"exit": code, "wall_s": wall, "gc_s": spent[0], "collections":
 """
 
 
-def run(argv: list, src: Path) -> dict:
-    """One fresh process running ``cli.main(argv)``, with its peak RSS."""
+def _spawn(args: list, src: Path):
+    """Runs ``python args`` to its end: (stdout, exit code, rusage, wall seconds)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-c", CHILD, *argv], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True
     )
     text = proc.stdout.read()
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    return text, os.waitstatus_to_exitcode(status), usage, time.perf_counter() - start
+
+
+def run(argv: list, src: Path) -> dict:
+    """``cli.main(argv)`` in one fresh process, with its peak RSS, and the
+    whole of one fresh ``python -m steenrod_kit.cli`` process."""
+    text, code, usage, _ = _spawn(["-c", CHILD, *argv], src)
     lines = text.splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = {"exit": None, "error": text.strip()[-400:]}
-    result["process_exit"] = proc.returncode
+    result["process_exit"] = code
     result["peak_rss_mb"] = round(usage.ru_maxrss / 1024, 1)  # kB on Linux
+    text, code, usage, wall = _spawn(["-m", "steenrod_kit.cli", *argv], src)
+    result["process_wall_s"] = wall
+    result["process_peak_rss_mb"] = round(usage.ru_maxrss / 1024, 1)
+    if (code, text) != (result["exit"], result.get("output")):
+        result["process_mismatch"] = {"exit": code, "output": text.strip()[-400:]}
     return result
 
 
@@ -103,7 +123,7 @@ def main(argv: list | None = None) -> int:
         save_complex(DeltaComplex.from_facets(rpn_facets(args.n), name=name), document)
         for command in commands:
             result = {"space": name, "command": " ".join(command), **run([*command, "--input", str(document)], args.src)}
-            failed |= result["exit"] != 0
+            failed |= result["exit"] != 0 or "process_mismatch" in result
             print(json.dumps(result, ensure_ascii=False), flush=True)
     return 1 if failed else 0
 
