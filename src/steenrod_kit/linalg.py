@@ -5,7 +5,7 @@ change-of-basis data.
 Every ℤ computation (kernels, solves, homology) runs on ``sparse_smith``:
 rows are dicts ``{column: nonzero entry}``, ±1 pivots are eliminated
 sparsely, and only the residual block, which holds no unit entry, goes
-through the dense ``smith_normal_form``.  Every field computation (kernels,
+through the dense ``_dense_smith``.  Every field computation (kernels,
 ranks, span solves, (co)homology) runs on ``_reduce``, which reduces vectors
 (dicts ``{index: nonzero entry}``, over 𝔽₂ as over every field) left to
 right by the pivots of the earlier ones; over ℚ an entry is an int, as
@@ -154,16 +154,6 @@ def _dense_smith(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
             row_negate(t)
         t += 1
     return d, u, uinv, v, vinv
-
-
-def smith_normal_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Return (D, U, Uinv, V) with U·A·V = D diagonal, U and V unimodular.
-
-    Dense: it is the residual step of ``sparse_smith``, which every library
-    caller uses.
-    """
-    d, u, uinv, v, _ = _dense_smith(a)
-    return d, u, uinv, v
 
 
 def _axpy(dst: SparseVector, src: SparseVector, k: int, p: Optional[int] = None) -> SparseVector:
@@ -326,24 +316,28 @@ def _pack(ring: Ring, entries: Iterable[Tuple[int, Coefficient]]) -> Dict[int, C
 
 
 def _reduce(ring: Ring, vectors: Iterable[Dict[int, Coefficient]], top: bool = False,
-            logs: Optional[List[list]] = None) -> Dict[int, tuple]:
+            logs: Optional[List[list]] = None) -> Dict[int, list]:
     """Reduce the vectors in order, each in place by the pivots of the earlier
-    ones: {pivot: (position, reduced vector, inverse of its pivot entry)} over
-    the vectors that stay nonzero.  The pivot is the highest index for ``top``
-    (the persistence order), else the lowest; either way a vector reduces to
-    zero exactly when it lies in the span of the earlier ones.  ``logs`` gets
-    per vector the flat list [position, factor, …] of what it subtracted."""
+    ones: {pivot: [position, reduced vector, inverse of its pivot entry or
+    None]} over the vectors that stay nonzero; the inverse is computed when
+    the pivot first eliminates an entry (``_pivot_factor``).  The pivot is
+    the highest index for ``top`` (the persistence order), else the lowest;
+    either way a vector reduces to zero exactly when it lies in the span of
+    the earlier ones.  ``logs`` gets per vector the flat list [position,
+    factor, …] of what it subtracted."""
     (lead, step), inv, mul, p = ((max, -1) if top else (min, 1)), ring.inv, ring.mul, ring.p
-    pivots: Dict[int, tuple] = {}
+    pivots: Dict[int, list] = {}
     for k, v in enumerate(vectors):
         log = []
         i = lead(v) if v else None
         while v:
             hit = pivots.get(i)
             if hit is None:
-                pivots[i] = (k, v, inv(v[i]))
+                pivots[i] = [k, v, None]
                 break
             j, w, w_inv = hit
+            if w_inv is None:  # as in _pivot_factor, inline on the hot path
+                w_inv = hit[2] = inv(w[i])
             c = mul(v[i], w_inv)
             _axpy(v, w, -c, p)
             log += (j, c)
@@ -351,6 +345,16 @@ def _reduce(ring: Ring, vectors: Iterable[Dict[int, Coefficient]], top: bool = F
         if logs is not None:
             logs.append(log)
     return pivots
+
+
+def _pivot_factor(ring: Ring, x: Coefficient, hit: list, i: int) -> Coefficient:
+    """x over the pivot entry at row i of the pivot ``hit``: the multiple of
+    its vector that clears x.  The entry's inverse is computed on the first
+    call and kept in the pivot, so a pivot that never eliminates an entry
+    costs no inversion."""
+    if hit[2] is None:
+        hit[2] = ring.inv(hit[1][i])
+    return ring.mul(x, hit[2])
 
 
 def _lead_past(v: Dict[int, Coefficient], i: int, step: int, lead) -> Optional[int]:
@@ -364,12 +368,13 @@ def _lead_past(v: Dict[int, Coefficient], i: int, step: int, lead) -> Optional[i
     return lead(v) if v else None
 
 
-def _clear(ring: Ring, v: Dict[int, Coefficient], pivots: Sequence[tuple]) -> Dict[int, Coefficient]:
-    """v reduced in place to zero at each pivot of ascending lowest-index triples."""
-    for i, w, w_inv in pivots:
+def _clear(ring: Ring, v: Dict[int, Coefficient], pivots: Sequence[Tuple[int, list]]) -> Dict[int, Coefficient]:
+    """v reduced in place to zero at each pivot of the ascending lowest-index
+    (row, pivot) pairs."""
+    for i, hit in pivots:
         x = v.get(i)
         if x:
-            _axpy(v, w, -ring.mul(x, w_inv), ring.p)
+            _axpy(v, hit[1], -_pivot_factor(ring, x, hit, i), ring.p)
     return v
 
 
@@ -395,10 +400,10 @@ def _kernel_vector(ring: Ring, logs: List[list], f: int) -> Dict[int, Coefficien
 
 def reduce_columns(ring: Ring, columns: Sequence[Dict[int, Coefficient]], cleared=(), logs: Optional[List[list]] = None):
     """The columns of a map over a field reduced left to right by
-    highest-index pivots: {pivot row: (column, reduced column, inverse of its
-    pivot entry)}, and per column its log in ``logs``.  The columns are taken
-    as a ``ChainComplex`` stores them (nonzero field elements) and copied,
-    since the reduction works in place.
+    highest-index pivots: {pivot row: [column, reduced column, inverse of its
+    pivot entry or None]}, and per column its log in ``logs``.  The columns
+    are taken as a ``ChainComplex`` stores them (nonzero field elements) and
+    copied, since the reduction works in place.
 
     The columns at the indices in ``cleared`` (the pivot rows of the map into
     this degree, given out∘in = 0) are skipped with an empty log: each lies
@@ -408,7 +413,7 @@ def reduce_columns(ring: Ring, columns: Sequence[Dict[int, Coefficient]], cleare
     return _reduce(ring, ({} if k in cleared else dict(col) for k, col in enumerate(columns)), top=True, logs=logs)
 
 
-def _replay(ring: Ring, v: Dict[int, Coefficient], pivots: Dict[int, tuple]) -> list:
+def _replay(ring: Ring, v: Dict[int, Coefficient], pivots: Dict[int, list]) -> list:
     """The log of a vector skipped by clearing, reduced alone by the final
     pivots: the log it would have had, since a pivot is never overwritten and
     a vector that reduces to zero adds none, so every step meets the pivot
@@ -419,15 +424,14 @@ def _replay(ring: Ring, v: Dict[int, Coefficient], pivots: Dict[int, tuple]) -> 
         hit = pivots.get(i)
         if hit is None:
             raise ArithmeticError("a cleared column is not in the span of the earlier ones (∂²≠0?)")
-        j, w, w_inv = hit
-        c = ring.mul(v[i], w_inv)
-        _axpy(v, w, -c, ring.p)
-        log += (j, c)
+        c = _pivot_factor(ring, v[i], hit, i)
+        _axpy(v, hit[1], -c, ring.p)
+        log += (hit[0], c)
         i = _lead_past(v, i, -1, max)
     return log
 
 
-def _free_columns(pivots: Dict[int, tuple], size: int) -> List[int]:
+def _free_columns(pivots: Dict[int, list], size: int) -> List[int]:
     """The columns that a reduction with these pivots reduced to zero: those
     in the span of the earlier ones."""
     owners = {k for k, _, _ in pivots.values()}
@@ -471,7 +475,7 @@ class _EchelonSolver:
     def __init__(self, columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
         self.ring, self.nrows = ring, nrows
         echelon = _reduce(ring, (_pack(ring, [*col.items(), (nrows + i, ring.one)]) for i, col in enumerate(columns)))
-        self._pivots = sorted((p, w, inv) for p, (_, w, inv) in echelon.items() if p < nrows)
+        self._pivots = sorted((p, hit) for p, hit in echelon.items() if p < nrows)
 
     def solve(self, b: Dict[int, Coefficient]) -> Optional[Dict[int, Coefficient]]:
         ring, nrows = self.ring, self.nrows
@@ -601,7 +605,7 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
         if out_cols[f] and not logs[f]:  # a nonzero column that clearing skipped
             logs[f] = _replay(ring, dict(out_cols[f]), out_pivots)
     reps = [[v.get(j, ring.zero) for j in range(rank_here)] for v in (_kernel_vector(ring, logs, f) for f in classes)]
-    ascending = sorted((p, w, inv) for p, (_, w, inv) in image.items())
+    ascending = sorted(image.items())
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:
         total: Dict[int, Coefficient] = {}

@@ -444,36 +444,49 @@ def freely_add_degeneracies(y: DeltaComplex, truncation: int) -> SimplicialSetPr
 
     Cell labels are triples (word, n, core index); faces and degeneracies are
     computed through the canonical epi-mono factorization, so the result is
-    degeneracy-free by construction.
+    degeneracy-free by construction.  The m-cells come in blocks, one per
+    (word, n): the n-cells of y in order over one surjection.  The
+    factorization depends on the block only, so d_i and s_i are written a
+    block at a time: onto the same cells of one block a level down (d_i with
+    an onto composite) or up (s_i), or onto the v-th faces of the cells.
     """
     if truncation < y.dimension:
         raise ValueError("truncation below the top cells of the core")
+    dims, size = sorted(y.cells), {n: y.n_cells(n) for n in y.cells}
+    vth_faces = {n: list(zip(*y.faces[n])) for n in dims if n}  # [v][idx]: d_v of the n-cell idx
     cells: Dict[int, List[object]] = {}
-    index: Dict[Tuple[Word, int, int], int] = {}
+    base: Dict[int, Dict[Tuple[Word, int], int]] = {}  # per level, the first index of each block
     for m in range(truncation + 1):
-        labels = []
-        for n in sorted(y.cells):
-            if n > m:
-                continue
+        labels: List[object] = []
+        base[m] = {}
+        for n in dims:
             for word in all_surjection_words(m, n):
-                for idx in range(y.n_cells(n)):
-                    key = (word, n, idx)
-                    index[key] = len(labels)
-                    labels.append(key)
+                base[m][word, n] = len(labels)
+                labels += [(word, n, idx) for idx in range(size[n])]
         cells[m] = labels
 
-    def face(word: Word, m: int, n: int, idx: int, i: int) -> int:
-        new_word, v = compose_face(word, m, i)
-        return index[(new_word, n, idx)] if v is None else index[(new_word, n - 1, y.face(n, idx, v))]
+    def face_column(m: int, i: int) -> List[int]:
+        column: List[int] = []
+        for word, n in base[m]:
+            new_word, v = compose_face(word, m, i)
+            if v is None:
+                start = base[m - 1][new_word, n]
+                column += range(start, start + size[n])
+            else:
+                start = base[m - 1][new_word, n - 1]
+                column += [start + f for f in vth_faces[n][v]]
+        return column
 
-    faces = {
-        m: [tuple(face(word, m, n, idx, i) for i in range(m + 1)) if m else () for word, n, idx in labels]
-        for m, labels in cells.items()
-    }
-    degeneracies = {
-        m: [tuple(index[(compose_degeneracy(word, m, i), n, idx)] for i in range(m + 1)) for word, n, idx in cells[m]]
-        for m in range(truncation)
-    }
+    def degeneracy_column(m: int, i: int) -> List[int]:
+        column: List[int] = []
+        for word, n in base[m]:
+            start = base[m + 1][compose_degeneracy(word, m, i), n]
+            column += range(start, start + size[n])
+        return column
+
+    faces = {m: list(zip(*(face_column(m, i) for i in range(m + 1)))) if m else [()] * len(labels)
+             for m, labels in cells.items()}
+    degeneracies = {m: list(zip(*(degeneracy_column(m, i) for i in range(m + 1)))) for m in range(truncation)}
     return SimplicialSetPresentation(cells, faces, degeneracies, truncation, name=y.name and f"d({y.name})")
 
 

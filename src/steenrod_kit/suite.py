@@ -42,7 +42,7 @@ from .dold_kan import (
 )
 from .homology import homology
 from .rings import F2, F5, QQ, ZZ
-from .simplicial import freely_add_degeneracies, is_degeneracy_free
+from .simplicial import SimplicialSetPresentation, freely_add_degeneracies, is_degeneracy_free
 from .vandermonde import vandermonde_det_factorization, vandermonde_independence
 
 PASS, FAIL, DEVIATION = "pass", "fail", "deviation"
@@ -73,6 +73,8 @@ class SuiteConfig:
     ) -> None:
         self.only, self.max_k, self.include_slow, self.truncation, self.seed = only, max_k, include_slow, truncation, seed
         self.table = DiagonalTable() if table is None else table
+        # per (corpus name, truncation) the 𝔡(Y) of the run, shared by its items; emptied when run_suite returns
+        self.presentations: Dict[Tuple[str, int], SimplicialSetPresentation] = {}
 
 
 CheckFn = Callable[[SuiteConfig], Tuple[str, str]]
@@ -237,13 +239,21 @@ def _check_dold_kan_roundtrip(cfg: SuiteConfig) -> Tuple[str, str]:
     return PASS, "N(Γ(C)) ≅ C on 50 random complexes over ℤ, ℚ, 𝔽₂"
 
 
-def _free_presentations(truncation: int, names=("circle", "boundary_delta3", "rp2")):
+def _free_presentations(cfg: SuiteConfig, names=("circle", "boundary_delta3", "rp2"), truncation: Optional[int] = None):
+    """(name, 𝔡(Y)) per corpus space, at the run's truncation unless another
+    is given: each built once per run and kept in ``cfg.presentations``, so
+    R̃X, the pointed chains and moore(R̃X), memoized on the presentation, are
+    shared by the items too.  A build that raises stores nothing."""
+    truncation = cfg.truncation if truncation is None else truncation
     for name in names:
-        yield name, freely_add_degeneracies(load_corpus(name), truncation)
+        key = (name, truncation)
+        if key not in cfg.presentations:
+            cfg.presentations[key] = freely_add_degeneracies(load_corpus(name), truncation)
+        yield name, cfg.presentations[key]
 
 
 def _check_moore_pointed(cfg: SuiteConfig) -> Tuple[str, str]:
-    for name, x in _free_presentations(cfg.truncation):
+    for name, x in _free_presentations(cfg):
         a = free_simplicial_abelian(x, ZZ, pointed=True)
         m = moore_complex(a)
         pc = pointed_unnormalized_chains(x, ZZ)
@@ -257,7 +267,7 @@ def _check_moore_pointed(cfg: SuiteConfig) -> Tuple[str, str]:
 
 
 def _check_reduced_homology(cfg: SuiteConfig) -> Tuple[str, str]:
-    for name, x in _free_presentations(cfg.truncation):
+    for name, x in _free_presentations(cfg):
         m = moore_complex(free_simplicial_abelian(x, ZZ, pointed=True))
         space = load_corpus(name)
         oracle = space.chains(ZZ)
@@ -276,7 +286,7 @@ def _check_reduced_homology(cfg: SuiteConfig) -> Tuple[str, str]:
 
 
 def _check_gamma_retraction(cfg: SuiteConfig) -> Tuple[str, str]:
-    for name, x in _free_presentations(cfg.truncation):
+    for name, x in _free_presentations(cfg):
         g, h = gamma_X(x, ZZ), chain_hurewicz(x, ZZ)
         pc = h.source
         for n in pc.degrees():
@@ -288,7 +298,7 @@ def _check_gamma_retraction(cfg: SuiteConfig) -> Tuple[str, str]:
 
 
 def _check_hurewicz_xi(cfg: SuiteConfig) -> Tuple[str, str]:
-    for name, x in _free_presentations(3):
+    for name, x in _free_presentations(cfg, truncation=3):
         for level in range(4):
             for n in sorted(x.cells):
                 for idx in range(x.n_cells(n)):
@@ -299,7 +309,7 @@ def _check_hurewicz_xi(cfg: SuiteConfig) -> Tuple[str, str]:
 
 
 def _check_hurewicz_normalized(cfg: SuiteConfig) -> Tuple[str, str]:
-    for name, x in _free_presentations(cfg.truncation, names=("circle", "boundary_delta3")):
+    for name, x in _free_presentations(cfg, names=("circle", "boundary_delta3")):
         h = hurewicz_chain_map(x, ZZ)
         if not hom_differential(h).is_zero_on(range(1, cfg.truncation + 1)):
             return FAIL, f"{name}: N(h) is not a chain map"
@@ -307,7 +317,7 @@ def _check_hurewicz_normalized(cfg: SuiteConfig) -> Tuple[str, str]:
 
 
 def _check_degeneracy_freeness(cfg: SuiteConfig) -> Tuple[str, str]:
-    for name, x in _free_presentations(cfg.truncation, names=FAST_CORPUS):
+    for name, x in _free_presentations(cfg, names=FAST_CORPUS):
         if not is_degeneracy_free(x):
             return FAIL, f"𝔡({name}) reported as not degeneracy-free"
     counterexample = load_corpus("counterexample")
@@ -384,4 +394,5 @@ def run_suite(config: Optional[SuiteConfig] = None) -> dict:
         if status == FAIL:
             failures += 1
         items.append({"name": name, "status": status, "detail": detail})
+    cfg.presentations.clear()  # a later run builds anew, and the caller's config keeps none alive
     return {"items": items, "failures": failures, "passed": failures == 0}

@@ -6,10 +6,10 @@ Over a field, rows are dense lists, or Python ints used as bitsets over 𝔽₂;
 every echelon form is fully reduced (RREF), so kernels, representatives and
 coordinates come out in their canonical form, and no field elimination code
 is imported from the library.  Over ℤ, homology comes from dense Smith
-normal forms of whole matrices, through the library's dense
-``smith_normal_form`` (which the sparse engine runs only on its residual
-block, and which has its own property test).  ``homology`` and
-``cohomology`` mirror the library entry points without their memo.
+normal forms of whole matrices, by ``smith_form`` here: Bézout steps on
+pairs of rows and columns, an elimination that shares no code and no pivot
+rule with the library's Smith forms.  ``homology`` and ``cohomology``
+mirror the library entry points without their memo.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from steenrod_kit.chains import ChainComplex
-from steenrod_kit.linalg import HomologyDescriptor, Matrix, Vector, smith_normal_form
+from steenrod_kit.linalg import HomologyDescriptor, Matrix, Vector
 from steenrod_kit.rings import ZZ, Coefficient, Ring
 
 
@@ -239,11 +239,85 @@ def _homology_f2(boundary_out, boundary_in, rank_here, ring) -> HomologyDescript
     return HomologyDescriptor(ring, len(free_idx), [], reps, coord_fn)
 
 
+def _clearing_step(a: int, b: int) -> Tuple[int, int, int, int]:
+    """(p, q, r, s), p·s − q·r = 1, with p·a + q·b = g > 0 dividing a and b
+    and r·a + s·b = 0: (1, 0, −b/a, 1) when a divides b, which leaves the
+    pivot a alone; else from Bézout's x·a + y·b = gcd(a, b), which lowers |a|."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    (r0, x0, y0), (r1, x1, y1) = (a, 1, 0), (b, 0, 1)
+    while r1:
+        k = r0 // r1
+        (r0, x0, y0), (r1, x1, y1) = (r1, x1, y1), (r0 - k * r1, x0 - k * x1, y0 - k * y1)
+    g, x, y = (r0, x0, y0) if r0 > 0 else (-r0, -x0, -y0)
+    return x, y, -b // g, a // g
+
+
+def smith_form(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix]:
+    """(D, U, U⁻¹, V) with U·A·V = D diagonal, each diagonal entry ≥ 0 and
+    dividing the next, U and V unimodular.
+
+    Position t takes the first nonzero entry of the remaining block.  Each
+    entry below and right of it is cleared by a unimodular 2×2 step on rows
+    (or columns) t and i (``_clearing_step``); a column step that lowers
+    the pivot can fill column t again, and the clearing repeats.  An entry
+    the pivot does not divide has its row added to row t, and the clearing
+    starts again with a smaller pivot."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    d = [list(row) for row in a]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    uinv = [row[:] for row in u]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def rows_op(i: int, j: int, p: int, q: int, r: int, s: int) -> None:
+        """(row i, row j) ← (p·row i + q·row j, r·row i + s·row j), p·s − q·r = ±1."""
+        for m in (d, u):
+            m[i], m[j] = [p * x + q * y for x, y in zip(m[i], m[j])], [r * x + s * y for x, y in zip(m[i], m[j])]
+        e = p * s - q * r  # U⁻¹ ← U⁻¹·T⁻¹ on columns i and j, T⁻¹ = e·[[s, −q], [−r, p]]
+        for row in uinv:
+            x, y = row[i], row[j]
+            row[i], row[j] = e * (s * x - r * y), e * (p * y - q * x)
+
+    def cols_op(i: int, j: int, p: int, q: int, r: int, s: int) -> None:
+        """(column i, column j) ← (p·column i + q·column j, r·column i + s·column j)."""
+        for m in (d, v):
+            for row in m:
+                row[i], row[j] = p * row[i] + q * row[j], r * row[i] + s * row[j]
+
+    for t in range(min(rows, cols)):
+        nonzero = next(((i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]), None)
+        if nonzero is None:
+            break
+        i, j = nonzero
+        if i != t:
+            rows_op(t, i, 0, 1, 1, 0)
+        if j != t:
+            cols_op(t, j, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, rows):
+                if d[i][t]:
+                    rows_op(t, i, *_clearing_step(d[t][t], d[i][t]))
+            for j in range(t + 1, cols):
+                if d[t][j]:
+                    cols_op(t, j, *_clearing_step(d[t][t], d[t][j]))
+            if any(d[i][t] for i in range(t + 1, rows)):
+                continue
+            offender = next((i for i in range(t + 1, rows) for j in range(t + 1, cols) if d[i][j] % d[t][t]), None)
+            if offender is None:
+                break
+            rows_op(t, offender, 1, 1, 0, 1)
+        if d[t][t] < 0:  # a pivot no Bézout step replaced keeps the sign of the entry it started as
+            d[t], u[t] = [-x for x in d[t]], [-x for x in u[t]]
+            for row in uinv:
+                row[t] = -row[t]
+    return d, u, uinv, v
+
+
 def integer_kernel(a: Matrix, ncols: int) -> List[Vector]:
     """Basis of the kernel lattice of an integer matrix (a saturated summand)."""
     if not a:
         return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    d, _, _, v = smith_normal_form(a)
+    d, _, _, v = smith_form(a)
     r = 0
     while r < min(len(d), ncols) and d[r][r] != 0:
         r += 1
@@ -257,7 +331,7 @@ class IntegerSolver:
         self.ncols = ncols
         self.nrows = len(a)
         if a:
-            self._d, self._u, _, self._v = smith_normal_form(a)
+            self._d, self._u, _, self._v = smith_form(a)
 
     def solve(self, b: Vector) -> Optional[Vector]:
         ncols = self.ncols
@@ -291,7 +365,7 @@ def _homology_integers(out_rows, in_cols, rank_here) -> HomologyDescriptor:
         image_coords.append(y)
     if image_coords:
         x_rows = [[image_coords[j][i] for j in range(len(image_coords))] for i in range(m)]
-        d, u, uinv, _ = smith_normal_form(x_rows)
+        d, u, uinv, _ = smith_form(x_rows)
         diag = [d[i][i] for i in range(min(m, len(image_coords)))]
     else:
         diag = []

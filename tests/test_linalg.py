@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from steenrod_kit.linalg import _dense_smith, field_rank, homology_of_matrices, kernel, smith_normal_form, solver
+from steenrod_kit.linalg import _dense_smith, field_rank, homology_of_matrices, kernel, solver
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 
 
@@ -21,10 +21,7 @@ small_matrix = st.lists(
 ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrix)
-def test_smith_normal_form_properties(a):
-    d, u, uinv, v = smith_normal_form(a)
+def _assert_smith_form(a, d, u, uinv, v):
     # U·A·V = D
     assert _mat_mul(_mat_mul(u, a), v) == d
     # U·Uinv = identity
@@ -41,6 +38,22 @@ def test_smith_normal_form_properties(a):
             assert y % x == 0
         assert not (x == 0 and y != 0)
     assert all(x >= 0 for x in diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix)
+def test_smith_normal_form_properties(a):
+    d, u, uinv, v, vinv = _dense_smith(a)
+    _assert_smith_form(a, d, u, uinv, v)
+    assert _mat_mul(v, vinv) == [[1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrix)
+def test_the_oracle_smith_form_has_the_same_properties(a):
+    d, u, uinv, v = dense_oracle.smith_form(a)
+    _assert_smith_form(a, d, u, uinv, v)
+    assert d == _dense_smith(a)[0]  # D is unique
 
 
 def _det(m):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steenrod_kit.documents import load_corpus
+from steenrod_kit.documents import corpus_names, load_corpus
 from steenrod_kit.rings import ZZ
 from steenrod_kit.simplicial import (
     DeltaComplex,
@@ -128,6 +128,63 @@ def test_freely_add_degeneracies_validates_and_counts():
     assert [x.n_cells(m) for m in range(4)] == [2, 3, 4, 5]
     assert x.nondegenerate_indices(1) != []
     assert len(x.nondegenerate_indices(2)) == 0
+
+
+def _free_tables_cell_by_cell(y, truncation):
+    """The cells, faces and degeneracies of 𝔡(y) built from the definition,
+    one cell and one operator at a time: the reference for the block builder."""
+    cells, index = {}, {}
+    for m in range(truncation + 1):
+        labels = []
+        for n in sorted(y.cells):
+            for word in all_surjection_words(m, n):
+                for idx in range(y.n_cells(n)):
+                    index[(m, word, n, idx)] = len(labels)
+                    labels.append((word, n, idx))
+        cells[m] = labels
+
+    def face(m, word, n, idx, i):
+        new_word, v = compose_face(word, m, i)
+        return index[(m - 1, new_word, n, idx)] if v is None else index[(m - 1, new_word, n - 1, y.face(n, idx, v))]
+
+    faces = {m: [tuple(face(m, *label, i) for i in range(m + 1)) if m else () for label in labels]
+             for m, labels in cells.items()}
+    degeneracies = {m: [tuple(index[(m + 1, compose_degeneracy(word, m, i), n, idx)] for i in range(m + 1))
+                        for word, n, idx in cells[m]] for m in range(truncation)}
+    return cells, faces, degeneracies
+
+
+def _assert_free_tables_match(y):
+    for truncation in range(y.dimension, 6):
+        x = freely_add_degeneracies(y, truncation)
+        cells, faces, degeneracies = _free_tables_cell_by_cell(y, truncation)
+        assert (x.cells, x.faces, x.degeneracies) == (cells, faces, degeneracies)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names() if n not in ("rp4", "counterexample")])
+def test_block_builder_equals_the_cell_by_cell_definition_on_the_corpus(name):
+    _assert_free_tables_match(load_corpus(name))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_block_builder_equals_the_cell_by_cell_definition_on_simplices(k):
+    _assert_free_tables_match(standard_delta(k))
+
+
+facet_lists = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(facet_lists)
+def test_block_builder_equals_the_cell_by_cell_definition_on_drawn_complexes(facets):
+    _assert_free_tables_match(DeltaComplex.from_facets(facets, name="drawn"))
+
+
+@pytest.mark.parametrize("name", ["circle", "rp2", "delta3"])
+def test_a_truncation_below_the_dimension_is_refused(name):
+    y = load_corpus(name)
+    with pytest.raises(ValueError, match="^truncation below the top cells of the core$"):
+        freely_add_degeneracies(y, y.dimension - 1)
 
 
 def test_forget_then_core_recovers_the_complex():

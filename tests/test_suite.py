@@ -1,8 +1,10 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
-from steenrod_kit import dold_kan, suite
+from steenrod_kit import dold_kan, simplicial, suite
 from steenrod_kit.suite import DEVIATION, FAIL, PASS, SuiteConfig, run_suite
 
 
@@ -49,3 +51,62 @@ def test_gamma_retraction_builds_each_pointed_complex_once_per_space(monkeypatch
     assert status == PASS
     # three spaces: both maps are built for each, and share its two complexes
     assert calls == {"gamma_X": 3, "chain_hurewicz": 3, "moore_complex": 3, "pointed_unnormalized_chains": 3}
+
+
+def _count_builds(monkeypatch):
+    """Every 𝔡(Y) built, through the suite and through ``is_degeneracy_free``."""
+    built = []
+    original = simplicial.freely_add_degeneracies
+
+    def build(y, truncation):
+        built.append((y.name, truncation))
+        return original(y, truncation)
+
+    monkeypatch.setattr(suite, "freely_add_degeneracies", build)
+    monkeypatch.setattr(simplicial, "freely_add_degeneracies", build)
+    return built
+
+
+@pytest.mark.parametrize("truncation, builds", [(4, 18), (3, 15)])
+def test_a_run_builds_each_free_presentation_once(monkeypatch, truncation, builds):
+    built = _count_builds(monkeypatch)
+    cfg = SuiteConfig(truncation=truncation)
+    assert run_suite(cfg)["passed"]
+    # 10 (space, truncation) pairs at 4 (7 at 3, where hurewicz-xi's are shared), and the
+    # core of each of the 7 checked presentations and of the counterexample
+    assert len(built) == len(set(built)) == builds
+    assert sum(name.startswith("core(") for name, _ in built) == 8
+    built.clear()
+    run_suite(cfg)  # the same config: a second run builds anew
+    assert len(built) == builds
+
+
+def test_the_shared_presentations_are_freed_when_the_run_returns(monkeypatch):
+    refs = []
+    original = suite.freely_add_degeneracies
+    monkeypatch.setattr(suite, "freely_add_degeneracies", lambda y, t: refs.append(weakref.ref(x := original(y, t))) or x)
+    cfg = SuiteConfig()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = run_suite(cfg)
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert report["passed"] and len(refs) == 10
+    assert alive == [] and cfg.presentations == {}
+
+
+def test_the_fast_tier_gives_the_same_statuses_at_truncation_3_and_4():
+    def statuses(truncation):
+        return [(item["name"], item["status"]) for item in run_suite(SuiteConfig(truncation=truncation))["items"]]
+
+    assert statuses(3) == statuses(4)
+
+
+def test_a_build_that_raises_fails_each_item_that_asks_for_it():
+    report = run_suite(SuiteConfig(truncation=1))  # below the 2-cells of the boundary of Δ³ and of RP²
+    failed = {item["name"] for item in report["items"] if item["status"] == FAIL}
+    assert failed == {"moore-pointed", "reduced-homology", "gamma-retraction", "hurewicz-normalized",
+                      "degeneracy-freeness"}
