@@ -5,7 +5,8 @@
 Exit codes: 0 = all requested checks passed, 1 = verification failures,
 2 = input error (unreadable file, malformed document, bad arguments),
 3 = internal error (any other exception, reported on one line: a fault of
-the program, not of its input).
+the program, not of its input).  When the reader of standard output closes
+it early, the process exits 1, silently.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from typing import Optional
 
@@ -241,6 +243,8 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        raise  # the reader closed standard output: no fault of the program, see run()
     except Exception as exc:  # a fault of the program: one line, no traceback, its own code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -251,9 +255,19 @@ def run() -> None:
     ``steenrod-kit`` script): ``main`` with the cyclic collector off, then
     the heap frozen, so the interpreter's collection at exit walks nothing
     the command built.  ``main`` leaves the collector as it found it and
-    never freezes, since tests and tools call it in process."""
+    never freezes, since tests and tools call it in process.
+
+    A reader that closes standard output early (``| head``) ends the process
+    with exit code 1 and nothing on stderr: standard output is pointed at
+    ``os.devnull``, so the flush at exit does not fail again (the recipe of
+    the Python docs on SIGPIPE)."""
     gc.disable()
-    code = main(sys.argv[1:])
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
     gc.freeze()
     sys.exit(code)
 

@@ -78,10 +78,11 @@ class SimplicialAbelianGroup:
     list (entry j the generator that generator j goes to, None for 0), or
     sparse columns, whose entries are coerced into a new list here.  The group
     takes an index list over as it is, with no copy: the caller must not
-    change it afterwards.  ``validate`` checks every identity that
-    ``simplicial_identities`` lists up to the truncation, composing two index
-    maps by list lookup.  ``of_cell`` is filled for ℛX and R̃X only: per
-    level, the generator of each cell of X (None for the basepoint chain).
+    change it afterwards.  The constructor runs ``validate``, which checks
+    every identity that ``simplicial_identities`` lists up to the
+    truncation, composing two index maps by list lookup.  ``of_cell`` is
+    filled for ℛX and R̃X only: per level, the generator of each cell of X
+    (None for the basepoint chain).
     """
 
     def __init__(
@@ -92,7 +93,6 @@ class SimplicialAbelianGroup:
         degeneracy_maps: Dict[Tuple[int, int], Map],
         truncation_dim: int,
         name: str = "",
-        validate: bool = True,
     ):
         coerce, is_zero = ring.coerce, ring.is_zero
 
@@ -112,8 +112,7 @@ class SimplicialAbelianGroup:
         self.position: Dict[Tuple[int, object], int] = {
             (n, label): i for n, labels in self.levels.items() for i, label in enumerate(labels)
         }
-        if validate:
-            self.validate()
+        self.validate()
 
     def rank(self, n: int) -> int:
         return len(self.levels.get(n, []))

@@ -3,23 +3,23 @@ reduction engine over fields, and homology with explicit cycle bases and
 change-of-basis data.
 
 Every ℤ computation (kernels, solves, homology) runs on ``sparse_smith``:
-rows are dicts ``{column: nonzero entry}``, ±1 pivots are eliminated
-sparsely, and only the residual block, which holds no unit entry, goes
-through the dense ``_dense_smith``.  Every field computation (kernels,
-ranks, span solves, (co)homology) runs on ``_reduce``, which reduces vectors
-(dicts ``{index: nonzero entry}``, over 𝔽₂ as over every field) left to
-right by the pivots of the earlier ones; over ℚ an entry is an int, as
-``Ring.coerce`` gives it, until a pivot's inverse makes it a fraction.
-Entries are coerced once, where vectors come in from outside (``_pack``);
-a complex's stored columns already hold nonzero field elements and are only
-copied.  Kernels reduce the columns of a map by highest-index pivots (the
-persistence order) and log each step, which yields the canonical kernel
-vector of each column that reduces to zero; ranks use the same order;
-images and span solves use lowest-index pivots.  (Co)homology clears
-(Chen–Kerber's twist): the columns of the map out of a degree at the pivot
-rows of the map into it are known to reduce to zero and are skipped, and a
-class on one of them gets its log by reducing that column alone against the
-final pivots.
+rows are dicts ``{column: nonzero entry}``; ±1 pivots are eliminated first,
+and the residual block, which holds no unit entry, is finished in the same
+dicts with pivots of least absolute value and division with remainder.
+Every field computation (kernels, ranks, span solves, (co)homology) runs on
+``_reduce``, which reduces vectors (dicts ``{index: nonzero entry}``, over
+𝔽₂ as over every field) left to right by the pivots of the earlier ones;
+over ℚ an entry is an int, as ``Ring.coerce`` gives it, until a pivot's
+inverse makes it a fraction.  Entries are coerced once, where vectors come
+in from outside (``_pack``); a complex's stored columns already hold nonzero
+field elements and are only copied.  Kernels reduce the columns of a map by
+highest-index pivots (the persistence order) and log each step, which yields
+the canonical kernel vector of each column that reduces to zero; ranks use
+the same order; images and span solves use lowest-index pivots.
+(Co)homology clears (Chen–Kerber's twist): the columns of the map out of a
+degree at the pivot rows of the map into it are known to reduce to zero and
+are skipped, and a class on one of them gets its log by reducing that column
+alone against the final pivots.
 
 ``kernel`` and ``solver`` choose the engine from the ring, so callers never
 do: both take a matrix as sparse columns and give sparse vectors back.
@@ -32,7 +32,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rings import ZZ, Coefficient, Ring
 
-Matrix = List[List[Coefficient]]
 Vector = List[Coefficient]
 SparseVector = Dict[int, int]
 
@@ -40,120 +39,6 @@ SparseVector = Dict[int, int]
 # ---------------------------------------------------------------------------
 # Smith normal form over the integers
 # ---------------------------------------------------------------------------
-
-
-def _dense_smith(a: Matrix) -> Tuple[Matrix, Matrix, Matrix, Matrix, Matrix]:
-    """(D, U, Uinv, V, Vinv) with U·A·V = D diagonal, U and V unimodular.
-
-    Pivoting picks the smallest nonzero absolute value, which keeps
-    intermediate entries tame at desk scale.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [list(row) for row in a]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(rows):  # column swap on Uinv
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
-
-    def col_swap(i, j):
-        for r in range(rows):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_add(dst, src, k):  # row dst += k * row src
-        if k == 0:
-            return
-        drow, srow = d[dst], d[src]
-        for c in range(cols):
-            drow[c] += k * srow[c]
-        urow, usrow = u[dst], u[src]
-        for c in range(rows):
-            urow[c] += k * usrow[c]
-        for r in range(rows):  # Uinv column src -= k * column dst
-            uinv[r][src] -= k * uinv[r][dst]
-
-    def col_add(dst, src, k):  # col dst += k * col src
-        if k == 0:
-            return
-        for r in range(rows):
-            d[r][dst] += k * d[r][src]
-        for r in range(cols):
-            v[r][dst] += k * v[r][src]
-        vsrc, vdst = vinv[src], vinv[dst]  # Vinv row src -= k * row dst
-        for c in range(cols):
-            vsrc[c] -= k * vdst[c]
-
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in range(rows):
-            uinv[r][i] = -uinv[r][i]
-
-    t = 0
-    while t < min(rows, cols):
-        # locate smallest-magnitude nonzero pivot in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        row_swap(t, pi)
-        col_swap(t, pj)
-        while True:
-            p = d[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // p
-                    row_add(i, t, -q)
-                    if d[i][t] != 0:
-                        row_swap(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // p
-                    col_add(j, t, -q)
-                    if d[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # row and column cleared; enforce that the pivot divides the rest
-            p = d[t][t]
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if d[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        if d[t][t] < 0:
-            row_negate(t)
-        t += 1
-    return d, u, uinv, v, vinv
 
 
 def _axpy(dst: SparseVector, src: SparseVector, k: int, p: Optional[int] = None) -> SparseVector:
@@ -207,18 +92,40 @@ class SmithForm:
         self.pivots, self.u_rows, self.uinv_cols, self.v_cols, self.vinv_cols = pivots, u_rows, uinv_cols, v_cols, vinv_cols
 
 
+def _add_line(lines: List[Optional[SparseVector]], cross: List[Optional[SparseVector]], dst: int, src: int, k: int) -> None:
+    """Line dst += k·line src of a matrix held both by rows and by columns:
+    ``lines`` are its rows and ``cross`` its columns, or the other way round."""
+    target = lines[dst]
+    for j, y in lines[src].items():
+        z = target.get(j, 0) + k * y
+        if z:
+            target[j] = cross[j][dst] = z
+        else:
+            del target[j], cross[j][dst]
+
+
 def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: bool = False) -> SmithForm:
     """Smith normal form of the matrix with the given sparse rows; ``u``
-    asks for U and U⁻¹, ``v`` for V and V⁻¹.
+    asks for U and U⁻¹, ``v`` for V and V⁻¹.  The pivots are chosen from
+    the matrix alone, so they and each side's transforms do not depend on
+    which sides are asked for.
 
     Phase 1 repeatedly takes a ±1 entry, from the sparsest row and then the
     shortest column, clears its column by row operations and its row by
     column operations (which only V and V⁻¹ see: the row leaves the active
     matrix), negating the row when the entry is −1.  No phase-1 step touches
     U⁻¹ or V⁻¹ outside the pivot's own column of U⁻¹ and row of V⁻¹, which
-    are set once.  V does not depend on ``u``.  Phase 2 puts the
-    residual block, which holds no unit entry, in dense Smith normal form and
-    composes its transforms into the sparse ones.
+    are set once.
+
+    Phase 2 works on the rows phase 1 leaves, which hold no unit entry.  It
+    takes the live entry of least absolute value, ties broken by (row,
+    column), and clears its column by row operations and its row by column
+    operations with division with remainder; a nonzero remainder is smaller
+    and becomes the pivot.  Once both are clear, a row with an entry that
+    the pivot does not divide is added to the pivot row, and the clearing
+    goes on.  The rows of V⁻¹ at the block's columns are unit rows when
+    phase 2 starts, and its column operations keep them inside the block:
+    they are kept as row dicts and written into the columns at the end.
     """
     nrows = len(rows)
     a: List[Optional[SparseVector]] = [{j: x for j, x in row.items() if x} for row in rows]
@@ -228,6 +135,15 @@ def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: b
     v_cols = [{j: 1} for j in range(ncols)] if v else []
     vinv_cols = [{j: 1} for j in range(ncols)] if v else []
     pivots: List[Tuple[int, int, int]] = []
+
+    def settle(r: int, c: int, p: int) -> None:
+        """Row r and column c are clear but for the pivot p: both leave the
+        active matrix."""
+        if p < 0 and u:  # make the pivot positive
+            u_rows[r] = {k: -x for k, x in u_rows[r].items()}
+            uinv_cols[r] = {k: -x for k, x in uinv_cols[r].items()}
+        a[r], cols[c] = None, {}
+        pivots.append((r, c, abs(p)))
 
     heap = [(len(row), i) for i, row in enumerate(a) if row]
     heapq.heapify(heap)
@@ -263,7 +179,6 @@ def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: b
                 _axpy(u_rows[i], u_rows[r], -f)
                 uinv_cols[r][i] = f
         # clear row r: column j −= (y·p)·column c
-        cols[c] = {}
         for j, y in row.items():
             if j == c:
                 continue
@@ -271,34 +186,57 @@ def sparse_smith(rows: Sequence[SparseVector], ncols: int, u: bool = False, v: b
             if v:
                 _axpy(v_cols[j], v_cols[c], -y * p)
                 vinv_cols[j][c] = y * p
-        if p < 0 and u:  # make the pivot +1
-            u_rows[r] = {k: -x for k, x in u_rows[r].items()}
-            uinv_cols[r] = {k: -x for k, x in uinv_cols[r].items()}
-        a[r] = None
-        pivots.append((r, c, 1))
+        settle(r, c, p)
 
-    live = [i for i, row in enumerate(a) if row]
-    if live:
-        block_cols = sorted({j for i in live for j in a[i]})
-        d, bu, buinv, bv, bvinv = _dense_smith([[a[i].get(j, 0) for j in block_cols] for i in live])
-        for t in range(min(len(live), len(block_cols))):
-            if d[t][t] == 0:
+    live = {i for i, row in enumerate(a) if row}
+    vinv_rows = {j: {j: 1} for i in live for j in a[i]} if v else {}
+
+    def add_rows(dst: int, src: int, k: int) -> None:
+        _add_line(a, cols, dst, src, k)
+        if u:
+            _axpy(u_rows[dst], u_rows[src], k)
+            _axpy(uinv_cols[src], uinv_cols[dst], -k)
+
+    def add_cols(dst: int, src: int, k: int) -> None:
+        _add_line(cols, a, dst, src, k)
+        if v:
+            _axpy(v_cols[dst], v_cols[src], k)
+            _axpy(vinv_rows[src], vinv_rows[dst], -k)
+
+    def clear(r: int, c: int) -> Optional[Tuple[int, int]]:
+        """Column c, then row r, cleared by the pivot at (r, c) as far as
+        division goes: the position of the first nonzero remainder, or None."""
+        for i in sorted(cols[c].keys() - {r}):
+            q = a[i][c] // a[r][c]
+            if q:
+                add_rows(i, r, -q)
+            if c in a[i]:
+                return i, c
+        for j in sorted(a[r].keys() - {c}):
+            q = a[r][j] // a[r][c]
+            if q:
+                add_cols(j, c, -q)
+            if j in a[r]:
+                return r, j
+        return None
+
+    while live:
+        _, r, c = min((abs(x), i, j) for i in live for j, x in a[i].items())
+        while True:
+            while moved := clear(r, c):
+                r, c = moved
+            p = a[r][c]
+            offender = next((i for i in sorted(live) if i != r and any(x % p for x in a[i].values())), None)
+            if offender is None:
                 break
-            pivots.append((live[t], block_cols[t], d[t][t]))
-        if u:  # U ← B_U·U on the live rows, whose U⁻¹ columns were unit vectors
-            old = [u_rows[i] for i in live]
-            for i, bu_row, buinv_col in zip(live, bu, zip(*buinv)):
-                u_rows[i] = _combine(zip(bu_row, old))
-                uinv_cols[i] = {k: x for k, x in zip(live, buinv_col) if x}
-        if v:  # V ← V·B_V on the block columns, whose V⁻¹ rows were unit vectors
-            old = [v_cols[j] for j in block_cols]
-            for j, bv_col in zip(block_cols, zip(*bv)):
-                v_cols[j] = _combine(zip(bv_col, old))
-                del vinv_cols[j][j]
-            for j, bvinv_row in zip(block_cols, bvinv):
-                for k, x in zip(block_cols, bvinv_row):
-                    if x:
-                        vinv_cols[k][j] = x
+            add_rows(r, offender, 1)
+        settle(r, c, p)
+        live = {i for i in live if a[i]}
+    for j, row in vinv_rows.items():
+        v_cols[j] = dict(v_cols[j])  # a dict keeps the room of its deleted entries
+        del vinv_cols[j][j]
+        for k, x in row.items():
+            vinv_cols[k][j] = x
     return SmithForm(pivots, u_rows, uinv_cols, v_cols, vinv_cols)
 
 

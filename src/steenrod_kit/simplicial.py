@@ -522,15 +522,17 @@ def core(x: SimplicialSetPresentation) -> Tuple[DeltaComplex, Dict[int, List[int
 
 
 def is_degeneracy_free(x: SimplicialSetPresentation) -> bool:
-    """Whether the canonical map c: 𝔡(Core(x)) → x is a degreewise bijection."""
+    """Whether the canonical map c: 𝔡(Core(x)) → x is a degreewise bijection.
+
+    The m-cells of 𝔡(Core(x)) are the labels (word, n, core cell) over the
+    surjections [m]↠[n], and c applies the word to the core cell in x: the
+    labels are enumerated directly, and no presentation is built."""
     core_complex, back = core(x)
-    free = freely_add_degeneracies(core_complex, x.truncation_dim)
+    if x.truncation_dim < core_complex.dimension:
+        raise ValueError("truncation below the top cells of the core")
     for m in range(x.truncation_dim + 1):
-        images = []
-        for (word, n, core_idx) in free.cells.get(m, []):
-            images.append(x.apply_word(n, back[n][core_idx], word))
-        if len(images) != x.n_cells(m) or len(set(images)) != len(images):
-            return False
-        if set(images) != set(range(x.n_cells(m))):
+        images = [x.apply_word(n, idx, word) for n, olds in back.items()
+                  for word in all_surjection_words(m, n) for idx in olds]
+        if len(images) != x.n_cells(m) or set(images) != set(range(x.n_cells(m))):
             return False
     return True

@@ -17,8 +17,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from steenrod_kit.chains import ChainComplex
-from steenrod_kit.linalg import HomologyDescriptor, Matrix, Vector
+from steenrod_kit.linalg import HomologyDescriptor, Vector
 from steenrod_kit.rings import ZZ, Coefficient, Ring
+
+Matrix = List[List[Coefficient]]
 
 
 def rref_field(rows: Matrix, ncols: int, ring: Ring) -> Tuple[Matrix, List[int]]:

@@ -446,6 +446,35 @@ def test_the_process_entry_exits_2_on_a_usage_error():
     assert run.stderr.startswith("usage: steenrod-kit") and "error: unrecognized arguments" in run.stderr
 
 
+@pytest.mark.parametrize("argv", [["sq", "--json"], ["homology"], ["info", "--json"]])
+def test_a_closed_standard_output_exits_1_in_silence(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe fails
+    try:
+        run = subprocess.run([sys.executable, "-m", "steenrod_kit.cli", *argv, "--input", str(CORPUS / "rp2.json")],
+                             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (EXIT_FAIL, "")
+
+
+class _ClosedStream:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_main_passes_a_broken_pipe_on_and_reports_no_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStream())
+    with pytest.raises(BrokenPipeError):
+        main(["info", "--input", str(CORPUS / "rp2.json")])
+    assert capsys.readouterr().err == ""
+
+
 def test_the_process_entry_runs_main_with_the_collector_off_and_freezes_after(monkeypatch):
     seen = []
     monkeypatch.setattr(sys, "argv", ["steenrod-kit", "info"])

@@ -73,7 +73,7 @@ def test_a_map_entry_off_the_next_level_is_named(faces, degs, message):
     assert str(err.value) == message
 
 
-def _two_vertex_group(ring, s0_of_a, d1_of_w=1, validate=True):
+def _two_vertex_group(ring, s0_of_a, d1_of_w=1):
     # vertices a, b; edges x, y, z, w with d_0 = d_1 = (a, b, b, b), except
     # that d_1 w = d1_of_w·b; s_0 a = s0_of_a and s_0 b = w
     return SimplicialAbelianGroup(
@@ -83,7 +83,6 @@ def _two_vertex_group(ring, s0_of_a, d1_of_w=1, validate=True):
         {(0, 0): [s0_of_a, {3: 1}]},
         1,
         name="two-vertex",
-        validate=validate,
     )
 
 
@@ -116,7 +115,8 @@ def test_column_input_is_coerced_at_the_constructor():
     assert _two_vertex_group(QQ, {0: Fraction(2, 2)}).degeneracy_maps[(0, 0)] == [{0: 1}, {3: 1}]
     with pytest.raises(ValueError, match="d_1 s_0"):
         _two_vertex_group(QQ, {0: 1}, d1_of_w=Fraction(4, 2))
-    entry = _two_vertex_group(QQ, {0: 1}, d1_of_w=Fraction(4, 2), validate=False).face_maps[(1, 1)][3][1]
+    # s_0 a = a + 2y − 2z: d_i s_0 a = a + 2b − 2b = a, and the entry 2 is an int
+    entry = _two_vertex_group(QQ, {0: 1, 1: Fraction(4, 2), 2: Fraction(-4, 2)}).degeneracy_maps[(0, 0)][0][1]
     assert entry == 2 and type(entry) is int
 
 

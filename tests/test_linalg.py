@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from steenrod_kit.linalg import _dense_smith, field_rank, homology_of_matrices, kernel, solver
+from steenrod_kit.linalg import field_rank, homology_of_matrices, kernel, solver, sparse_smith
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 
 
@@ -40,12 +40,41 @@ def _assert_smith_form(a, d, u, uinv, v):
     assert all(x >= 0 for x in diag)
 
 
+def _smith(a, u=True, v=True):
+    """``sparse_smith`` of a dense matrix as dense (D, U, U⁻¹, V, V⁻¹), its
+    rows and columns permuted so that the pivots lie on the diagonal."""
+    rows, cols = len(a), len(a[0])
+    form = sparse_smith([{j: x for j, x in enumerate(row) if x} for row in a], cols, u=u, v=v)
+    row_order = [r for r, _, _ in form.pivots]
+    row_order += [i for i in range(rows) if i not in row_order]
+    col_order = [c for _, c, _ in form.pivots]
+    col_order += [j for j in range(cols) if j not in col_order]
+    d = [[0] * cols for _ in range(rows)]
+    for t, (_, _, x) in enumerate(form.pivots):
+        d[t][t] = x
+    if not u:
+        assert form.u_rows == form.uinv_cols == []
+    if not v:
+        assert form.v_cols == form.vinv_cols == []
+    return (
+        d,
+        [[form.u_rows[r].get(k, 0) for k in range(rows)] for r in row_order] if u else None,
+        [[form.uinv_cols[r].get(i, 0) for r in row_order] for i in range(rows)] if u else None,
+        [[form.v_cols[c].get(j, 0) for c in col_order] for j in range(cols)] if v else None,
+        [[form.vinv_cols[k].get(c, 0) for k in range(cols)] for c in col_order] if v else None,
+    )
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_matrix)
 def test_smith_normal_form_properties(a):
-    d, u, uinv, v, vinv = _dense_smith(a)
+    d, u, uinv, v, vinv = _smith(a)
     _assert_smith_form(a, d, u, uinv, v)
-    assert _mat_mul(v, vinv) == [[1 if i == j else 0 for j in range(len(v))] for i in range(len(v))]
+    assert _mat_mul(v, vinv) == _identity(len(v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -53,7 +82,30 @@ def test_smith_normal_form_properties(a):
 def test_the_oracle_smith_form_has_the_same_properties(a):
     d, u, uinv, v = dense_oracle.smith_form(a)
     _assert_smith_form(a, d, u, uinv, v)
-    assert d == _dense_smith(a)[0]  # D is unique
+    assert d == _smith(a)[0]  # D is unique
+
+
+@pytest.mark.parametrize("a, divisors", [
+    ([[2, 0], [0, 3]], [1, 6]),
+    ([[2, 4], [6, 8]], [2, 4]),
+])
+def test_smith_normal_form_of_a_block_with_no_unit_entry(a, divisors):
+    d, u, uinv, v, vinv = _smith(a)
+    _assert_smith_form(a, d, u, uinv, v)
+    assert _mat_mul(v, vinv) == _identity(len(v))
+    assert [d[t][t] for t in range(len(divisors))] == divisors
+
+
+def test_smith_normal_form_of_an_even_block_with_only_v():
+    a = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    d, _, _, v, vinv = _smith(a, u=False)
+    assert [d[t][t] for t in range(3)] == [2, 6, 12]
+    assert _mat_mul(v, vinv) == _identity(3)
+    # A·V = U⁻¹·D: its t-th column is d_t times a column of a unimodular
+    # matrix, whose entries are coprime
+    av = _mat_mul(a, v)
+    for t in range(3):
+        assert math.gcd(*(row[t] for row in av)) == d[t][t]
 
 
 def _det(m):
@@ -67,7 +119,7 @@ def _det(m):
 @given(small_matrix)
 def test_invariant_factors_are_quotients_of_the_determinantal_divisors(a):
     # d₁⋯d_k is the gcd of the k×k minors, computed here with no code of linalg
-    d = _dense_smith(a)[0]
+    d = _smith(a)[0]
     rows, cols = len(a), len(a[0])
     product = 1
     for k in range(1, min(rows, cols) + 1):

@@ -203,6 +203,29 @@ def test_degeneracy_freeness_on_free_objects():
         assert is_degeneracy_free(x)
 
 
+def _c_is_a_bijection(x):
+    """The definition, on the built 𝔡(Core(x)): c sends each of its cells
+    (word, n, core index) to the word applied to that core cell in x."""
+    core_complex, back = core(x)
+    free = freely_add_degeneracies(core_complex, x.truncation_dim)
+    return all(sorted(x.apply_word(n, back[n][idx], word) for word, n, idx in free.cells.get(m, []))
+               == list(range(x.n_cells(m))) for m in range(x.truncation_dim + 1))
+
+
+@pytest.mark.parametrize("name", ["circle", "rp2", "boundary_delta3", "torus", "counterexample"])
+def test_degeneracy_freeness_equals_its_definition(name):
+    y = load_corpus(name)
+    for x in [y] if name == "counterexample" else [freely_add_degeneracies(y, t) for t in (y.dimension, 4)]:
+        assert is_degeneracy_free(x) == _c_is_a_bijection(x)
+
+
+def test_degeneracy_freeness_refuses_a_core_above_the_truncation():
+    x = freely_add_degeneracies(standard_delta(2), 2)
+    low = SimplicialSetPresentation(x.cells, x.faces, {0: x.degeneracies[0]}, 1, name="low")
+    with pytest.raises(ValueError, match="truncation below the top cells of the core"):
+        is_degeneracy_free(low)
+
+
 def test_counterexample_is_not_degeneracy_free():
     x = load_corpus("counterexample")
     assert not x.strict
