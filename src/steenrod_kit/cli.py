@@ -238,6 +238,8 @@ def main(argv: Optional[list] = None) -> int:
         "info": _cmd_info,
         "verify": _cmd_verify,
     }
+    enabled = gc.isenabled()
+    gc.disable()  # a command builds no cycle worth a collection: see README, "Garbage collector"
     try:
         return handlers[args.command](args)
     except ValueError as exc:
@@ -248,6 +250,9 @@ def main(argv: Optional[list] = None) -> int:
     except Exception as exc:  # a fault of the program: one line, no traceback, its own code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run() -> None:

@@ -16,7 +16,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Union
 
-from .rings import collector_paused
 from .simplicial import DeltaComplex, SimplicialSetPresentation
 
 ComplexLike = Union[DeltaComplex, SimplicialSetPresentation]
@@ -106,7 +105,6 @@ def document_to_complex(doc: dict) -> ComplexLike:
     raise ValueError(f"unknown complex kind: {kind!r}")
 
 
-@collector_paused
 def load_complex(path: Union[str, Path]) -> ComplexLike:
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -31,8 +31,7 @@ from .chains import Cell, Chain, ChainComplex, GradedMap, TensorPair, chain_of, 
 from .diagonal import DiagonalTable
 from .linalg import _axpy, kernel, solver
 from .rings import Coefficient, Ring
-from .simplicial import SimplicialSetPresentation, all_surjection_words, compose_degeneracy, compose_face
-from .simplicial import simplicial_identities
+from .simplicial import SimplicialSetPresentation, degeneracy_column, face_column, simplicial_identities, surjection_blocks
 
 Columns = List[Dict[int, Coefficient]]  # sparse columns of a linear map
 IndexMap = List[Optional[int]]  # generator j ↦ generator IndexMap[j], or 0 for None
@@ -225,7 +224,8 @@ def gamma(c: ChainComplex, truncation: int) -> SimplicialAbelianGroup:
     """Γ(C)_m = ⊕_{m↠n} C_n with formal degeneracies.
 
     A generator of level m is (canonical word of a surjection [m]↠[n], basis
-    element of C_n).  A face d_i factors the composite surjection∘δ_i into
+    element of C_n), laid out in the blocks of ``surjection_blocks`` like the
+    cells of 𝔡(Y).  A face d_i factors the composite surjection∘δ_i into
     epi∘mono; the mono contributes the identity when trivial, (−1)ⁿ·∂ when it
     omits the last vertex, and zero otherwise — the sign makes N(Γ(C)) equal
     to C on the nose with the (−1)ⁿ d_n normalization.
@@ -233,45 +233,27 @@ def gamma(c: ChainComplex, truncation: int) -> SimplicialAbelianGroup:
     if any(n < 0 for n in c.degrees()):
         raise ValueError("gamma needs a nonnegatively graded complex")
     ring = c.ring
-    levels: Dict[int, List[object]] = {}
-    index: Dict[Tuple[int, Tuple[int, ...], int, int], int] = {}
-    for m in range(truncation + 1):
-        labels: List[object] = []
-        for n in c.degrees():
-            if n > m:
-                continue
-            for word in all_surjection_words(m, n):
-                for j in range(c.rank(n)):
-                    index[(m, word, n, j)] = len(labels)
-                    labels.append(("G", word, n, j))
-        levels[m] = labels
+    # every degree up to the top, so that the block of ∂'s target exists even where C is zero
+    size = {n: c.rank(n) for n in range(max(c.degrees(), default=-1) + 1)}
+    blocks = surjection_blocks(size, truncation)
+    levels = {m: [("G", word, n, j) for word, n in level for j in range(size[n])] for m, level in blocks.items()}
+    signed = {n: [{t: ring.mul(-1 if n % 2 else 1, x) for t, x in col.items()} for col in c.boundary_matrix(n)]
+              for n in size if n}
+
+    def boundaries(n: int, v: int, start: int) -> list:  # per generator: a generator, None for 0, or ±∂
+        if v != n:
+            return [None] * size[n]
+        cols = [{start + t: x for t, x in col.items()} for col in signed[n]]  # distinct rows: nothing cancels
+        return [next(iter(col)) if len(col) == 1 and ring.one in col.values() else col or None for col in cols]
+
     face_maps: Dict[Tuple[int, int], Map] = {}
-    degeneracy_maps: Dict[Tuple[int, int], Map] = {}
-    for m in range(truncation + 1):
+    for m in range(1, truncation + 1):
         for i in range(m + 1):
-            if m > 0:
-                images: list = []  # per generator: a generator, None for 0, or a column of ±∂
-                for (_, word, n, j) in levels[m]:
-                    new_word, missing = compose_face(word, m, i)
-                    if missing is None:
-                        images.append(index[(m - 1, new_word, n, j)])
-                    elif missing == n:  # distinct t give distinct rows, so nothing cancels
-                        sign = -1 if n % 2 else 1
-                        col = {
-                            index[(m - 1, new_word, n - 1, t)]: ring.mul(sign, coeff)
-                            for t, coeff in c.boundary_matrix(n)[j].items()
-                        }
-                        unit = len(col) == 1 and ring.one in col.values()
-                        images.append(next(iter(col)) if unit else col or None)
-                    else:
-                        images.append(None)
-                if any(type(k) is dict for k in images):
-                    images = [k if type(k) is dict else {} if k is None else {k: ring.one} for k in images]
-                face_maps[(m, i)] = images
-            if m + 1 <= truncation:
-                degeneracy_maps[(m, i)] = [
-                    index[(m + 1, compose_degeneracy(word, m, i), n, j)] for (_, word, n, j) in levels[m]
-                ]
+            images = face_column(blocks, size, m, i, boundaries)
+            if any(type(k) is dict for k in images):
+                images = [k if type(k) is dict else {} if k is None else {k: ring.one} for k in images]
+            face_maps[(m, i)] = images
+    degeneracy_maps = {(m, i): degeneracy_column(blocks, size, m, i) for m in range(truncation) for i in range(m + 1)}
     return SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, truncation, name="gamma")
 
 

@@ -13,8 +13,7 @@ as its in-map's, which then clear its out-map (``linalg.reduce_columns``).
 from __future__ import annotations
 
 from .chains import ChainComplex
-from .linalg import HomologyDescriptor, field_homology, homology_of_matrices, reduce_columns
-from .rings import collector_paused
+from .linalg import HomologyDescriptor, field_homology, integer_homology, reduce_columns
 
 
 def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
@@ -24,7 +23,6 @@ def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
         raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
 
 
-@collector_paused
 def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     """H_degree: ker ∂ / im ∂, as rank + torsion (or dimension over a field),
     with cycle representatives and coordinate data."""
@@ -42,7 +40,6 @@ def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     return complex_.derived[key]
 
 
-@collector_paused
 def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     """H^degree of the dual complex; representatives are cocycle vectors over
     the degree-``degree`` basis."""
@@ -67,7 +64,7 @@ def _group(complex_: ChainComplex, degree: int, out_cols, in_cols, out_map, in_m
     would take them, ``user``, is already computed."""
     ring, rank, derived = complex_.ring, complex_.rank(degree), complex_.derived
     if not ring.is_field:
-        return homology_of_matrices(ring, out_cols, in_cols, rank)
+        return integer_homology(out_cols, in_cols, rank)
     in_pivots = derived.pop(in_map, None)
     if in_pivots is None:
         in_pivots = reduce_columns(ring, in_cols)

@@ -502,23 +502,6 @@ class HomologyDescriptor:
         return " + ".join(parts) if parts else "0"
 
 
-def homology_of_matrices(
-    ring: Ring, out_cols: Sequence[Dict[int, Coefficient]], in_cols: Sequence[Dict[int, Coefficient]], rank_here: int
-) -> HomologyDescriptor:
-    """Homology ker(out)/im(in) at a degree of rank ``rank_here``.
-
-    ``out_cols`` holds the sparse columns of the map out of this degree (one
-    per basis element), ``in_cols`` the sparse columns of the map into it;
-    the caller checks that out∘in = 0.
-    """
-    if ring.is_field:
-        out_cols = [_pack(ring, col.items()) for col in out_cols]
-        in_pivots, logs = reduce_columns(ring, [_pack(ring, col.items()) for col in in_cols]), []
-        out_pivots = reduce_columns(ring, out_cols, in_pivots, logs)
-        return field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots)
-    return _homology_integers(out_cols, in_cols, rank_here)
-
-
 def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> HomologyDescriptor:
     """Homology over a field from ``reduce_columns`` of the out-map (its
     pivots and logs, cleared by the in-map's pivot rows) and the in-map's
@@ -558,7 +541,8 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
     return HomologyDescriptor(ring, len(classes), [], reps, coord_fn)
 
 
-def _homology_integers(out_cols, in_cols, rank_here) -> HomologyDescriptor:
+def integer_homology(out_cols, in_cols, rank_here) -> HomologyDescriptor:
+    """ker(out)/im(in) over ℤ at a degree of rank ``rank_here``; the caller checks out∘in = 0."""
     nrows = max((i for col in out_cols for i in col), default=-1) + 1
     cycles = sparse_smith(transpose(out_cols, nrows), rank_here, v=True)
     pivot_cols = {c for _, c, _ in cycles.pivots}

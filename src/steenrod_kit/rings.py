@@ -13,8 +13,6 @@ non-int is coerced.
 
 from __future__ import annotations
 
-import gc
-from functools import wraps
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -27,38 +25,32 @@ _PRIME_FIELD = "PrimeField"
 _RATIONALS = "Rationals"
 
 
+# Miller–Rabin on the witnesses 2 … 41 is exact below this bound (Sorenson and Webster)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller–Rabin, for 0 ≤ p < ``PRIME_BOUND``."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # a^(2^r d) for r < s: p − 1 for some r, or p is composite
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
-
-
-def collector_paused(build):
-    """Run ``build`` with the cyclic garbage collector off, and turn it back on
-    when the call returns or raises.  The bulk builders make only containers
-    that refer to no container of theirs (face and index tables, columns,
-    reduction logs), so the collector, walking them every 700 allocations,
-    finds nothing; a cycle made during the pause is freed by the first
-    collection after it.  The switch is process-wide: a caller that turned the
-    collector off keeps it off, and a nested paused call leaves it to the
-    outermost one."""
-
-    @wraps(build)
-    def paused(*args, **kwargs):
-        if not gc.isenabled():
-            return build(*args, **kwargs)
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            gc.enable()
-
-    return paused
 
 
 class Frozen:
@@ -98,6 +90,8 @@ class Ring(Frozen):
         if kind not in (_INTEGERS, _PRIME_FIELD, _RATIONALS):
             raise ValueError(f"unknown ring kind: {kind!r}")
         if kind == _PRIME_FIELD:
+            if p is not None and p >= PRIME_BOUND:
+                raise ValueError(f"PrimeField characteristic must be below {PRIME_BOUND}, got {p}")
             if p is None or not _is_prime(p):
                 raise ValueError(f"PrimeField characteristic must be prime, got {p!r}")
         elif p is not None:

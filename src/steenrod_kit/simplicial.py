@@ -20,12 +20,12 @@ tables and for the simplicial abelian groups of ``dold_kan``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .chains import Cell, ChainComplex
-from .rings import Coefficient, Ring, collector_paused
+from .rings import Coefficient, Ring
 
 # ---------------------------------------------------------------------------
 # Surjection-word calculus
@@ -90,19 +90,56 @@ def compose_face(word: Word, m: int, i: int) -> Tuple[Word, Optional[int]]:
 
 
 def all_surjection_words(m: int, n: int) -> List[Word]:
-    """All canonical words for surjections [m]↠[n] (strictly decreasing)."""
-    from itertools import combinations
-
+    """All canonical words for surjections [m]↠[n]: every strictly decreasing
+    set of m − n indices below m."""
     if n > m or n < 0:
         return []
-    if n == m:
-        return [()]
-    words = []
-    for combo in combinations(range(m), m - n):
-        word = tuple(sorted(combo, reverse=True))
-        # every strictly decreasing index set is a valid canonical word
-        words.append(word)
-    return words
+    return [combo[::-1] for combo in combinations(range(m), m - n)]
+
+
+Blocks = Dict[int, Dict[Tuple[Word, int], int]]
+
+
+def surjection_blocks(size: Dict[int, int], truncation: int) -> Blocks:
+    """The layout of the free constructions 𝔡(Y) and Γ(C): per level m up to
+    ``truncation``, the first index of each block (word, n), the ``size[n]``
+    generators of degree n over one surjection [m]↠[n], in order.  Blocks are
+    ordered by n and then by word; a block may be empty."""
+    blocks: Blocks = {}
+    for m in range(truncation + 1):
+        start, blocks[m] = 0, {}
+        for n in sorted(size):
+            for word in all_surjection_words(m, n):
+                blocks[m][word, n] = start
+                start += size[n]
+    return blocks
+
+
+def face_column(blocks: Blocks, size: Dict[int, int], m: int, i: int, missing: Callable) -> list:
+    """d_i out of level m, written a block at a time: the factorization of
+    word ∘ δ_i depends on the block only.  An onto composite word' sends the
+    block (word, n) onto block (word', n) one level down; one that misses the
+    vertex v gives ``missing(n, v, start)``, start the first index of block
+    (word', n − 1)."""
+    column: list = []
+    for word, n in blocks[m]:
+        new_word, v = compose_face(word, m, i)
+        if v is None:
+            start = blocks[m - 1][new_word, n]
+            column += range(start, start + size[n])
+        else:
+            column += missing(n, v, blocks[m - 1][new_word, n - 1])
+    return column
+
+
+def degeneracy_column(blocks: Blocks, size: Dict[int, int], m: int, i: int) -> List[int]:
+    """s_i out of level m, a block at a time: block (word, n) onto block
+    (s_i ∘ word, n) one level up."""
+    column: List[int] = []
+    for word, n in blocks[m]:
+        start = blocks[m + 1][compose_degeneracy(word, m, i), n]
+        column += range(start, start + size[n])
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +274,6 @@ class FaceTable:
                               "ds": f"identity d_{i} s_{j} failed on ({n},{idx})",
                               "ss": f"identity s_i s_j failed on ({n},{idx})"}[kind])
 
-    @collector_paused
     def chains_from_faces(
         self, ring: Ring, kept: Callable[[int], Sequence[int]], exhaustive: bool = False
     ) -> ChainComplex:
@@ -317,7 +353,6 @@ class DeltaComplex(FaceTable):
 
     # --- constructors --------------------------------------------------------
     @staticmethod
-    @collector_paused
     def from_facets(facets: Sequence[Sequence[int]], name: str = "", truncation_dim: int | None = None) -> "DeltaComplex":
         """Build the full subcomplex generated by facets of a simplicial complex.
 
@@ -438,55 +473,28 @@ class SimplicialSetPresentation(FaceTable):
 # ---------------------------------------------------------------------------
 
 
-@collector_paused
 def freely_add_degeneracies(y: DeltaComplex, truncation: int) -> SimplicialSetPresentation:
     """Adjoin free degeneracies: m-cells are (n-cell of y, surjection m↠n).
 
     Cell labels are triples (word, n, core index); faces and degeneracies are
     computed through the canonical epi-mono factorization, so the result is
-    degeneracy-free by construction.  The m-cells come in blocks, one per
-    (word, n): the n-cells of y in order over one surjection.  The
-    factorization depends on the block only, so d_i and s_i are written a
-    block at a time: onto the same cells of one block a level down (d_i with
-    an onto composite) or up (s_i), or onto the v-th faces of the cells.
+    degeneracy-free by construction.  The m-cells come in the blocks of
+    ``surjection_blocks``, one per (word, n): the n-cells of y in order over
+    one surjection.  A d_i whose composite misses the vertex v sends a block
+    onto the v-th faces of its cells.
     """
     if truncation < y.dimension:
         raise ValueError("truncation below the top cells of the core")
-    dims, size = sorted(y.cells), {n: y.n_cells(n) for n in y.cells}
-    vth_faces = {n: list(zip(*y.faces[n])) for n in dims if n}  # [v][idx]: d_v of the n-cell idx
-    cells: Dict[int, List[object]] = {}
-    base: Dict[int, Dict[Tuple[Word, int], int]] = {}  # per level, the first index of each block
-    for m in range(truncation + 1):
-        labels: List[object] = []
-        base[m] = {}
-        for n in dims:
-            for word in all_surjection_words(m, n):
-                base[m][word, n] = len(labels)
-                labels += [(word, n, idx) for idx in range(size[n])]
-        cells[m] = labels
+    size = {n: y.n_cells(n) for n in y.cells}
+    vth_faces = {n: list(zip(*y.faces[n])) for n in size if n}  # [v][idx]: d_v of the n-cell idx
+    blocks = surjection_blocks(size, truncation)
+    cells = {m: [(word, n, idx) for word, n in level for idx in range(size[n])] for m, level in blocks.items()}
 
-    def face_column(m: int, i: int) -> List[int]:
-        column: List[int] = []
-        for word, n in base[m]:
-            new_word, v = compose_face(word, m, i)
-            if v is None:
-                start = base[m - 1][new_word, n]
-                column += range(start, start + size[n])
-            else:
-                start = base[m - 1][new_word, n - 1]
-                column += [start + f for f in vth_faces[n][v]]
-        return column
-
-    def degeneracy_column(m: int, i: int) -> List[int]:
-        column: List[int] = []
-        for word, n in base[m]:
-            start = base[m + 1][compose_degeneracy(word, m, i), n]
-            column += range(start, start + size[n])
-        return column
-
-    faces = {m: list(zip(*(face_column(m, i) for i in range(m + 1)))) if m else [()] * len(labels)
-             for m, labels in cells.items()}
-    degeneracies = {m: list(zip(*(degeneracy_column(m, i) for i in range(m + 1)))) for m in range(truncation)}
+    faces_of_cells = lambda n, v, start: [start + f for f in vth_faces[n][v]]
+    faces = {m: list(zip(*(face_column(blocks, size, m, i, faces_of_cells) for i in range(m + 1))))
+             if m else [()] * len(labels) for m, labels in cells.items()}
+    degeneracies = {m: list(zip(*(degeneracy_column(blocks, size, m, i) for i in range(m + 1))))
+                    for m in range(truncation)}
     return SimplicialSetPresentation(cells, faces, degeneracies, truncation, name=y.name and f"d({y.name})")
 
 
@@ -526,13 +534,14 @@ def is_degeneracy_free(x: SimplicialSetPresentation) -> bool:
 
     The m-cells of 𝔡(Core(x)) are the labels (word, n, core cell) over the
     surjections [m]↠[n], and c applies the word to the core cell in x: the
-    labels are enumerated directly, and no presentation is built."""
+    labels are enumerated block by block, as ``surjection_blocks`` lays them
+    out, and no presentation is built."""
     core_complex, back = core(x)
     if x.truncation_dim < core_complex.dimension:
         raise ValueError("truncation below the top cells of the core")
-    for m in range(x.truncation_dim + 1):
-        images = [x.apply_word(n, idx, word) for n, olds in back.items()
-                  for word in all_surjection_words(m, n) for idx in olds]
+    blocks = surjection_blocks({n: len(olds) for n, olds in back.items()}, x.truncation_dim)
+    for m, level in blocks.items():
+        images = [x.apply_word(n, idx, word) for word, n in level for idx in back[n]]
         if len(images) != x.n_cells(m) or set(images) != set(range(x.n_cells(m))):
             return False
     return True

@@ -396,7 +396,7 @@ def _homology_integers(out_rows, in_cols, rank_here) -> HomologyDescriptor:
     return HomologyDescriptor(ZZ, m - r, torsion, reps, coord_fn)
 
 
-def homology_of_matrices(ring: Ring, boundary_out, nrows_out: int, boundary_in, rank_here: int) -> HomologyDescriptor:
+def _homology_of_columns(ring: Ring, boundary_out, nrows_out: int, boundary_in, rank_here: int) -> HomologyDescriptor:
     """ker(∂_out)/im(∂_in), from the sparse columns of both maps."""
     if not ring.is_field:
         return _homology_integers(_transpose(boundary_out, nrows_out), boundary_in, rank_here)
@@ -415,7 +415,7 @@ def _transpose(cols, nrows: int):
 
 def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     boundary_out = complex_.boundary_matrix(degree) if degree > 0 else [{} for _ in range(complex_.rank(degree))]
-    return homology_of_matrices(
+    return _homology_of_columns(
         complex_.ring,
         boundary_out,
         complex_.rank(degree - 1) if degree > 0 else 0,
@@ -427,4 +427,4 @@ def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
 def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     out_cols = _transpose(complex_.boundary_matrix(degree + 1), complex_.rank(degree))
     in_cols = _transpose(complex_.boundary_matrix(degree), complex_.rank(degree - 1)) if degree > 0 else []
-    return homology_of_matrices(complex_.ring, out_cols, complex_.rank(degree + 1), in_cols, complex_.rank(degree))
+    return _homology_of_columns(complex_.ring, out_cols, complex_.rank(degree + 1), in_cols, complex_.rank(degree))

@@ -1,7 +1,8 @@
-"""The bulk builders pause the cyclic garbage collector and always give it
-back as they found it: on after a return or a raise, off when the caller had
-turned it off, and left to the outermost of nested paused calls."""
+"""``cli.main`` pauses the cyclic garbage collector for the command it runs
+and gives it back as it found it: on after every exit code, off when the
+caller had turned it off.  The library functions leave it alone."""
 
+import ast
 import gc
 import json
 import weakref
@@ -9,14 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from steenrod_kit import documents
+from steenrod_kit import cli, documents
 from steenrod_kit.chains import Cell, ChainComplex
+from steenrod_kit.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from steenrod_kit.documents import load_complex, load_corpus
 from steenrod_kit.homology import cohomology, homology
-from steenrod_kit.rings import F2, ZZ, collector_paused
+from steenrod_kit.rings import F2, ZZ
 from steenrod_kit.simplicial import DeltaComplex, freely_add_degeneracies
 
 CIRCLE = DeltaComplex.from_facets([(0, 1), (1, 2), (0, 2)], name="circle")
+PACKAGE = Path(documents.__file__).parent
 
 
 @pytest.fixture(autouse=True)
@@ -27,13 +30,59 @@ def collector_on():
 
 
 def _corpus_path(name):
-    return Path(documents.__file__).parent / "corpus" / f"{name}.json"
+    return PACKAGE / "corpus" / f"{name}.json"
 
 
 def _not_a_complex():
     """∂₁∂₂ ≠ 0: the 2-cell's boundary is the edge, whose boundary is a vertex."""
     basis = {d: [Cell(d, ("c", d))] for d in range(3)}
     return ChainComplex(ZZ, basis, {0: [{}], 1: [{0: 1}], 2: [{0: 1}]}, 2, exhaustive=True)
+
+
+def _failing(args):
+    raise RuntimeError("a fault of the program")
+
+
+# how main ends with each exit code: (argv, handler to put in place of _cmd_info or None)
+EXITS = {
+    EXIT_OK: (["info", "--input", str(_corpus_path("circle"))], None),
+    EXIT_INPUT: (["info", "--input", str(_corpus_path("no-such-space"))], None),
+    EXIT_INTERNAL: (["info", "--input", str(_corpus_path("circle"))], _failing),
+}
+
+
+def test_a_handler_runs_with_the_collector_off(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_info", lambda args: seen.append(gc.isenabled()) or EXIT_OK)
+    assert main(["info"]) == EXIT_OK
+    assert seen == [False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("code", sorted(EXITS))
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_gives_the_collector_back_as_it_found_it(code, enabled, monkeypatch, capsys):
+    argv, handler = EXITS[code]
+    if handler is not None:
+        monkeypatch.setattr(cli, "_cmd_info", handler)
+    if not enabled:
+        gc.disable()
+    assert main(argv) == code
+    assert gc.isenabled() == enabled
+
+
+def test_a_command_starts_no_collection(capsys):
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(on_gc)
+    try:
+        assert main(["sq", "--input", str(_corpus_path("rp2"))]) == EXIT_OK
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert starts == []
 
 
 BUILDERS = {
@@ -50,20 +99,6 @@ BUILDERS = {
 def test_collector_is_on_after_a_return(name):
     assert BUILDERS[name]() is not None
     assert gc.isenabled()
-
-
-def test_builders_run_with_the_collector_off(monkeypatch):
-    seen = []
-    original = DeltaComplex.validate
-
-    def validate(self):
-        seen.append(gc.isenabled())
-        original(self)
-
-    monkeypatch.setattr(DeltaComplex, "validate", validate)
-    load_complex(_corpus_path("circle"))
-    DeltaComplex.from_facets([(0, 1)])
-    assert seen == [False, False] and gc.isenabled()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -98,23 +133,14 @@ def test_a_caller_that_turned_the_collector_off_keeps_it_off(name):
         gc.enable()
 
 
-def test_nested_paused_calls_leave_the_collector_to_the_outermost():
-    states = []
-
-    @collector_paused
-    def outer(fail):
-        states.append(gc.isenabled())
-        load_complex(_corpus_path("circle"))
-        homology(load_corpus("circle").chains(ZZ), 0)
-        states.append(gc.isenabled())  # the inner calls did not turn it back on
-        if fail:
-            raise RuntimeError("outer fails")
-        return "done"
-
-    assert outer(False) == "done" and gc.isenabled()
-    with pytest.raises(RuntimeError):
-        outer(True)
-    assert gc.isenabled() and states == [False] * 4
+def test_only_the_command_line_module_imports_gc():
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "gc" in names or (isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
 
 
 def test_a_space_and_its_complex_are_freed_without_the_collector():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from steenrod_kit.chains import Cell, Chain, ChainComplex, hom_differential
 from steenrod_kit.diagonal import DiagonalTable
-from steenrod_kit.documents import load_corpus
+from steenrod_kit.documents import corpus_names, load_corpus
 from steenrod_kit.dold_kan import (
     SimplicialAbelianGroup,
     _compose,
@@ -25,7 +25,16 @@ from steenrod_kit.dold_kan import (
 )
 from steenrod_kit.homology import homology
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
-from steenrod_kit.simplicial import SimplicialSetPresentation, freely_add_degeneracies, point_complex, standard_delta
+from steenrod_kit.simplicial import (
+    DeltaComplex,
+    SimplicialSetPresentation,
+    all_surjection_words,
+    compose_degeneracy,
+    compose_face,
+    freely_add_degeneracies,
+    point_complex,
+    standard_delta,
+)
 from steenrod_kit.suite import _random_complex
 
 
@@ -268,6 +277,75 @@ def test_gamma_level_ranks():
     # level m rank = Σ_n rank(C_n)·#{surjections [m]↠[n]}
     assert [g.rank(m) for m in range(4)] == [1, 1, 2, 4]
     assert moore_complex(g).check_dd_zero()
+
+
+def _gamma_generator_by_generator(c, truncation):
+    """Γ(C) built from the definition, one generator and one operator at a
+    time: the reference for the block builder."""
+    ring = c.ring
+    levels, index = {}, {}
+    for m in range(truncation + 1):
+        labels = []
+        for n in c.degrees():
+            for word in all_surjection_words(m, n):
+                for j in range(c.rank(n)):
+                    index[(m, word, n, j)] = len(labels)
+                    labels.append(("G", word, n, j))
+        levels[m] = labels
+    face_maps, degeneracy_maps = {}, {}
+    for m in range(truncation + 1):
+        for i in range(m + 1):
+            if m > 0:
+                images = []
+                for (_, word, n, j) in levels[m]:
+                    new_word, missing = compose_face(word, m, i)
+                    if missing is None:
+                        images.append(index[(m - 1, new_word, n, j)])
+                    elif missing == n:
+                        sign = -1 if n % 2 else 1
+                        col = {index[(m - 1, new_word, n - 1, t)]: ring.mul(sign, coeff)
+                               for t, coeff in c.boundary_matrix(n)[j].items()}
+                        unit = len(col) == 1 and ring.one in col.values()
+                        images.append(next(iter(col)) if unit else col or None)
+                    else:
+                        images.append(None)
+                if any(type(k) is dict for k in images):
+                    images = [k if type(k) is dict else {} if k is None else {k: ring.one} for k in images]
+                face_maps[(m, i)] = images
+            if m + 1 <= truncation:
+                degeneracy_maps[(m, i)] = [index[(m + 1, compose_degeneracy(word, m, i), n, j)]
+                                           for (_, word, n, j) in levels[m]]
+    return SimplicialAbelianGroup(ring, levels, face_maps, degeneracy_maps, truncation, name="gamma")
+
+
+def _assert_gamma_matches_its_definition(c):
+    top = max(c.degrees(), default=0)
+    for truncation in range(top, top + 3):
+        g, reference = gamma(c, truncation), _gamma_generator_by_generator(c, truncation)
+        assert (g.levels, g.face_maps, g.degeneracy_maps) == (
+            reference.levels, reference.face_maps, reference.degeneracy_maps)
+
+
+def _has_a_gap(c):
+    """A zero-rank degree between two nonzero ones."""
+    degrees = c.degrees()
+    return len(degrees) > 1 and len(degrees) <= degrees[-1] - degrees[0]
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F2])
+def test_block_gamma_equals_the_generator_by_generator_definition_on_random_complexes(ring):
+    rng = random.Random(7)
+    drawn = [_random_complex(rng, ring) for _ in range(12)]
+    assert any(_has_a_gap(c) for c in drawn)
+    for c in [*drawn, _sphere_complex(ring), _rp2_cellular(ring)]:
+        _assert_gamma_matches_its_definition(c)
+
+
+@pytest.mark.parametrize("name", [n for n in corpus_names() if n not in ("rp4", "counterexample")])
+def test_block_gamma_equals_the_generator_by_generator_definition_on_the_corpus(name):
+    space = load_corpus(name)
+    assert isinstance(space, DeltaComplex)
+    _assert_gamma_matches_its_definition(space.chains(ZZ))
 
 
 def test_normalized_of_gamma_recovers_the_complex():

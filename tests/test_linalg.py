@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from steenrod_kit.linalg import field_rank, homology_of_matrices, kernel, solver, sparse_smith
+from steenrod_kit.chains import Cell, ChainComplex
+from steenrod_kit.homology import homology
+from steenrod_kit.linalg import field_rank, kernel, solver, sparse_smith
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 
 
@@ -191,13 +193,25 @@ def test_span_solver():
         assert solver(raw[:1], 2, ring).solve({1: -1}) is None
 
 
+def _homology_of_columns(ring, out_cols, in_cols, rank):
+    """ker(out)/im(in) at a degree of rank ``rank``: H_1 of a complex with the
+    map out of degree 1 into degree 0 and the map into it from degree 2, the
+    columns coerced and their zeros dropped, as a complex stores them."""
+    coerced = [[{r: x for r, y in col.items() if not ring.is_zero(x := ring.coerce(y))} for col in cols]
+               for cols in (out_cols, in_cols)]
+    ranks = {0: max((r + 1 for col in out_cols for r in col), default=0), 1: rank, 2: len(in_cols)}
+    columns = {0: [{}] * ranks[0], 1: coerced[0] or [{}] * rank, 2: coerced[1]}
+    basis = {d: [Cell(d, ("b", d, k)) for k in range(size)] for d, size in ranks.items()}
+    return homology(ChainComplex(ring, basis, columns, 2, exhaustive=True), 1)
+
+
 def test_f2_engine_kernel():
     # given as it is and with raw entries: 3 ≡ −1 ≡ 1, and 2 ≡ 4 ≡ 0 is dropped
     for rows in ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[3, -1, 2], [2, 1, 3], [-1, 4, 3]]):
         # the echelon form has pivots 0 and 1; column 2 is free
         assert [_dense(v, 3) for v in kernel(_columns(rows), F2)] == [[1, 1, 1]]
         # the same matrix as the map out of a degree: H = ker, nothing comes in
-        h = homology_of_matrices(F2, [dict(enumerate(r)) for r in rows], [], 3)
+        h = _homology_of_columns(F2, [dict(enumerate(r)) for r in rows], [], 3)
         assert h.dimension == 1 and h.representatives == [[1, 1, 1]]
         assert h.coordinates([1, 1, 1]) == [1]
         assert h.coordinates([3, -1, 1]) == [1]
@@ -209,7 +223,7 @@ def test_f2_engine_image_and_coordinates():
     # the span of (1,1,0) and (0,1,1) as the image into a degree with no map out,
     # given as it is and with raw entries (the 2 and the 4 are zero entries)
     for gens in ([{0: 1, 1: 1}, {1: 1, 2: 1}], [{0: 3, 1: -1, 2: 2}, {0: 4, 1: 1, 2: -1}]):
-        h = homology_of_matrices(F2, [], gens, 3)
+        h = _homology_of_columns(F2, [], gens, 3)
         assert h.dimension == 1 and h.representatives == [[0, 0, 1]]
         assert h.coordinates([1, 0, 1]) == [0]  # the sum of both generators
         assert h.coordinates([1, 0, 0]) == [1]  # outside the span
@@ -218,13 +232,13 @@ def test_f2_engine_image_and_coordinates():
 
 def test_engine_image_and_coordinates_over_an_odd_field():
     # a degree of rank 2 with boundaries spanned by (1, 2): one class, at column 1
-    h = homology_of_matrices(F5, [], [{0: 1, 1: 2}], 2)
+    h = _homology_of_columns(F5, [], [{0: 1, 1: 2}], 2)
     assert h.representatives == [[0, 1]]
     assert h.coordinates([3, 1]) == [0]  # 3·(1, 2) = (3, 6) ≡ (3, 1) mod 5
     assert h.coordinates([3, 2]) == [1]  # (3, 1) + (0, 1)
     # over 𝔽₃, given as it is and with raw entries: 4 ≡ 1, −1 ≡ 2
     for col in ({0: 1, 1: 2}, {0: 4, 1: -1}):
-        h = homology_of_matrices(F3, [], [col], 2)
+        h = _homology_of_columns(F3, [], [col], 2)
         assert h.representatives == [[0, 1]]
         assert h.coordinates([2, 1]) == h.coordinates([-1, 4]) == [0]  # 2·(1, 2) ≡ (2, 1)
         assert h.coordinates([2, 2]) == h.coordinates([-1, -1]) == [1]

@@ -24,7 +24,7 @@ def test_scale_rung_times_each_command_in_its_own_process():
     assert [r["command"] for r in rows] == ["info", "sq --i 1 --p 1", "homology --ring f2"]
     for r in rows:
         assert r["space"] == "rp2" and r["exit"] == 0 and r["process_exit"] == 0
-        assert 0 <= r["gc_s"] <= r["wall_s"] and len(r["collections"]) == 3 and r["peak_rss_mb"] > 0
+        assert r["wall_s"] > 0 and r["peak_rss_mb"] > 0 and not {"gc_s", "collections"} & set(r)
         # the whole python -m process includes the interpreter start and the import
         assert r["process_wall_s"] > r["wall_s"] and r["process_peak_rss_mb"] > 0 and "process_mismatch" not in r
     assert "cells per dimension: {0: 13, 1: 36, 2: 24}" in rows[0]["output"]

@@ -12,10 +12,8 @@ importing the package from DIR (default: this checkout's ``src``).
 
 Prints one JSON line per command:
 
-* ``wall_s``: seconds inside ``cli.main``;
-* ``gc_s`` and ``collections``: seconds inside the cyclic garbage collector
-  during ``cli.main``, and its collections per generation (young, middle,
-  full), from ``gc.callbacks``;
+* ``wall_s``: seconds inside ``cli.main``, which runs the command with the
+  cyclic garbage collector off;
 * ``peak_rss_mb``: the process's peak resident set, from ``os.wait4``;
 * ``exit`` and ``output``: the command's exit code and what it printed;
 * ``process_wall_s`` and ``process_peak_rss_mb``: the whole ``python -m``
@@ -50,28 +48,17 @@ from steenrod_kit.simplicial import DeltaComplex  # noqa: E402
 
 # runs in the fresh process: argv is the CLI's
 CHILD = r"""
-import gc, io, json, sys, time
+import io, json, sys, time
 from contextlib import redirect_stdout
-
-spent, counts, started = [0.0], [0, 0, 0], [0.0]
-
-def on_gc(phase, info):
-    if phase == "start":
-        started[0] = time.perf_counter()
-    else:
-        spent[0] += time.perf_counter() - started[0]
-        counts[info["generation"]] += 1
 
 import steenrod_kit.cli as cli
 
 out = io.StringIO()
-gc.callbacks.append(on_gc)
 start = time.perf_counter()
 with redirect_stdout(out):
     code = cli.main(sys.argv[1:])
 wall = time.perf_counter() - start
-gc.callbacks.remove(on_gc)
-print(json.dumps({"exit": code, "wall_s": wall, "gc_s": spent[0], "collections": counts, "output": out.getvalue()}))
+print(json.dumps({"exit": code, "wall_s": wall, "output": out.getvalue()}))
 """
 
 
