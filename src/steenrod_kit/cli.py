@@ -229,8 +229,18 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # a command builds no cycle worth a collection: see README, "Garbage collector";
+    # the pause covers argument parsing too, whose regex compiles allocate enough to start one
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _dispatch(_build_parser().parse_args(argv))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _dispatch(args) -> int:
     handlers = {
         "diag": _cmd_diag,
         "sq": _cmd_sq,
@@ -238,8 +248,6 @@ def main(argv: Optional[list] = None) -> int:
         "info": _cmd_info,
         "verify": _cmd_verify,
     }
-    enabled = gc.isenabled()
-    gc.disable()  # a command builds no cycle worth a collection: see README, "Garbage collector"
     try:
         return handlers[args.command](args)
     except ValueError as exc:
@@ -250,9 +258,6 @@ def main(argv: Optional[list] = None) -> int:
     except Exception as exc:  # a fault of the program: one line, no traceback, its own code
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def run() -> None:

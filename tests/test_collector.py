@@ -5,6 +5,7 @@ caller had turned it off.  The library functions leave it alone."""
 import ast
 import gc
 import json
+import re
 import weakref
 from pathlib import Path
 
@@ -70,6 +71,15 @@ def test_main_gives_the_collector_back_as_it_found_it(code, enabled, monkeypatch
     assert gc.isenabled() == enabled
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_an_argument_error_gives_the_collector_back(enabled, capsys):
+    if not enabled:
+        gc.disable()
+    with pytest.raises(SystemExit):
+        main(["sq", "--no-such-option"])
+    assert gc.isenabled() == enabled
+
+
 def test_a_command_starts_no_collection(capsys):
     starts = []
 
@@ -77,6 +87,7 @@ def test_a_command_starts_no_collection(capsys):
         if phase == "start":
             starts.append(info["generation"])
 
+    re.purge()  # argparse compiles its patterns anew, as in a fresh process
     gc.callbacks.append(on_gc)
     try:
         assert main(["sq", "--input", str(_corpus_path("rp2"))]) == EXIT_OK
