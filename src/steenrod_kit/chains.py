@@ -288,13 +288,21 @@ def render_chain(chain: Chain) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _RingColumns(dict):
+    """Boundary columns per degree whose entries are already nonzero elements
+    of the complex's ring, as the builders in ``simplicial`` write them: a
+    ``ChainComplex`` keeps them without coercing each entry again."""
+
+
 class ChainComplex:
     """A nonnegatively graded free complex with explicit basis per degree.
 
     The boundary is stored only as index columns: ``boundary_matrix(n)[j]``
     is ∂ of the j-th basis element of degree n, as ``{row: coefficient}``
-    over the basis of degree n−1 (nonzero ring elements only), and the
-    constructor keeps the given columns as they are.  ``boundary_of_basis``
+    over the basis of degree n−1.  The constructor coerces every given entry
+    into the ring and drops the zeros, once, so the stored columns hold
+    nonzero ring elements only; columns given as ``_RingColumns`` already do
+    and are kept as they are.  ``boundary_of_basis``
     reads a column back as a Chain.  The basis objects of a degree may be
     built only when a Chain-level method (``basis_in``, ``index_of``,
     ``boundary_of_basis``) first asks for them.
@@ -322,6 +330,9 @@ class ChainComplex:
         else:
             self._basis = {n: self._checked(n, elems) for n, elems in basis.items() if elems}
             self._ranks = {n: len(elems) for n, elems in self._basis.items()}
+        if not isinstance(columns, _RingColumns):
+            coerce = ring.coerce
+            columns = {n: [{i: y for i, x in col.items() if (y := coerce(x))} for col in columns[n]] for n in self._ranks}
         self._columns = {n: columns[n] for n in self._ranks}
         self.truncation_dim = truncation_dim
         # data computed from the complex, e.g. (co)homology per degree, kept

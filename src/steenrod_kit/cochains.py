@@ -28,7 +28,8 @@ from .simplicial import DeltaComplex
 
 class Cochain:
     """A linear functional on one degree of a complex, kept as its values in
-    basis order: entry k is the value on the k-th basis element."""
+    basis order: entry k is the value on the k-th basis element, a coerced
+    ring element, so falsy exactly when it is zero."""
 
     def __init__(self, complex_: ChainComplex, degree: int, values: Dict[object, Coefficient]):
         """The functional with the given values on basis elements (missing
@@ -73,13 +74,13 @@ class Cochain:
         ring, complex_ = self.ring, self.complex
         out = [ring.zero] * complex_.rank(self.degree + 1)
         for x, col in zip(self._vector, complex_.coboundary_matrix(self.degree)):
-            if not ring.is_zero(x):
+            if x:
                 for k, c in col.items():
                     out[k] = ring.add(out[k], ring.mul(x, c))
         return Cochain._wrap(complex_, self.degree + 1, out)
 
     def is_cocycle(self) -> bool:
-        return all(map(self.ring.is_zero, self.coboundary()._vector))
+        return not any(self.coboundary()._vector)
 
     def __add__(self, other: "Cochain") -> "Cochain":
         return Cochain._wrap(self.complex, self.degree, list(map(self.ring.add, self._vector, other._vector)))
@@ -120,7 +121,7 @@ def cup_i(
     out = [ring.zero] * space.n_cells(n)
     for a, b, c in terms:
         for k, x, y in zip(range(len(out)), map(u._vector.__getitem__, faces[a]), map(v._vector.__getitem__, faces[b])):
-            if not (ring.is_zero(x) or ring.is_zero(y)):
+            if x and y:
                 out[k] = ring.add(out[k], ring.mul(c, ring.mul(x, y)))
     sign = ring.coerce(-1 if (p * q) % 2 else 1)  # (−1)^{deg v·deg a} with deg a = p
     return Cochain._wrap(u.complex, n, [ring.mul(x, sign) for x in out])

@@ -18,9 +18,13 @@ from .linalg import HomologyDescriptor, field_homology, integer_homology, reduce
 
 def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
     """The field engine relies on ∂_degree ∘ ∂_{degree+1} = 0 without
-    checking it."""
-    if not complex_.composes_to_zero(degree):
-        raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
+    checking it: checked here once per complex and degree, for homology and
+    cohomology alike."""
+    key = ("dd_zero", degree)
+    if key not in complex_.derived:
+        if not complex_.composes_to_zero(degree):
+            raise ArithmeticError("boundary image escaped the cycle space (∂²≠0?)")
+        complex_.derived[key] = True
 
 
 def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:

@@ -10,16 +10,20 @@ Every field computation (kernels, ranks, span solves, (co)homology) runs on
 ``_reduce``, which reduces vectors (dicts ``{index: nonzero entry}``, over
 𝔽₂ as over every field) left to right by the pivots of the earlier ones;
 over ℚ an entry is an int, as ``Ring.coerce`` gives it, until a pivot's
-inverse makes it a fraction.  Entries are coerced once, where vectors come
-in from outside (``_pack``); a complex's stored columns already hold nonzero
-field elements and are only copied.  Kernels reduce the columns of a map by
-highest-index pivots (the persistence order) and log each step, which yields
-the canonical kernel vector of each column that reduces to zero; ranks use
-the same order; images and span solves use lowest-index pivots.
-(Co)homology clears (Chen–Kerber's twist): the columns of the map out of a
-degree at the pivot rows of the map into it are known to reduce to zero and
-are skipped, and a class on one of them gets its log by reducing that column
-alone against the final pivots.
+inverse makes it a fraction, and over 𝔽₂ every entry is 1, so a vector
+update is a symmetric difference of supports.  Entries are coerced once,
+where vectors come in from outside (``_pack``); a ``ChainComplex`` coerces
+its columns when it is built, so they are only copied.  Kernels reduce the
+columns of a map by highest-index pivots (the persistence order) and log
+each step, which yields the canonical kernel vector of each column that
+reduces to zero; ranks use the same order; span solves use lowest-index
+pivots.  (Co)homology clears (Chen–Kerber's twist): the columns of the map
+out of a degree at the pivot rows of the map into it are known to reduce to
+zero and are skipped, and a class on one of them gets its log by reducing
+that column alone against the final pivots.  The image is not reduced a
+second time: the pivots of the map into the degree are triangular, and one
+upward pass over them solves for the image's annihilator, from which the
+classes and the coordinates are read (``field_homology``).
 
 ``kernel`` and ``solver`` choose the engine from the ring, so callers never
 do: both take a matrix as sparse columns and give sparse vectors back.
@@ -43,7 +47,15 @@ SparseVector = Dict[int, int]
 
 def _axpy(dst: SparseVector, src: SparseVector, k: int, p: Optional[int] = None) -> SparseVector:
     """dst += k·src in place (mod p when p is given), dropping entries that
-    cancel; k is nonzero (mod p)."""
+    cancel; k is nonzero (mod p).  Over 𝔽₂ every stored entry is 1, so the
+    support changes by symmetric difference."""
+    if p == 2:
+        for j in src:
+            if j in dst:
+                del dst[j]
+            else:
+                dst[j] = 1
+        return dst
     for j, y in src.items():
         z = dst.get(j, 0) + k * y
         if p:
@@ -306,16 +318,6 @@ def _lead_past(v: Dict[int, Coefficient], i: int, step: int, lead) -> Optional[i
     return lead(v) if v else None
 
 
-def _clear(ring: Ring, v: Dict[int, Coefficient], pivots: Sequence[Tuple[int, list]]) -> Dict[int, Coefficient]:
-    """v reduced in place to zero at each pivot of the ascending lowest-index
-    (row, pivot) pairs."""
-    for i, hit in pivots:
-        x = v.get(i)
-        if x:
-            _axpy(v, hit[1], -_pivot_factor(ring, x, hit, i), ring.p)
-    return v
-
-
 def _kernel_vector(ring: Ring, logs: List[list], f: int) -> Dict[int, Coefficient]:
     """V_f for a vector f that reduced to zero, where V_k = e_k − Σ c·V_j over
     the log of k: 1 at f, support in f and the earlier pivots, zero image.
@@ -417,7 +419,10 @@ class _EchelonSolver:
 
     def solve(self, b: Dict[int, Coefficient]) -> Optional[Dict[int, Coefficient]]:
         ring, nrows = self.ring, self.nrows
-        work = _clear(ring, _pack(ring, b.items()), self._pivots)
+        work = _pack(ring, b.items())
+        for i, hit in self._pivots:  # ascending: each step clears entry i and changes only later ones
+            if x := work.get(i):
+                _axpy(work, hit[1], -_pivot_factor(ring, x, hit, i), ring.p)
         if work and min(work) < nrows:
             return None
         return {j - nrows: ring.coerce(ring.neg(x)) for j, x in sorted(work.items())}
@@ -505,38 +510,51 @@ class HomologyDescriptor:
 def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> HomologyDescriptor:
     """Homology over a field from ``reduce_columns`` of the out-map (its
     pivots and logs, cleared by the in-map's pivot rows) and the in-map's
-    pivots.  The in-map's pivots are consumed: the dict is emptied once the
-    image has been read off it."""
+    pivots, read off the image's annihilator in one pass.
+
+    A cycle is determined by its entries at the free columns F of the
+    out-map.  Each reduced in-column w_h is a boundary whose highest entry is
+    at its pivot row h ∈ F (clearing skipped that column), and the rest E of
+    F has dim H elements.  ``row[e]`` is the unit vector of e ∈ E in K^E;
+    upward over the in-pivots, ``row[h]`` solves Σ w_h[i]·row[i] = 0, entries
+    off F counting as 0.  So z ↦ Σ z_i·row[i] maps the cycles onto K^E with
+    the image as its kernel, at a cost of Σ_h Σ_{i∈w_h} |row[i]|.  A free
+    column is a class when its row is independent of the rows above it, that
+    is when it is off the image's lowest-index pivots, and the coordinates of
+    a cycle express its image in the classes' rows."""
     missing = rank_here - len(out_cols)  # missing columns are zero
     if missing > 0:
         out_cols, logs = [*out_cols, *[{}] * missing], logs + [[]] * missing
-    # the columns in the span of the earlier ones are the free columns of the
-    # lowest-index row echelon form; a cycle is determined by its entries there
-    free = _free_columns(out_pivots, rank_here)
-    keep = set(free)
-    # the image in kernel coordinates, by lowest-index pivots (an invariant of the
-    # span): the reduced independent columns span it, and right to left fill in
-    # least; each is restricted, and let go, before the reduction starts
-    image_input = [{i: x for i, x in w.items() if i in keep}
-                   for _, w, _ in sorted(in_pivots.values(), key=lambda hit: hit[0])]
-    in_pivots.clear()
-    image = _reduce(ring, (image_input.pop() for _ in range(len(image_input))))
-    classes = [f for f in free if f not in image]
+    free = set(_free_columns(out_pivots, rank_here))
+    if not in_pivots.keys() <= free:
+        raise ArithmeticError("a boundary's pivot row is not a free column (∂²≠0?)")
+    row = {f: {f: ring.one} for f in free - in_pivots.keys()}  # the nonzero rows only
+    for h, hit in sorted(in_pivots.items()):
+        w, acc = hit[1], {}
+        for i in w.keys() & row.keys():  # i < h, free, with a nonzero row
+            _axpy(acc, row[i], -_pivot_factor(ring, w[i], hit, h), ring.p)
+        if acc:
+            row[h] = acc
+    order = sorted(row, reverse=True)
+    classes = sorted(order[k] for k, _, _ in _reduce(ring, (dict(row[i]) for i in order)).values())
     for f in classes:
         if out_cols[f] and not logs[f]:  # a nonzero column that clearing skipped
             logs[f] = _replay(ring, dict(out_cols[f]), out_pivots)
     reps = [[v.get(j, ring.zero) for j in range(rank_here)] for v in (_kernel_vector(ring, logs, f) for f in classes)]
-    ascending = sorted(image.items())
+    solve = solver([row[f] for f in classes], rank_here, ring).solve
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:
         total: Dict[int, Coefficient] = {}
+        image: Dict[int, Coefficient] = {}
         for j, x in enumerate(cycle):
             if y := ring.coerce(x):
                 _axpy(total, out_cols[j], y, ring.p)
+                if j in row:
+                    _axpy(image, row[j], y, ring.p)
         if total:
             return None
-        y = _clear(ring, _pack(ring, ((j, x) for j, x in enumerate(cycle) if j in keep)), ascending)
-        return [ring.coerce(y.get(f, 0)) for f in classes]
+        x = solve(image)
+        return [x.get(k, 0) for k in range(len(classes))]
 
     return HomologyDescriptor(ring, len(classes), [], reps, coord_fn)
 

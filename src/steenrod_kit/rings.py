@@ -7,8 +7,8 @@ prime-field elements are ``int``s; a rational is an ``int`` when it is whole
 (``zero``, ``one``, ``coerce`` and ``inv`` return one whenever they can,
 since int arithmetic is many times faster) and a ``fractions.Fraction`` only
 when a division made it non-whole.  ``inv`` is the only division, and
-``fractions`` (with ``decimal``) is imported only when ℚ divides or a
-non-int is coerced.
+``fractions`` (with ``decimal``) is imported only when ℚ divides by other
+than ±1 or a non-int is coerced.
 """
 
 from __future__ import annotations
@@ -176,11 +176,11 @@ class Ring(Frozen):
             raise ZeroDivisionError("inverse of zero")
         if self.kind == _PRIME_FIELD:
             return pow(a, -1, self.p)
+        if a == 1 or a == -1:
+            return a
         if self.kind == _RATIONALS:
             import fractions
             return self.coerce(fractions.Fraction(1) / a)
-        if a in (1, -1):
-            return a
         raise ZeroDivisionError(f"{a} is not a unit in the integers")
 
     def is_zero(self, a: Coefficient) -> bool:

@@ -24,7 +24,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .chains import Cell, ChainComplex
+from .chains import Cell, ChainComplex, _RingColumns
 from .rings import Coefficient, Ring
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ class FaceTable:
         over the name and the kept indices: one over the table, which keeps
         its complex, would be a cycle only the cyclic collector frees."""
         kept_cells: Dict[int, Sequence[int]] = {}
-        columns: Dict[int, List[Dict[int, Coefficient]]] = {}
+        columns: Dict[int, List[Dict[int, Coefficient]]] = _RingColumns()
         rows: Dict[int, Optional[List[Optional[int]]]] = {}  # per cell its row or None; None: all kept
         for n in sorted(self.cells):
             indices, table, lower = kept(n), self.faces[n], rows.get(n - 1)
@@ -296,15 +296,20 @@ class FaceTable:
             # the signed sums that occur, each coerced once
             value = {s: c for s in range(-n - 1, n + 2) if not ring.is_zero(c := ring.coerce(s))}
             signs = [value[-1 if i & 1 else 1] for i in range(n + 1)]
-            faces = [table[idx] if lower is None else [lower[f] for f in table[idx]] for idx in indices]
+            if lower is None:
+                faces = table if rows[n] is None else [table[idx] for idx in indices]
+            else:
+                faces = [[lower[f] for f in table[idx]] for idx in indices]
             # distinct kept faces (the rule on simplicial complexes): one dict() each
             cols = [dict(zip(fs, signs)) for fs in faces]
-            for k in [k for k, col in enumerate(cols) if len(col) < len(faces[k]) or None in col]:
-                col = {}
-                for i, r in enumerate(faces[k]):
-                    if r is not None:
-                        col[r] = col.get(r, 0) + (-1 if i & 1 else 1)
-                cols[k] = {r: value[s] for r, s in col.items() if s in value}
+            # a column lost an entry to a repeated face, or may hold a face quotiented away
+            if lower is not None or sum(map(len, cols)) < sum(map(len, faces)):
+                for k in [k for k, col in enumerate(cols) if len(col) < len(faces[k]) or None in col]:
+                    col = {}
+                    for i, r in enumerate(faces[k]):
+                        if r is not None:
+                            col[r] = col.get(r, 0) + (-1 if i & 1 else 1)
+                    cols[k] = {r: value[s] for r, s in col.items() if s in value}
             columns[n] = cols
 
         name = self.name

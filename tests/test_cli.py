@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from steenrod_kit import cli, documents, homology as homology_module, linalg, rings
 from steenrod_kit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from steenrod_kit.documents import load_corpus, save_complex
+from steenrod_kit.simplicial import DeltaComplex
 
 CORPUS = Path(documents.__file__).parent / "corpus"
 XI_E1_DELTA2 = "xi(e1 ⊗ [0,1,2]) = -[0,1,2]⊗[0,1] - [0,1,2]⊗[1,2] + [0,2]⊗[0,1,2]\n"
@@ -118,7 +120,7 @@ def test_sq_on_rp4_reduces_each_coboundary_map_once(capsys, monkeypatch):
 
 def test_sq_on_rp4_inverts_only_the_pivots_that_eliminate(capsys, monkeypatch):
     # a pivot's inverse is computed when it first clears an entry, once: of the
-    # 5,518 pivots the reductions make, 2,338 ever do
+    # 4,203 pivots the reductions make, 1,375 ever do
     made, inversions = [], Counter()
     reduce, inv = linalg._reduce, rings.Ring.inv
     monkeypatch.setattr(linalg, "_reduce", lambda *args, **kw: made.extend((pivots := reduce(*args, **kw)).values()) or pivots)
@@ -126,8 +128,8 @@ def test_sq_on_rp4_inverts_only_the_pivots_that_eliminate(capsys, monkeypatch):
     assert main(["sq", "--input", str(CORPUS / "rp4.json"), "--i", "1", "--p", "1", "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["squares"] == [{"i": 1, "p": 1, "matrix": [[1]]}]
     inverted = sum(hit[2] is not None for hit in made)
-    assert len(made) == 5518
-    assert inversions == {rings.F2: inverted} and inverted == 2338
+    assert len(made) == 4203
+    assert inversions == {rings.F2: inverted} and inverted == 1375
 
 
 @pytest.mark.parametrize(
@@ -417,6 +419,26 @@ def test_a_command_imports_only_the_modules_it_runs():
     assert not {"dataclasses", "inspect", "fractions", "decimal", "steenrod_kit.suite", "steenrod_kit.dold_kan"} & set(
         loaded["sq"]
     )
+
+
+def test_rational_homology_of_a_klein_bottle_divides_by_no_fraction(tmp_path):
+    # the pivots of the 6×6 grid's boundary maps are ±1, which Ring.inv inverts as ints
+    spec = importlib.util.spec_from_file_location("make_corpus", Path(__file__).parents[1] / "tools" / "make_corpus.py")
+    make_corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_corpus)
+    save_complex(DeltaComplex.from_facets(make_corpus.klein_facets(6), name="klein6"), tmp_path / "klein6.json")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import io, json, sys; from contextlib import redirect_stdout; sys.path.insert(0, sys.argv[1])\n"
+        "import steenrod_kit.cli as cli\n"
+        "with redirect_stdout(io.StringIO()) as out: code = cli.main(sys.argv[2:])\n"
+        "print(json.dumps([code, out.getvalue(), [m for m in ('fractions', 'decimal') if m in sys.modules]]))\n"
+    )
+    argv = [sys.executable, "-S", "-c", script, src, "homology", "--input", str(tmp_path / "klein6.json"), "--ring", "q"]
+    run = subprocess.run(argv, capture_output=True, text=True, timeout=120, check=True)
+    code, out, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert code == EXIT_OK and loaded == []
+    assert out.splitlines() == ["H_0 = Q^1", "H_1 = Q^1", "H_2 = Q^0"]
 
 
 def _entry(*argv):

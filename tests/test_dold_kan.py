@@ -209,6 +209,14 @@ def _rp2_cellular(ring):
     return ChainComplex(ring, basis, {0: [{}], 1: [{}], 2: [{0: 2}]}, 3)
 
 
+def test_the_complex_coerces_its_columns_into_its_ring():
+    # ∂₂ = 2 is zero over 𝔽₂, so H₁ = H₂ = 𝔽₂ (universal coefficients on ℤ, ℤ/2, 0)
+    cx = _rp2_cellular(F2)
+    assert cx.boundary_matrix(2) == [{}]
+    assert [str(homology(cx, n)) for n in range(3)] == ["F2^1", "F2^1", "F2^1"]
+    assert [str(homology(_rp2_cellular(ZZ), n)) for n in range(3)] == ["Z", "Z/2", "0"]
+
+
 @pytest.mark.parametrize("build", [
     lambda: free_simplicial_abelian(freely_add_degeneracies(load_corpus("circle"), 3), ZZ, pointed=True),
     lambda: gamma(_rp2_cellular(ZZ), 3),

@@ -96,6 +96,20 @@ def test_engines_agree_on_relabelings(name, seeds, ring):
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
+@pytest.mark.parametrize("name", ["klein", "torus"])
+def test_engines_agree_on_many_classes(name, ring):
+    """The 1-skeleton of a relabeled surface: dim H₁ = dim H¹ = E − V + 1,
+    and H¹ reads its classes and coordinates past the V − 1 boundaries."""
+    edges = _relabeled(name, 5).cells[1]
+    space = DeltaComplex.from_facets(edges, name=f"{name}-1")
+    complex_ = space.chains(ring)
+    assert engine.cohomology(complex_, 1).dimension == len(edges) - complex_.rank(0) + 1 >= 10
+    rng = random.Random(name)
+    for degree in (0, 1):
+        _assert_engines_agree(complex_, degree, rng)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_engines_agree_in_any_request_order(ring, monkeypatch):
     """The groups of one complex asked for in descending degree order and in
     a seeded shuffle: however the reductions were shared and cleared, the

@@ -112,6 +112,20 @@ def test_groups_are_computed_once_per_complex_and_degree():
     assert homology(cx, 1) is not cohomology(cx, 1)
 
 
+@pytest.mark.parametrize("ring", [ZZ, F2, QQ], ids=str)
+def test_boundary_squared_is_checked_once_per_degree(ring, monkeypatch):
+    checked = []
+    composes_to_zero = ChainComplex.composes_to_zero
+    monkeypatch.setattr(ChainComplex, "composes_to_zero", lambda cx, n: checked.append(n) or composes_to_zero(cx, n))
+    cx = load_corpus("rp2").chains(ring)
+    homology(cx, 1)
+    cohomology(cx, 1)
+    assert checked == [1]
+    cohomology(cx, 0)
+    homology(cx, 0)
+    assert checked == [1, 0]
+
+
 @pytest.mark.parametrize("ring", [ZZ, F2, F3, QQ], ids=str)
 def test_nonzero_boundary_squared_is_an_error(ring):
     a, b, c = Cell(0, "a"), Cell(1, "b"), Cell(2, "c")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 from steenrod_kit.chains import Cell, ChainComplex
 from steenrod_kit.homology import homology
-from steenrod_kit.linalg import field_rank, kernel, solver, sparse_smith
+from steenrod_kit.linalg import field_homology, field_rank, kernel, reduce_columns, solver, sparse_smith
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 
 
@@ -196,11 +196,9 @@ def test_span_solver():
 def _homology_of_columns(ring, out_cols, in_cols, rank):
     """ker(out)/im(in) at a degree of rank ``rank``: H_1 of a complex with the
     map out of degree 1 into degree 0 and the map into it from degree 2, the
-    columns coerced and their zeros dropped, as a complex stores them."""
-    coerced = [[{r: x for r, y in col.items() if not ring.is_zero(x := ring.coerce(y))} for col in cols]
-               for cols in (out_cols, in_cols)]
+    columns given with raw entries, which the complex coerces."""
     ranks = {0: max((r + 1 for col in out_cols for r in col), default=0), 1: rank, 2: len(in_cols)}
-    columns = {0: [{}] * ranks[0], 1: coerced[0] or [{}] * rank, 2: coerced[1]}
+    columns = {0: [{}] * ranks[0], 1: out_cols or [{}] * rank, 2: in_cols}
     basis = {d: [Cell(d, ("b", d, k)) for k in range(size)] for d, size in ranks.items()}
     return homology(ChainComplex(ring, basis, columns, 2, exhaustive=True), 1)
 
@@ -228,6 +226,14 @@ def test_f2_engine_image_and_coordinates():
         assert h.coordinates([1, 0, 1]) == [0]  # the sum of both generators
         assert h.coordinates([1, 0, 0]) == [1]  # outside the span
         assert h.coordinates([-1, 2, 3]) == [0]
+
+
+def test_field_homology_refuses_a_boundary_pivot_on_a_pivot_column():
+    # the out-map reduced without clearing: its column 0, the in-map's pivot row, is not free
+    in_pivots, logs = reduce_columns(F2, [{0: 1}]), []
+    out_pivots = reduce_columns(F2, [{0: 1}], logs=logs)
+    with pytest.raises(ArithmeticError, match="not a free column"):
+        field_homology(F2, [{0: 1}], 1, out_pivots, logs, in_pivots)
 
 
 def test_engine_image_and_coordinates_over_an_odd_field():
