@@ -299,7 +299,8 @@ class ChainComplex:
 
     The boundary is stored only as index columns: ``boundary_matrix(n)[j]``
     is ∂ of the j-th basis element of degree n, as ``{row: coefficient}``
-    over the basis of degree n−1.  The constructor coerces every given entry
+    over the basis of degree n−1.  The constructor refuses a degree whose
+    column list is not as long as its basis, and coerces every given entry
     into the ring and drops the zeros, once, so the stored columns hold
     nonzero ring elements only; columns given as ``_RingColumns`` already do
     and are kept as they are.  ``boundary_of_basis``
@@ -330,6 +331,9 @@ class ChainComplex:
         else:
             self._basis = {n: self._checked(n, elems) for n, elems in basis.items() if elems}
             self._ranks = {n: len(elems) for n, elems in self._basis.items()}
+        for n in sorted({*self._ranks, *columns}):
+            if (given := len(columns.get(n, ()))) != self.rank(n):
+                raise ValueError(f"degree {n} has {self.rank(n)} basis elements but {given} columns")
         if not isinstance(columns, _RingColumns):
             coerce = ring.coerce
             columns = {n: [{i: y for i, x in col.items() if (y := coerce(x))} for col in columns[n]] for n in self._ranks}
@@ -337,7 +341,7 @@ class ChainComplex:
         self.truncation_dim = truncation_dim
         # data computed from the complex, e.g. (co)homology per degree, kept
         # by the modules that compute it so that every holder shares it
-        self.derived: Dict[Tuple[str, int], object] = {}
+        self.derived: Dict[tuple, object] = {}
         self._index: Dict[BasisElement, int] | None = None
 
     @staticmethod

@@ -150,7 +150,7 @@ def _cmd_sq(args) -> int:
         for i in squares:
             if p + i > top:
                 continue
-            matrix = sq_matrix(i, p, space, F2, table)
+            matrix = sq_matrix(i, p, space, table)
             results.append({"i": i, "p": p, "matrix": matrix})
     if args.json:
         print(json.dumps({"space": space.name, "squares": results}))

@@ -22,7 +22,7 @@ from .chains import ChainComplex
 from .diagonal import DiagonalTable
 from .homology import cohomology
 from .linalg import HomologyDescriptor
-from .rings import Coefficient, Ring
+from .rings import F2, Coefficient, Ring
 from .simplicial import DeltaComplex
 
 
@@ -158,18 +158,13 @@ def steenrod_square(
     return square, coords
 
 
-def sq_matrix(
-    i: int,
-    p: int,
-    space: DeltaComplex,
-    ring: Ring,
-    table: DiagonalTable,
-) -> List[List[Coefficient]]:
-    """The matrix of Sq^i: H^p → H^{p+i} (columns = images of the chosen basis).
+def sq_matrix(i: int, p: int, space: DeltaComplex, table: DiagonalTable) -> List[List[Coefficient]]:
+    """The matrix of Sq^i: H^p(space; 𝔽₂) → H^{p+i} (columns = images of the
+    chosen basis).
 
     The chain complex and both cohomology groups are the ones memoized on
     ``space``, shared with every other caller."""
-    complex_ = space.chains(ring)
+    complex_ = space.chains(F2)
     source = cohomology(complex_, p)
     target = cohomology(complex_, p + i)
     columns = []

@@ -99,14 +99,6 @@ def aw_diagonal(simplex: Simplex, ring: Ring = ZZ) -> Chain:
     return _entries_to_chain(kernel.aw(simplex.vertices), ring, simplex.degree)
 
 
-def xi_standard(b: BarElement, k: int, table: DiagonalTable, ring: Ring = ZZ) -> Chain:
-    """ξ(b⊗Δ^k) on the standard simplex; zero when the bar level exceeds k."""
-    chain = _entries_to_chain(table.raw(b.level, k), ring, b.level + k)
-    if b.twist:
-        chain = twist_act(chain)
-    return chain
-
-
 def xi_simplex(b: BarElement, simplex: Simplex, table: DiagonalTable, ring: Ring = ZZ) -> Chain:
     """ξ(b⊗σ) for a vertex-list simplex (weakly increasing labels).
 
@@ -130,8 +122,7 @@ def xi_cell(b: BarElement, space, n: int, idx: int, table: DiagonalTable, ring: 
     ``space`` must provide ``iterated_face(n, idx, keep)`` and
     ``basis_cell(n, idx)``.  This is the colimit extension: each standard
     term [i₀..i_s]⊗[j₀..j_t] becomes (face of σ keeping i's)⊗(face keeping
-    j's).  Works for delta-complexes, simplicial-set presentations, and the
-    free simplicial abelian groups built on them.
+    j's).  Works for delta-complexes and simplicial-set presentations.
     """
     acc: Dict[BasisElement, Coefficient] = {}
     for (a, bb), coeff in table.raw(b.level, n).items():
@@ -170,22 +161,24 @@ def _tensor_boundary(entries: RawEntries) -> RawEntries:
     return out
 
 
-def chain_map_defect(n: int, k: int, table: DiagonalTable) -> RawEntries:
-    """∂ξ(e_n⊗Δ^k) − ξ(∂e_n⊗Δ^k) − (−1)ⁿ ξ(e_n⊗∂Δ^k); empty iff satisfied."""
-    simplex = tuple(range(k + 1))
-    lhs = _tensor_boundary(table.raw(n, k))
-    rhs: RawEntries = {}
+def _defect(n: int, k: int, table: DiagonalTable, swap) -> RawEntries:
+    """∂(S·ξ(e_n⊗Δ^k)) − S·ξ(∂e_n⊗Δ^k) − (−1)ⁿ S·ξ(e_n⊗∂Δ^k), where S is
+    ``swap`` applied to each value of ξ; empty iff satisfied."""
+    defect = _tensor_boundary(swap(table.raw(n, k)))
     if n > 0:
         plain, twisted = bar_boundary_coefficients(n)
-        lower = kernel.pushforward(table.raw(n - 1, k), simplex)
-        kernel.add_into(rhs, lower, plain)
-        kernel.add_into(rhs, kernel.twist(lower), twisted)
-    face_sign = -1 if n % 2 else 1
-    for face, sign in _simplex_boundary(simplex):
-        kernel.add_into(rhs, kernel.pushforward(table.raw(n, len(face) - 1), face), face_sign * sign)
-    defect = dict(lhs)
-    kernel.add_into(defect, rhs, -1)
+        lower = table.raw(n - 1, k)
+        kernel.add_into(defect, swap(lower), -plain)
+        kernel.add_into(defect, swap(kernel.twist(lower)), -twisted)
+    face_sign = 1 if n % 2 else -1
+    for face, sign in _simplex_boundary(tuple(range(k + 1))):
+        kernel.add_into(defect, swap(kernel.pushforward(table.raw(n, len(face) - 1), face)), face_sign * sign)
     return defect
+
+
+def chain_map_defect(n: int, k: int, table: DiagonalTable) -> RawEntries:
+    """∂ξ(e_n⊗Δ^k) − ξ(∂e_n⊗Δ^k) − (−1)ⁿ ξ(e_n⊗∂Δ^k); empty iff satisfied."""
+    return _defect(n, k, table, lambda entries: entries)
 
 
 def equivariance_defect(n: int, k: int, table: DiagonalTable) -> RawEntries:
@@ -199,22 +192,7 @@ def equivariance_defect(n: int, k: int, table: DiagonalTable) -> RawEntries:
 
     Empty iff satisfied.
     """
-    simplex = tuple(range(k + 1))
-    lhs = _tensor_boundary(kernel.twist(table.raw(n, k)))
-    rhs: RawEntries = {}
-    if n > 0:
-        plain, twisted = bar_boundary_coefficients(n)
-        lower = kernel.pushforward(table.raw(n - 1, k), simplex)
-        # ∂(T·e_n) = plain·T·e_{n−1} + twisted·e_{n−1}
-        kernel.add_into(rhs, kernel.twist(lower), plain)
-        kernel.add_into(rhs, lower, twisted)
-    face_sign = -1 if n % 2 else 1
-    for face, sign in _simplex_boundary(simplex):
-        twisted_face = kernel.twist(kernel.pushforward(table.raw(n, len(face) - 1), face))
-        kernel.add_into(rhs, twisted_face, face_sign * sign)
-    defect = dict(lhs)
-    kernel.add_into(defect, rhs, -1)
-    return defect
+    return _defect(n, k, table, kernel.twist)
 
 
 def reference_xi(n: int, vertices: Tuple[int, ...]) -> RawEntries:
@@ -278,7 +256,7 @@ def check_prime3(k: int, table: DiagonalTable) -> bool:
     from itertools import combinations
 
     def diag1(vertices: tuple) -> RawEntries:
-        return kernel.xi_on_vertices(1, vertices, table.entries)
+        return kernel.pushforward(table.raw(1, len(vertices) - 1), vertices)
 
     def one_x_diag(entries: RawEntries) -> dict:
         out: dict = {}

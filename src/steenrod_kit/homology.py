@@ -30,52 +30,42 @@ def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
 def homology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     """H_degree: ker ∂ / im ∂, as rank + torsion (or dimension over a field),
     with cycle representatives and coordinate data."""
-    if degree + 1 > complex_.truncation_dim and not complex_.exhaustive:
-        raise ValueError(
-            f"degree {degree} needs boundaries up to {degree + 1}, "
-            f"but the complex is truncated at {complex_.truncation_dim}"
-        )
-    key = ("homology", degree)
-    if key not in complex_.derived:
-        _check_dd_zero(complex_, degree)
-        out_cols, in_cols = complex_.boundary_matrix(degree), complex_.boundary_matrix(degree + 1)
-        maps = ("boundary_pivots", degree), ("boundary_pivots", degree + 1), ("homology", degree - 1)
-        complex_.derived[key] = _group(complex_, degree, out_cols, in_cols, *maps)
-    return complex_.derived[key]
+    return _group(complex_, degree, "homology", complex_.boundary_matrix, -1)
 
 
 def cohomology(complex_: ChainComplex, degree: int) -> HomologyDescriptor:
     """H^degree of the dual complex; representatives are cocycle vectors over
     the degree-``degree`` basis."""
+    return _group(complex_, degree, "cohomology", complex_.coboundary_matrix, 1)
+
+
+def _group(complex_: ChainComplex, degree: int, kind: str, matrix, step: int) -> HomologyDescriptor:
+    """ker(out)/im(in) at ``degree``, where ``matrix(n)`` gives the columns of
+    the map out of degree n, into degree n + ``step``.  Over a field the
+    in-map's pivots are taken from ``derived`` when the degree it leaves
+    computed them, and the out-map's are left there under
+    ``(kind, "pivots", degree)`` unless the degree that would take them is
+    already computed."""
     if degree + 1 > complex_.truncation_dim and not complex_.exhaustive:
         raise ValueError(
             f"degree {degree} needs the complex up to {degree + 1}, "
             f"but it is truncated at {complex_.truncation_dim}"
         )
-    key = ("cohomology", degree)
-    if key not in complex_.derived:
-        _check_dd_zero(complex_, degree)
-        out_cols, in_cols = complex_.coboundary_matrix(degree), complex_.coboundary_matrix(degree - 1)
-        maps = ("coboundary_pivots", degree), ("coboundary_pivots", degree - 1), ("cohomology", degree + 1)
-        complex_.derived[key] = _group(complex_, degree, out_cols, in_cols, *maps)
-    return complex_.derived[key]
-
-
-def _group(complex_: ChainComplex, degree: int, out_cols, in_cols, out_map, in_map, user) -> HomologyDescriptor:
-    """ker(out)/im(in) at ``degree``.  Over a field the in-map's pivots are
-    taken from ``derived`` at ``in_map`` when a neighbouring degree left them
-    there, and the out-map's are left at ``out_map`` unless the degree that
-    would take them, ``user``, is already computed."""
-    ring, rank, derived = complex_.ring, complex_.rank(degree), complex_.derived
+    ring, derived = complex_.ring, complex_.derived
+    if (kind, degree) in derived:
+        return derived[kind, degree]
+    _check_dd_zero(complex_, degree)
+    out_cols, in_cols, rank = matrix(degree), matrix(degree - step), complex_.rank(degree)
     if not ring.is_field:
-        return integer_homology(out_cols, in_cols, rank)
-    in_pivots = derived.pop(in_map, None)
-    if in_pivots is None:
-        in_pivots = reduce_columns(ring, in_cols)
-    logs: list = []
-    out_pivots = reduce_columns(ring, out_cols, in_pivots, logs)
-    group = field_homology(ring, out_cols, rank, out_pivots, logs, in_pivots)
-    if user not in derived:
-        derived[out_map] = out_pivots
+        group = integer_homology(out_cols, in_cols, rank)
+    else:
+        in_pivots = derived.pop((kind, "pivots", degree - step), None)
+        if in_pivots is None:
+            in_pivots = reduce_columns(ring, in_cols)
+        logs: list = []
+        out_pivots = reduce_columns(ring, out_cols, in_pivots, logs)
+        group = field_homology(ring, out_cols, rank, out_pivots, logs, in_pivots)
+        if (kind, degree + step) not in derived:
+            derived[kind, "pivots", degree] = out_pivots
+    derived[kind, degree] = group
     return group
-

@@ -37,8 +37,6 @@ def add_term(acc: dict, key: object, value: int) -> None:
 
 def add_into(acc: dict, other: dict, scalar: int) -> None:
     """acc += scalar·other, term by term."""
-    if scalar == 0:
-        return
     for key, value in other.items():
         add_term(acc, key, scalar * value)
 
@@ -123,8 +121,3 @@ def xi_standard(n: int, k: int, cache: dict) -> Entries:
         add_into(result, big_phi(face_part, k), 1 if n % 2 == 0 else -1)
     cache[key] = result
     return result
-
-
-def xi_on_vertices(n: int, vertices: tuple, cache: dict) -> Entries:
-    """ξ(e_n ⊗ σ) for a simplex with the given (weakly increasing) vertex list."""
-    return pushforward(xi_standard(n, len(vertices) - 1, cache), vertices)

@@ -8,22 +8,22 @@ and the residual block, which holds no unit entry, is finished in the same
 dicts with pivots of least absolute value and division with remainder.
 Every field computation (kernels, ranks, span solves, (co)homology) runs on
 ``_reduce``, which reduces vectors (dicts ``{index: nonzero entry}``, over
-𝔽₂ as over every field) left to right by the pivots of the earlier ones;
-over ℚ an entry is an int, as ``Ring.coerce`` gives it, until a pivot's
-inverse makes it a fraction, and over 𝔽₂ every entry is 1, so a vector
-update is a symmetric difference of supports.  Entries are coerced once,
-where vectors come in from outside (``_pack``); a ``ChainComplex`` coerces
-its columns when it is built, so they are only copied.  Kernels reduce the
-columns of a map by highest-index pivots (the persistence order) and log
-each step, which yields the canonical kernel vector of each column that
-reduces to zero; ranks use the same order; span solves use lowest-index
-pivots.  (Co)homology clears (Chen–Kerber's twist): the columns of the map
-out of a degree at the pivot rows of the map into it are known to reduce to
-zero and are skipped, and a class on one of them gets its log by reducing
-that column alone against the final pivots.  The image is not reduced a
-second time: the pivots of the map into the degree are triangular, and one
-upward pass over them solves for the image's annihilator, from which the
-classes and the coordinates are read (``field_homology``).
+𝔽₂ as over every field) left to right by the highest-index pivots (the
+persistence order) of the earlier ones; over ℚ an entry is an int, as
+``Ring.coerce`` gives it, until a pivot's inverse makes it a fraction, and
+over 𝔽₂ every entry is 1, so a vector update is a symmetric difference of
+supports.  Entries are coerced once, where vectors come in from outside
+(``_pack``); a ``ChainComplex`` coerces its columns when it is built, so
+they are only copied.  Kernels log each step, which yields the canonical
+kernel vector of each column that reduces to zero; span solves tag each
+column with a unit vector below its rows.  (Co)homology clears
+(Chen–Kerber's twist): the columns of the map out of a degree at the pivot
+rows of the map into it are known to reduce to zero and are skipped, and a
+class on one of them gets its log by reducing that column alone against the
+final pivots.  The image is not reduced a second time: the pivots of the map
+into the degree are triangular, and one upward pass over them solves for the
+image's annihilator, from which the classes and the coordinates are read
+(``field_homology``).
 
 ``kernel`` and ``solver`` choose the engine from the ring, so callers never
 do: both take a matrix as sparse columns and give sparse vectors back.
@@ -265,21 +265,19 @@ def _pack(ring: Ring, entries: Iterable[Tuple[int, Coefficient]]) -> Dict[int, C
     return {j: y for j, x in entries if (y := coerce(x))}
 
 
-def _reduce(ring: Ring, vectors: Iterable[Dict[int, Coefficient]], top: bool = False,
-            logs: Optional[List[list]] = None) -> Dict[int, list]:
+def _reduce(ring: Ring, vectors: Iterable[Dict[int, Coefficient]], logs: Optional[List[list]] = None) -> Dict[int, list]:
     """Reduce the vectors in order, each in place by the pivots of the earlier
     ones: {pivot: [position, reduced vector, inverse of its pivot entry or
-    None]} over the vectors that stay nonzero; the inverse is computed when
-    the pivot first eliminates an entry (``_pivot_factor``).  The pivot is
-    the highest index for ``top`` (the persistence order), else the lowest;
-    either way a vector reduces to zero exactly when it lies in the span of
-    the earlier ones.  ``logs`` gets per vector the flat list [position,
-    factor, …] of what it subtracted."""
-    (lead, step), inv, mul, p = ((max, -1) if top else (min, 1)), ring.inv, ring.mul, ring.p
+    None]} over the vectors that stay nonzero; the pivot is the highest index
+    (the persistence order), and the inverse is computed when the pivot first
+    eliminates an entry (``_pivot_factor``).  A vector reduces to zero
+    exactly when it lies in the span of the earlier ones.  ``logs`` gets per
+    vector the flat list [position, factor, …] of what it subtracted."""
+    inv, mul, p = ring.inv, ring.mul, ring.p
     pivots: Dict[int, list] = {}
     for k, v in enumerate(vectors):
         log = []
-        i = lead(v) if v else None
+        i = max(v) if v else None
         while v:
             hit = pivots.get(i)
             if hit is None:
@@ -291,7 +289,7 @@ def _reduce(ring: Ring, vectors: Iterable[Dict[int, Coefficient]], top: bool = F
             c = mul(v[i], w_inv)
             _axpy(v, w, -c, p)
             log += (j, c)
-            i = _lead_past(v, i, step, lead)
+            i = _lead_past(v, i)
         if logs is not None:
             logs.append(log)
     return pivots
@@ -307,15 +305,15 @@ def _pivot_factor(ring: Ring, x: Coefficient, hit: list, i: int) -> Coefficient:
     return ring.mul(x, hit[2])
 
 
-def _lead_past(v: Dict[int, Coefficient], i: int, step: int, lead) -> Optional[int]:
-    """The lead of v once its entry at the lead i has been eliminated: past i
-    (below it for ``step`` −1, above for +1) and most often close to it, so
-    about a quarter as many indices as v has entries are probed next to i
-    before ``lead`` scans all of v; None when v is zero."""
-    for j in range(i + step, i + step * (2 + len(v) // 4), step):
+def _lead_past(v: Dict[int, Coefficient], i: int) -> Optional[int]:
+    """The lead of v once its entry at the lead i has been eliminated: below
+    i and most often close to it, so about a quarter as many indices as v has
+    entries are probed under i before all of v is scanned; None when v is
+    zero."""
+    for j in range(i - 1, i - 2 - len(v) // 4, -1):
         if j in v:
             return j
-    return lead(v) if v else None
+    return max(v) if v else None
 
 
 def _kernel_vector(ring: Ring, logs: List[list], f: int) -> Dict[int, Coefficient]:
@@ -350,7 +348,7 @@ def reduce_columns(ring: Ring, columns: Sequence[Dict[int, Coefficient]], cleare
     in the span of the earlier ones, since a reduced in-column is a cycle
     whose highest entry is there, so it would reduce to zero and add no
     pivot (clearing).  The pivots are those of the full reduction."""
-    return _reduce(ring, ({} if k in cleared else dict(col) for k, col in enumerate(columns)), top=True, logs=logs)
+    return _reduce(ring, ({} if k in cleared else dict(col) for k, col in enumerate(columns)), logs)
 
 
 def _replay(ring: Ring, v: Dict[int, Coefficient], pivots: Dict[int, list]) -> list:
@@ -367,7 +365,7 @@ def _replay(ring: Ring, v: Dict[int, Coefficient], pivots: Dict[int, list]) -> l
         c = _pivot_factor(ring, v[i], hit, i)
         _axpy(v, hit[1], -c, ring.p)
         log += (hit[0], c)
-        i = _lead_past(v, i, -1, max)
+        i = _lead_past(v, i)
     return log
 
 
@@ -379,12 +377,10 @@ def _free_columns(pivots: Dict[int, list], size: int) -> List[int]:
 
 
 def field_rank(rows: Iterable[Iterable[Tuple[int, Coefficient]]], ring: Ring) -> int:
-    """Rank over a field of vectors given by their (index, entry) pairs.
-
-    Reduced by highest-index pivots, as the kernels are: the rank does not
-    depend on the order, and a vector whose top index no earlier vector has
-    becomes a pivot as it is, with no elimination."""
-    return len(_reduce(ring, (_pack(ring, row) for row in rows), top=True))
+    """Rank over a field of vectors given by their (index, entry) pairs: a
+    vector whose top index no earlier vector has becomes a pivot as it is,
+    with no elimination."""
+    return len(_reduce(ring, (_pack(ring, row) for row in rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +396,7 @@ def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[i
     saturated summand)."""
     if ring.is_field:
         logs: List[list] = []
-        pivots = _reduce(ring, (_pack(ring, col.items()) for col in columns), top=True, logs=logs)
+        pivots = _reduce(ring, (_pack(ring, col.items()) for col in columns), logs)
         return [_kernel_vector(ring, logs, f) for f in _free_columns(pivots, len(columns))]
     nrows = 1 + max((max(col) for col in columns if col), default=-1)
     form = sparse_smith(transpose(columns, nrows), len(columns), v=True)
@@ -409,23 +405,24 @@ def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[i
 
 
 class _EchelonSolver:
-    """Each column of A is tagged with a unit vector past row ``nrows``:
-    reducing b by the echelon pivots below ``nrows`` leaves −x in the tags."""
+    """Column i of A is tagged with the unit vector at i and its rows are
+    shifted past the tags: reducing b, shifted too, by the echelon pivots at
+    or above the shift leaves −x in the tags."""
 
-    def __init__(self, columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
-        self.ring, self.nrows = ring, nrows
-        echelon = _reduce(ring, (_pack(ring, [*col.items(), (nrows + i, ring.one)]) for i, col in enumerate(columns)))
-        self._pivots = sorted((p, hit) for p, hit in echelon.items() if p < nrows)
+    def __init__(self, columns: Sequence[Dict[int, Coefficient]], ring: Ring):
+        self.ring, self.shift = ring, len(columns)
+        tagged = (_pack(ring, [(i, ring.one), *((self.shift + r, x) for r, x in col.items())]) for i, col in enumerate(columns))
+        self._pivots = sorted(((p, hit) for p, hit in _reduce(ring, tagged).items() if p >= self.shift), reverse=True)
 
     def solve(self, b: Dict[int, Coefficient]) -> Optional[Dict[int, Coefficient]]:
-        ring, nrows = self.ring, self.nrows
-        work = _pack(ring, b.items())
-        for i, hit in self._pivots:  # ascending: each step clears entry i and changes only later ones
+        ring, shift = self.ring, self.shift
+        work = _pack(ring, ((shift + r, x) for r, x in b.items()))
+        for i, hit in self._pivots:  # descending: each step clears entry i and changes only lower ones
             if x := work.get(i):
                 _axpy(work, hit[1], -_pivot_factor(ring, x, hit, i), ring.p)
-        if work and min(work) < nrows:
+        if work and max(work) >= shift:
             return None
-        return {j - nrows: ring.coerce(ring.neg(x)) for j, x in sorted(work.items())}
+        return {j: ring.coerce(ring.neg(x)) for j, x in sorted(work.items())}
 
 
 class _SmithSolver:
@@ -457,7 +454,7 @@ def solver(columns: Sequence[Dict[int, Coefficient]], nrows: int, ring: Ring):
     ``nrows`` rows: ``.solve(b)`` takes a sparse b and gives a sparse x, or
     None when there is none.  A is put in echelon (or Smith) form once for
     all right-hand sides."""
-    return _EchelonSolver(columns, nrows, ring) if ring.is_field else _SmithSolver(columns, nrows)
+    return _EchelonSolver(columns, ring) if ring.is_field else _SmithSolver(columns, nrows)
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +471,9 @@ class HomologyDescriptor:
     order (torsion coordinates reduced mod the torsion order).
     """
 
-    def __init__(
-        self,
-        ring: Ring,
-        free_rank: int,
-        torsion: Optional[List[int]] = None,
-        representatives: Optional[List[Vector]] = None,
-        _coord_fn: object = None,
-    ) -> None:
-        self.ring, self.free_rank, self._coord_fn = ring, free_rank, _coord_fn
-        self.torsion = [] if torsion is None else torsion
-        self.representatives = [] if representatives is None else representatives
+    def __init__(self, ring: Ring, free_rank: int, torsion: List[int], representatives: List[Vector], _coord_fn) -> None:
+        self.ring, self.free_rank, self.torsion = ring, free_rank, torsion
+        self.representatives, self._coord_fn = representatives, _coord_fn
 
     @property
     def dimension(self) -> int:
@@ -493,8 +482,6 @@ class HomologyDescriptor:
         return self.free_rank
 
     def coordinates(self, cycle: Vector) -> Vector:
-        if self._coord_fn is None:
-            raise ValueError("no coordinate data attached")
         coords = self._coord_fn(cycle)
         if coords is None:
             raise ValueError("vector is not a cycle in this degree")
@@ -519,12 +506,9 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
     upward over the in-pivots, ``row[h]`` solves Σ w_h[i]·row[i] = 0, entries
     off F counting as 0.  So z ↦ Σ z_i·row[i] maps the cycles onto K^E with
     the image as its kernel, at a cost of Σ_h Σ_{i∈w_h} |row[i]|.  A free
-    column is a class when its row is independent of the rows above it, that
-    is when it is off the image's lowest-index pivots, and the coordinates of
-    a cycle express its image in the classes' rows."""
-    missing = rank_here - len(out_cols)  # missing columns are zero
-    if missing > 0:
-        out_cols, logs = [*out_cols, *[{}] * missing], logs + [[]] * missing
+    column is a class when its row is independent of the rows above it (the
+    rows are reduced from the top down), and the coordinates of a cycle
+    express its image in the classes' rows."""
     free = set(_free_columns(out_pivots, rank_here))
     if not in_pivots.keys() <= free:
         raise ArithmeticError("a boundary's pivot row is not a free column (∂²≠0?)")

@@ -117,21 +117,11 @@ def _check_golden_degenerate(cfg: SuiteConfig) -> Tuple[str, str]:
     return DEVIATION, f"computed {got0} ; {got1} — published displays carry the opposite overall sign"
 
 
-def _check_chain_map(cfg: SuiteConfig) -> Tuple[str, str]:
+def _check_defects(defect, cfg: SuiteConfig) -> Tuple[str, str]:
     for n in range(5):
         for k in range(6):
-            defect = chain_map_defect(n, k, cfg.table)
-            if defect:
-                return FAIL, f"(n={n}, k={k}): defect {defect}"
-    return PASS, "zero defects for bar level ≤ 4, dimension ≤ 5"
-
-
-def _check_equivariance(cfg: SuiteConfig) -> Tuple[str, str]:
-    for n in range(5):
-        for k in range(6):
-            defect = equivariance_defect(n, k, cfg.table)
-            if defect:
-                return FAIL, f"(n={n}, k={k}): defect {defect}"
+            if found := defect(n, k, cfg.table):
+                return FAIL, f"(n={n}, k={k}): defect {found}"
     return PASS, "zero defects for bar level ≤ 4, dimension ≤ 5"
 
 
@@ -190,10 +180,10 @@ def _check_sq_corpus(cfg: SuiteConfig) -> Tuple[str, str]:
         for p in range(space.dimension + 1):
             if cohomology(complex_, p).dimension == 0:
                 continue
-            m = sq_matrix(0, p, space, F2, cfg.table)
+            m = sq_matrix(0, p, space, cfg.table)
             if not _identity_matrix(m):
                 return FAIL, f"Sq^0 on H^{p}({name}) is {m}, not the identity"
-    m = sq_matrix(1, 1, load_corpus("rp2"), F2, cfg.table)
+    m = sq_matrix(1, 1, load_corpus("rp2"), cfg.table)
     if m != [[1]]:
         return FAIL, f"Sq^1 on H^1(rp2) is {m}, expected [[1]]"
     return PASS, "Sq^0 = id on the corpus; Sq^1 ≠ 0 on H^1(RP²)"
@@ -201,8 +191,8 @@ def _check_sq_corpus(cfg: SuiteConfig) -> Tuple[str, str]:
 
 def _check_sq_rp4(cfg: SuiteConfig) -> Tuple[str, str]:
     space = load_corpus("rp4")
-    m1 = sq_matrix(1, 1, space, F2, cfg.table)
-    m2 = sq_matrix(2, 2, space, F2, cfg.table)
+    m1 = sq_matrix(1, 1, space, cfg.table)
+    m2 = sq_matrix(2, 2, space, cfg.table)
     if m1 != [[1]]:
         return FAIL, f"Sq^1: H^1→H^2 on RP⁴ is {m1}"
     if m2 != [[1]]:
@@ -355,8 +345,8 @@ CATALOG: List[Tuple[str, bool, CheckFn]] = [
     ("golden-b2", False, _check_golden_b2),
     ("golden-b3", False, _check_golden_b3),
     ("golden-degenerate", False, _check_golden_degenerate),
-    ("chain-map", False, _check_chain_map),
-    ("equivariance", False, _check_equivariance),
+    ("chain-map", False, lambda cfg: _check_defects(chain_map_defect, cfg)),
+    ("equivariance", False, lambda cfg: _check_defects(equivariance_defect, cfg)),
     ("prime3", False, _check_prime3),
     ("naturality", False, _check_naturality),
     ("cache-roundtrip", False, _check_cache_roundtrip),

@@ -151,19 +151,19 @@ def test_criterion_07_sq0_identity_and_rp2_bockstein():
             rank = cohomology(complex_, p).dimension
             if rank == 0:
                 continue
-            columns = sq_matrix(0, p, space, F2, TABLE)
+            columns = sq_matrix(0, p, space, TABLE)
             assert columns == [
                 [1 if i == j else 0 for i in range(rank)] for j in range(rank)
             ], (name, p)
-    assert sq_matrix(1, 1, load_corpus("rp2"), F2, TABLE) == [[1]]
+    assert sq_matrix(1, 1, load_corpus("rp2"), TABLE) == [[1]]
 
 
 @pytest.mark.slow
 def test_criterion_07_rp4_squares():
     start = time.monotonic()
     space = load_corpus("rp4")
-    assert sq_matrix(1, 1, space, F2, TABLE) == [[1]]
-    assert sq_matrix(2, 2, space, F2, TABLE) == [[1]]
+    assert sq_matrix(1, 1, space, TABLE) == [[1]]
+    assert sq_matrix(2, 2, space, TABLE) == [[1]]
     assert time.monotonic() - start < 600.0
 
 

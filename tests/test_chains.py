@@ -18,7 +18,7 @@ from steenrod_kit.chains import (
     GradedMap,
 )
 from steenrod_kit.homology import cohomology, homology
-from steenrod_kit.rings import F2, ZZ
+from steenrod_kit.rings import F2, QQ, ZZ
 from steenrod_kit import simplicial
 from steenrod_kit.simplicial import standard_delta
 
@@ -94,6 +94,16 @@ def test_complex_dd_zero_and_boundary_matrix():
     cols = cx.boundary_matrix(1)
     assert len(cols) == cx.rank(1)
     assert all(len(col) == 2 for col in cols)
+
+
+def test_a_complex_refuses_columns_that_do_not_match_its_basis():
+    basis = {0: [Cell(0, "a")], 1: [Cell(1, "x"), Cell(1, "y")]}
+    # a column list shorter than the basis, a missing one, and one for a degree with no basis
+    for degree, columns in ((1, {0: [{}], 1: [{0: 1}]}), (0, {1: [{0: 1}, {}]}), (2, {0: [{}], 1: [{0: 1}, {}], 2: [{0: 1}]})):
+        with pytest.raises(ValueError, match=f"^degree {degree} "):
+            ChainComplex(QQ, basis, columns, 1, exhaustive=True)
+    cx = ChainComplex(QQ, basis, {0: [{}], 1: [{0: 1}, {}], 2: []}, 1, exhaustive=True)
+    assert [str(homology(cx, n)) for n in (0, 1)] == ["Q^0", "Q^1"]
 
 
 def test_hom_differential_detects_chain_maps():

@@ -73,7 +73,7 @@ def test_sq0_is_the_identity():
         cx = space.chains(F2)
         for p in range(3):
             rank = cohomology(cx, p).free_rank
-            columns = sq_matrix(0, p, space, F2, table)
+            columns = sq_matrix(0, p, space, table)
             identity = [[1 if i == j else 0 for i in range(rank)] for j in range(rank)]
             assert columns == identity, (name, p)
 
@@ -82,7 +82,7 @@ def test_sq1_on_rp2_is_the_bockstein():
     table = DiagonalTable()
     space = load_corpus("rp2")
     # Sq¹: H¹ → H² is an isomorphism on the projective plane
-    assert sq_matrix(1, 1, space, F2, table) == [[1]]
+    assert sq_matrix(1, 1, space, table) == [[1]]
     # the cup square of the generator: Sq¹ = cup-0 square in top degree
     cx = space.chains(F2)
     u = Cochain.from_vector(cx, 1, cohomology(cx, 1).representatives[0])
@@ -102,13 +102,13 @@ def test_sq_above_degree_vanishes():
 def test_sq1_on_torus_vanishes():
     table = DiagonalTable()
     space = load_corpus("torus")
-    assert sq_matrix(1, 1, space, F2, table) == [[0], [0]]
+    assert sq_matrix(1, 1, space, table) == [[0], [0]]
 
 
 def test_klein_bottle_sq1():
     table = DiagonalTable()
     space = load_corpus("klein")
-    columns = sq_matrix(1, 1, space, F2, table)
+    columns = sq_matrix(1, 1, space, table)
     # the Bockstein H¹ → H² is onto for the Klein bottle (w₁² ≠ 0)
     assert len(columns) == 2 and any(col == [1] for col in columns)
 

@@ -4,7 +4,7 @@ import pytest
 
 from steenrod_kit import kernel
 from steenrod_kit.bar import eta, twist_act
-from steenrod_kit.chains import Chain, Simplex, TensorPair, chain_of, e, zero_chain
+from steenrod_kit.chains import Chain, Simplex, TensorPair, chain_of, e, standard_simplex, zero_chain
 from steenrod_kit.diagonal import (
     DiagonalTable,
     aw_diagonal,
@@ -18,7 +18,6 @@ from steenrod_kit.diagonal import (
     top_diagonal_sign,
     xi_cell,
     xi_simplex,
-    xi_standard,
 )
 from steenrod_kit.rings import F2, ZZ
 from steenrod_kit.simplicial import standard_delta
@@ -59,7 +58,7 @@ def test_aw_diagonal_front_back():
 def test_xi_levels_above_dimension_vanish():
     table = DiagonalTable()
     for k in range(4):
-        assert xi_standard(e(k + 1), k, table).is_zero()
+        assert xi_simplex(e(k + 1), standard_simplex(k), table).is_zero()
 
 
 def test_phi_is_a_contracting_homotopy():
@@ -94,7 +93,7 @@ def test_big_phi_squares_to_zero():
     table = DiagonalTable()
     for k in range(1, 4):
         for n in range(k):
-            c = xi_standard(e(n), k, table)
+            c = xi_simplex(e(n), standard_simplex(k), table)
             assert big_phi(k, big_phi(k, c)).is_zero()
 
 
@@ -107,7 +106,7 @@ def test_raw_kernel_maps_agree_with_the_chain_level_maps():
     for k in range(1, 5):
         for n in range(k + 1):
             raw = table.raw(n, k)
-            chain = xi_standard(e(n), k, table)
+            chain = xi_simplex(e(n), standard_simplex(k), table)
             assert as_chain(kernel.big_phi(raw, k), n + k + 1) == big_phi(k, chain)
             assert as_chain(kernel.twist(raw), n + k) == twist_act(chain)
             doubled = dict(raw)
@@ -182,8 +181,8 @@ def test_xi_simplex_relabels_and_handles_repeats():
 
 def test_twisted_generator_is_signed_swap():
     table = DiagonalTable()
-    plain = xi_standard(e(1), 2, table)
-    twisted = xi_standard(e(1).twisted(), 2, table)
+    plain = xi_simplex(e(1), standard_simplex(2), table)
+    twisted = xi_simplex(e(1).twisted(), standard_simplex(2), table)
     for pair, coeff in plain.terms.items():
         sign = -1 if (pair.left.degree * pair.right.degree) % 2 else 1
         assert twisted.terms[TensorPair(pair.right, pair.left)] == sign * coeff

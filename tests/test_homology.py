@@ -51,6 +51,8 @@ def test_cohomology_universal_coefficients():
     assert str(cohomology(rp2, 1)) == "0"
     h2 = cohomology(rp2, 2)
     assert h2.free_rank == 0 and tuple(h2.torsion) == (2,)
+    with pytest.raises(ValueError, match="only makes sense over a field"):
+        h2.dimension
 
 
 def test_contractible_and_sphere():
@@ -63,8 +65,9 @@ def test_contractible_and_sphere():
 def test_truncation_guard_on_presentations():
     x = freely_add_degeneracies(standard_delta(1), 2)
     cx = x.normalized_chains(ZZ)
-    with pytest.raises(ValueError):
-        homology(cx, 2)  # would need boundaries out of the truncation range
+    for group in (homology, cohomology):  # each would need the complex past its truncation
+        with pytest.raises(ValueError, match="^degree 2 needs the complex up to 3, but it is truncated at 2$"):
+            group(cx, 2)
     assert str(homology(cx, 0)) == "Z"
 
 
