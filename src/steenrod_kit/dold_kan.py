@@ -79,7 +79,7 @@ class SimplicialAbelianGroup:
     takes an index list over as it is, with no copy: the caller must not
     change it afterwards.  The constructor runs ``validate``, which checks
     every identity that ``simplicial_identities`` lists up to the
-    truncation, composing two index maps by list lookup.  ``of_cell`` is
+    truncation, composing after an index map by list lookup.  ``of_cell`` is
     filled for ℛX and R̃X only: per level, the generator of each cell of X
     (None for the basepoint chain).
     """
@@ -129,15 +129,19 @@ class SimplicialAbelianGroup:
         return Cell(n, self.levels[n][idx])
 
     def _then(self, second: Map, first: Map) -> Map:
-        """second ∘ first: a list lookup when both are index maps."""
-        if _is_index(first) and _is_index(second):
-            return [None if k is None else second[k] for k in first]
-        return _compose(_columns(second, self.ring), _columns(first, self.ring), self.ring)
+        """second ∘ first.  An index ``first`` looks each generator up in
+        ``second``, in whatever form ``second`` is kept: the result shares its
+        columns, with {} for 0, and must not be mutated.  A column ``first``
+        goes through ``_compose`` with ``second`` as columns."""
+        if _is_index(first):
+            zero = None if _is_index(second) else {}
+            return [zero if k is None else second[k] for k in first]
+        return _compose(_columns(second, self.ring), first, self.ring)
 
     def _same(self, f: Map, g: Map) -> bool:
-        if _is_index(f) != _is_index(g):
-            f, g = _columns(f, self.ring), _columns(g, self.ring)
-        return f == g
+        if f == g:
+            return True
+        return _is_index(f) != _is_index(g) and _columns(f, self.ring) == _columns(g, self.ring)
 
     def _check_entries(self) -> None:
         """Each map has one entry per generator, and each entry names a
@@ -149,7 +153,7 @@ class SimplicialAbelianGroup:
                     raise ValueError(f"{name} has {len(m)} entries for {self.rank(n)} generators")
                 targets = set(m) if _is_index(m) else {r for col in m for r in col}
                 targets.discard(None)
-                if all(type(t) is int for t in targets) and (not targets or (min(targets) >= 0 and max(targets) < size)):
+                if set(map(type, targets)) <= {int} and (not targets or (min(targets) >= 0 and max(targets) < size)):
                     continue
                 pairs = enumerate(m) if _is_index(m) else ((j, r) for j, col in enumerate(m) for r in col)
                 j, t = next((j, t) for j, t in pairs if t is not None and not (type(t) is int and 0 <= t < size))

@@ -32,7 +32,7 @@ do: both take a matrix as sparse columns and give sparse vectors back.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .rings import ZZ, Coefficient, Ring
 
@@ -467,13 +467,21 @@ class HomologyDescriptor:
 
     ``representatives[i]`` is a cycle vector (over the degree-n basis)
     generating the i-th summand; torsion summands come first, in the order of
-    ``torsion``.  ``coordinates`` expresses any cycle vector in the same
-    order (torsion coordinates reduced mod the torsion order).
+    ``torsion``.  They are given as a list, or as a function that builds it
+    on the first access.  ``coordinates`` expresses any cycle vector in the
+    same order (torsion coordinates reduced mod the torsion order).
     """
 
-    def __init__(self, ring: Ring, free_rank: int, torsion: List[int], representatives: List[Vector], _coord_fn) -> None:
+    def __init__(self, ring: Ring, free_rank: int, torsion: List[int],
+                 representatives: Union[List[Vector], Callable[[], List[Vector]]], _coord_fn) -> None:
         self.ring, self.free_rank, self.torsion = ring, free_rank, torsion
-        self.representatives, self._coord_fn = representatives, _coord_fn
+        self._representatives, self._coord_fn = representatives, _coord_fn
+
+    @property
+    def representatives(self) -> List[Vector]:
+        if callable(self._representatives):
+            self._representatives = self._representatives()
+        return self._representatives
 
     @property
     def dimension(self) -> int:
@@ -508,7 +516,9 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
     the image as its kernel, at a cost of Σ_h Σ_{i∈w_h} |row[i]|.  A free
     column is a class when its row is independent of the rows above it (the
     rows are reduced from the top down), and the coordinates of a cycle
-    express its image in the classes' rows."""
+    express its image in the classes' rows.  The classes' kernel vectors are
+    kept sparse; the representatives, the same vectors as dense lists as long
+    as the basis, are built on their first access."""
     free = set(_free_columns(out_pivots, rank_here))
     if not in_pivots.keys() <= free:
         raise ArithmeticError("a boundary's pivot row is not a free column (∂²≠0?)")
@@ -524,7 +534,7 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
     for f in classes:
         if out_cols[f] and not logs[f]:  # a nonzero column that clearing skipped
             logs[f] = _replay(ring, dict(out_cols[f]), out_pivots)
-    reps = [[v.get(j, ring.zero) for j in range(rank_here)] for v in (_kernel_vector(ring, logs, f) for f in classes)]
+    vectors = [_kernel_vector(ring, logs, f) for f in classes]
     solve = solver([row[f] for f in classes], rank_here, ring).solve
 
     def coord_fn(cycle: Vector) -> Optional[Vector]:
@@ -540,7 +550,10 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
         x = solve(image)
         return [x.get(k, 0) for k in range(len(classes))]
 
-    return HomologyDescriptor(ring, len(classes), [], reps, coord_fn)
+    def representatives() -> List[Vector]:
+        return [[v.get(j, ring.zero) for j in range(rank_here)] for v in vectors]
+
+    return HomologyDescriptor(ring, len(classes), [], representatives, coord_fn)
 
 
 def integer_homology(out_cols, in_cols, rank_here) -> HomologyDescriptor:

@@ -56,15 +56,20 @@ def _is_prime(p: int) -> bool:
 class Frozen:
     """Base of the immutable value types: fields named in ``__slots__``, set through ``_set``,
     returned by ``_fields``.  As for a frozen dataclass (whose import costs a short command more
-    than its arithmetic), equal only within a class, hashed as the field tuple, not assignable."""
+    than its arithmetic), equal only within a class, hashed as the field tuple, not assignable.
+    The hash is computed on first use and kept in the ``_hash`` slot."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __eq__(self, other: object) -> bool:
         return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", h := hash(self._fields()))
+            return h
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")

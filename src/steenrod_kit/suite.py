@@ -29,16 +29,14 @@ from .diagonal import (
     top_diagonal_sign,
     xi_simplex,
 )
-from .documents import load_corpus
+from .documents import ComplexLike, load_corpus
 from .dold_kan import (
+    _pointed_chains,
     chain_hurewicz,
     dold_kan_round_trip,
-    free_simplicial_abelian,
     gamma_X,
     hurewicz_chain_map,
     hurewicz_square_defect,
-    moore_complex,
-    pointed_unnormalized_chains,
 )
 from .homology import homology
 from .rings import F2, F5, QQ, ZZ
@@ -73,11 +71,20 @@ class SuiteConfig:
     ) -> None:
         self.only, self.max_k, self.include_slow, self.truncation = only, max_k, include_slow, truncation
         self.table = DiagonalTable()
-        # per (corpus name, truncation) the 𝔡(Y) of the run, shared by its items; emptied when run_suite returns
+        # per corpus name the space of the run, with the chains and groups memoized on it, and per
+        # (corpus name, truncation) the 𝔡(Y) of the run: shared by its items, emptied when run_suite returns
+        self.spaces: Dict[str, ComplexLike] = {}
         self.presentations: Dict[Tuple[str, int], SimplicialSetPresentation] = {}
 
 
 CheckFn = Callable[[SuiteConfig], Tuple[str, str]]
+
+
+def _space(cfg: SuiteConfig, name: str) -> ComplexLike:
+    """The corpus space ``name``, loaded once per run and kept in ``cfg.spaces``."""
+    if name not in cfg.spaces:
+        cfg.spaces[name] = load_corpus(name)
+    return cfg.spaces[name]
 
 
 def _check_prop_c4(cfg: SuiteConfig) -> Tuple[str, str]:
@@ -155,7 +162,7 @@ def _check_cache_roundtrip(cfg: SuiteConfig) -> Tuple[str, str]:
 
 def _check_homology_corpus(cfg: SuiteConfig) -> Tuple[str, str]:
     for name, expected in KNOWN_HOMOLOGY.items():
-        complex_ = load_corpus(name).chains(ZZ)
+        complex_ = _space(cfg, name).chains(ZZ)
         for degree, (rank, torsion) in expected.items():
             h = homology(complex_, degree)
             if h.free_rank != rank or list(h.torsion) != list(torsion):
@@ -175,7 +182,7 @@ def _check_sq_corpus(cfg: SuiteConfig) -> Tuple[str, str]:
     from .homology import cohomology
 
     for name in FAST_CORPUS:
-        space = load_corpus(name)
+        space = _space(cfg, name)
         complex_ = space.chains(F2)
         for p in range(space.dimension + 1):
             if cohomology(complex_, p).dimension == 0:
@@ -183,7 +190,7 @@ def _check_sq_corpus(cfg: SuiteConfig) -> Tuple[str, str]:
             m = sq_matrix(0, p, space, cfg.table)
             if not _identity_matrix(m):
                 return FAIL, f"Sq^0 on H^{p}({name}) is {m}, not the identity"
-    m = sq_matrix(1, 1, load_corpus("rp2"), cfg.table)
+    m = sq_matrix(1, 1, _space(cfg, "rp2"), cfg.table)
     if m != [[1]]:
         return FAIL, f"Sq^1 on H^1(rp2) is {m}, expected [[1]]"
     return PASS, "Sq^0 = id on the corpus; Sq^1 ≠ 0 on H^1(RP²)"
@@ -231,22 +238,21 @@ def _check_dold_kan_roundtrip(cfg: SuiteConfig) -> Tuple[str, str]:
 
 def _free_presentations(cfg: SuiteConfig, names=("circle", "boundary_delta3", "rp2"), truncation: Optional[int] = None):
     """(name, 𝔡(Y)) per corpus space, at the run's truncation unless another
-    is given: each built once per run and kept in ``cfg.presentations``, so
-    R̃X, the pointed chains and moore(R̃X), memoized on the presentation, are
-    shared by the items too.  A build that raises stores nothing."""
+    is given: each built once per run from the run's space and kept in
+    ``cfg.presentations``, so R̃X, the pointed chains and moore(R̃X), memoized
+    on the presentation, are shared by the items too.  A build that raises
+    stores nothing."""
     truncation = cfg.truncation if truncation is None else truncation
     for name in names:
         key = (name, truncation)
         if key not in cfg.presentations:
-            cfg.presentations[key] = freely_add_degeneracies(load_corpus(name), truncation)
+            cfg.presentations[key] = freely_add_degeneracies(_space(cfg, name), truncation)
         yield name, cfg.presentations[key]
 
 
 def _check_moore_pointed(cfg: SuiteConfig) -> Tuple[str, str]:
     for name, x in _free_presentations(cfg):
-        a = free_simplicial_abelian(x, ZZ, pointed=True)
-        m = moore_complex(a)
-        pc = pointed_unnormalized_chains(x, ZZ)
+        pc, m = _pointed_chains(x, ZZ)  # built apart: from the faces of x, and from R̃X
         if m.basis != pc.basis:
             return FAIL, f"{name}: bases differ"
         for n in m.degrees():
@@ -258,8 +264,8 @@ def _check_moore_pointed(cfg: SuiteConfig) -> Tuple[str, str]:
 
 def _check_reduced_homology(cfg: SuiteConfig) -> Tuple[str, str]:
     for name, x in _free_presentations(cfg):
-        m = moore_complex(free_simplicial_abelian(x, ZZ, pointed=True))
-        space = load_corpus(name)
+        _, m = _pointed_chains(x, ZZ)
+        space = _space(cfg, name)
         oracle = space.chains(ZZ)
         # compare degreewise against the reduced homology of the space
         for i in range(min(3, cfg.truncation - 1) + 1):
@@ -310,7 +316,7 @@ def _check_degeneracy_freeness(cfg: SuiteConfig) -> Tuple[str, str]:
     for name, x in _free_presentations(cfg, names=FAST_CORPUS):
         if not is_degeneracy_free(x):
             return FAIL, f"𝔡({name}) reported as not degeneracy-free"
-    counterexample = load_corpus("counterexample")
+    counterexample = _space(cfg, "counterexample")
     if is_degeneracy_free(counterexample):
         return FAIL, "the relation-bearing counterexample reported as degeneracy-free"
     return PASS, "true on every 𝔡(Y) corpus object, false on the counterexample"
@@ -384,5 +390,6 @@ def run_suite(config: Optional[SuiteConfig] = None) -> dict:
         if status == FAIL:
             failures += 1
         items.append({"name": name, "status": status, "detail": detail})
-    cfg.presentations.clear()  # a later run builds anew, and the caller's config keeps none alive
+    cfg.spaces.clear()  # a later run loads and builds anew, and the caller's config keeps none alive
+    cfg.presentations.clear()
     return {"items": items, "failures": failures, "passed": failures == 0}

@@ -3,17 +3,19 @@
 For a chain c the truncated diagonal vector is e(c) = (1, c, c⊗c, …,
 c^{⊗(t−1)}).  Projecting each tensor power to the symmetric algebra on the
 chain basis (sort the tensor factors, multiply as commuting monomials) turns
-e(c) into a vector of polynomial values, and for distinct nonzero chains
-c₁,…,c_t the vectors e(c₁),…,e(c_t) are linearly independent over the
-fraction field — the evaluation matrix is Vandermonde-structured, with
-determinant Π_{i<j}(f(c_i) − f(c_j)).  ``vandermonde_independence`` verifies
-the independence by exact rank computation; ``vandermonde_det_factorization``
-verifies the determinant identity symbolically.
+e(c) into a vector of polynomial values: by the multinomial theorem the
+image of c^{⊗e} for c = Σ c_k b_k is Σ_α M(α)·Π c_k^{α_k}·b^α over the
+monomials b^α of degree e, with M(α) the multinomial coefficient.  For
+distinct nonzero chains c₁,…,c_t the vectors e(c₁),…,e(c_t) are linearly
+independent over the fraction field — the evaluation matrix is
+Vandermonde-structured, with determinant Π_{i<j}(f(c_i) − f(c_j)).
+``vandermonde_independence`` verifies the independence by exact rank
+computation; ``vandermonde_det_factorization`` verifies the determinant
+identity symbolically.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import permutations
 from typing import Dict, List, Tuple
 
@@ -32,30 +34,38 @@ def _sorted_monomial(factors: Monomial) -> Monomial:
 def _symmetrized_powers(
     terms: List[Tuple[int, Coefficient]], count: int, field: Ring
 ) -> List[Dict[Tuple[int, ...], Coefficient]]:
-    """The images of c^{⊗0}, …, c^{⊗(count−1)}, each the previous times c,
-    for the chain c with the given (position, coefficient) terms.
+    """The images of c^{⊗0}, …, c^{⊗(count−1)} for the chain c with the given
+    (position, coefficient) terms, in ascending position order.
 
     A monomial is the sorted tuple of the positions of its factors, so
     monomials are compared and hashed as int tuples; positions must follow
-    the sort keys of the basis elements they stand for.  Coefficients are
-    field elements as ``coerce`` gives them (mod p over 𝔽_p).
+    the sort keys of the basis elements they stand for.  Each monomial x^α of
+    degree e is built once, from the monomial x^α′ of degree e − 1 that is α
+    without its largest factor k, and its coefficient is M(α)·Π c^α with the
+    multinomial M(α) = M(α′)·e/α_k, an exact integer division.  Coefficients
+    are field elements as ``coerce`` gives them (mod p over 𝔽_p); a monomial
+    whose multinomial vanishes mod p (e ≥ p) is left out of its power but
+    still extended to the next.
     """
     p = field.characteristic
     powers: List[Dict[Tuple[int, ...], Coefficient]] = [{(): field.one}]
-    while len(powers) < count:
-        nxt: Dict[Tuple[int, ...], Coefficient] = {}
-        for mono, coeff in powers[-1].items():
-            for k, value in terms:
-                at = bisect_right(mono, k)
-                key = mono[:at] + (k,) + mono[at:]
-                v = nxt.get(key, 0) + coeff * value
+    # per monomial of the last degree: (monomial, M, Π c^α, term index of its
+    # largest factor, multiplicity of that factor)
+    layer = [((), 1, field.one, 0, 0)]
+    for e in range(1, count):
+        nxt, power = [], {}
+        for mono, m, prod, last, run in layer:
+            for k in range(last, len(terms)):
+                pos, c = terms[k]
+                r = run + 1 if k == last else 1
+                key, mk, pk = mono + (pos,), m * e // r, prod * c
                 if p:
-                    v %= p
-                if v:
-                    nxt[key] = v
-                else:
-                    nxt.pop(key, None)
-        powers.append(nxt)
+                    pk %= p
+                nxt.append((key, mk, pk, k, r))
+                if v := (mk * pk % p if p else mk * pk):
+                    power[key] = v
+        powers.append(power)
+        layer = nxt
     return powers
 
 
@@ -105,6 +115,10 @@ def _fraction_field(ring: Ring) -> Ring:
 def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
     """Whether e(c₁),…,e(c_t) are linearly independent over the fraction field.
 
+    Each chain gives one row: its symmetrized powers 0 … t−1 side by side, a
+    column per monomial (a monomial's length is its power), numbered as the
+    monomials first occur; the rank of the rows is taken by ``field_rank``.
+
     Preconditions (violations raise, they are never reported as ``False``):
     the chains are pairwise distinct, nonzero, and homogeneous of a common
     degree; t ≥ 1.
@@ -120,23 +134,20 @@ def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
             raise ValueError("chains must share a degree")
         if c.ring != ring:
             raise ValueError("chain ring differs from the requested ring")
-    for i in range(t):
-        for j in range(i + 1, t):
-            if cs[i] == cs[j]:
-                raise ValueError("chains must be pairwise distinct")
+    if len(set(cs)) != t:
+        raise ValueError("chains must be pairwise distinct")
     field = _fraction_field(ring)
     # one basis for all t chains, in sort-key order, so that a monomial is the
     # same int tuple in every row
     support = sorted({b for c in cs for b in c.terms}, key=lambda b: b.sort_key())
     position = {b: k for k, b in enumerate(support)}
-    # common coordinate space: (power, monomial) pairs, numbered as they occur
-    columns: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    columns: Dict[Tuple[int, ...], int] = {}
     rows = []
     for c in cs:
         terms = sorted((position[b], field.coerce(x)) for b, x in c.terms.items())
         rows.append([
-            (columns.setdefault((power, mono), len(columns)), coeff)
-            for power, comp in enumerate(_symmetrized_powers(terms, t, field))
+            (columns.setdefault(mono, len(columns)), coeff)
+            for comp in _symmetrized_powers(terms, t, field)
             for mono, coeff in comp.items()
         ])
     return field_rank(rows, field) == t

@@ -1,5 +1,7 @@
 import copy
 import importlib.util
+import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,29 @@ def test_representatives_are_cycles():
             for i, x in col.items():
                 boundary[i] = boundary.get(i, 0) + coeff * x
         assert any(rep) and not any(boundary.values())
+
+
+@pytest.mark.parametrize("ring", [F2, QQ], ids=str)
+def test_field_representatives_are_built_when_first_read(ring):
+    # the complete graph on 40 vertices: dim H^1 = 741 on 780 edges; `homology`
+    # prints only dimensions, so the dense representatives (741 lists of 780
+    # entries, some 4.6 MB of list slots) wait until they are read
+    edges = list(combinations(range(40), 2))
+    graph = DeltaComplex({0: list(range(40)), 1: edges}, {1: [(b, a) for a, b in edges]}, 2, name="k40")
+    cx = graph.chains(ring)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = cohomology(cx, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert group.dimension == 741
+    assert held < 741 * 780 * 8 // 2  # the group, its pivots and the transpose of ∂ hold about 1 MB
+    reps = group.representatives
+    assert group.representatives is reps and len(reps) == 741 and all(len(rep) == 780 for rep in reps)
+    for k in (0, 370, 740):
+        assert group.coordinates(reps[k]) == [int(i == k) for i in range(741)]
 
 
 def _rp3() -> DeltaComplex:

@@ -110,3 +110,31 @@ def test_a_build_that_raises_fails_each_item_that_asks_for_it():
     failed = {item["name"] for item in report["items"] if item["status"] == FAIL}
     assert failed == {"moore-pointed", "reduced-homology", "gamma-retraction", "hurewicz-normalized",
                       "degeneracy-freeness"}
+
+
+def test_a_fast_run_loads_each_corpus_document_once(monkeypatch):
+    loaded = Counter()
+    original = suite.load_corpus
+    monkeypatch.setattr(suite, "load_corpus", lambda name: loaded.update([name]) or original(name))
+    cfg = SuiteConfig()
+    assert run_suite(cfg)["passed"]
+    # the 7 fast-corpus spaces and the counterexample, shared by every item that reads them
+    assert loaded == Counter([*suite.FAST_CORPUS, "counterexample"])
+    assert cfg.spaces == {}
+    loaded.clear()
+    run_suite(cfg)  # the same config: a second run loads anew
+    assert sum(loaded.values()) == 8
+
+
+def test_the_pointed_items_share_each_pointed_complex(monkeypatch):
+    calls = Counter()
+    for name in ("moore_complex", "pointed_unnormalized_chains"):
+        for module in (dold_kan, suite):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _n=name, _f=original: calls.update([_n]) or _f(*a))
+    cfg = SuiteConfig()
+    for check in (suite._check_moore_pointed, suite._check_reduced_homology, suite._check_gamma_retraction):
+        assert check(cfg)[0] == PASS
+    # three spaces: moore(R̃X) and the pointed chains of each built once, for all three items
+    assert calls == {"moore_complex": 3, "pointed_unnormalized_chains": 3}

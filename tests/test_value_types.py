@@ -138,3 +138,24 @@ def test_constructor_errors_are_unchanged(make, message):
     with pytest.raises(ValueError) as caught:
         make()
     assert str(caught.value) == message
+
+
+@settings(max_examples=30, deadline=None)
+@given(simplices, cells, bars, rings)
+def test_the_kept_hash_is_the_field_tuple_hash(s, c, b, r):
+    for value, _, fields in _instances(s, c, b, r):
+        assert hash(value) == hash(fields) and hash(value) == hash(value._fields())
+        for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert again == value and hash(again) == hash(fields)
+
+
+def test_the_kept_hash_cannot_be_set_from_outside():
+    value = Cell(1, ("a", 2))
+    with pytest.raises(AttributeError):
+        value._hash = 0
+    hash(value)
+    with pytest.raises(AttributeError):
+        value._hash = 0
+    with pytest.raises(AttributeError):
+        del value._hash
+    assert hash(value) == hash((1, ("a", 2)))

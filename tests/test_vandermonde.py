@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from steenrod_kit.chains import Chain, Simplex
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 from steenrod_kit.vandermonde import (
     TruncatedDiagonalVector,
+    _symmetrized_powers,
     symmetrized_power,
     vandermonde_det_factorization,
     vandermonde_independence,
@@ -80,3 +82,36 @@ def test_scalar_multiples_remain_independent():
 def test_determinant_factorization():
     for t in range(1, 5):
         assert vandermonde_det_factorization(t)
+
+
+def _powers_by_repeated_products(terms, count, field):
+    """c⁰, …, c^{count−1} in the symmetric algebra, each the previous times c,
+    one product of a monomial and a term at a time."""
+    powers = [{(): field.one}]
+    while len(powers) < count:
+        nxt = {}
+        for mono, x in powers[-1].items():
+            for k, y in terms:
+                key = tuple(sorted(mono + (k,)))
+                nxt[key] = field.add(nxt.get(key, field.zero), field.mul(x, y))
+        powers.append({m: x for m, x in nxt.items() if not field.is_zero(x)})
+    return powers
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5])
+def test_symmetrized_powers_equal_repeated_products(field):
+    # up to power 7, past every characteristic tested, where multinomials vanish mod p
+    rng = random.Random(5)
+    for _ in range(30):
+        positions = sorted(rng.sample(range(9), rng.randint(1, 4)))
+        if field is QQ:
+            values = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7])) for _ in positions]
+        else:
+            values = [rng.randint(1, field.characteristic - 1) for _ in positions]
+        terms = [(k, field.coerce(x)) for k, x in zip(positions, values)]
+        got = _symmetrized_powers(terms, 8, field)
+        assert got == _powers_by_repeated_products(terms, 8, field)
+        assert all(not field.is_zero(x) for power in got for x in power.values())
+    # (a + b)^p = a^p + b^p over 𝔽_p: the mixed monomials of degree p vanish
+    for p, field_p in ((2, F2), (3, F3), (5, F5)):
+        assert set(_symmetrized_powers([(0, 1), (1, 1)], p + 1, field_p)[p]) == {(0,) * p, (1,) * p}
