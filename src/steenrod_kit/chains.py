@@ -1,4 +1,4 @@
-"""Graded chains over an exact ring, chain complexes, and graded maps.
+"""Graded chains over an exact ring and chain complexes.
 
 Basis elements come in a handful of shapes (simplices with explicit vertex
 lists, abstract cells of a presentation, tensor pairs and bar generators).
@@ -9,7 +9,6 @@ Sign conventions (used consistently everywhere):
 
 * tensor boundary      ∂(a⊗b) = ∂a⊗b + (−1)^{|a|} a⊗∂b
 * map on tensors       (f⊗g)(a⊗b) = (−1)^{deg(g)·deg(a)} f(a)⊗g(b)
-* hom differential     ∂f = f∘∂ − (−1)^{deg f} ∂∘f
 """
 
 from __future__ import annotations
@@ -303,10 +302,8 @@ class ChainComplex:
     column list is not as long as its basis, and coerces every given entry
     into the ring and drops the zeros, once, so the stored columns hold
     nonzero ring elements only; columns given as ``_RingColumns`` already do
-    and are kept as they are.  ``boundary_of_basis``
-    reads a column back as a Chain.  The basis objects of a degree may be
-    built only when a Chain-level method (``basis_in``, ``index_of``,
-    ``boundary_of_basis``) first asks for them.
+    and are kept as they are.  The basis objects of a degree may be built
+    only when ``basis_in`` or ``index_of`` first asks for them.
     """
 
     def __init__(
@@ -375,20 +372,6 @@ class ChainComplex:
     def index_of(self, basis: BasisElement) -> int:
         return self._positions()[basis]
 
-    def boundary_of_basis(self, basis: BasisElement) -> Chain:
-        n = basis.degree
-        j = self._positions().get(basis)
-        if j is None:
-            return zero_chain(self.ring, n - 1)
-        lower = self.basis_in(n - 1)
-        return Chain(self.ring, n - 1, {lower[i]: c for i, c in self._columns[n][j].items()})
-
-    def boundary(self, chain: Chain) -> Chain:
-        acc = zero_chain(self.ring, chain.degree - 1)
-        for basis, coeff in chain.terms.items():
-            acc = acc + self.boundary_of_basis(basis).scale(coeff)
-        return acc
-
     def boundary_matrix(self, n: int) -> List[Dict[int, Coefficient]]:
         """Columns of ∂_n: C_n → C_{n−1}, one sparse column per basis element.
 
@@ -429,59 +412,3 @@ class ChainComplex:
 
     def check_dd_zero(self) -> bool:
         return all(self.composes_to_zero(n) for n in self.degrees())
-
-
-# ---------------------------------------------------------------------------
-# Graded maps and the Hom differential
-# ---------------------------------------------------------------------------
-
-
-class GradedMap:
-    """A degree-homogeneous linear map between complexes, given on basis."""
-
-    def __init__(
-        self,
-        source: ChainComplex,
-        target: ChainComplex,
-        degree: int,
-        action: Callable[[BasisElement], Chain],
-    ):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self._action = action
-
-    def on_basis(self, basis: BasisElement) -> Chain:
-        out = self._action(basis)
-        if out.degree != basis.degree + self.degree:
-            raise ValueError(
-                f"map of degree {self.degree} sent degree {basis.degree} to degree {out.degree}"
-            )
-        return out
-
-    def __call__(self, chain: Chain) -> Chain:
-        acc = zero_chain(self.target.ring, chain.degree + self.degree)
-        for basis, coeff in chain.terms.items():
-            acc = acc + self.on_basis(basis).scale(coeff)
-        return acc
-
-    def is_zero_on(self, degrees: Iterable[int]) -> bool:
-        return all(
-            self.on_basis(b).is_zero() for n in degrees for b in self.source.basis_in(n)
-        )
-
-
-def identity_map(c: ChainComplex) -> GradedMap:
-    return GradedMap(c, c, 0, lambda basis: chain_of(c.ring, basis))
-
-
-def hom_differential(f: GradedMap) -> GradedMap:
-    """∂f = f∘∂ − (−1)^{deg f} ∂∘f; vanishes exactly on chain maps in degree 0."""
-    sign = -1 if f.degree % 2 else 1
-
-    def action(basis: BasisElement) -> Chain:
-        first = f(f.source.boundary_of_basis(basis))
-        second = f.target.boundary(f.on_basis(basis))
-        return first - second.scale(sign)
-
-    return GradedMap(f.source, f.target, f.degree - 1, action)

@@ -13,7 +13,8 @@ against ``simplicial.simplicial_identities`` like a presentation.  It provides:
   simplicial set, with R̃X = ℛX / (basepoint degeneracy chain), built and
   validated once per presentation, ring and variant,
 * the Hurewicz map x ↦ 1·x on normalized and unnormalized chains, the
-  retraction γ, and the diagonal-compatibility defect of the Hurewicz square.
+  retraction γ, and the diagonal-compatibility defect of the Hurewicz square,
+* ``ChainMap``, the one form of a map of complexes: sparse columns per degree.
 
 Everything is finite because the inputs are truncated; every linear-algebra
 step is exact.  Kernels and span solves go through ``linalg.kernel`` and
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .chains import Cell, Chain, ChainComplex, GradedMap, TensorPair, chain_of, zero_chain
+from .chains import Cell, Chain, ChainComplex, TensorPair
 from .diagonal import DiagonalTable
 from .linalg import _axpy, kernel, solver
 from .rings import Coefficient, Ring
@@ -65,6 +66,26 @@ def _compose(second: Columns, first: Columns, ring: Ring) -> Columns:
     p = ring.characteristic
     return [second[next(iter(col))] if len(col) == 1 and 1 in col.values() else _apply(second, col.items(), p)
             for col in first]
+
+
+class ChainMap:
+    """A degree-0 linear map of complexes as sparse columns: ``columns[n][j]``
+    is the image of basis element j of degree n, as ``{row: coefficient}``
+    over the target's basis of degree n, with a column list for every degree
+    of the source."""
+
+    def __init__(self, source: ChainComplex, target: ChainComplex, columns: Dict[int, Columns]):
+        self.source, self.target, self.columns = source, target, columns
+
+    def is_chain_map(self, degrees: Iterable[int]) -> bool:
+        """Whether f∘∂ = ∂∘f on every basis element of the given degrees."""
+        p = self.target.ring.characteristic
+        for n in degrees:
+            here, below, d = self.columns.get(n, []), self.columns.get(n - 1, []), self.target.boundary_matrix(n)
+            for j, col in enumerate(self.source.boundary_matrix(n)):
+                if _apply(below, col.items(), p) != _apply(d, here[j].items(), p):
+                    return False
+        return True
 
 
 class SimplicialAbelianGroup:
@@ -107,10 +128,6 @@ class SimplicialAbelianGroup:
         self.truncation_dim = truncation_dim
         self.name = name
         self.of_cell: Dict[int, IndexMap] = {}
-        # (level, label) -> index of that generator in its level
-        self.position: Dict[Tuple[int, object], int] = {
-            (n, label): i for n, labels in self.levels.items() for i, label in enumerate(labels)
-        }
         self.validate()
 
     def rank(self, n: int) -> int:
@@ -269,26 +286,21 @@ def dold_kan_round_trip(c: ChainComplex) -> bool:
     top = max(c.degrees(), default=0)
     g = gamma(c, top + 1)
     normalized, kernels = _normalized_data(g)
-    p = ring.characteristic
-    lower: Columns = []  # the projections of the basis of N_{m−1}
+    projections: Dict[int, Columns] = {}
     for m in range(top + 2):
-        vecs = kernels.get(m, [])
-        if len(vecs) != c.rank(m):
+        vecs, rank = kernels.get(m, []), c.rank(m)
+        if len(vecs) != rank:
             return False
-        # coordinates of the identity-word summand C_m inside level m
-        summand = {g.position[(m, ("G", (), m, j))]: j for j in range(c.rank(m))}
-        projected = [{summand[i]: x for i, x in v.items() if i in summand} for v in vecs]
+        # the identity-word summand C_m is the last block of level m, since
+        # surjection_blocks orders the blocks by n and then by word
+        start = g.rank(m) - rank
+        projections[m] = [{i - start: x for i, x in v.items() if i >= start} for v in vecs]
         # bijectivity of the projection restricted to N
-        onto = solver(projected, c.rank(m), ring)
-        if any(onto.solve({j: ring.one}) is None for j in range(c.rank(m))):
+        onto = solver(projections[m], rank, ring)
+        if any(onto.solve({j: ring.one}) is None for j in range(rank)):
             return False
-        # the projection intertwines ∂_N with ∂_C
-        for j, proj in enumerate(projected if m else ()):
-            left = _apply(lower, normalized.boundary_matrix(m)[j].items(), p)
-            if left != _apply(c.boundary_matrix(m), proj.items(), p):
-                return False
-        lower = projected
-    return True
+    # the projection intertwines ∂_N with ∂_C
+    return ChainMap(normalized, c, projections).is_chain_map(range(1, top + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -358,55 +370,62 @@ def _pointed_chains(x: SimplicialSetPresentation, ring: Ring) -> Tuple[ChainComp
     return x.free_groups[key]
 
 
-def chain_hurewicz(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
+def _same_labels(source: ChainComplex, target: ChainComplex) -> ChainMap:
+    """Each basis cell of ``source`` ↦ the cell of ``target`` with the same
+    label, found through ``target.index_of``: a label ``target`` lacks raises."""
+    one = target.ring.one
+    return ChainMap(source, target, {n: [{target.index_of(b): one} for b in source.basis_in(n)] for n in source.degrees()})
+
+
+def chain_hurewicz(x: SimplicialSetPresentation, ring: Ring) -> ChainMap:
     """C(h): pointed C(X) → C(R̃X) = Moore complex of R̃X, cell ↦ 1·cell.
 
     Under the canonical basis identification the two complexes are equal, so
     the map carries each basis cell to the generator with the same label.
     """
-    source, target = _pointed_chains(x, ring)
-    return GradedMap(source, target, 0, lambda basis: chain_of(ring, basis))
+    return _same_labels(*_pointed_chains(x, ring))
 
 
-def gamma_X(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
+def gamma_X(x: SimplicialSetPresentation, ring: Ring) -> ChainMap:
     """γ: C(R̃X) → pointed C(X), sending each chain-generator of R̃X to the
     combination of simplices of X it denotes (1·σ ↦ σ), extended linearly."""
     target, source = _pointed_chains(x, ring)
-    return GradedMap(source, target, 0, lambda basis: chain_of(ring, basis))
+    return _same_labels(source, target)
 
 
-def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> GradedMap:
+def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> ChainMap:
     """N(h): N(X) → N(R̃X), σ ↦ the normalization of 1·σ.
 
-    The generator 1·σ is projected into ⋂ ker d_i with the standard
-    normalization operator P = (1 − s_{n−1}d_{n−1})⋯(1 − s_0 d_0) and
-    expressed in the computed kernel basis.  The basepoint chain maps to zero
-    (it is the quotiented direction), so on a reduced space degree 0 is the
-    zero map.
+    The generator 1·σ, found through ``of_cell``, is projected into ⋂ ker d_i
+    with the standard normalization operator P = (1 − s_{n−1}d_{n−1})⋯(1 −
+    s_0 d_0), and its coordinates in the computed kernel basis are its column.
+    The basepoint chain maps to zero (it is the quotiented direction), so on a
+    reduced space degree 0 is the zero map.
     """
     a = free_simplicial_abelian(x, ring, pointed=True)
     target, kernels = _normalized_data(a)
     source = x.normalized_chains(ring)
-    solvers: Dict[int, object] = {}
     p = ring.characteristic
-
-    def action(basis: Cell) -> Chain:
-        n = basis.degree
-        pos = a.position.get((n, basis.label))  # None for the basepoint chain itself
-        if pos is None or not kernels.get(n):
-            return zero_chain(ring, n)
-        vec = {pos: ring.one}
-        for i in range(n):  # P = Π (1 − s_i d_i), innermost i = 0
-            down = _apply(a.face(n, i), vec.items(), p)
-            _axpy(vec, _apply(a.degeneracy(n - 1, i), down.items(), p), -1, p)
-        if n not in solvers:
-            solvers[n] = solver(kernels[n], a.rank(n), ring)
-        coords = solvers[n].solve(vec)
-        if coords is None:
-            raise ValueError("vector is outside the expected span")
-        return Chain(ring, n, {target.basis_in(n)[t]: c for t, c in coords.items()})
-
-    return GradedMap(source, target, 0, action)
+    columns: Dict[int, Columns] = {}
+    for n in source.degrees():
+        # the generator of each basis cell, None for the basepoint chain itself
+        generators = [a.of_cell[n][idx] for idx in x.nondegenerate_indices(n)]
+        columns[n] = [{} for _ in generators]
+        if not kernels.get(n):
+            continue
+        onto = solver(kernels[n], a.rank(n), ring)
+        for j, pos in enumerate(generators):
+            if pos is None:
+                continue
+            vec = {pos: ring.one}
+            for i in range(n):  # P = Π (1 − s_i d_i), innermost i = 0
+                down = _apply(a.face(n, i), vec.items(), p)
+                _axpy(vec, _apply(a.degeneracy(n - 1, i), down.items(), p), -1, p)
+            coords = onto.solve(vec)
+            if coords is None:
+                raise ValueError("vector is outside the expected span")
+            columns[n][j] = coords
+    return ChainMap(source, target, columns)
 
 
 # ---------------------------------------------------------------------------

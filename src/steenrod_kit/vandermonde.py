@@ -19,16 +19,9 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from .chains import BasisElement, Chain
+from .chains import Chain
 from .linalg import field_rank
 from .rings import Coefficient, QQ, Ring
-
-Monomial = Tuple[BasisElement, ...]  # sorted tuple of basis elements
-Polynomial = Dict[Monomial, Coefficient]  # in the symmetric algebra on the basis
-
-
-def _sorted_monomial(factors: Monomial) -> Monomial:
-    return tuple(sorted(factors, key=lambda b: b.sort_key()))
 
 
 def _symmetrized_powers(
@@ -67,45 +60,6 @@ def _symmetrized_powers(
         powers.append(power)
         layer = nxt
     return powers
-
-
-def symmetrized_power(c: Chain, power: int, field: Ring) -> Polynomial:
-    """The image of c^{⊗power} in the symmetric algebra on the chain basis."""
-    return TruncatedDiagonalVector.of(c, power + 1, field).components[power]
-
-
-class TruncatedDiagonalVector:
-    """e(c) = (1, c, c⊗c, …, c^{⊗(t−1)}), with tensor powers symmetrized."""
-
-    def __init__(self, components: List[Polynomial], t: int) -> None:
-        self.components, self.t = components, t
-
-    @staticmethod
-    def of(c: Chain, t: int, field: Ring) -> "TruncatedDiagonalVector":
-        basis = sorted(c.terms, key=lambda b: b.sort_key())
-        powers = _symmetrized_powers([(k, field.coerce(c.terms[b])) for k, b in enumerate(basis)], t, field)
-        return TruncatedDiagonalVector(
-            [{tuple(basis[k] for k in mono): x for mono, x in power.items()} for power in powers], t
-        )
-
-    def check_powers(self, field: Ring) -> bool:
-        """Component i must be the i-fold product of component 1."""
-        acc: Polynomial = {(): field.one}
-        base = self.components[1] if self.t > 1 else {}
-        for i, comp in enumerate(self.components):
-            if comp != acc:
-                return False
-            nxt: Polynomial = {}
-            for mono, coeff in acc.items():
-                for extra, value in base.items():
-                    key = _sorted_monomial(mono + extra)
-                    v = field.add(nxt.get(key, field.zero), field.mul(coeff, value))
-                    if field.is_zero(v):
-                        nxt.pop(key, None)
-                    else:
-                        nxt[key] = v
-            acc = nxt
-        return True
 
 
 def _fraction_field(ring: Ring) -> Ring:

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steenrod_kit.chains import Cell, Chain, ChainComplex, hom_differential
+from steenrod_kit import dold_kan
+from steenrod_kit.chains import Cell, ChainComplex
 from steenrod_kit.diagonal import DiagonalTable
 from steenrod_kit.documents import corpus_names, load_corpus
 from steenrod_kit.dold_kan import (
+    ChainMap,
     SimplicialAbelianGroup,
     _compose,
     chain_hurewicz,
@@ -387,8 +389,7 @@ def test_pointed_chains_equal_moore_of_pointed_free_group():
             via_moore = moore_complex(free_simplicial_abelian(x, ring, pointed=True))
             for n in range(4):
                 assert direct.basis_in(n) == via_moore.basis_in(n)
-                for b in direct.basis_in(n):
-                    assert direct.boundary_of_basis(b) == via_moore.boundary_of_basis(b)
+                assert direct.boundary_matrix(n) == via_moore.boundary_matrix(n)
 
 
 def test_point_has_trivial_pointed_chains():
@@ -412,23 +413,40 @@ def test_gamma_x_retracts_the_hurewicz_map():
         g = gamma_X(x, ring)
         cx = pointed_unnormalized_chains(x, ring)
         for n in range(4):
-            for b in cx.basis_in(n):
-                image = h.on_basis(b)
-                back = None
-                for cell, coeff in image.terms.items():
-                    term = g.on_basis(cell).scale(coeff)
-                    back = term if back is None else back + term
-                assert back == Chain(ring, n, {b: ring.one})
+            assert _compose(g.columns[n], h.columns[n], ring) == [{j: ring.one} for j in range(cx.rank(n))]
 
 
 def test_hurewicz_maps_are_chain_maps():
     for name in ("circle", "boundary_delta3"):
         x = freely_add_degeneracies(load_corpus(name), 3)
         for ring in (ZZ, F2):
-            h = chain_hurewicz(x, ring)
-            assert hom_differential(h).is_zero_on(range(4))
-            nh = hurewicz_chain_map(x, ring)
-            assert hom_differential(nh).is_zero_on(range(4))
+            assert chain_hurewicz(x, ring).is_chain_map(range(4))
+            assert hurewicz_chain_map(x, ring).is_chain_map(range(4))
+
+
+def test_chain_map_detects_a_killed_degree():
+    cx = standard_delta(2).chains(ZZ)
+    identity = {n: [{j: 1} for j in range(cx.rank(n))] for n in cx.degrees()}
+    assert ChainMap(cx, cx, identity).is_chain_map(cx.degrees())
+    # a non-chain-map: kill degree 1 only
+    broken = {**identity, 1: [{} for _ in range(cx.rank(1))]}
+    assert not ChainMap(cx, cx, broken).is_chain_map(cx.degrees())
+
+
+def test_round_trip_fails_when_the_projection_does_not_intertwine(monkeypatch):
+    original = dold_kan._normalized_data
+
+    def flipped(a):  # N(Γ(C)) with the sign of one nonzero boundary column flipped
+        normalized, kernels = original(a)
+        cols = normalized.boundary_matrix(1)
+        j = next(j for j, col in enumerate(cols) if col)
+        cols[j] = {i: -x for i, x in cols[j].items()}
+        return normalized, kernels
+
+    c = ChainComplex(ZZ, {0: [Cell(0, "a"), Cell(0, "b")], 1: [Cell(1, "x")]}, {0: [{}, {}], 1: [{0: 1, 1: -1}]}, 1)
+    assert dold_kan_round_trip(c)
+    monkeypatch.setattr(dold_kan, "_normalized_data", flipped)
+    assert not dold_kan_round_trip(c)
 
 
 def test_hurewicz_square_defect_vanishes():

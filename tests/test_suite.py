@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from steenrod_kit import dold_kan, simplicial, suite
+from steenrod_kit.chains import Cell, Chain
 from steenrod_kit.suite import DEVIATION, FAIL, PASS, SuiteConfig, run_suite
 
 
@@ -51,6 +52,41 @@ def test_gamma_retraction_builds_each_pointed_complex_once_per_space(monkeypatch
     assert status == PASS
     # three spaces: both maps are built for each, and share its two complexes
     assert calls == {"gamma_X": 3, "chain_hurewicz": 3, "moore_complex": 3, "pointed_unnormalized_chains": 3}
+
+
+def test_gamma_retraction_reads_both_complexes(monkeypatch):
+    # C(R̃X) swapped for the chains of Δ¹: γ∘C(h) cannot be the identity
+    original = dold_kan._pointed_chains
+    delta1 = simplicial.standard_delta(1)
+    monkeypatch.setattr(dold_kan, "_pointed_chains", lambda x, ring: (original(x, ring)[0], delta1.chains(ring)))
+    report = run_suite(SuiteConfig(only="gamma-retraction"))
+    assert report["items"][0]["status"] == FAIL
+
+
+def test_hurewicz_normalized_fails_on_a_doubled_column(monkeypatch):
+    original = suite.hurewicz_chain_map
+
+    def doubled(x, ring):  # N(h) with its first nonzero column above degree 0 doubled
+        h = original(x, ring)
+        n, j = next((n, j) for n in sorted(h.columns) if n for j, col in enumerate(h.columns[n]) if col)
+        h.columns[n][j] = {t: 2 * c for t, c in h.columns[n][j].items()}
+        return h
+
+    monkeypatch.setattr(suite, "hurewicz_chain_map", doubled)
+    item = run_suite(SuiteConfig(only="hurewicz-normalized"))["items"][0]
+    assert (item["status"], item["detail"]) == (FAIL, "circle: N(h) is not a chain map")
+
+
+@pytest.mark.parametrize("item, cells", [("moore-pointed", True), ("hurewicz-normalized", False)])
+def test_the_column_checks_build_no_chain(monkeypatch, item, cells):
+    built = Counter()
+    for cls in (Chain, Cell):
+        original = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _f=original, _n=cls.__name__, **k: built.update([_n]) or _f(self, *a, **k))
+    assert run_suite(SuiteConfig(only=item))["passed"]
+    assert built["Chain"] == 0
+    if cells:  # moore-pointed compares the Cell bases of its two complexes
+        assert built["Cell"] > 0
 
 
 def _count_builds(monkeypatch):
