@@ -287,32 +287,33 @@ def render_chain(chain: Chain) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _RingColumns(dict):
-    """Boundary columns per degree whose entries are already nonzero elements
-    of the complex's ring, as the builders in ``simplicial`` write them: a
-    ``ChainComplex`` keeps them without coercing each entry again."""
-
-
 class ChainComplex:
     """A nonnegatively graded free complex with explicit basis per degree.
 
     The boundary is stored only as index columns: ``boundary_matrix(n)[j]``
     is ∂ of the j-th basis element of degree n, as ``{row: coefficient}``
-    over the basis of degree n−1.  The constructor refuses a degree whose
-    column list is not as long as its basis, and coerces every given entry
-    into the ring and drops the zeros, once, so the stored columns hold
-    nonzero ring elements only; columns given as ``_RingColumns`` already do
-    and are kept as they are.  The basis objects of a degree may be built
-    only when ``basis_in`` or ``index_of`` first asks for them.
+    over the basis of degree n−1.  ``columns`` is either a mapping of every
+    degree's column list, checked against the basis at construction and
+    coerced into the ring once (zeros dropped), or a function building one
+    degree's columns when ``boundary_matrix`` first reads it: then ``ranks``
+    gives the rank per degree, the length check runs on that first read, and
+    the columns are kept as built, so their entries must already be nonzero
+    ring elements.  ``coboundary``, a function of n, may build δ^n in the
+    same form without ∂; otherwise δ^n is the transpose of ∂_{n+1}.  The
+    basis objects of a degree may be built only when ``basis_in`` or
+    ``index_of`` first asks for them.
     """
 
     def __init__(
         self,
         ring: Ring,
         basis: Mapping[int, List[BasisElement]] | Callable[[int], List[BasisElement]],
-        columns: Mapping[int, List[Dict[int, Coefficient]]],
+        columns: Mapping[int, List[Dict[int, Coefficient]]] | Callable[[int], List[Dict[int, Coefficient]]],
         truncation_dim: int,
         exhaustive: bool = False,
+        *,
+        ranks: Mapping[int, int] | None = None,
+        coboundary: Callable[[int], List[Dict[int, Coefficient]]] | None = None,
     ):
         # exhaustive: absent degrees are genuinely zero (the complex is not a
         # truncation of something larger), so homology is valid at every degree
@@ -320,26 +321,35 @@ class ChainComplex:
         self.ring = ring
         # basis: the list per degree, or a function building a degree's list
         # when a Chain-level method first asks for it; the degrees and ranks
-        # are then those of the columns
+        # are then those of ``ranks`` or of the columns
         self._basis: Dict[int, List[BasisElement]] = {}
         if callable(basis):
             self._build_basis = basis
-            self._ranks = {n: len(cols) for n, cols in columns.items() if cols}
         else:
             self._basis = {n: self._checked(n, elems) for n, elems in basis.items() if elems}
-            self._ranks = {n: len(elems) for n, elems in self._basis.items()}
-        for n in sorted({*self._ranks, *columns}):
-            if (given := len(columns.get(n, ()))) != self.rank(n):
-                raise ValueError(f"degree {n} has {self.rank(n)} basis elements but {given} columns")
-        if not isinstance(columns, _RingColumns):
+        if ranks is None:
+            ranks = {n: len(given) for n, given in (columns if callable(basis) else self._basis).items()}
+        self._ranks = {n: r for n, r in ranks.items() if r}
+        self._build_coboundary = coboundary
+        self._columns: Dict[int, List[Dict[int, Coefficient]]] = {}
+        if callable(columns):
+            self._build_columns = columns
+        else:
+            for n in sorted({*self._ranks, *columns}):
+                self._length_checked(n, columns.get(n, ()))
             coerce = ring.coerce
-            columns = {n: [{i: y for i, x in col.items() if (y := coerce(x))} for col in columns[n]] for n in self._ranks}
-        self._columns = {n: columns[n] for n in self._ranks}
+            self._columns = {n: [{i: y for i, x in col.items() if (y := coerce(x))} for col in columns[n]]
+                             for n in self._ranks}
         self.truncation_dim = truncation_dim
         # data computed from the complex, e.g. (co)homology per degree, kept
         # by the modules that compute it so that every holder shares it
         self.derived: Dict[tuple, object] = {}
         self._index: Dict[BasisElement, int] | None = None
+
+    def _length_checked(self, n: int, columns: List[Dict[int, Coefficient]]) -> List[Dict[int, Coefficient]]:
+        if (given := len(columns)) != self.rank(n):
+            raise ValueError(f"degree {n} has {self.rank(n)} basis elements but {given} columns")
+        return columns
 
     @staticmethod
     def _checked(n: int, elems: Iterable[BasisElement]) -> List[BasisElement]:
@@ -373,18 +383,26 @@ class ChainComplex:
         return self._positions()[basis]
 
     def boundary_matrix(self, n: int) -> List[Dict[int, Coefficient]]:
-        """Columns of ∂_n: C_n → C_{n−1}, one sparse column per basis element.
+        """Columns of ∂_n: C_n → C_{n−1}, one sparse column per basis element,
+        built on the first read of the degree.
 
         These are the stored columns; callers must not modify them.
         """
+        if n not in self._columns and n in self._ranks:
+            self._columns[n] = self._length_checked(n, self._build_columns(n))
         return self._columns.get(n, [])
 
     def coboundary_matrix(self, n: int) -> List[Dict[int, Coefficient]]:
         """Columns of δ^n: C^n → C^{n+1}, the rows of ∂_{n+1}, one per basis
-        element of degree n.  Built once per degree and kept in ``derived``."""
+        element of degree n, each with its rows in increasing order.  Built
+        once per degree, by ``coboundary`` when given, and kept in
+        ``derived``."""
         key = ("coboundary_matrix", n)
         if key not in self.derived:
-            self.derived[key] = transpose(self.boundary_matrix(n + 1), self.rank(n))
+            if self._build_coboundary is None:
+                self.derived[key] = transpose(self.boundary_matrix(n + 1), self.rank(n))
+            else:
+                self.derived[key] = self._length_checked(n, self._build_coboundary(n))
         return self.derived[key]
 
     def composes_to_zero(self, n: int) -> bool:

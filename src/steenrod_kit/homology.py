@@ -1,6 +1,9 @@
 """Homology and cohomology of a ChainComplex, with representatives and
 coordinates (delegates the linear algebra to ``linalg``): homology takes the
-stored columns of ∂, cohomology the columns of δ, built once per degree.
+columns of ∂, cohomology the columns of δ, each built once per degree when
+first read; a complex from a face table builds δ from its faces, so the
+cohomology of the chains of all its cells, which need no ∂² check, builds
+no ∂.
 
 Each group is computed once per complex and degree: the descriptors are
 kept in the complex's ``derived`` memo, so every caller holding the same
@@ -19,7 +22,10 @@ from .linalg import HomologyDescriptor, field_homology, integer_homology, reduce
 def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
     """The field engine relies on ∂_degree ∘ ∂_{degree+1} = 0 without
     checking it: checked here once per complex and degree, for homology and
-    cohomology alike."""
+    cohomology alike, unless the complex's ``derived`` already records it.
+    ``FaceTable.chains_from_faces`` records it for the chains of all the
+    cells of a validated face table, where the face identities imply it;
+    every other complex is checked."""
     key = ("dd_zero", degree)
     if key not in complex_.derived:
         if not complex_.composes_to_zero(degree):

@@ -24,7 +24,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .chains import Cell, ChainComplex, _RingColumns
+from .chains import Cell, ChainComplex
 from .rings import Coefficient, Ring
 
 # ---------------------------------------------------------------------------
@@ -278,46 +278,85 @@ class FaceTable:
         self, ring: Ring, kept: Callable[[int], Sequence[int]], exhaustive: bool = False
     ) -> ChainComplex:
         """The chain complex on the cells ``kept(n)`` (increasing indices) of
-        each dimension, with boundary Σ (−1)^i d_i written straight into index
-        columns; faces outside the kept cells vanish (they are quotiented
-        away) and repeated faces add up.  The basis ``Cell``s of a dimension
-        are built when a Chain-level method first asks for them, by a closure
-        over the name and the kept indices: one over the table, which keeps
-        its complex, would be a cycle only the cyclic collector frees."""
-        kept_cells: Dict[int, Sequence[int]] = {}
-        columns: Dict[int, List[Dict[int, Coefficient]]] = _RingColumns()
-        rows: Dict[int, Optional[List[Optional[int]]]] = {}  # per cell its row or None; None: all kept
-        for n in sorted(self.cells):
-            indices, table, lower = kept(n), self.faces[n], rows.get(n - 1)
-            kept_cells[n] = indices
-            rows[n] = None if len(indices) == len(table) else [None] * len(table)
+        each dimension, with boundary Σ (−1)^i d_i.  A degree's columns of ∂,
+        and of δ, are written from the face table by ``signed_incidence``
+        when first read: faces outside the kept cells vanish (they are
+        quotiented away) and repeated faces add up.  When every cell is kept,
+        ∂∂ = 0 follows from the face identities d_i d_j = d_{j−1} d_i, which
+        the constructor validated, over every ring: it is recorded in
+        ``derived`` under ``("dd_zero", n)`` and not checked again.  The
+        builders close over the face lists, the name and the kept indices:
+        one over the table, which keeps its complex, would be a cycle only
+        the cyclic collector frees."""
+        kept_cells = {n: kept(n) for n in sorted(self.cells)}
+        # per dimension: None when every cell is kept, else each cell's row,
+        # or the rank for a cell quotiented away
+        rows: Dict[int, Optional[List[int]]] = {}
+        for n, indices in kept_cells.items():
+            rows[n] = None if len(indices) == self.n_cells(n) else [len(indices)] * self.n_cells(n)
             for r, idx in enumerate(indices if rows[n] else ()):
                 rows[n][idx] = r
-            # the signed sums that occur, each coerced once
-            value = {s: c for s in range(-n - 1, n + 2) if not ring.is_zero(c := ring.coerce(s))}
-            signs = [value[-1 if i & 1 else 1] for i in range(n + 1)]
-            if lower is None:
-                faces = table if rows[n] is None else [table[idx] for idx in indices]
-            else:
-                faces = [[lower[f] for f in table[idx]] for idx in indices]
-            # distinct kept faces (the rule on simplicial complexes): one dict() each
-            cols = [dict(zip(fs, signs)) for fs in faces]
-            # a column lost an entry to a repeated face, or may hold a face quotiented away
-            if lower is not None or sum(map(len, cols)) < sum(map(len, faces)):
-                for k in [k for k, col in enumerate(cols) if len(col) < len(faces[k]) or None in col]:
-                    col = {}
-                    for i, r in enumerate(faces[k]):
-                        if r is not None:
-                            col[r] = col.get(r, 0) + (-1 if i & 1 else 1)
-                    cols[k] = {r: value[s] for r, s in col.items() if s in value}
-            columns[n] = cols
+        faces, name = self.faces, self.name
 
-        name = self.name
+        def incidence(n: int, by_row: bool) -> List[Dict[int, Coefficient]]:
+            return signed_incidence(ring, n, faces.get(n, ()), kept_cells.get(n, ()), rows.get(n - 1),
+                                    len(kept_cells.get(n - 1, ())), by_row)
 
         def basis(n: int) -> List[Cell]:
             return [_basis_cell(name, n, idx) for idx in kept_cells[n]]
 
-        return ChainComplex(ring, basis, columns, self.truncation_dim, exhaustive)
+        complex_ = ChainComplex(ring, basis, lambda n: incidence(n, False), self.truncation_dim, exhaustive,
+                                ranks={n: len(indices) for n, indices in kept_cells.items()},
+                                coboundary=lambda n: incidence(n + 1, True))
+        if all(r is None for r in rows.values()):
+            complex_.derived.update((("dd_zero", n), True) for n in kept_cells)
+        return complex_
+
+
+def signed_incidence(ring: Ring, n: int, table: Sequence[Sequence[int]], kept: Sequence[int],
+                     rows: Optional[List[int]], size: int, by_row: bool) -> List[Dict[int, Coefficient]]:
+    """∂_n = Σ (−1)^i d_i on the cells ``kept`` of the n-cells' face lists
+    ``table``, with entries nonzero elements of ``ring``: repeated faces add
+    up, and sums that vanish and faces quotiented away are dropped.
+
+    ``rows`` gives each (n−1)-cell's row, ``size`` (the number of rows) for
+    one quotiented away, or is None when every (n−1)-cell is a row.  Grouped
+    by column, the result is ∂_n: one ``{row: x}`` per kept n-cell, in face
+    order.  Grouped by row, it is δ^{n−1}: one ``{k: x}`` per row, k the
+    positions of the kept n-cells, increasing, as transposing ∂_n gives it.
+    """
+    value = {s: c for s in range(-n - 1, n + 2) if not ring.is_zero(c := ring.coerce(s))}
+    signs = [value[-1 if i & 1 else 1] for i in range(n + 1)]
+    if rows is None:
+        faces = table if len(kept) == len(table) else [table[idx] for idx in kept]
+    else:
+        faces = [[rows[f] for f in table[idx]] for idx in kept]
+    if by_row:
+        out = [{} for _ in range(size + 1)]  # the last row takes the faces quotiented away
+        for k, fs in enumerate(faces):
+            for r, x in zip(fs, signs):
+                out[r][k] = x
+    else:
+        out = [dict(zip(fs, signs)) for fs in faces]
+    # a cell lost an entry to a repeated face: sum its faces again
+    if n and sum(map(len, out)) < len(faces) * (n + 1):
+        for k, fs in enumerate(faces):
+            if len(set(fs)) < len(fs):
+                summed: Dict[int, int] = {}
+                for i, r in enumerate(fs):
+                    summed[r] = summed.get(r, 0) + (-1 if i & 1 else 1)
+                for r, s in summed.items():
+                    entries, key = (out[r], k) if by_row else (out[k], r)
+                    if s in value:
+                        entries[key] = value[s]
+                    else:
+                        del entries[key]
+    if by_row:
+        out.pop()
+    elif rows is not None:
+        for col in out:
+            col.pop(size, None)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from steenrod_kit import cli, documents, homology as homology_module, linalg, rings
+from steenrod_kit.chains import ChainComplex
 from steenrod_kit.cli import EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from steenrod_kit.documents import load_corpus, save_complex
 from steenrod_kit.simplicial import DeltaComplex
@@ -108,6 +109,17 @@ def test_sq_computes_each_cohomology_group_once(capsys, corpus_file, monkeypatch
     assert main(["sq", "--input", corpus_file("rp2"), "--json"]) == EXIT_OK
     assert len(built) == 3  # H^0, H^1 and H^2, shared by every square
     assert len(reduced) == 4 and set(reduced.values()) == {1}  # δ^-1 … δ^2, each reduced once
+
+
+@pytest.mark.parametrize("name", ["rp2", "counterexample"])
+def test_sq_reads_only_the_coboundary(name, capsys, corpus_file, monkeypatch):
+    # δ comes from the face table and ∂² = 0 from the face identities: no ∂ is read
+    read = []
+    for attr in ("boundary_matrix", "composes_to_zero"):
+        original = getattr(ChainComplex, attr)
+        monkeypatch.setattr(ChainComplex, attr, lambda cx, n, f=original, a=attr: read.append((a, n)) or f(cx, n))
+    assert main(["sq", "--input", corpus_file(name), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["squares"] and read == []
 
 
 def test_sq_on_rp4_reduces_each_coboundary_map_once(capsys, monkeypatch):
