@@ -407,9 +407,10 @@ class ChainComplex:
 
     def composes_to_zero(self, n: int) -> bool:
         """Whether ∂_n ∘ ∂_{n+1} = 0, summed one column at a time in a small
-        set or dict (bitsets would span the whole basis)."""
-        lower, upper, ring = self.boundary_matrix(n), self.boundary_matrix(n + 1), self.ring
-        if ring.characteristic == 2:  # every stored entry is 1: rows hit an odd number of times
+        set or dict (bitsets would span the whole basis); a summed column is
+        tested with ``%`` p over 𝔽_p and by truth value in characteristic 0."""
+        lower, upper, p = self.boundary_matrix(n), self.boundary_matrix(n + 1), self.ring.characteristic
+        if p == 2:  # every stored entry is 1: rows hit an odd number of times
             for col in upper if lower else ():
                 odd: set = set()
                 for j in col:
@@ -417,14 +418,13 @@ class ChainComplex:
                 if odd:
                     return False
             return True
-        is_zero = ring.is_zero
         terms = [list(col.items()) for col in lower]
         for col in upper if lower else ():
             total: Dict[int, Coefficient] = {}
             for j, c in col.items():
                 for i, x in terms[j]:
                     total[i] = total.get(i, 0) + c * x
-            if not all(is_zero(x) for x in total.values()):
+            if any(x % p for x in total.values()) if p else any(total.values()):
                 return False
         return True
 

@@ -12,6 +12,14 @@ Vandermonde-structured, with determinant Π_{i<j}(f(c_i) − f(c_j)).
 ``vandermonde_independence`` verifies the independence by exact rank
 computation; ``vandermonde_det_factorization`` verifies the determinant
 identity symbolically.
+
+The rank is taken on the truncations (1, c, …, c^{⊗d}) for d = 1, 2, … in
+turn, stopping at the first d whose rank is t.  Those columns are a subset of
+the columns of e(c), and the rank of a subset of the columns is at most the
+rank of all of them, which is at most t, the number of rows: a truncation of
+rank t proves e(c₁),…,e(c_t) independent, and the last truncation, d = t − 1,
+is e(c) itself.  So the answer is the full matrix's, and distinct chains that
+are affinely independent (the usual case) are settled at d = 1.
 """
 
 from __future__ import annotations
@@ -69,9 +77,14 @@ def _fraction_field(ring: Ring) -> Ring:
 def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
     """Whether e(c₁),…,e(c_t) are linearly independent over the fraction field.
 
-    Each chain gives one row: its symmetrized powers 0 … t−1 side by side, a
-    column per monomial (a monomial's length is its power), numbered as the
-    monomials first occur; the rank of the rows is taken by ``field_rank``.
+    For d = 1, 2, …, t − 1 in turn (d = 0 when t = 1), each chain gives one
+    row: its symmetrized powers 0 … d side by side, a column per monomial (a
+    monomial's length is its power), numbered as the monomials first occur;
+    the rank of the rows is taken by ``field_rank``.  The answer is True at
+    the first d whose rank is t, and False if d = t − 1, the whole of e(c),
+    falls short.  Stopping early gives the full matrix's answer: the
+    truncated columns are some of its columns, and a subset of the columns
+    has at most their rank, which is at most t.
 
     Preconditions (violations raise, they are never reported as ``False``):
     the chains are pairwise distinct, nonzero, and homogeneous of a common
@@ -95,16 +108,20 @@ def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
     # same int tuple in every row
     support = sorted({b for c in cs for b in c.terms}, key=lambda b: b.sort_key())
     position = {b: k for k, b in enumerate(support)}
-    columns: Dict[Tuple[int, ...], int] = {}
-    rows = []
-    for c in cs:
-        terms = sorted((position[b], field.coerce(x)) for b, x in c.terms.items())
-        rows.append([
-            (columns.setdefault(mono, len(columns)), coeff)
-            for comp in _symmetrized_powers(terms, t, field)
-            for mono, coeff in comp.items()
-        ])
-    return field_rank(rows, field) == t
+    chain_terms = [sorted((position[b], field.coerce(x)) for b, x in c.terms.items()) for c in cs]
+    for d in range(min(1, t - 1), t):
+        columns: Dict[Tuple[int, ...], int] = {}
+        rows = [
+            [
+                (columns.setdefault(mono, len(columns)), coeff)
+                for comp in _symmetrized_powers(terms, d + 1, field)
+                for mono, coeff in comp.items()
+            ]
+            for terms in chain_terms
+        ]
+        if field_rank(rows, field) == t:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

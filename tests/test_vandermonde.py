@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from steenrod_kit import suite, vandermonde
 from steenrod_kit.chains import Chain, Simplex
+from steenrod_kit.linalg import field_rank
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 from steenrod_kit.vandermonde import _symmetrized_powers, vandermonde_det_factorization, vandermonde_independence
 
@@ -18,8 +21,7 @@ def _random_chain(rng, ring, nonzero=True):
             return c
 
 
-@pytest.mark.parametrize("ring", [ZZ, QQ, F2, F3, F5])
-def test_independence_on_random_draws(ring):
+def _random_draws(ring):
     rng = random.Random(11)
     for _ in range(40):
         t = rng.randint(1, 5)
@@ -28,7 +30,90 @@ def test_independence_on_random_draws(ring):
             c = _random_chain(rng, ring)
             if all(c != d for d in chains):
                 chains.append(c)
+        yield chains
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, F2, F3, F5])
+def test_independence_on_random_draws(ring):
+    for chains in _random_draws(ring):
         assert vandermonde_independence(chains, ring)
+
+
+def _truncated_rank(chains, ring, count):
+    """The rank of the rows (c^{⊗0}, …, c^{⊗(count−1)}) over the fraction
+    field, every power built at once and ranked by one ``field_rank`` call."""
+    field = QQ if ring is ZZ else ring
+    support = sorted({b for c in chains for b in c.terms}, key=lambda b: b.sort_key())
+    position = {b: k for k, b in enumerate(support)}
+    columns = {}
+    rows = []
+    for c in chains:
+        terms = sorted((position[b], field.coerce(x)) for b, x in c.terms.items())
+        powers = _symmetrized_powers(terms, count, field)
+        rows.append([(columns.setdefault(m, len(columns)), x) for power in powers for m, x in power.items()])
+    return field_rank(rows, field)
+
+
+@pytest.fixture(scope="module")
+def suite_item_run():
+    """The ``vandermonde`` suite item run once, recording the (chains, ring)
+    of each tuple it draws from ``suite.SEED`` and each ``count`` it passes to
+    ``_symmetrized_powers``."""
+    tuples, counts = [], []
+    independence, powers = vandermonde.vandermonde_independence, vandermonde._symmetrized_powers
+
+    def recording_independence(cs, ring):
+        tuples.append((list(cs), ring))
+        return independence(cs, ring)
+
+    def recording_powers(terms, count, field):
+        counts.append(count)
+        return powers(terms, count, field)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suite, "vandermonde_independence", recording_independence)
+        mp.setattr(vandermonde, "_symmetrized_powers", recording_powers)
+        status, _ = suite._check_vandermonde(suite.SuiteConfig())
+    return status, tuples, counts
+
+
+def test_early_stop_agrees_with_the_full_degree_matrix(suite_item_run):
+    status, tuples, _ = suite_item_run
+    assert status == suite.PASS and len(tuples) == 400
+    draws = tuples + [(chains, ring) for ring in (ZZ, QQ, F2, F3, F5) for chains in _random_draws(ring)]
+    for chains, ring in draws:
+        assert vandermonde_independence(chains, ring) == (_truncated_rank(chains, ring, len(chains)) == len(chains))
+
+
+def test_the_suite_item_stops_at_degree_one(suite_item_run):
+    # every drawn tuple is affinely independent, so (1, c) already has rank t;
+    # a fallback to the full degree would pass counts up to 5
+    _, _, counts = suite_item_run
+    assert counts and max(counts) <= 2
+
+
+def _all_chains(ring):
+    """Every nonzero chain over 𝔽_p on the first three edges."""
+    p = ring.characteristic
+    return [Chain(ring, 1, {S[k]: x for k, x in enumerate(values) if x}) for values in product(range(p), repeat=3) if any(values)]
+
+
+@pytest.mark.parametrize(
+    "ring, sizes, tuples, affinely_dependent, needed",
+    [(F2, range(1, 6), 119, 28, 3), (F3, range(1, 4), 2951, 104, 2)],
+    ids=["F2", "F3"],
+)
+def test_every_small_tuple_is_independent(ring, sizes, tuples, affinely_dependent, needed):
+    # the affinely dependent tuples are not settled below degree ``needed``:
+    # over 𝔽₂ (a, b, c, a+b+c and every 5-tuple) the mixed monomials of degree
+    # 2 vanish mod 2, and over 𝔽₃ a line's three points need a square
+    chains = _all_chains(ring)
+    drawn = [cs for t in sizes for cs in combinations(chains, t)]
+    assert len(drawn) == tuples
+    dependent = [cs for cs in drawn if _truncated_rank(cs, ring, 2) < len(cs)]
+    assert len(dependent) == affinely_dependent
+    assert all(_truncated_rank(cs, ring, needed) < len(cs) for cs in dependent)
+    assert all(vandermonde_independence(list(cs), ring) for cs in drawn)
 
 
 def test_independence_preconditions_raise():
@@ -47,10 +132,13 @@ def test_independence_preconditions_raise():
 
 def test_scalar_multiples_remain_independent():
     # distinct scalar multiples of one chain are dependent in degree 1 but the
-    # truncated diagonal vectors still separate them (classical Vandermonde)
-    base = Chain(QQ, 1, {S[0]: 1})
-    chains = [base.scale(QQ.coerce(k)) for k in (1, 2, 3)]
-    assert vandermonde_independence(chains, QQ)
+    # truncated diagonal vectors still separate them (classical Vandermonde);
+    # t points on a line are told apart by no polynomial of degree below t − 1
+    for ring, t, terms in ((QQ, 3, {S[0]: 1}), (QQ, 5, {S[0]: 1, S[1]: -2, S[3]: 3}), (F5, 4, {S[0]: 1, S[1]: -2, S[3]: 3})):
+        base = Chain(ring, 1, terms)
+        chains = [base.scale(ring.coerce(k)) for k in range(1, t + 1)]
+        assert _truncated_rank(chains, ring, t - 1) == t - 1
+        assert vandermonde_independence(chains, ring)
 
 
 def test_determinant_factorization():
