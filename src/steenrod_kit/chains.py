@@ -1,9 +1,9 @@
-"""Graded chains over an exact ring and chain complexes.
+"""Basis elements, chains and chain complexes over an exact ring.
 
-Basis elements come in a handful of shapes (simplices with explicit vertex
-lists, abstract cells of a presentation, tensor pairs and bar generators).
-All carry a degree and a canonical sort key so that chains normalize to a
-unique form and equality is structural.
+Basis elements are simplices with explicit vertex lists and abstract cells
+of a presentation; both carry a degree and a canonical sort key.  A chain is
+a plain dict ``{(factor, …): coefficient}`` with nonzero ring coefficients,
+each factor a basis element; ``render_terms`` prints it in canonical order.
 
 Sign conventions (used consistently everywhere):
 
@@ -13,7 +13,7 @@ Sign conventions (used consistently everywhere):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from .linalg import transpose
 from .rings import Coefficient, Frozen, Ring, _set
@@ -103,65 +103,7 @@ def _label_key(label):
     return (type(label).__name__, label)
 
 
-class TensorPair(Frozen):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: "BasisElement", right: "BasisElement") -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def _fields(self) -> tuple:
-        return (self.left, self.right)
-
-    @property
-    def degree(self) -> int:
-        return self.left.degree + self.right.degree
-
-    def sort_key(self):
-        return (2, self.left.sort_key(), self.right.sort_key())
-
-    def __str__(self) -> str:
-        return f"{self.left}⊗{self.right}"
-
-
-class BarElement(Frozen):
-    """A basis element g·e_n of the normalized bar resolution of S₂.
-
-    ``twist`` is False for the identity coefficient and True for T = (1,2);
-    the degree is the bar level n.
-    """
-
-    __slots__ = ("twist", "level")
-
-    def __init__(self, twist: bool, level: int) -> None:
-        if level < 0:
-            raise ValueError("bar level must be nonnegative")
-        _set(self, "twist", twist)
-        _set(self, "level", level)
-
-    def _fields(self) -> tuple:
-        return (self.twist, self.level)
-
-    @property
-    def degree(self) -> int:
-        return self.level
-
-    def twisted(self) -> "BarElement":
-        return BarElement(not self.twist, self.level)
-
-    def sort_key(self):
-        return (3, self.level, self.twist)
-
-    def __str__(self) -> str:
-        return ("T·" if self.twist else "") + f"e{self.level}"
-
-
-def e(n: int) -> BarElement:
-    """The untwisted bar generator e_n."""
-    return BarElement(False, n)
-
-
-BasisElement = object  # any of the four value types above; duck-typed via .degree and .sort_key()
+BasisElement = object  # a Simplex or a Cell; duck-typed via .degree and .sort_key()
 
 
 # ---------------------------------------------------------------------------
@@ -169,116 +111,19 @@ BasisElement = object  # any of the four value types above; duck-typed via .degr
 # ---------------------------------------------------------------------------
 
 
-class Chain:
-    """A finite formal sum of basis elements of a common degree.
-
-    Immutable after construction; zero coefficients are dropped and terms are
-    kept in a dict (rendered in canonical order), so ``==`` is structural
-    equality of normalized values.
-    """
-
-    __slots__ = ("ring", "degree", "terms")
-
-    def __init__(self, ring: Ring, degree: int, terms: Mapping[BasisElement, Coefficient] = ()):
-        clean: Dict[BasisElement, Coefficient] = {}
-        for basis, coeff in dict(terms).items():
-            coeff = ring.coerce(coeff)
-            if ring.is_zero(coeff):
-                continue
-            if basis.degree != degree:
-                raise ValueError(f"term {basis} has degree {basis.degree}, chain has degree {degree}")
-            clean[basis] = coeff
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Chain is immutable")
-
-    # --- algebra ----------------------------------------------------------
-    def __add__(self, other: "Chain") -> "Chain":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for basis, coeff in other.terms.items():
-            terms[basis] = self.ring.add(terms.get(basis, self.ring.zero), coeff)
-        return Chain(self.ring, self.degree, terms)
-
-    def __neg__(self) -> "Chain":
-        return Chain(self.ring, self.degree, {b: self.ring.neg(c) for b, c in self.terms.items()})
-
-    def __sub__(self, other: "Chain") -> "Chain":
-        return self + (-other)
-
-    def scale(self, scalar: Coefficient) -> "Chain":
-        scalar = self.ring.coerce(scalar)
-        return Chain(self.ring, self.degree, {b: self.ring.mul(scalar, c) for b, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Chain)
-            and self.ring == other.ring
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.degree, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __iter__(self) -> Iterator[Tuple[BasisElement, Coefficient]]:
-        return iter(sorted(self.terms.items(), key=lambda kv: kv[0].sort_key()))
-
-    def coefficient(self, basis: BasisElement) -> Coefficient:
-        return self.terms.get(basis, self.ring.zero)
-
-    def map_terms(self, fn: Callable[[BasisElement, Coefficient], Iterable[Tuple[BasisElement, Coefficient]]],
-                  degree: int) -> "Chain":
-        """Linear extension of a term-level map producing a degree-``degree`` chain."""
-        acc: Dict[BasisElement, Coefficient] = {}
-        for basis, coeff in self.terms.items():
-            for new_basis, new_coeff in fn(basis, coeff):
-                acc[new_basis] = self.ring.add(acc.get(new_basis, self.ring.zero), self.ring.coerce(new_coeff))
-        return Chain(self.ring, degree, acc)
-
-    def _check_compatible(self, other: "Chain") -> None:
-        if self.ring != other.ring or self.degree != other.degree:
-            raise ValueError("chains live in different rings or degrees")
-
-    def __repr__(self) -> str:
-        return f"Chain({self.ring}, {self.degree}, {render_chain(self)!r})"
-
-    def __str__(self) -> str:
-        return render_chain(self)
-
-
-def chain_of(ring: Ring, basis: BasisElement, coeff: Coefficient = 1) -> Chain:
-    return Chain(ring, basis.degree, {basis: coeff})
-
-
-def zero_chain(ring: Ring, degree: int) -> Chain:
-    return Chain(ring, degree, {})
-
-
-def render_chain(chain: Chain) -> str:
-    """Canonical text form: terms in canonical order, ±1 rendered as signs."""
-    if chain.is_zero():
+def render_terms(terms: Mapping[tuple, Coefficient]) -> str:
+    """Canonical text of a chain ``{(factor, …): coefficient}`` with nonzero
+    coefficients: terms ordered by their factors' sort keys, factors joined
+    by ⊗, ±1 rendered as signs."""
+    if not terms:
         return "0"
     parts: List[str] = []
-    for basis, coeff in chain:
-        if coeff == 1:
-            text, sign = str(basis), "+"
-        elif coeff == -1:
-            text, sign = str(basis), "-"
-        else:
-            sign = "-" if (not isinstance(coeff, bool) and coeff < 0) else "+"
-            mag = -coeff if coeff < 0 else coeff
-            text = f"{mag}·{basis}"
-        if not parts:
-            parts.append(text if sign == "+" else f"-{text}")
-        else:
-            parts.append(f"{sign} {text}")
+    for key, coeff in sorted(terms.items(), key=lambda kv: tuple(f.sort_key() for f in kv[0])):
+        text = "⊗".join(map(str, key))
+        if coeff != 1 and coeff != -1:
+            text = f"{abs(coeff)}·{text}"
+        sign = "-" if coeff < 0 else "+"
+        parts.append(f"{sign} {text}" if parts else f"-{text}" if coeff < 0 else text)
     return " ".join(parts)
 
 
@@ -320,7 +165,7 @@ class ChainComplex:
         self.exhaustive = exhaustive
         self.ring = ring
         # basis: the list per degree, or a function building a degree's list
-        # when a Chain-level method first asks for it; the degrees and ranks
+        # when ``basis_in`` or ``index_of`` first asks for it; the degrees and ranks
         # are then those of ``ranks`` or of the columns
         self._basis: Dict[int, List[BasisElement]] = {}
         if callable(basis):

@@ -18,7 +18,7 @@ import os
 import sys
 from typing import Optional
 
-from .chains import Simplex, e, render_chain
+from .chains import Simplex, render_terms
 from .documents import load_complex
 from .homology import cohomology, homology
 from .rings import F2, Ring, ZZ
@@ -87,7 +87,7 @@ def _cmd_diag(args) -> int:
             vertices = tuple(int(v) for v in args.simplex.split(","))
         except ValueError as exc:
             raise ValueError(f"bad --simplex: {exc}") from exc
-        chain = xi_simplex(e(args.n), Simplex(vertices), table, ring)
+        chain = xi_simplex(args.n, Simplex(vertices), table, ring)
         label = f"xi(e{args.n} ⊗ {Simplex(vertices)})"
     elif args.input:
         space = _load_input(args)
@@ -99,14 +99,14 @@ def _cmd_diag(args) -> int:
             raise ValueError(f"bad --cell: {exc}") from exc
         if dim not in space.cells or not 0 <= idx < len(space.cells[dim]):
             raise ValueError(f"no cell ({dim},{idx}) in {space.name or 'the input'}")
-        chain = xi_cell(e(args.n), space, dim, idx, table, ring)
+        chain = xi_cell(args.n, space, dim, idx, table, ring)
         label = f"xi(e{args.n} ⊗ cell({dim},{idx}))"
     else:
         raise ValueError("diag needs --simplex or --input with --cell")
     if args.json:
-        print(json.dumps({"query": label, "value": render_chain(chain)}))
+        print(json.dumps({"query": label, "value": render_terms(chain)}))
     else:
-        print(f"{label} = {render_chain(chain)}")
+        print(f"{label} = {render_terms(chain)}")
     return EXIT_OK
 
 

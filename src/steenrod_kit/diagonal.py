@@ -1,11 +1,11 @@
-"""The equivariant diagonal ξ: RS₂⊗C → C⊗C, its contracting homotopy, and the
-identities it satisfies.
+"""The equivariant diagonal ξ: RS₂⊗C → C⊗C and the identities it satisfies.
 
-High-level chain-valued wrappers around the raw kernel (``kernel.py``).  The
-memoized table stores only untwisted standard-simplex entries ξ(e_n⊗Δ^k);
-everything else is reached by equivariance (the signed swap) and naturality
+The memoized table stores only untwisted standard-simplex entries
+ξ(e_n⊗Δ^k) from the raw kernel (``kernel.py``).  ``xi_simplex`` and
+``xi_cell`` reach every simplex and cell from them by naturality
 (order-preserving relabeling for vertex-list simplices, iterated faces for
-abstract cells).
+abstract cells) and return chains ``{(factor, factor): coefficient}`` over a
+ring; the twisted values T·ξ are ``kernel.twist`` of the raw entries.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import kernel
-from .bar import bar_boundary_coefficients, twist_act
-from .chains import BarElement, BasisElement, Chain, Simplex, TensorPair, zero_chain
+from .chains import Simplex
+from .kernel import bar_boundary_coefficients
 from .rings import Coefficient, Ring, ZZ
 
 RawEntries = dict  # {(left vertex tuple, right vertex tuple): int}
@@ -36,105 +36,46 @@ class DiagonalTable:
 
 
 # ---------------------------------------------------------------------------
-# The contracting cochain and homotopy
+# Diagonal values as chains
 # ---------------------------------------------------------------------------
 
 
-def phi(k: int, face: Simplex, ring: Ring = ZZ) -> Chain:
-    """φ_k: cone a face of Δ^k onto the top vertex k.
-
-    φ_k([i₀,…,i_t]) = (−1)^{t+1}[i₀,…,i_t,k] when i_t ≠ k, else 0.  Together
-    with ι_k (vertex inclusion) and ε (augmentation) it satisfies
-    ∂φ_k + φ_k∂ = 1 − ι_k∘ε on the chains of Δ^k.
-    """
-    v = face.vertices
-    if any(not 0 <= x <= k for x in v):
-        raise ValueError(f"face {face} does not live in the {k}-simplex")
-    if any(v[i] >= v[i + 1] for i in range(len(v) - 1)):
-        raise ValueError(f"face {face} must have strictly increasing vertices")
-    if v[-1] == k:
-        return zero_chain(ring, face.degree + 1)
-    sign = 1 if len(v) % 2 == 0 else -1  # (−1)^{t+1}
-    return Chain(ring, face.degree + 1, {Simplex(v + (k,)): sign})
+def _check_level(n: int) -> None:
+    if n < 0:
+        raise ValueError("bar level must be nonnegative")
 
 
-def big_phi(k: int, c: Chain) -> Chain:
-    """Φ = φ_k⊗1 + (ι_k∘ε)⊗φ_k on chains in C(Δ^k)⊗C(Δ^k); Φ∘Φ = 0.
-
-    The second summand survives only on degree-0 left factors (ε kills
-    positive degrees), so no Koszul sign remains there.
-    """
-    ring = c.ring
-    acc: Dict[BasisElement, Coefficient] = {}
-    for basis, coeff in c.terms.items():
-        if not isinstance(basis, TensorPair) or not isinstance(basis.left, Simplex):
-            raise ValueError(f"big_phi needs simplex tensor pairs, got {basis}")
-        left, right = basis.left, basis.right
-        coned = phi(k, left, ring)
-        for new_left, sign in coned.terms.items():
-            key = TensorPair(new_left, right)
-            acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(coeff, sign))
-        if left.degree == 0:
-            coned_r = phi(k, right, ring)
-            for new_right, sign in coned_r.terms.items():
-                key = TensorPair(Simplex((k,)), new_right)
-                acc[key] = ring.add(acc.get(key, ring.zero), ring.mul(coeff, sign))
-    return Chain(ring, c.degree + 1, acc)
-
-
-# ---------------------------------------------------------------------------
-# Chain-valued diagonals
-# ---------------------------------------------------------------------------
-
-
-def _entries_to_chain(entries: RawEntries, ring: Ring, degree: int) -> Chain:
-    terms = {
-        TensorPair(Simplex(a), Simplex(b)): coeff for (a, b), coeff in entries.items()
-    }
-    return Chain(ring, degree, terms)
-
-
-def aw_diagonal(simplex: Simplex, ring: Ring = ZZ) -> Chain:
-    """The front-face ⊗ back-face coproduct (the level-0 diagonal)."""
-    return _entries_to_chain(kernel.aw(simplex.vertices), ring, simplex.degree)
-
-
-def xi_simplex(b: BarElement, simplex: Simplex, table: DiagonalTable, ring: Ring = ZZ) -> Chain:
-    """ξ(b⊗σ) for a vertex-list simplex (weakly increasing labels).
+def xi_simplex(n: int, simplex: Simplex, table: DiagonalTable, ring: Ring = ZZ) -> Dict[tuple, Coefficient]:
+    """ξ(e_n⊗σ) for a vertex-list simplex (weakly increasing labels), as a
+    chain ``{(Simplex, Simplex): coefficient}`` over ``ring``.
 
     The simplex with k+1 vertex slots is the image of Δ^k under the
     order-preserving map sending slot i to its label; the standard value is
     pushed forward by relabeling.  Repeated labels encode degeneracies.
     """
+    _check_level(n)
     v = simplex.vertices
     if any(v[i] > v[i + 1] for i in range(len(v) - 1)):
         raise ValueError(f"vertex list of {simplex} is not weakly increasing")
-    entries = kernel.pushforward(table.raw(b.level, simplex.degree), v)
-    chain = _entries_to_chain(entries, ring, b.level + simplex.degree)
-    if b.twist:
-        chain = twist_act(chain)
-    return chain
+    entries = kernel.pushforward(table.raw(n, simplex.degree), v)
+    return {(Simplex(a), Simplex(b)): y for (a, b), x in entries.items() if (y := ring.coerce(x))}
 
 
-def xi_cell(b: BarElement, space, n: int, idx: int, table: DiagonalTable, ring: Ring) -> Chain:
-    """ξ(b⊗σ) for an abstract cell of any presentation-like object.
+def xi_cell(n: int, space, dim: int, idx: int, table: DiagonalTable, ring: Ring) -> Dict[tuple, Coefficient]:
+    """ξ(e_n⊗σ) for the abstract cell σ = (dim, idx) of any presentation-like
+    object, as a chain ``{(Cell, Cell): coefficient}`` over ``ring``.
 
-    ``space`` must provide ``iterated_face(n, idx, keep)`` and
-    ``basis_cell(n, idx)``.  This is the colimit extension: each standard
+    ``space`` must provide ``iterated_face(dim, idx, keep)`` and
+    ``basis_cell(dim, idx)``.  This is the colimit extension: each standard
     term [i₀..i_s]⊗[j₀..j_t] becomes (face of σ keeping i's)⊗(face keeping
     j's).  Works for delta-complexes and simplicial-set presentations.
     """
-    acc: Dict[BasisElement, Coefficient] = {}
-    for (a, bb), coeff in table.raw(b.level, n).items():
-        da, ia = space.iterated_face(n, idx, a)
-        db, ib = space.iterated_face(n, idx, bb)
-        key = TensorPair(space.basis_cell(da, ia), space.basis_cell(db, ib))
-        coerced = ring.coerce(coeff)
-        acc[key] = ring.add(acc.get(key, ring.zero), coerced)
-    chain = Chain(ring, b.level + n, acc)
-    if b.twist:
-        chain = twist_act(chain)
-    return chain
+    _check_level(n)
+    acc: Dict[tuple, Coefficient] = {}
+    for (a, b), coeff in table.raw(n, dim).items():
+        key = tuple(space.basis_cell(*space.iterated_face(dim, idx, keep)) for keep in (a, b))
+        acc[key] = ring.add(acc.get(key, ring.zero), ring.coerce(coeff))
+    return {key: x for key, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .chains import Cell, Chain, ChainComplex, TensorPair
+from .chains import Cell, ChainComplex
 from .diagonal import DiagonalTable
 from .linalg import _axpy, kernel, solver
 from .rings import Coefficient, Ring
@@ -440,16 +440,17 @@ def hurewicz_square_defect(
     level: int,
     n: int,
     idx: int,
-) -> Chain:
+) -> Dict[Tuple[Cell, Cell], Coefficient]:
     """(C(h)⊗C(h))∘ξ_X − ξ_{R̃X}∘(1⊗C(h)) on the cell (n, idx) at bar level
-    ``level``; zero iff the Hurewicz map respects the diagonal there.
+    ``level``, as a chain ``{(Cell, Cell): coefficient}`` of R̃X; empty iff
+    the Hurewicz map respects the diagonal there.
 
     Both sides are colimit extensions of ξ(e_level⊗Δⁿ): the left one takes
     faces in X and then their generators of R̃X through ``of_cell`` (none for
     the basepoint chain), the right one follows the face index lists of R̃X
     from the generator of the cell.  They are summed into one dict keyed by (dim,
-    index, dim, index) in R̃X's numbering, and only the nonzero remainder is
-    built as a chain of tensor pairs.
+    index, dim, index) in R̃X's numbering, and cells are built only for the
+    nonzero remainder.
     """
     a = free_simplicial_abelian(x, ring, pointed=True)
     of_cell, faces, p = a.of_cell, a.face_maps, ring.characteristic
@@ -482,5 +483,4 @@ def hurewicz_square_defect(
             fa, fb = face_of_generator(left), face_of_generator(right)
             if fa is not None and fb is not None:
                 add((*fa, *fb), -c)
-    terms = {TensorPair(a.basis_cell(da, ka), a.basis_cell(db, kb)): v for (da, ka, db, kb), v in acc.items() if v}
-    return Chain(ring, level + n, terms)
+    return {(a.basis_cell(da, ka), a.basis_cell(db, kb)): v for (da, ka, db, kb), v in acc.items() if v}

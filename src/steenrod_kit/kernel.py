@@ -13,17 +13,38 @@ The recursion computes ξ(e_n ⊗ Δ^k) for the standard k-simplex:
 
 where Φ = φ_k⊗1 + (ι_k∘ε)⊗φ_k is assembled from the contracting cochain
 φ_k([i₀..i_t]) = (−1)^{t+1}[i₀..i_t,k] (zero when i_t = k), and the value on
-faces is obtained by order-preserving relabeling (naturality).  The bar
-differential is ``bar.bar_boundary_coefficients``.
+faces is obtained by order-preserving relabeling (naturality).
+
+The bar resolution RS₂ has one free ℤS₂ generator e_n per degree; its
+differential is pinned by the requirements that the recursion be a chain
+map and that the top-diagonal sign law ξ(e_k⊗x) = η_k·x⊗x with
+η_k = (−1)^{k(k−1)/2} hold:
+
+    ∂e₀ = 0,   ∂e₁ = T·e₀ − e₀,   ∂e_n = e_{n−1} + (−1)ⁿ T·e_{n−1}  (n ≥ 2).
+
+This is the familiar ∂e_n = (1+(−1)ⁿT)e_{n−1} resolution after the basis
+change e_n ↦ −e_n for n ≥ 1 (so ∂² = 0 is inherited).
 """
 
 from __future__ import annotations
 
-from .bar import bar_boundary_coefficients
-
 IS_COMPILED = False  # read by benchmark provenance; there is no compiled kernel
 
 Entries = dict  # {(left_vertices, right_vertices): int}
+
+
+def eta(k: int) -> int:
+    """The top-diagonal sign η_k = (−1)^{k(k−1)/2}."""
+    return -1 if (k * (k - 1) // 2) % 2 else 1
+
+
+def bar_boundary_coefficients(n: int) -> tuple:
+    """(c₊, c_T) with ∂e_n = c₊·e_{n−1} + c_T·T·e_{n−1}; (0,0) for n = 0."""
+    if n == 0:
+        return (0, 0)
+    if n == 1:
+        return (-1, 1)
+    return (1, 1 if n % 2 == 0 else -1)
 
 
 def add_term(acc: dict, key: object, value: int) -> None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Dict, List, Tuple
 
-from .chains import Chain
 from .linalg import field_rank
 from .rings import Coefficient, QQ, Ring
 
@@ -74,17 +73,19 @@ def _fraction_field(ring: Ring) -> Ring:
     return QQ if not ring.is_field else ring
 
 
-def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
+def vandermonde_independence(cs: List[Dict[object, Coefficient]], ring: Ring) -> bool:
     """Whether e(c₁),…,e(c_t) are linearly independent over the fraction field.
 
-    For d = 1, 2, …, t − 1 in turn (d = 0 when t = 1), each chain gives one
-    row: its symmetrized powers 0 … d side by side, a column per monomial (a
-    monomial's length is its power), numbered as the monomials first occur;
-    the rank of the rows is taken by ``field_rank``.  The answer is True at
-    the first d whose rank is t, and False if d = t − 1, the whole of e(c),
-    falls short.  Stopping early gives the full matrix's answer: the
-    truncated columns are some of its columns, and a subset of the columns
-    has at most their rank, which is at most t.
+    Each chain is a dict ``{basis element: coefficient}``, coerced into
+    ``ring`` once, zero coefficients dropped.  For d = 1, 2, …, t − 1 in turn
+    (d = 0 when t = 1), each chain gives one row: its symmetrized powers
+    0 … d side by side, a column per monomial (a monomial's length is its
+    power), numbered as the monomials first occur; the rank of the rows is
+    taken by ``field_rank``.  The answer is True at the first d whose rank
+    is t, and False if d = t − 1, the whole of e(c), falls short.  Stopping
+    early gives the full matrix's answer: the truncated columns are some of
+    its columns, and a subset of the columns has at most their rank, which
+    is at most t.
 
     Preconditions (violations raise, they are never reported as ``False``):
     the chains are pairwise distinct, nonzero, and homogeneous of a common
@@ -93,22 +94,19 @@ def vandermonde_independence(cs: List[Chain], ring: Ring) -> bool:
     t = len(cs)
     if t < 1:
         raise ValueError("need at least one chain")
-    degree = cs[0].degree
-    for c in cs:
-        if c.is_zero():
-            raise ValueError("chains must be nonzero")
-        if c.degree != degree:
-            raise ValueError("chains must share a degree")
-        if c.ring != ring:
-            raise ValueError("chain ring differs from the requested ring")
-    if len(set(cs)) != t:
+    cs = [{b: y for b, x in c.items() if (y := ring.coerce(x))} for c in cs]
+    if not all(cs):
+        raise ValueError("chains must be nonzero")
+    if len({b.degree for c in cs for b in c}) != 1:
+        raise ValueError("chains must share a degree")
+    if len({frozenset(c.items()) for c in cs}) != t:
         raise ValueError("chains must be pairwise distinct")
     field = _fraction_field(ring)
     # one basis for all t chains, in sort-key order, so that a monomial is the
     # same int tuple in every row
-    support = sorted({b for c in cs for b in c.terms}, key=lambda b: b.sort_key())
+    support = sorted({b for c in cs for b in c}, key=lambda b: b.sort_key())
     position = {b: k for k, b in enumerate(support)}
-    chain_terms = [sorted((position[b], field.coerce(x)) for b, x in c.terms.items()) for c in cs]
+    chain_terms = [sorted((position[b], x) for b, x in c.items()) for c in cs]
     for d in range(min(1, t - 1), t):
         columns: Dict[Tuple[int, ...], int] = {}
         rows = [

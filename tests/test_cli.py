@@ -72,6 +72,34 @@ def test_diag_argument_errors(capsys, corpus_file):
     assert main(["diag", "--input", path]) == EXIT_INPUT
     assert main(["diag", "--input", path, "--cell", "9,9"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+    assert main(["diag", "--n=-1", "--simplex", "0,1"]) == EXIT_INPUT
+    assert main(["diag", "--n=-1", "--input", path, "--cell", "1,0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: bar level must be nonnegative\n" * 2
+
+
+XI_E3_DELTA4 = "xi(e3 ⊗ [0,1,2,3,4]) = [0,1,2,3,4]⊗[0,1,2,3] + [0,1,2,3,4]⊗[0,1,3,4] + [0,1,2,3,4]⊗[1,2,3,4] "
+
+
+@pytest.mark.parametrize(
+    "ring, tail",
+    [
+        ("z", "- [0,1,2,4]⊗[0,1,2,3,4] - [0,2,3,4]⊗[0,1,2,3,4]"),
+        ("q", "- [0,1,2,4]⊗[0,1,2,3,4] - [0,2,3,4]⊗[0,1,2,3,4]"),
+        ("f2", "+ [0,1,2,4]⊗[0,1,2,3,4] + [0,2,3,4]⊗[0,1,2,3,4]"),
+        ("f3", "+ 2·[0,1,2,4]⊗[0,1,2,3,4] + 2·[0,2,3,4]⊗[0,1,2,3,4]"),
+    ],
+)
+def test_diag_renders_each_ring(capsys, ring, tail):
+    # over 𝔽_p the coefficients are residues: −1 is + over 𝔽₂ and 2· over 𝔽₃
+    assert main(["diag", "--n", "3", "--simplex", "0,1,2,3,4", "--ring", ring]) == EXIT_OK
+    assert capsys.readouterr().out == XI_E3_DELTA4 + tail + "\n"
+
+
+def test_diag_renders_a_cell_with_a_tuple_label(capsys):
+    path = str(CORPUS / "counterexample.json")
+    assert main(["diag", "--n", "2", "--input", path, "--cell", "2,0", "--ring", "f3"]) == EXIT_OK
+    cell = "<2:('counterexample', 2, 0)>"
+    assert capsys.readouterr().out == f"xi(e2 ⊗ cell(2,0)) = 2·{cell}⊗{cell}\n"
 
 
 def test_homology_text_and_json(capsys, corpus_file):
@@ -404,7 +432,7 @@ def test_rp4_field_homology(capsys, ring, groups):
 # what a homology process never runs; dataclasses and inspect cost a short command more than its arithmetic,
 # and fractions (with decimal) serves only ℚ, which neither ℤ homology nor 𝔽₂ squares divide in
 NOT_FOR_HOMOLOGY = ["dataclasses", "inspect", "fractions", "decimal"] + [
-    f"steenrod_kit.{m}" for m in ("suite", "dold_kan", "vandermonde", "diagonal", "cochains", "bar", "kernel")
+    f"steenrod_kit.{m}" for m in ("suite", "dold_kan", "vandermonde", "diagonal", "cochains", "kernel")
 ]
 LOADED_PER_STEP = """
 import json, sys

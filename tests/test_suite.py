@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from steenrod_kit import dold_kan, simplicial, suite
-from steenrod_kit.chains import Cell, Chain
+from steenrod_kit.chains import Cell, Simplex
 from steenrod_kit.suite import DEVIATION, FAIL, PASS, SuiteConfig, run_suite
 
 
@@ -79,12 +79,15 @@ def test_hurewicz_normalized_fails_on_a_doubled_column(monkeypatch):
 
 @pytest.mark.parametrize("item, cells", [("moore-pointed", True), ("hurewicz-normalized", False)])
 def test_the_column_checks_build_no_chain(monkeypatch, item, cells):
+    # no chain of simplices is built and none is rendered: the checks compare columns
     built = Counter()
-    for cls in (Chain, Cell):
+    for cls in (Simplex, Cell):
         original = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *a, _f=original, _n=cls.__name__, **k: built.update([_n]) or _f(self, *a, **k))
+    render = suite.render_terms
+    monkeypatch.setattr(suite, "render_terms", lambda terms: built.update(["render"]) or render(terms))
     assert run_suite(SuiteConfig(only=item))["passed"]
-    assert built["Chain"] == 0
+    assert built["Simplex"] == 0 and built["render"] == 0
     if cells:  # moore-pointed compares the Cell bases of its two complexes
         assert built["Cell"] > 0
 
@@ -174,3 +177,30 @@ def test_the_pointed_items_share_each_pointed_complex(monkeypatch):
         assert check(cfg)[0] == PASS
     # three spaces: moore(R̃X) and the pointed chains of each built once, for all three items
     assert calls == {"moore_complex": 3, "pointed_unnormalized_chains": 3}
+
+
+def test_the_hurewicz_square_failure_renders_the_defect(monkeypatch):
+    # d_0 of one edge of R̃X is pointed at another vertex generator after validation
+    original, moved = dold_kan.free_simplicial_abelian, set()
+
+    def moving(x, ring, pointed=False):
+        a = original(x, ring, pointed=pointed)
+        if pointed and id(a) not in moved:
+            moved.add(id(a))
+            d0 = a.face_maps[(1, 0)]
+            k = next(k for k, target in enumerate(d0) if target is not None)
+            d0[k] = next(t for t in range(a.rank(0)) if t != d0[k])
+        return a
+
+    monkeypatch.setattr(dold_kan, "free_simplicial_abelian", moving)
+    item = run_suite(SuiteConfig(only="hurewicz-xi"))["items"][0]
+    cell = "<1:('d(circle)', 1, 1)>"
+    detail = f"circle cell (1,1) level 0: {cell}⊗<0:('d(circle)', 0, 1)> - {cell}⊗<0:('d(circle)', 0, 2)>"
+    assert (item["status"], item["detail"]) == (FAIL, detail)
+
+
+def test_the_vandermonde_failure_renders_the_tuple(monkeypatch):
+    monkeypatch.setattr(suite, "vandermonde_independence", lambda cs, ring: False)
+    item = run_suite(SuiteConfig(only="vandermonde"))["items"][0]
+    tuple_ = "['-4·[2,3] + 3·[2,5]', '-4·[2,4] + 4·[3,5]', '-2·[1,2] + [1,5] + 4·[2,5]', '-3·[3,4]']"
+    assert (item["status"], item["detail"]) == (FAIL, f"dependent tuple over Q: {tuple_}")

@@ -13,7 +13,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steenrod_kit.chains import BarElement, Cell, Simplex, TensorPair
+from steenrod_kit.chains import Cell, Simplex
 from steenrod_kit.rings import Ring
 
 
@@ -29,18 +29,6 @@ class CellTwin:
 
 
 @dataclass(frozen=True)
-class TensorPairTwin:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class BarElementTwin:
-    twist: bool
-    level: int
-
-
-@dataclass(frozen=True)
 class RingTwin:
     kind: str
     p: Optional[int] = None
@@ -49,25 +37,21 @@ class RingTwin:
 labels = st.one_of(st.integers(-5, 5), st.text(max_size=3), st.tuples(st.integers(0, 3), st.text(max_size=2)))
 simplices = st.lists(st.integers(0, 6), min_size=1, max_size=5).map(tuple)
 cells = st.tuples(st.integers(0, 4), labels)
-bars = st.tuples(st.booleans(), st.integers(0, 9))
 rings = st.sampled_from([("Integers", None), ("Rationals", None), ("PrimeField", 2), ("PrimeField", 3), ("PrimeField", 7)])
 
 
-def _instances(s, cell, bar, ring_fields):
+def _instances(s, cell, ring_fields):
     """(value, dataclass twin, field tuple) for one instance of each type."""
-    (d, label), (twist, level) = cell, bar
+    d, label = cell
     yield Simplex(s), SimplexTwin(s), (s,)
     yield Cell(d, label), CellTwin(d, label), (d, label)
-    yield BarElement(twist, level), BarElementTwin(twist, level), (twist, level)
     yield Ring(*ring_fields), RingTwin(*ring_fields), ring_fields
-    left, right = Simplex(s), Cell(d, label)
-    yield TensorPair(left, right), TensorPairTwin(left, right), (left, right)
 
 
 @settings(max_examples=60, deadline=None)
-@given(simplices, cells, bars, rings)
-def test_hash_eq_and_repr_are_the_dataclass_ones(s, c, b, r):
-    for value, twin, fields in _instances(s, c, b, r):
+@given(simplices, cells, rings)
+def test_hash_eq_and_repr_are_the_dataclass_ones(s, c, r):
+    for value, twin, fields in _instances(s, c, r):
         assert hash(value) == hash(fields) == hash(twin)
         assert repr(value) == repr(twin).replace("Twin(", "(")
         again = type(value)(*fields)
@@ -88,11 +72,11 @@ def test_sets_iterate_in_the_dataclass_order(cell_fields, simplex_fields):
 
 def test_equality_holds_within_a_class_only():
     assert Cell(1, 2) == Cell(1, 2) and Cell(1, 2) != Cell(1, 3)
-    assert Cell(1, 2) != TensorPair(1, 2) and TensorPair(1, 2) != Cell(1, 2)
-    assert Cell(1, 2) != (1, 2) and BarElement(False, 1) != (False, 1)
+    assert Cell(1, 2) != Simplex((1, 2)) and Simplex((1, 2)) != Cell(1, 2)
+    assert Cell(1, 2) != (1, 2) and Ring("Integers") != ("Integers", None)
     assert Simplex((0, 1)) != (0, 1) and Simplex((0, 1)) != SimplexTwin((0, 1))
     assert Ring("Integers") != RingTwin("Integers")
-    assert Cell(1, 2).__eq__(TensorPair(1, 2)) is NotImplemented
+    assert Cell(1, 2).__eq__(Simplex((1, 2))) is NotImplemented
     assert Ring("Integers").__eq__("Z") is NotImplemented
 
 
@@ -101,8 +85,8 @@ def test_equality_holds_within_a_class_only():
     [
         (Simplex((0, 1)), "vertices"),
         (Cell(0, "v"), "label"),
-        (TensorPair(Cell(0, "v"), Cell(0, "w")), "left"),
-        (BarElement(True, 2), "level"),
+        (Cell(0, "v"), "dim"),
+        (Ring("Integers"), "kind"),
         (Ring("PrimeField", 2), "p"),
     ],
 )
@@ -126,7 +110,6 @@ def test_simplex_vertices_are_a_tuple():
     [
         (lambda: Simplex(()), "a simplex needs at least one vertex"),
         (lambda: Simplex([]), "a simplex needs at least one vertex"),
-        (lambda: BarElement(False, -1), "bar level must be nonnegative"),
         (lambda: Ring("Naturals"), "unknown ring kind: 'Naturals'"),
         (lambda: Ring("PrimeField"), "PrimeField characteristic must be prime, got None"),
         (lambda: Ring("PrimeField", 4), "PrimeField characteristic must be prime, got 4"),
@@ -141,9 +124,9 @@ def test_constructor_errors_are_unchanged(make, message):
 
 
 @settings(max_examples=30, deadline=None)
-@given(simplices, cells, bars, rings)
-def test_the_kept_hash_is_the_field_tuple_hash(s, c, b, r):
-    for value, _, fields in _instances(s, c, b, r):
+@given(simplices, cells, rings)
+def test_the_kept_hash_is_the_field_tuple_hash(s, c, r):
+    for value, _, fields in _instances(s, c, r):
         assert hash(value) == hash(fields) and hash(value) == hash(value._fields())
         for again in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert again == value and hash(again) == hash(fields)
