@@ -17,11 +17,12 @@ against ``simplicial.simplicial_identities`` like a presentation.  It provides:
 * ``ChainMap``, the one form of a map of complexes: sparse columns per degree.
 
 Everything is finite because the inputs are truncated; every linear-algebra
-step is exact.  Kernels and span solves go through ``linalg.kernel`` and
-``linalg.solver``, which pick the engine for the ring (Smith form over ℤ,
-the sparse echelon engine over fields); vectors stay sparse ``{index:
-entry}`` dicts throughout, and a solve's coordinates are the boundary
-column of N as they come.
+step is exact.  Kernels, span solves and the round trip's bijectivity go
+through ``linalg.kernel``, ``linalg.solver`` and ``linalg.is_invertible``,
+which pick the engine for the ring (Smith form over ℤ, the sparse echelon
+engine over fields); vectors stay sparse ``{index: entry}`` dicts
+throughout, and a solve's coordinates are the boundary column of N as they
+come.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .chains import Cell, ChainComplex
 from .diagonal import DiagonalTable
-from .linalg import _axpy, kernel, solver
+from .linalg import _axpy, is_invertible, kernel, solver
 from .rings import Coefficient, Ring
 from .simplicial import SimplicialSetPresentation, degeneracy_column, face_column, simplicial_identities, surjection_blocks
 
@@ -296,8 +297,7 @@ def dold_kan_round_trip(c: ChainComplex) -> bool:
         start = g.rank(m) - rank
         projections[m] = [{i - start: x for i, x in v.items() if i >= start} for v in vecs]
         # bijectivity of the projection restricted to N
-        onto = solver(projections[m], rank, ring)
-        if any(onto.solve({j: ring.one}) is None for j in range(rank)):
+        if not is_invertible(projections[m], rank, ring):
             return False
     # the projection intertwines ∂_N with ∂_C
     return ChainMap(normalized, c, projections).is_chain_map(range(1, top + 2))

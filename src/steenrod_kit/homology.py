@@ -11,12 +11,17 @@ complex shares them.  Over a field each map is reduced once when the degrees
 are asked for in turn (homology downward, cohomology upward): a degree's
 out-map pivots wait in ``derived`` until the neighbouring degree takes them
 as its in-map's, which then clear its out-map (``linalg.reduce_columns``).
+Over ℤ the groups are read off the invariant factors of the two maps, each
+map's from one Smith form without transforms, kept in ``derived`` under the
+map's degree so that both degrees it joins share it; the representatives
+and coordinates are built from transformed forms only when first read
+(``linalg.integer_groups``).
 """
 
 from __future__ import annotations
 
 from .chains import ChainComplex
-from .linalg import HomologyDescriptor, field_homology, integer_homology, reduce_columns
+from .linalg import HomologyDescriptor, field_homology, integer_groups, invariant_factors, reduce_columns
 
 
 def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
@@ -51,7 +56,8 @@ def _group(complex_: ChainComplex, degree: int, kind: str, matrix, step: int) ->
     in-map's pivots are taken from ``derived`` when the degree it leaves
     computed them, and the out-map's are left there under
     ``(kind, "pivots", degree)`` unless the degree that would take them is
-    already computed."""
+    already computed.  Over ℤ each map's invariant factors are kept under
+    ``(kind, "factors", n)`` for the degree n it leaves."""
     if degree + 1 > complex_.truncation_dim and not complex_.exhaustive:
         raise ValueError(
             f"degree {degree} needs the complex up to {degree + 1}, "
@@ -63,7 +69,9 @@ def _group(complex_: ChainComplex, degree: int, kind: str, matrix, step: int) ->
     _check_dd_zero(complex_, degree)
     out_cols, in_cols, rank = matrix(degree), matrix(degree - step), complex_.rank(degree)
     if not ring.is_field:
-        group = integer_homology(out_cols, in_cols, rank)
+        out_factors = _factors(complex_, kind, degree, out_cols)
+        in_factors = _factors(complex_, kind, degree - step, in_cols)
+        group = integer_groups(out_cols, in_cols, rank, out_factors, in_factors)
     else:
         in_pivots = derived.pop((kind, "pivots", degree - step), None)
         if in_pivots is None:
@@ -75,3 +83,12 @@ def _group(complex_: ChainComplex, degree: int, kind: str, matrix, step: int) ->
             derived[kind, "pivots", degree] = out_pivots
     derived[kind, degree] = group
     return group
+
+
+def _factors(complex_: ChainComplex, kind: str, n: int, columns) -> list:
+    """The invariant factors of the map out of degree n, with the given
+    columns, kept in ``derived``."""
+    key = (kind, "factors", n)
+    if key not in complex_.derived:
+        complex_.derived[key] = invariant_factors(columns)
+    return complex_.derived[key]

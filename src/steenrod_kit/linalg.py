@@ -6,6 +6,8 @@ Every ℤ computation (kernels, solves, homology) runs on ``sparse_smith``:
 rows are dicts ``{column: nonzero entry}``; ±1 pivots are eliminated first,
 and the residual block, which holds no unit entry, is finished in the same
 dicts with pivots of least absolute value and division with remainder.
+What depends only on the invariant factors (homology groups, invertibility)
+is read off a form built without transforms.
 Every field computation (kernels, ranks, span solves, (co)homology) runs on
 ``_reduce``, which reduces vectors (dicts ``{index: nonzero entry}``, over
 𝔽₂ as over every field) left to right by the highest-index pivots (the
@@ -398,6 +400,8 @@ def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[i
         logs: List[list] = []
         pivots = _reduce(ring, (_pack(ring, col.items()) for col in columns), logs)
         return [_kernel_vector(ring, logs, f) for f in _free_columns(pivots, len(columns))]
+    if not any(columns):  # V = 1: no form to build
+        return [{j: 1} for j in range(len(columns))]
     nrows = 1 + max((max(col) for col in columns if col), default=-1)
     form = sparse_smith(transpose(columns, nrows), len(columns), v=True)
     pivot_cols = {c for _, c, _ in form.pivots}
@@ -469,7 +473,8 @@ class HomologyDescriptor:
     generating the i-th summand; torsion summands come first, in the order of
     ``torsion``.  They are given as a list, or as a function that builds it
     on the first access.  ``coordinates`` expresses any cycle vector in the
-    same order (torsion coordinates reduced mod the torsion order).
+    same order (torsion coordinates reduced mod the torsion order); over ℤ
+    what it needs is built on its first call too (``integer_groups``).
     """
 
     def __init__(self, ring: Ring, free_rank: int, torsion: List[int],
@@ -556,8 +561,55 @@ def field_homology(ring, out_cols, rank_here, out_pivots, logs, in_pivots) -> Ho
     return HomologyDescriptor(ring, len(classes), [], representatives, coord_fn)
 
 
+def invariant_factors(columns: Sequence[SparseVector]) -> List[int]:
+    """The nonzero invariant factors of the integer matrix with the given
+    sparse columns, ascending: the pivots of its Smith form, built without
+    transforms.  A matrix with no nonzero entry has none and builds no form."""
+    if not any(columns):
+        return []
+    nrows = 1 + max(i for col in columns for i in col)
+    return sorted(d for _, _, d in sparse_smith(transpose(columns, nrows), len(columns)).pivots)
+
+
+def is_invertible(columns: Sequence[Dict[int, Coefficient]], size: int, ring: Ring) -> bool:
+    """Whether the square matrix with the given sparse columns over ``size``
+    rows is invertible, which for a square matrix is the same as onto: over
+    a field when it has full rank, over ℤ when its Smith form, built without
+    transforms, has ``size`` pivots, each 1 (the empty matrix builds none)."""
+    if ring.is_field:
+        return field_rank((col.items() for col in columns), ring) == size
+    pivots = sparse_smith(transpose(columns, size), size).pivots if size else []
+    return len(pivots) == size and all(d == 1 for _, _, d in pivots)
+
+
+def integer_groups(out_cols, in_cols, rank_here, out_factors: List[int], in_factors: List[int]) -> HomologyDescriptor:
+    """ker(out)/im(in) over ℤ read off the nonzero invariant factors of both
+    maps (Dumas, Heckenbach, Saunders and Welker): since out∘in = 0, which the
+    caller checks, the free rank is ``rank_here`` − rank(out) − rank(in), and
+    the torsion is the in-map's factors > 1.  The representatives and the
+    coordinates are those of ``integer_homology``, built on the first read of
+    either and checked against these groups."""
+    free_rank = rank_here - len(out_factors) - len(in_factors)
+    torsion = [d for d in in_factors if d > 1]
+    built: List[HomologyDescriptor] = []
+
+    def full() -> HomologyDescriptor:
+        if not built:
+            group = integer_homology(out_cols, in_cols, rank_here)
+            if (group.free_rank, group.torsion) != (free_rank, torsion):
+                raise ArithmeticError("the invariant factors disagree with the transformed Smith forms")
+            built.append(group)
+        return built[0]
+
+    return HomologyDescriptor(ZZ, free_rank, torsion, lambda: full().representatives,
+                              lambda cycle: full()._coord_fn(cycle))
+
+
 def integer_homology(out_cols, in_cols, rank_here) -> HomologyDescriptor:
-    """ker(out)/im(in) over ℤ at a degree of rank ``rank_here``; the caller checks out∘in = 0."""
+    """ker(out)/im(in) over ℤ at a degree of rank ``rank_here``, with its
+    representatives and coordinates: the cycle lattice from a Smith form of
+    the out-map with V and V⁻¹, and the image in its coordinates from a Smith
+    form with U and U⁻¹; the caller checks out∘in = 0."""
     nrows = max((i for col in out_cols for i in col), default=-1) + 1
     cycles = sparse_smith(transpose(out_cols, nrows), rank_here, v=True)
     pivot_cols = {c for _, c, _ in cycles.pivots}

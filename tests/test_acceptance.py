@@ -1,10 +1,12 @@
 """The acceptance gate: one test per advertised guarantee.
 
 Each test states the guarantee in its name and exercises it end to end.  Two
-published displays of the level-1 diagonal carry the opposite overall sign
-from the value forced by the chain-map identity; those two tests assert the
-displays verbatim and are expected to fail, strictly — see README
-("documented deviations") for the analysis.
+published displays of the level-1 diagonal differ from the value forced by
+the chain-map identity: they have the opposite sign on every term but
+[0,1,2]⊗[0,1] (relabeled), and the [0,1,1] display has [1,1] for [0,1] in
+its third term.  Those two tests assert the displays verbatim and are
+expected to fail, strictly — see README ("documented deviations") for the
+analysis.
 """
 
 import random
@@ -46,8 +48,9 @@ from steenrod_kit.vandermonde import vandermonde_det_factorization, vandermonde_
 TABLE = DiagonalTable()
 
 SIGN_NOTE = (
-    "published display carries the opposite overall sign from the value "
-    "forced by the chain-map identity (see README: documented deviations)"
+    "published display has the opposite sign from the value forced by the chain-map identity "
+    "on every term but [0,1,2]⊗[0,1] (relabeled), and the [0,1,1] display has [1,1] for [0,1] "
+    "(see README: documented deviations)"
 )
 
 

@@ -449,6 +449,25 @@ def test_round_trip_fails_when_the_projection_does_not_intertwine(monkeypatch):
     assert not dold_kan_round_trip(c)
 
 
+@pytest.mark.parametrize("ring, survives", [(ZZ, False), (QQ, True)], ids=str)
+def test_round_trip_needs_the_projection_invertible_over_its_ring(ring, survives, monkeypatch):
+    original = dold_kan._normalized_data
+
+    def doubled(a):  # N(Γ(C)) with one basis vector of its top degree doubled
+        normalized, kernels = original(a)
+        top = max(n for n, vecs in kernels.items() if vecs)
+        kernels[top][0] = {i: 2 * x for i, x in kernels[top][0].items()}
+        cols = normalized.boundary_matrix(top)
+        cols[0] = {i: 2 * x for i, x in cols[0].items()}
+        return normalized, kernels
+
+    c = ChainComplex(ring, {0: [Cell(0, "a"), Cell(0, "b")], 1: [Cell(1, "x")]}, {0: [{}, {}], 1: [{0: 1, 1: -1}]}, 1)
+    assert dold_kan_round_trip(c)
+    monkeypatch.setattr(dold_kan, "_normalized_data", doubled)
+    # still a chain map, with a projection of determinant ±2: onto over ℚ, not over ℤ
+    assert dold_kan_round_trip(c) is survives
+
+
 def test_hurewicz_square_defect_vanishes():
     table = DiagonalTable()
     for name in ("circle", "rp2"):

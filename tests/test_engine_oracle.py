@@ -202,17 +202,25 @@ def _is_cycle(complex_, degree, cohomological, vec):
 
 
 def _assert_integer_engine(complex_, degree, rng):
+    """The groups of both kinds are read first, from the invariant factors
+    alone; the representatives and coordinates read after them are built
+    then, and must keep the groups and the descriptor contract."""
     n = complex_.rank(degree)
-    for cohomological, new, old in (
-        (False, engine.homology, dense_oracle.homology),
-        (True, engine.cohomology, dense_oracle.cohomology),
-    ):
-        got, want = new(complex_, degree), old(complex_, degree)
-        where = (degree, new.__name__)
-        assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion), where
+    kinds = [
+        (cohomological, new.__name__, new(complex_, degree), old(complex_, degree))
+        for cohomological, new, old in (
+            (False, engine.homology, dense_oracle.homology),
+            (True, engine.cohomology, dense_oracle.cohomology),
+        )
+    ]
+    for _, name, got, want in kinds:
+        assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion), (degree, name)
+    for cohomological, name, got, want in kinds:
+        where = (degree, name)
         orders = got.torsion + [0] * got.free_rank
         reps = got.representatives
         assert len(reps) == len(orders), where
+        assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion), where
         for k, rep in enumerate(reps):
             assert _is_cycle(complex_, degree, cohomological, rep), where
             assert got.coordinates(rep) == [int(i == k) for i in range(len(reps))], where

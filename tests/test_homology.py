@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import dense_oracle
+from steenrod_kit import linalg
 from steenrod_kit.chains import Cell, ChainComplex
 from steenrod_kit.documents import load_corpus
 from steenrod_kit.homology import cohomology, homology
@@ -105,6 +107,53 @@ def test_field_representatives_are_built_when_first_read(ring):
     assert group.representatives is reps and len(reps) == 741 and all(len(rep) == 780 for rep in reps)
     for k in (0, 370, 740):
         assert group.coordinates(reps[k]) == [int(i == k) for i in range(741)]
+
+
+def _count_smith_forms(monkeypatch) -> list:
+    """The (u, v) flags of every Smith form built from now on."""
+    built = []
+    smith = linalg.sparse_smith
+    monkeypatch.setattr(linalg, "sparse_smith",
+                        lambda rows, ncols, u=False, v=False: built.append((u, v)) or smith(rows, ncols, u=u, v=v))
+    return built
+
+
+@pytest.mark.parametrize("names", [("klein",), ("rp2", "torus")])
+@pytest.mark.parametrize("group, maps", [(homology, "boundary_matrix"), (cohomology, "coboundary_matrix")])
+def test_integer_groups_build_one_transform_free_form_per_map(names, group, maps, monkeypatch):
+    # `homology` prints only ranks and torsion: over ℤ they take one Smith form
+    # without transforms per nonzero map, shared by the two degrees it joins
+    built = _count_smith_forms(monkeypatch)
+    for name in names:
+        space = load_corpus(name)
+        cx = space.chains(ZZ)
+        degrees = range(space.dimension, -1, -1)
+        groups = {d: group(cx, d) for d in degrees}
+        nonzero = [n for n in range(-1, space.dimension + 2) if any(getattr(cx, maps)(n))]
+        assert built == [(False, False)] * len(nonzero), name
+        for d in degrees:
+            want = getattr(dense_oracle, group.__name__)(cx, d)
+            got = groups[d]
+            assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion), (name, d)
+            # coordinates read first build the transformed forms once, and the
+            # representatives read next build nothing more
+            built.clear()
+            assert got.coordinates([0] * cx.rank(d)) == [0] * (got.free_rank + len(got.torsion))
+            assert built == [(False, True), (True, False)], (name, d)
+            coordinates = [got.coordinates(rep) for rep in want.representatives]
+            reps = got.representatives
+            assert len(built) == 2
+            # the engine's classes are the oracle's: a cycle rebuilt from its
+            # coordinates in the engine's representatives has its class
+            for rep, coords in zip(want.representatives, coordinates):
+                rebuilt = [sum(x * r[i] for x, r in zip(coords, reps)) for i in range(cx.rank(d))]
+                assert want.coordinates(rebuilt) == want.coordinates(rep), (name, d)
+            # and they are the transformed Smith forms' of the same maps
+            out_cols, in_cols = (getattr(cx, maps)(n) for n in ((d, d + 1) if group is homology else (d, d - 1)))
+            direct = linalg.integer_homology(out_cols, in_cols, cx.rank(d))
+            assert reps == direct.representatives, (name, d)
+            assert coordinates == [direct.coordinates(rep) for rep in want.representatives], (name, d)
+        built.clear()
 
 
 def _rp3() -> DeltaComplex:

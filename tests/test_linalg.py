@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import dense_oracle
 from steenrod_kit.chains import Cell, ChainComplex
 from steenrod_kit.homology import homology
-from steenrod_kit.linalg import field_homology, field_rank, kernel, reduce_columns, solver, sparse_smith
+from steenrod_kit.linalg import field_homology, field_rank, is_invertible, kernel, reduce_columns, solver, sparse_smith
 from steenrod_kit.rings import F2, F3, F5, QQ, ZZ
 
 
@@ -156,6 +156,23 @@ def test_integer_kernel_and_solve():
     assert sum(a[0][j] * x[j] for j in range(3)) == 2
     assert s.solve({0: 1, 1: 1}) is None  # incompatible
     assert solver([{0: 2}], 1, ZZ).solve({0: 1}) is None  # 2x = 1 has no integer solution
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([ZZ, QQ, F2, F3, F5]), st.integers(0, 4), st.lists(st.integers(-2, 2), min_size=16, max_size=16))
+def test_is_invertible_means_every_unit_vector_is_solvable(ring, size, entries):
+    columns = [_coerced({i: entries[4 * j + i] for i in range(size)}, ring) for j in range(size)]
+    onto = solver(columns, size, ring)
+    assert is_invertible(columns, size, ring) == all(onto.solve({j: ring.one}) is not None for j in range(size))
+
+
+def test_a_determinant_two_matrix_is_invertible_over_q_only():
+    a = [[1, 1], [-1, 1]]  # det 2, every entry a unit
+    assert not is_invertible(_columns(a), 2, ZZ)
+    assert is_invertible([_coerced(col, QQ) for col in _columns(a)], 2, QQ)
+    assert not is_invertible([_coerced(col, F2) for col in _columns(a)], 2, F2)
+    assert is_invertible(_columns([[1, 1], [0, 1]]), 2, ZZ)
+    assert is_invertible([], 0, ZZ) and not is_invertible([{0: 1}], 2, ZZ)
 
 
 def test_engine_rank_and_kernel_over_fields():

@@ -16,6 +16,12 @@ def test_fast_tier_passes_with_documented_deviations():
     # the two sign-convention goldens are flagged, never silently passed
     assert by_name["golden-b3"]["status"] == DEVIATION
     assert by_name["golden-degenerate"]["status"] == DEVIATION
+    # the detail states the deviation as README does: not an overall sign
+    assert by_name["golden-degenerate"]["detail"] == (
+        "computed -[0,0,1]⊗[0,0] - [0,0,1]⊗[0,1] + [0,1]⊗[0,0,1] ; "
+        "[0,1]⊗[0,1,1] - [0,1,1]⊗[0,1] - [0,1,1]⊗[1,1] — the published displays have the opposite sign "
+        "on every term but [0,1,2]⊗[0,1] (relabeled), and the [0,1,1] display has [1,1] for [0,1]"
+    )
     assert by_name["golden-b2"]["status"] == PASS
     assert by_name["sq-rp4"]["status"] == "skipped"
     deviations = [i for i in report["items"] if i["status"] == DEVIATION]
