@@ -400,8 +400,6 @@ def kernel(columns: Sequence[Dict[int, Coefficient]], ring: Ring) -> List[Dict[i
         logs: List[list] = []
         pivots = _reduce(ring, (_pack(ring, col.items()) for col in columns), logs)
         return [_kernel_vector(ring, logs, f) for f in _free_columns(pivots, len(columns))]
-    if not any(columns):  # V = 1: no form to build
-        return [{j: 1} for j in range(len(columns))]
     nrows = 1 + max((max(col) for col in columns if col), default=-1)
     form = sparse_smith(transpose(columns, nrows), len(columns), v=True)
     pivot_cols = {c for _, c, _ in form.pivots}
@@ -574,12 +572,11 @@ def invariant_factors(columns: Sequence[SparseVector]) -> List[int]:
 def is_invertible(columns: Sequence[Dict[int, Coefficient]], size: int, ring: Ring) -> bool:
     """Whether the square matrix with the given sparse columns over ``size``
     rows is invertible, which for a square matrix is the same as onto: over
-    a field when it has full rank, over ℤ when its Smith form, built without
-    transforms, has ``size`` pivots, each 1 (the empty matrix builds none)."""
+    a field when it has full rank, over ℤ when its ``size`` invariant
+    factors are all 1."""
     if ring.is_field:
         return field_rank((col.items() for col in columns), ring) == size
-    pivots = sparse_smith(transpose(columns, size), size).pivots if size else []
-    return len(pivots) == size and all(d == 1 for _, _, d in pivots)
+    return invariant_factors(columns) == [1] * size
 
 
 def integer_groups(out_cols, in_cols, rank_here, out_factors: List[int], in_factors: List[int]) -> HomologyDescriptor:
