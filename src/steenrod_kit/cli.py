@@ -7,15 +7,20 @@ Exit codes: 0 = all requested checks passed, 1 = verification failures,
 3 = internal error (any other exception, reported on one line: a fault of
 the program, not of its input).  When the reader of standard output closes
 it early, the process exits 1, silently.
+
+Each command's options are declared once, in ``COMMANDS``.  ``_parse`` reads
+a command line that writes them out in full; argparse, built from the same
+table, is imported only for the rest: help, abbreviations, ``--opt=value``
+and every argument error, with its own text and exit code 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 from .chains import Simplex, render_terms
@@ -28,41 +33,65 @@ from .simplicial import DeltaComplex, SimplicialSetPresentation, core, forget_de
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="steenrod-kit",
-        description="Exact-arithmetic Steenrod diagonals, squares, homology, and verification.",
-    )
+# command: (help, options), each option (option, type, default, help, metavar), a flag's type being bool
+_INPUT = ("--input", str, None, "complex document (JSON)", None)
+_RING = ("--ring", str, None, "coefficients: z, q, f2, f3, f5, ... (default z; sq defaults to f2)", None)
+_CACHE = ("--cache", str, None, "accepted and ignored: the diagonal table is kept in memory only", "DIR")
+_JSON = ("--json", bool, False, "machine-readable output", None)
+COMMANDS = {
+    "diag": ("print ξ(e_n⊗σ) in canonical term order", (_INPUT, _RING, _CACHE, _JSON,
+        ("--n", int, 0, "bar resolution level", None),
+        ("--simplex", str, None, "comma-separated vertex list, e.g. 0,1,2 (weakly increasing)", None),
+        ("--cell", str, None, "cell of the input complex as dim,index", None))),
+    "sq": ("matrices of Steenrod squares on H^*(X;F2)", (_INPUT, _RING, _CACHE, _JSON,
+        ("--i", int, None, "which square (default: all)", None),
+        ("--p", int, None, "source cohomology degree (default: all)", None))),
+    "homology": ("homology groups of the input complex per degree", (_INPUT, _RING, _CACHE, _JSON)),
+    "info": ("cell counts, degeneracy-freeness, core size", (_INPUT, _CACHE, _JSON)),
+    "verify": ("run the named-invariant verification suite", (_CACHE, _JSON,
+        ("--only", str, None, "run a single named invariant", None),
+        ("--max-k", int, 6, "maximum simplex dimension for the eta_k checks", None),
+        ("--slow", bool, False, "include the slow tier (RP⁴ squares)", None),
+        ("--truncation", int, 4, "truncation of the free presentations, 3 or 4", None))),
+}
+
+
+def _build_parser():
+    import argparse  # with gettext and locale, for what _parse leaves: help, abbreviations, errors
+
+    description = "Exact-arithmetic Steenrod diagonals, squares, homology, and verification."
+    parser = argparse.ArgumentParser(prog="steenrod-kit", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, text: str, with_input: bool = True, with_ring: bool = True) -> argparse.ArgumentParser:
+    for name, (text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if with_input:
-            p.add_argument("--input", help="complex document (JSON)")
-        if with_ring:
-            p.add_argument("--ring", default=None, help="coefficients: z, q, f2, f3, f5, ... (default z; sq defaults to f2)")
-        p.add_argument("--cache", metavar="DIR", help="accepted and ignored: the diagonal table is kept in memory only")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p_diag = command("diag", "print ξ(e_n⊗σ) in canonical term order")
-    p_diag.add_argument("--n", type=int, default=0, help="bar resolution level")
-    p_diag.add_argument("--simplex", help="comma-separated vertex list, e.g. 0,1,2 (weakly increasing)")
-    p_diag.add_argument("--cell", help="cell of the input complex as dim,index")
-
-    p_sq = command("sq", "matrices of Steenrod squares on H^*(X;F2)")
-    p_sq.add_argument("--i", type=int, default=None, help="which square (default: all)")
-    p_sq.add_argument("--p", type=int, default=None, help="source cohomology degree (default: all)")
-
-    command("homology", "homology groups of the input complex per degree")
-    command("info", "cell counts, degeneracy-freeness, core size", with_ring=False)
-
-    p_verify = command("verify", "run the named-invariant verification suite", with_input=False, with_ring=False)
-    p_verify.add_argument("--only", help="run a single named invariant")
-    p_verify.add_argument("--max-k", type=int, default=6, help="maximum simplex dimension for the eta_k checks")
-    p_verify.add_argument("--slow", action="store_true", help="include the slow tier (RP⁴ squares)")
-    p_verify.add_argument("--truncation", type=int, default=4, help="truncation of the free presentations, 3 or 4")
+        for option, kind, default, option_help, metavar in options:
+            how = {"action": "store_true"} if kind is bool else {"type": kind, "default": default, "metavar": metavar}
+            p.add_argument(option, help=option_help, **how)
     return parser
+
+
+def _parse(argv: Optional[list]) -> Optional[SimpleNamespace]:
+    """``_build_parser().parse_args(argv)`` when argv is a command and its own options in full, a flag
+    alone, any other option with one value that does not start with ``-`` and that its type accepts
+    (the last of a repeated option wins); None for anything else."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {spec[0]: spec for spec in COMMANDS[argv[0]][1]}
+    values = {option: default for option, _, default, _, _ in options.values()}
+    words = iter(argv[1:])
+    for word in words:
+        kind = options[word][1] if word in options else None
+        if kind is bool:
+            values[word] = True
+            continue
+        value = next(words, "-")  # a missing value is refused like an option in its place
+        if kind is None or value.startswith("-"):
+            return None
+        try:
+            values[word] = kind(value)
+        except ValueError:
+            return None
+    return SimpleNamespace(command=argv[0], **{option[2:].replace("-", "_"): v for option, v in values.items()})
 
 
 def _ring(args, default: Ring = ZZ) -> Ring:
@@ -230,11 +259,11 @@ def _cmd_verify(args) -> int:
 
 def main(argv: Optional[list] = None) -> int:
     # a command builds no cycle worth a collection: see README, "Garbage collector";
-    # the pause covers argument parsing too, whose regex compiles allocate enough to start one
+    # the pause covers parsing too: where argparse runs, its import and regex compiles can start one
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _dispatch(_build_parser().parse_args(argv))
+        return _dispatch(_parse(argv) or _build_parser().parse_args(argv))
     finally:
         if enabled:
             gc.enable()

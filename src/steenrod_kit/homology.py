@@ -13,9 +13,10 @@ out-map pivots wait in ``derived`` until the neighbouring degree takes them
 as its in-map's, which then clear its out-map (``linalg.reduce_columns``).
 Over ℤ the groups are read off the invariant factors of the two maps, each
 map's from one Smith form without transforms, kept in ``derived`` under the
-map's degree so that both degrees it joins share it; the representatives
-and coordinates are built from transformed forms only when first read
-(``linalg.integer_groups``).
+index n of the ∂ₙ it is or whose transpose it is (δⁿ⁻¹ has ∂ₙ's factors), so
+that both degrees the map joins, and homology and cohomology, share it; the
+representatives and coordinates are built from transformed forms only when
+first read (``linalg.integer_groups``).
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _group(complex_: ChainComplex, degree: int, kind: str, matrix, step: int) ->
     computed them, and the out-map's are left there under
     ``(kind, "pivots", degree)`` unless the degree that would take them is
     already computed.  Over ℤ each map's invariant factors are kept under
-    ``(kind, "factors", n)`` for the degree n it leaves."""
+    ``("factors", n)`` for the higher degree n it joins, since the map is ∂ₙ
+    or its transpose."""
     if degree + 1 > complex_.truncation_dim and not complex_.exhaustive:
         raise ValueError(
             f"degree {degree} needs the complex up to {degree + 1}, "
@@ -69,8 +71,8 @@ def _group(complex_: ChainComplex, degree: int, kind: str, matrix, step: int) ->
     _check_dd_zero(complex_, degree)
     out_cols, in_cols, rank = matrix(degree), matrix(degree - step), complex_.rank(degree)
     if not ring.is_field:
-        out_factors = _factors(complex_, kind, degree, out_cols)
-        in_factors = _factors(complex_, kind, degree - step, in_cols)
+        out_factors = _factors(complex_, max(degree, degree + step), out_cols)
+        in_factors = _factors(complex_, max(degree, degree - step), in_cols)
         group = integer_groups(out_cols, in_cols, rank, out_factors, in_factors)
     else:
         in_pivots = derived.pop((kind, "pivots", degree - step), None)
@@ -85,10 +87,10 @@ def _group(complex_: ChainComplex, degree: int, kind: str, matrix, step: int) ->
     return group
 
 
-def _factors(complex_: ChainComplex, kind: str, n: int, columns) -> list:
-    """The invariant factors of the map out of degree n, with the given
+def _factors(complex_: ChainComplex, n: int, columns) -> list:
+    """The invariant factors of ∂ₙ or of its transpose, with the given
     columns, kept in ``derived``."""
-    key = (kind, "factors", n)
+    key = ("factors", n)
     if key not in complex_.derived:
         complex_.derived[key] = invariant_factors(columns)
     return complex_.derived[key]

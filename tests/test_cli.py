@@ -430,8 +430,9 @@ def test_rp4_field_homology(capsys, ring, groups):
 
 
 # what a homology process never runs; dataclasses and inspect cost a short command more than its arithmetic,
-# and fractions (with decimal) serves only ℚ, which neither ℤ homology nor 𝔽₂ squares divide in
-NOT_FOR_HOMOLOGY = ["dataclasses", "inspect", "fractions", "decimal"] + [
+# fractions (with decimal) serves only ℚ, which neither ℤ homology nor 𝔽₂ squares divide in, and argparse
+# (with gettext and locale) only help and argument errors
+NOT_FOR_HOMOLOGY = ["dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale"] + [
     f"steenrod_kit.{m}" for m in ("suite", "dold_kan", "vandermonde", "diagonal", "cochains", "kernel")
 ]
 LOADED_PER_STEP = """
@@ -456,9 +457,8 @@ def test_a_command_imports_only_the_modules_it_runs():
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert loaded["import"] == [] and loaded["homology"] == []
     assert "steenrod_kit.cochains" in loaded["sq"]
-    assert not {"dataclasses", "inspect", "fractions", "decimal", "steenrod_kit.suite", "steenrod_kit.dold_kan"} & set(
-        loaded["sq"]
-    )
+    assert not {"dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext", "locale",
+                "steenrod_kit.suite", "steenrod_kit.dold_kan"} & set(loaded["sq"])
 
 
 def test_rational_homology_of_a_klein_bottle_divides_by_no_fraction(tmp_path):
@@ -482,10 +482,10 @@ def test_rational_homology_of_a_klein_bottle_divides_by_no_fraction(tmp_path):
 
 
 def _entry(*argv):
-    """``python -m steenrod_kit.cli`` in a fresh process, through pipes."""
+    """``python -m steenrod_kit.cli`` in a fresh process, through pipes, argparse's help wrapped at 80 columns."""
     src = str(Path(cli.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-m", "steenrod_kit.cli", *argv], capture_output=True, text=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"))
 
 
 def test_the_process_entry_writes_the_whole_json_to_a_pipe(capsys):
@@ -506,6 +506,24 @@ def test_the_process_entry_exits_2_on_a_usage_error():
     run = _entry("homology", "--no-such-option")
     assert run.returncode == EXIT_INPUT and run.stdout == ""
     assert run.stderr.startswith("usage: steenrod-kit") and "error: unrecognized arguments" in run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, head",
+    [
+        (["--help"], EXIT_OK, "usage: steenrod-kit [-h] {diag,sq,homology,info,verify} ..."),
+        (["sq", "--help"], EXIT_OK, "usage: steenrod-kit sq [-h] [--input INPUT] [--ring RING]"),
+        (["info", "--ring", "z"], EXIT_INPUT, "usage: steenrod-kit [-h] {diag,sq,homology,info,verify} ..."),
+    ],
+)
+def test_help_and_argument_errors_come_from_argparse(argv, code, head):
+    run = _entry(*argv)
+    assert run.returncode == code
+    if code == EXIT_OK:  # the help, on standard output
+        assert run.stderr == "" and run.stdout.startswith(head) and "-h, --help" in run.stdout
+    else:  # the usage and one error line, on standard error
+        assert run.stdout == "" and run.stderr.startswith(head)
+        assert run.stderr.splitlines()[-1] == "steenrod-kit: error: unrecognized arguments: --ring z"
 
 
 @pytest.mark.parametrize("argv", [["sq", "--json"], ["homology"], ["info", "--json"]])

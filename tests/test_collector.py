@@ -6,6 +6,8 @@ import ast
 import gc
 import json
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -87,13 +89,49 @@ def test_a_command_starts_no_collection(capsys):
         if phase == "start":
             starts.append(info["generation"])
 
-    re.purge()  # argparse compiles its patterns anew, as in a fresh process
+    re.purge()  # every pattern is compiled anew, as in a fresh process
     gc.callbacks.append(on_gc)
     try:
         assert main(["sq", "--input", str(_corpus_path("rp2"))]) == EXIT_OK
     finally:
         gc.callbacks.remove(on_gc)
     assert starts == []
+
+
+# the collections that start while cli.main runs in a fresh process: the first allocation after
+# it returns may start one, since the pause leaves the youngest generation over its threshold
+COLLECTIONS_IN_MAIN = """
+import gc, json, sys
+sys.path.insert(0, sys.argv[1])
+import steenrod_kit.cli as cli
+
+def in_main(frame):
+    while frame is not None and frame.f_code is not cli.main.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+def on_gc(phase, info):
+    if phase == "start" and in_main(sys._getframe()):
+        starts.append(info["generation"])
+
+starts = []
+gc.callbacks.append(on_gc)
+try:
+    code = cli.main(sys.argv[2:])
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps([code, starts]))
+"""
+
+
+def test_an_argument_error_starts_no_collection():
+    # argparse parses an argument error: importing it and building its parser and patterns
+    # allocate several thresholds' worth of containers, all inside the pause
+    argv = ["sq", "--input", "x", "--no-such-option"]
+    run = subprocess.run([sys.executable, "-S", "-c", COLLECTIONS_IN_MAIN, str(PACKAGE.parent), *argv],
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(run.stdout) == [EXIT_INPUT, []]
+    assert run.stderr.splitlines()[-1] == "steenrod-kit: error: unrecognized arguments: --no-such-option"
 
 
 BUILDERS = {

@@ -156,6 +156,23 @@ def test_integer_groups_build_one_transform_free_form_per_map(names, group, maps
         built.clear()
 
 
+@pytest.mark.parametrize("kinds", [(homology, cohomology), (cohomology, homology)], ids=["h-first", "c-first"])
+@pytest.mark.parametrize("name", ["klein", "rp2", "torus"])
+def test_integer_homology_and_cohomology_share_each_map_s_form(name, kinds, monkeypatch):
+    # δⁿ is ∂ₙ₊₁ transposed, with the same invariant factors: both kinds of one
+    # complex take one Smith form per nonzero ∂, whichever kind comes first
+    built = _count_smith_forms(monkeypatch)
+    space = load_corpus(name)
+    cx = space.chains(ZZ)
+    degrees = range(space.dimension, -1, -1)
+    groups = {(group, d): group(cx, d) for group in kinds for d in degrees}
+    nonzero = [n for n in range(space.dimension + 2) if any(cx.boundary_matrix(n))]
+    assert built == [(False, False)] * len(nonzero)
+    for (group, d), got in groups.items():
+        want = getattr(dense_oracle, group.__name__)(cx, d)
+        assert (got.free_rank, got.torsion) == (want.free_rank, want.torsion), (group.__name__, d)
+
+
 def _rp3() -> DeltaComplex:
     tool = Path(__file__).resolve().parent.parent / "tools" / "make_corpus.py"
     spec = importlib.util.spec_from_file_location("make_corpus", tool)
