@@ -46,22 +46,6 @@ class Simplex(Frozen):
 
     dimension = degree
 
-    @property
-    def is_degenerate(self) -> bool:
-        v = self.vertices
-        return any(v[i] == v[i + 1] for i in range(len(v) - 1))
-
-    def face(self, i: int) -> "Simplex":
-        if not 0 <= i <= self.degree:
-            raise IndexError(f"face index {i} out of range for {self}")
-        return Simplex(self.vertices[:i] + self.vertices[i + 1 :])
-
-    def degeneracy(self, i: int) -> "Simplex":
-        if not 0 <= i <= self.degree:
-            raise IndexError(f"degeneracy index {i} out of range for {self}")
-        v = self.vertices
-        return Simplex(v[: i + 1] + (v[i],) + v[i + 1 :])
-
     def sort_key(self):
         return (0, self.vertices)
 

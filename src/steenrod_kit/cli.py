@@ -27,7 +27,7 @@ from .chains import Simplex, render_terms
 from .documents import load_complex
 from .homology import cohomology, homology
 from .rings import F2, Ring, ZZ
-from .simplicial import DeltaComplex, SimplicialSetPresentation, core, forget_degeneracies, is_degeneracy_free
+from .simplicial import SimplicialSetPresentation, core, is_degeneracy_free
 # the diagonal, cup-i and suite modules are imported by the handlers that call them
 
 EXIT_OK, EXIT_FAIL, EXIT_INPUT, EXIT_INTERNAL = 0, 1, 2, 3
@@ -139,12 +139,6 @@ def _cmd_diag(args) -> int:
     return EXIT_OK
 
 
-def _as_delta(space) -> DeltaComplex:
-    if isinstance(space, SimplicialSetPresentation):
-        return forget_degeneracies(space)
-    return space
-
-
 def _cmd_sq(args) -> int:
     from .cochains import sq_matrix
     from .diagonal import DiagonalTable
@@ -152,14 +146,13 @@ def _cmd_sq(args) -> int:
     ring = _ring(args, default=F2)
     if ring != F2:
         raise ValueError("Steenrod squares are computed over f2")
-    loaded = _load_input(args)
-    space = _as_delta(loaded)
+    space = _load_input(args)  # a presentation is read as the delta-complex of all its cells
     top = space.dimension  # the highest cohomology degree a square may land in
-    if isinstance(loaded, SimplicialSetPresentation):
+    if isinstance(space, SimplicialSetPresentation):
         # degree truncation_dim − 1 is the last one the presentation determines
-        top = min(top, loaded.truncation_dim - 1)
+        top = min(top, space.truncation_dim - 1)
         if top < 0:
-            raise ValueError(f"truncation_dim {loaded.truncation_dim} determines no cohomology degree")
+            raise ValueError(f"truncation_dim {space.truncation_dim} determines no cohomology degree")
     if args.p is not None and not 0 <= args.p <= top:
         raise ValueError(f"--p must lie in 0..{top}, got {args.p}")
     if args.i is not None and args.i < 0:

@@ -1,8 +1,9 @@
 """Cochains, cup-i products, and Steenrod squares on delta-complex cells.
 
-A cochain is a vector over the basis of one degree; on a delta-complex's
-chains, index k of degree n is the n-cell k, so cup-i reads cochain values
-through per-dimension face index lists and builds no cell object.
+A cochain is a vector over the basis of one degree; on the chains of all the
+cells of a delta-complex (a presentation among them), index k of degree n is
+the n-cell k, so cup-i reads cochain values through per-dimension face index
+lists and builds no cell object.
 
 A cup-i product is the pairing dual to the level-i diagonal:
 
@@ -99,13 +100,16 @@ def cup_i(
     space: DeltaComplex,
     table: DiagonalTable,
 ) -> Cochain:
-    """(u ⌣_i v)(σ) = (u⊗v)(ξ(e_i⊗σ)) on the cells of a delta-complex.
+    """(u ⌣_i v)(σ) = (u⊗v)(ξ(e_i⊗σ)) on the cells of a delta-complex,
+    a simplicial-set presentation's included: there every cell, degenerate
+    or not, as the delta-complex that forgetting its degeneracies gives.
 
-    ``u`` and ``v`` must live on ``space.chains(ring)`` (equivalently, the
-    normalized chains of the freely-degenerate presentation of ``space``),
-    whose basis index k is cell k.  The terms of ξ(e_i⊗Δⁿ) in the bidegree
-    of u⊗v are taken once, and each of their vertex subsets becomes the index
-    of that face of every n-cell, so u and v are read by index throughout.
+    ``u`` and ``v`` must live on ``space.chains(ring)`` (for a delta-complex
+    equivalently the normalized chains of its freely-degenerate presentation,
+    for a presentation its unnormalized chains), whose basis index k is cell
+    k.  The terms of ξ(e_i⊗Δⁿ) in the bidegree of u⊗v are taken once, and
+    each of their vertex subsets becomes the index of that face of every
+    n-cell, so u and v are read by index throughout.
     Out-of-range i (negative, or exceeding min(deg u, deg v)) yields the zero
     cochain: the diagonal has no terms in the required bidegree.
     """

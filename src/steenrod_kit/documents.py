@@ -18,8 +18,6 @@ from typing import Union
 
 from .simplicial import DeltaComplex, SimplicialSetPresentation
 
-ComplexLike = Union[DeltaComplex, SimplicialSetPresentation]
-
 DOCUMENT_SCHEMA = 1
 
 
@@ -28,7 +26,7 @@ DOCUMENT_SCHEMA = 1
 # ---------------------------------------------------------------------------
 
 
-def complex_to_document(obj: ComplexLike) -> dict:
+def complex_to_document(obj: DeltaComplex) -> dict:
     doc: dict = {
         "schema": DOCUMENT_SCHEMA,
         "name": obj.name,
@@ -73,7 +71,7 @@ def _labels_in(labels: list) -> list:
     return list(map(_label_in, labels))
 
 
-def document_to_complex(doc: dict) -> ComplexLike:
+def document_to_complex(doc: dict) -> DeltaComplex:
     try:
         kind = doc["kind"]
         cells = {int(n): _labels_in(labels) for n, labels in doc["cells"].items()}
@@ -105,7 +103,7 @@ def document_to_complex(doc: dict) -> ComplexLike:
     raise ValueError(f"unknown complex kind: {kind!r}")
 
 
-def load_complex(path: Union[str, Path]) -> ComplexLike:
+def load_complex(path: Union[str, Path]) -> DeltaComplex:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -118,12 +116,12 @@ def load_complex(path: Union[str, Path]) -> ComplexLike:
     return document_to_complex(doc)
 
 
-def document_text(obj: ComplexLike) -> str:
+def document_text(obj: DeltaComplex) -> str:
     """The text of the document ``save_complex`` writes."""
     return json.dumps(complex_to_document(obj), separators=(",", ":")) + "\n"
 
 
-def save_complex(obj: ComplexLike, path: Union[str, Path]) -> None:
+def save_complex(obj: DeltaComplex, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(document_text(obj))
 
@@ -141,7 +139,7 @@ def corpus_names() -> list:
     return sorted(p.stem for p in _corpus_dir().glob("*.json"))
 
 
-def load_corpus(name: str) -> ComplexLike:
+def load_corpus(name: str) -> DeltaComplex:
     path = _corpus_dir() / f"{name}.json"
     if not path.exists():
         raise ValueError(f"no corpus space named {name!r}; available: {', '.join(corpus_names())}")

@@ -29,7 +29,7 @@ def _check_dd_zero(complex_: ChainComplex, degree: int) -> None:
     """The field engine relies on ∂_degree ∘ ∂_{degree+1} = 0 without
     checking it: checked here once per complex and degree, for homology and
     cohomology alike, unless the complex's ``derived`` already records it.
-    ``FaceTable.chains_from_faces`` records it for the chains of all the
+    ``DeltaComplex.chains_from_faces`` records it for the chains of all the
     cells of a validated face table, where the face identities imply it;
     every other complex is checked."""
     key = ("dd_zero", degree)

@@ -1,13 +1,12 @@
 """Finite presentations of delta-complexes and simplicial sets.
 
 A delta-complex stores abstract cells per dimension with face tables only; a
-simplicial-set presentation additionally stores degeneracy tables.  The two
-functors between them are implemented here:
-
-* ``forget_degeneracies`` (drop degeneracy operators, every cell becomes a
-  delta-complex cell), and
-* ``freely_add_degeneracies`` (adjoin free degeneracies: the m-cells are pairs
-  (n-cell, canonical surjection m↠n)).
+simplicial-set presentation is a delta-complex that additionally stores
+degeneracy tables.  Of the two functors between them, forgetting the
+degeneracies is the subclass relation itself: a presentation is read as the
+delta-complex of all its cells, degenerate or not, with no copy.  The other,
+``freely_add_degeneracies``, adjoins free degeneracies: the m-cells are pairs
+(n-cell, canonical surjection m↠n).
 
 Surjections [m]↠[n] are kept in canonical form: the strictly decreasing word
 s_{i₁}⋯s_{i_j} with i₁ > ⋯ > i_j, equivalently the set of positions where the
@@ -143,7 +142,7 @@ def degeneracy_column(blocks: Blocks, size: Dict[int, int], m: int, i: int) -> L
 
 
 # ---------------------------------------------------------------------------
-# Face tables
+# Delta-complexes: face tables
 # ---------------------------------------------------------------------------
 
 
@@ -170,24 +169,91 @@ def simplicial_identities(n: int, top: int, d: Callable, s: Callable, then: Call
             yield "ss", i, j, then(s(n + 1, i), s(n, j)), then(s(n + 1, j + 1), s(n, i))
 
 
+def signed_incidence(ring: Ring, n: int, table: Sequence[Sequence[int]], kept: Sequence[int],
+                     rows: Optional[List[int]], size: int, by_row: bool) -> List[Dict[int, Coefficient]]:
+    """∂_n = Σ (−1)^i d_i on the cells ``kept`` of the n-cells' face lists
+    ``table``, with entries nonzero elements of ``ring``: repeated faces add
+    up, and sums that vanish and faces quotiented away are dropped.
+
+    ``rows`` gives each (n−1)-cell's row, ``size`` (the number of rows) for
+    one quotiented away, or is None when every (n−1)-cell is a row.  Grouped
+    by column, the result is ∂_n: one ``{row: x}`` per kept n-cell, in face
+    order.  Grouped by row, it is δ^{n−1}: one ``{k: x}`` per row, k the
+    positions of the kept n-cells, increasing, as transposing ∂_n gives it.
+    """
+    value = {s: c for s in range(-n - 1, n + 2) if not ring.is_zero(c := ring.coerce(s))}
+    signs = [value[-1 if i & 1 else 1] for i in range(n + 1)]
+    if rows is None:
+        faces = table if len(kept) == len(table) else [table[idx] for idx in kept]
+    else:
+        faces = [[rows[f] for f in table[idx]] for idx in kept]
+    if by_row:
+        out = [{} for _ in range(size + 1)]  # the last row takes the faces quotiented away
+        for k, fs in enumerate(faces):
+            for r, x in zip(fs, signs):
+                out[r][k] = x
+    else:
+        out = [dict(zip(fs, signs)) for fs in faces]
+    # a cell lost an entry to a repeated face: sum its faces again
+    if n and sum(map(len, out)) < len(faces) * (n + 1):
+        for k, fs in enumerate(faces):
+            if len(set(fs)) < len(fs):
+                summed: Dict[int, int] = {}
+                for i, r in enumerate(fs):
+                    summed[r] = summed.get(r, 0) + (-1 if i & 1 else 1)
+                for r, s in summed.items():
+                    entries, key = (out[r], k) if by_row else (out[k], r)
+                    if s in value:
+                        entries[key] = value[s]
+                    else:
+                        del entries[key]
+    if by_row:
+        out.pop()
+    elif rows is not None:
+        for col in out:
+            col.pop(size, None)
+    return out
+
+
 def _basis_cell(name: str, n: int, idx: int) -> Cell:
     return Cell(n, (name, n, idx) if name else (n, idx))
 
 
-class FaceTable:
-    """Cells per dimension with a face table: what delta-complexes and
-    simplicial-set presentations share.
+class DeltaComplex:
+    """Abstract cells with face tables satisfying d_i d_j = d_{j−1} d_i (i<j):
+    the one face-table class, which simplicial-set presentations extend.
 
-    Subclasses provide ``cells`` ({dimension: labels}), ``faces`` ({dimension
-    n: list whose entry idx is the tuple of the n+1 face indices of cell idx,
-    () for a vertex}), ``truncation_dim`` and ``name``.  A cell is its index
-    in its dimension's lists throughout.
+    ``cells`` is {dimension: labels} and ``faces`` {dimension n: list whose
+    entry idx is the tuple of the n+1 face indices of cell idx, () for a
+    vertex}; empty dimensions are dropped and the vertex face table may be
+    left out.  A cell is its index in its dimension's lists throughout.
     """
 
-    def _own_tables(self) -> None:
-        """Drop empty dimensions; the vertex face table may be left out."""
-        self.cells = {n: list(v) for n, v in self.cells.items() if v}
-        self.faces = {0: [()] * self.n_cells(0), **self.faces}
+    # the cells are all there are: the chains have no degree above them,
+    # while a presentation's cells stop at its truncation
+    exhaustive = True
+
+    def __init__(
+        self,
+        cells: Dict[int, List[object]],
+        faces: Dict[int, List[Tuple[int, ...]]],
+        truncation_dim: int | None = None,
+        name: str = "",
+    ):
+        self.cells = {n: list(v) for n, v in cells.items() if v}
+        self.faces = {0: [()] * self.n_cells(0), **faces}
+        self.dimension = max(self.cells) if self.cells else 0
+        self.truncation_dim = self.dimension if truncation_dim is None else truncation_dim
+        self.name = name
+        self._chains: Dict[Ring, ChainComplex] = {}
+        self.validate()
+
+    def label(self, n: int, idx: int) -> object:
+        return self.cells[n][idx]
+
+    def validate(self) -> None:
+        self._check_tables(self.faces, lambda n: n > 0, "faces")
+        self._validate_identities({}, 0)
 
     def n_cells(self, n: int) -> int:
         return len(self.cells.get(n, []))
@@ -274,20 +340,26 @@ class FaceTable:
                               "ds": f"identity d_{i} s_{j} failed on ({n},{idx})",
                               "ss": f"identity s_i s_j failed on ({n},{idx})"}[kind])
 
-    def chains_from_faces(
-        self, ring: Ring, kept: Callable[[int], Sequence[int]], exhaustive: bool = False
-    ) -> ChainComplex:
+    def chains(self, ring: Ring) -> ChainComplex:
+        """The chain complex of all the cells over ``ring``, built once per
+        ring: a delta-complex's cellular chains, a presentation's
+        unnormalized ones."""
+        if ring not in self._chains:
+            self._chains[ring] = self.chains_from_faces(ring, lambda n: range(self.n_cells(n)))
+        return self._chains[ring]
+
+    def chains_from_faces(self, ring: Ring, kept: Callable[[int], Sequence[int]]) -> ChainComplex:
         """The chain complex on the cells ``kept(n)`` (increasing indices) of
-        each dimension, with boundary Σ (−1)^i d_i.  A degree's columns of ∂,
-        and of δ, are written from the face table by ``signed_incidence``
-        when first read: faces outside the kept cells vanish (they are
-        quotiented away) and repeated faces add up.  When every cell is kept,
-        ∂∂ = 0 follows from the face identities d_i d_j = d_{j−1} d_i, which
-        the constructor validated, over every ring: it is recorded in
-        ``derived`` under ``("dd_zero", n)`` and not checked again.  The
-        builders close over the face lists, the name and the kept indices:
-        one over the table, which keeps its complex, would be a cycle only
-        the cyclic collector frees."""
+        each dimension, with boundary Σ (−1)^i d_i, exhaustive when the class
+        is.  A degree's columns of ∂, and of δ, are written from the face
+        table by ``signed_incidence`` when first read: faces outside the kept
+        cells vanish (they are quotiented away) and repeated faces add up.
+        When every cell is kept, ∂∂ = 0 follows from the face identities
+        d_i d_j = d_{j−1} d_i, which the constructor validated, over every
+        ring: it is recorded in ``derived`` under ``("dd_zero", n)`` and not
+        checked again.  The builders close over the face lists, the name and
+        the kept indices: one over the table, which keeps its complex, would
+        be a cycle only the cyclic collector frees."""
         kept_cells = {n: kept(n) for n in sorted(self.cells)}
         # per dimension: None when every cell is kept, else each cell's row,
         # or the rank for a cell quotiented away
@@ -305,95 +377,13 @@ class FaceTable:
         def basis(n: int) -> List[Cell]:
             return [_basis_cell(name, n, idx) for idx in kept_cells[n]]
 
-        complex_ = ChainComplex(ring, basis, lambda n: incidence(n, False), self.truncation_dim, exhaustive,
+        complex_ = ChainComplex(ring, basis, lambda n: incidence(n, False), self.truncation_dim, self.exhaustive,
                                 ranks={n: len(indices) for n, indices in kept_cells.items()},
                                 coboundary=lambda n: incidence(n + 1, True))
         if all(r is None for r in rows.values()):
             complex_.derived.update((("dd_zero", n), True) for n in kept_cells)
         return complex_
 
-
-def signed_incidence(ring: Ring, n: int, table: Sequence[Sequence[int]], kept: Sequence[int],
-                     rows: Optional[List[int]], size: int, by_row: bool) -> List[Dict[int, Coefficient]]:
-    """∂_n = Σ (−1)^i d_i on the cells ``kept`` of the n-cells' face lists
-    ``table``, with entries nonzero elements of ``ring``: repeated faces add
-    up, and sums that vanish and faces quotiented away are dropped.
-
-    ``rows`` gives each (n−1)-cell's row, ``size`` (the number of rows) for
-    one quotiented away, or is None when every (n−1)-cell is a row.  Grouped
-    by column, the result is ∂_n: one ``{row: x}`` per kept n-cell, in face
-    order.  Grouped by row, it is δ^{n−1}: one ``{k: x}`` per row, k the
-    positions of the kept n-cells, increasing, as transposing ∂_n gives it.
-    """
-    value = {s: c for s in range(-n - 1, n + 2) if not ring.is_zero(c := ring.coerce(s))}
-    signs = [value[-1 if i & 1 else 1] for i in range(n + 1)]
-    if rows is None:
-        faces = table if len(kept) == len(table) else [table[idx] for idx in kept]
-    else:
-        faces = [[rows[f] for f in table[idx]] for idx in kept]
-    if by_row:
-        out = [{} for _ in range(size + 1)]  # the last row takes the faces quotiented away
-        for k, fs in enumerate(faces):
-            for r, x in zip(fs, signs):
-                out[r][k] = x
-    else:
-        out = [dict(zip(fs, signs)) for fs in faces]
-    # a cell lost an entry to a repeated face: sum its faces again
-    if n and sum(map(len, out)) < len(faces) * (n + 1):
-        for k, fs in enumerate(faces):
-            if len(set(fs)) < len(fs):
-                summed: Dict[int, int] = {}
-                for i, r in enumerate(fs):
-                    summed[r] = summed.get(r, 0) + (-1 if i & 1 else 1)
-                for r, s in summed.items():
-                    entries, key = (out[r], k) if by_row else (out[k], r)
-                    if s in value:
-                        entries[key] = value[s]
-                    else:
-                        del entries[key]
-    if by_row:
-        out.pop()
-    elif rows is not None:
-        for col in out:
-            col.pop(size, None)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Delta-complexes
-# ---------------------------------------------------------------------------
-
-
-class DeltaComplex(FaceTable):
-    """Abstract cells with face tables satisfying d_i d_j = d_{j−1} d_i (i<j)."""
-
-    def __init__(
-        self,
-        cells: Dict[int, List[object]],
-        faces: Dict[int, List[Tuple[int, ...]]],
-        truncation_dim: int | None = None,
-        name: str = "",
-    ):
-        self.cells, self.faces = cells, faces
-        self._own_tables()
-        self.dimension = max(self.cells) if self.cells else 0
-        self.truncation_dim = self.dimension if truncation_dim is None else truncation_dim
-        self.name = name
-        self._chains: Dict[Ring, ChainComplex] = {}
-        self.validate()
-
-    def label(self, n: int, idx: int) -> object:
-        return self.cells[n][idx]
-
-    def validate(self) -> None:
-        self._check_tables(self.faces, lambda n: n > 0, "faces")
-        self._validate_identities({}, 0)
-
-    def chains(self, ring: Ring) -> ChainComplex:
-        """The cellular chain complex over ``ring``, built once per ring."""
-        if ring not in self._chains:
-            self._chains[ring] = self.chains_from_faces(ring, lambda n: range(self.n_cells(n)), exhaustive=True)
-        return self._chains[ring]
 
     # --- constructors --------------------------------------------------------
     @staticmethod
@@ -443,16 +433,20 @@ def point_complex() -> DeltaComplex:
 # ---------------------------------------------------------------------------
 
 
-class SimplicialSetPresentation(FaceTable):
-    """A truncated simplicial set with explicit face and degeneracy tables.
+class SimplicialSetPresentation(DeltaComplex):
+    """A truncated simplicial set: a delta-complex with degeneracy tables.
 
     ``faces[n][idx]`` lists the n+1 faces of cell idx in dimension n;
     ``degeneracies[n][idx]`` lists its n+1 degeneracies (a table for each
     dimension n with n+1 ≤ truncation_dim).  ``strict=False`` skips
     validation of the mixed face/degeneracy identities (needed for the
     shipped counterexample that deliberately carries a non-free degeneracy
-    relation), while pure face identities are always checked.
+    relation), while pure face identities are always checked.  Forgetting
+    the degeneracies is reading it as the delta-complex it is: the inherited
+    ``chains`` are the unnormalized chains, which stop at the truncation.
     """
+
+    exhaustive = False
 
     def __init__(
         self,
@@ -464,12 +458,10 @@ class SimplicialSetPresentation(FaceTable):
         strict: bool = True,
         basepoint: Optional[int] = None,  # vertex index
     ):
-        self.cells, self.faces, self.degeneracies, self.truncation_dim = cells, faces, degeneracies, truncation_dim
-        self.name, self.strict, self.basepoint = name, strict, basepoint
+        self.degeneracies, self.strict, self.basepoint = degeneracies, strict, basepoint
         # per (ring, pointed) R(X) or R̃X, per (ring, "chains") pointed C(X) and C(R̃X); see dold_kan
         self.free_groups: Dict[Tuple[Ring, object], object] = {}
-        self._own_tables()
-        self.validate()
+        super().__init__(cells, faces, truncation_dim, name)
 
     # --- accessors -----------------------------------------------------------
     def degeneracy(self, n: int, idx: int, i: int) -> int:
@@ -504,9 +496,6 @@ class SimplicialSetPresentation(FaceTable):
         self._validate_identities(self.degeneracies, self.truncation_dim if self.strict else 0)
 
     # --- chains ------------------------------------------------------------------
-    def unnormalized_chains(self, ring: Ring) -> ChainComplex:
-        return self.chains_from_faces(ring, lambda n: range(self.n_cells(n)))
-
     def normalized_chains(self, ring: Ring) -> ChainComplex:
         """Chains modulo degenerate cells: degenerate faces vanish."""
         return self.chains_from_faces(ring, self.nondegenerate_indices)
@@ -540,11 +529,6 @@ def freely_add_degeneracies(y: DeltaComplex, truncation: int) -> SimplicialSetPr
     degeneracies = {m: list(zip(*(degeneracy_column(blocks, size, m, i) for i in range(m + 1))))
                     for m in range(truncation)}
     return SimplicialSetPresentation(cells, faces, degeneracies, truncation, name=y.name and f"d({y.name})")
-
-
-def forget_degeneracies(x: SimplicialSetPresentation) -> DeltaComplex:
-    """Every cell of x (degenerate or not) becomes a delta-complex cell."""
-    return DeltaComplex(x.cells, x.faces, x.truncation_dim, name=x.name and f"f({x.name})")
 
 
 def core(x: SimplicialSetPresentation) -> Tuple[DeltaComplex, Dict[int, List[int]]]:

@@ -27,7 +27,7 @@ from .diagonal import (
     top_diagonal_sign,
     xi_simplex,
 )
-from .documents import ComplexLike, load_corpus
+from .documents import load_corpus
 from .dold_kan import (
     _compose,
     _pointed_chains,
@@ -40,7 +40,7 @@ from .dold_kan import (
 from .homology import homology
 from .kernel import eta
 from .rings import F2, F5, QQ, ZZ
-from .simplicial import SimplicialSetPresentation, freely_add_degeneracies, is_degeneracy_free
+from .simplicial import DeltaComplex, SimplicialSetPresentation, freely_add_degeneracies, is_degeneracy_free
 from .vandermonde import vandermonde_det_factorization, vandermonde_independence
 
 PASS, FAIL, DEVIATION = "pass", "fail", "deviation"
@@ -73,14 +73,14 @@ class SuiteConfig:
         self.table = DiagonalTable()
         # per corpus name the space of the run, with the chains and groups memoized on it, and per
         # (corpus name, truncation) the 𝔡(Y) of the run: shared by its items, emptied when run_suite returns
-        self.spaces: Dict[str, ComplexLike] = {}
+        self.spaces: Dict[str, DeltaComplex] = {}
         self.presentations: Dict[Tuple[str, int], SimplicialSetPresentation] = {}
 
 
 CheckFn = Callable[[SuiteConfig], Tuple[str, str]]
 
 
-def _space(cfg: SuiteConfig, name: str) -> ComplexLike:
+def _space(cfg: SuiteConfig, name: str) -> DeltaComplex:
     """The corpus space ``name``, loaded once per run and kept in ``cfg.spaces``."""
     if name not in cfg.spaces:
         cfg.spaces[name] = load_corpus(name)

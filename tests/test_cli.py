@@ -218,6 +218,7 @@ def test_sq_stops_at_the_truncation(tmp_path, capsys, corpus_file):
     # truncation_dim 2 determines cohomology up to degree 1, as for homology
     assert main(["sq", "--input", corpus_file("counterexample"), "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
+    assert payload["space"] == "counterexample"  # the presentation as loaded, no copy of its cells
     assert payload["squares"] == [
         {"i": 0, "p": 0, "matrix": [[1]]},
         {"i": 1, "p": 0, "matrix": [[0]]},

@@ -8,7 +8,7 @@ from steenrod_kit.diagonal import DiagonalTable, xi_simplex
 from steenrod_kit.documents import load_corpus
 from steenrod_kit.homology import cohomology
 from steenrod_kit.rings import F2, ZZ
-from steenrod_kit.simplicial import DeltaComplex, standard_delta
+from steenrod_kit.simplicial import DeltaComplex, freely_add_degeneracies, standard_delta
 
 
 def _all_ones(complex_, degree):
@@ -123,6 +123,20 @@ def _facets(name, seed):
     random.Random(seed).shuffle(image)
     perm = dict(zip(vertices, image))
     return [[perm[v] for v in facet] for facet in facets]
+
+
+@pytest.mark.parametrize("name, truncation", [("counterexample", None), ("rp2", 3), ("rp2", 4)])
+def test_sq_on_a_presentation_is_sq_on_the_delta_complex_of_its_cells(name, truncation):
+    # the oracle copies the cells and face tables into a delta-complex, the
+    # Δ-set that forgetting the degeneracies gives; the presentation itself
+    # must give the same squares for every p + i its truncation determines
+    x = load_corpus(name) if truncation is None else freely_add_degeneracies(load_corpus(name), truncation)
+    forgotten = DeltaComplex(x.cells, x.faces, x.truncation_dim)
+    table, top = DiagonalTable(), x.truncation_dim - 1
+    squares = {(i, p): sq_matrix(i, p, x, table) for p in range(top + 1) for i in range(top - p + 1)}
+    assert squares == {(i, p): sq_matrix(i, p, forgotten, table) for i, p in squares}
+    if truncation:
+        assert squares[1, 1] == [[1]]  # Sq¹ = β ≠ 0 on H¹(RP²): the comparison is not of zeros only
 
 
 @pytest.mark.parametrize("ring", [F2, ZZ], ids=str)

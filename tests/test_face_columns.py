@@ -15,7 +15,7 @@ from steenrod_kit.chains import ChainComplex
 from steenrod_kit.documents import corpus_names, load_corpus
 from steenrod_kit.homology import cohomology, homology
 from steenrod_kit.rings import F2, F3, QQ, ZZ
-from steenrod_kit.simplicial import DeltaComplex, SimplicialSetPresentation, forget_degeneracies, freely_add_degeneracies
+from steenrod_kit.simplicial import DeltaComplex, freely_add_degeneracies
 
 RINGS = (ZZ, QQ, F2, F3)
 
@@ -28,11 +28,6 @@ def _transposed(columns, size):
         for i, x in col.items():
             rows[i][j] = x
     return rows
-
-
-def _shipped(name):
-    space = load_corpus(name)
-    return forget_degeneracies(space) if isinstance(space, SimplicialSetPresentation) else space
 
 
 def _relabeled(name, seed):
@@ -61,7 +56,7 @@ SPACES = [(name, None) for name in corpus_names()] + [
 
 @pytest.mark.parametrize("name, seed", SPACES, ids=lambda x: "shipped" if x is None else str(x))
 def test_the_coboundary_is_the_transpose_of_the_boundary(name, seed, monkeypatch):
-    space = _shipped(name) if seed is None else _relabeled(name, seed)
+    space = load_corpus(name) if seed is None else _relabeled(name, seed)
     read = []
     boundary_matrix = ChainComplex.boundary_matrix
     monkeypatch.setattr(ChainComplex, "boundary_matrix", lambda c, n: read.append(n) or boundary_matrix(c, n))
@@ -79,8 +74,8 @@ def test_the_columns_of_quotients_and_presentations(ring):
     # kept subsets of cells (faces quotiented away) and repeated faces
     counterexample = load_corpus("counterexample")
     free = freely_add_degeneracies(load_corpus("rp2"), 3)
-    for cx in (counterexample.unnormalized_chains(ring), counterexample.normalized_chains(ring),
-               free.unnormalized_chains(ring), free.normalized_chains(ring)):
+    for cx in (counterexample.chains(ring), counterexample.normalized_chains(ring),
+               free.chains(ring), free.normalized_chains(ring)):
         _assert_columns_agree(cx, cx.truncation_dim)
 
 

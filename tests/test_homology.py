@@ -234,7 +234,7 @@ def test_the_chains_of_a_face_table_are_not_checked_again(ring, monkeypatch):
     checked = _count_dd_checks(monkeypatch)
     for name in ("rp2", "klein", "counterexample"):
         space = load_corpus(name)
-        cx = space.chains(ring) if isinstance(space, DeltaComplex) else space.unnormalized_chains(ring)
+        cx = space.chains(ring)
         for n in range(cx.truncation_dim + cx.exhaustive):
             homology(cx, n)
             cohomology(cx, n)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steenrod_kit.documents import corpus_names, load_corpus
-from steenrod_kit.rings import ZZ
+from steenrod_kit.homology import homology
+from steenrod_kit.rings import F2, ZZ
 from steenrod_kit.simplicial import (
     DeltaComplex,
     SimplicialSetPresentation,
@@ -13,7 +14,6 @@ from steenrod_kit.simplicial import (
     compose_degeneracy,
     compose_face,
     core,
-    forget_degeneracies,
     freely_add_degeneracies,
     is_degeneracy_free,
     map_to_word,
@@ -194,7 +194,6 @@ def test_forget_then_core_recovers_the_complex():
     assert {n: recovered.n_cells(n) for n in sorted(recovered.cells)} == {
         n: y.n_cells(n) for n in sorted(y.cells)
     }
-    assert forget_degeneracies(x).n_cells(2) == x.n_cells(2)
 
 
 def test_degeneracy_freeness_on_free_objects():
@@ -260,9 +259,29 @@ def test_a_basepoint_that_is_no_vertex_index_is_refused(basepoint):
         _replace(x, basepoint=basepoint)
 
 
+def test_a_presentation_s_chains_are_built_once_per_ring_and_stop_at_its_truncation(monkeypatch):
+    # the inherited chains are the unnormalized chains, memoized per ring and
+    # not exhaustive: H_T needs level T + 1, which a presentation truncated at
+    # T lacks, while the delta-complex of the same cells has every degree
+    built = []
+    original = DeltaComplex.chains_from_faces
+    monkeypatch.setattr(DeltaComplex, "chains_from_faces",
+                        lambda self, ring, kept: built.append(ring) or original(self, ring, kept))
+    for x in (freely_add_degeneracies(load_corpus("circle"), 2), load_corpus("counterexample")):
+        built.clear()
+        for ring in (ZZ, F2, ZZ, F2):
+            assert x.chains(ring) is x.chains(ring)
+        assert built == [ZZ, F2]
+        assert [str(homology(x.chains(ZZ), n)) for n in range(2)] == ["Z", "Z"]
+        with pytest.raises(ValueError, match="^degree 2 needs the complex up to 3, but it is truncated at 2$"):
+            homology(x.chains(ZZ), 2)
+    x = freely_add_degeneracies(load_corpus("circle"), 2)
+    assert str(homology(DeltaComplex(x.cells, x.faces, 2).chains(ZZ), 2)) == " + ".join(["Z"] * 6)
+
+
 def test_normalized_vs_unnormalized_ranks():
     x = freely_add_degeneracies(load_corpus("circle"), 3)
-    unnorm = x.unnormalized_chains(ZZ)
+    unnorm = x.chains(ZZ)
     norm = x.normalized_chains(ZZ)
     for n in range(4):
         degenerate = sum(1 for flag in x.degenerate_flags(n) if flag)
