@@ -433,6 +433,57 @@ def hurewicz_chain_map(x: SimplicialSetPresentation, ring: Ring) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 
+def hurewicz_square_defects(
+    x: SimplicialSetPresentation,
+    ring: Ring,
+    table: DiagonalTable,
+    level: int,
+    n: int,
+    cells: Optional[Iterable[int]] = None,
+) -> List[Dict[Tuple[Cell, Cell], Coefficient]]:
+    """(C(h)⊗C(h))∘ξ_X − ξ_{R̃X}∘(1⊗C(h)) at bar level ``level`` on each
+    n-cell in ``cells`` (all n-cells by default), in order, each as a chain
+    ``{(Cell, Cell): coefficient}`` of R̃X; empty iff the Hurewicz map
+    respects the diagonal on that cell.
+
+    Both sides are colimit extensions of ξ(e_level⊗Δⁿ): the left one takes
+    faces in X and then their generators of R̃X through ``of_cell`` (none for
+    the basepoint chain), the right one follows the face index lists of R̃X
+    from the generator of the cell.  Each vertex subset of a term of ξ has its
+    face taken once for all the cells, on both sides; each cell's terms are
+    summed into one dict keyed by the two (dim, index) pairs in R̃X's
+    numbering, and cells are built only for the nonzero remainder.
+    """
+    a = free_simplicial_abelian(x, ring, pointed=True)
+    of_cell, p = a.of_cell, ring.characteristic
+    cells = list(range(x.n_cells(n)) if cells is None else cells)
+    faces: Dict[Tuple[int, ...], Tuple[list, list]] = {}
+
+    def face(keep: Tuple[int, ...]) -> Tuple[list, list]:
+        # per cell: the (dim, generator) of its face in X and of its generator's face in R̃X, None for 0
+        dim, here, there = n, cells, [of_cell[n][idx] for idx in cells]
+        for j in range(n, -1, -1):
+            if j not in keep:
+                table_x, d = x.faces[dim], a.face_maps[(dim, j)]
+                here, there, dim = [table_x[k][j] for k in here], [None if k is None else d[k] for k in there], dim - 1
+        return ([None if (k := of_cell[dim][i]) is None else (dim, k) for i in here],
+                [None if k is None else (dim, k) for k in there])
+
+    sums: List[Dict[Tuple[Tuple[int, int], Tuple[int, int]], Coefficient]] = [{} for _ in cells]
+    for (left, right), coeff in table.raw(level, n).items():
+        c = ring.coerce(coeff)
+        for keep in (left, right):
+            if keep not in faces:
+                faces[keep] = face(keep)
+        (xa, ra), (xb, rb) = faces[left], faces[right]
+        for pairs, sign in ((zip(xa, xb), c), (zip(ra, rb), -c)):
+            for acc, key in zip(sums, pairs):
+                if None not in key:
+                    v = acc.get(key, 0) + sign
+                    acc[key] = v % p if p else v
+    return [{(a.basis_cell(*ka), a.basis_cell(*kb)): v for (ka, kb), v in acc.items() if v} for acc in sums]
+
+
 def hurewicz_square_defect(
     x: SimplicialSetPresentation,
     ring: Ring,
@@ -441,46 +492,6 @@ def hurewicz_square_defect(
     n: int,
     idx: int,
 ) -> Dict[Tuple[Cell, Cell], Coefficient]:
-    """(C(h)⊗C(h))∘ξ_X − ξ_{R̃X}∘(1⊗C(h)) on the cell (n, idx) at bar level
-    ``level``, as a chain ``{(Cell, Cell): coefficient}`` of R̃X; empty iff
-    the Hurewicz map respects the diagonal there.
-
-    Both sides are colimit extensions of ξ(e_level⊗Δⁿ): the left one takes
-    faces in X and then their generators of R̃X through ``of_cell`` (none for
-    the basepoint chain), the right one follows the face index lists of R̃X
-    from the generator of the cell.  They are summed into one dict keyed by (dim,
-    index, dim, index) in R̃X's numbering, and cells are built only for the
-    nonzero remainder.
-    """
-    a = free_simplicial_abelian(x, ring, pointed=True)
-    of_cell, faces, p = a.of_cell, a.face_maps, ring.characteristic
-    pos = of_cell[n][idx]
-
-    def face_of_generator(keep: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
-        dim, cur = n, pos
-        for j in range(n, -1, -1):
-            if j not in keep:
-                cur = faces[(dim, j)][cur]
-                if cur is None:
-                    return None
-                dim -= 1
-        return dim, cur
-
-    acc: Dict[Tuple[int, int, int, int], Coefficient] = {}
-
-    def add(key: Tuple[int, int, int, int], c: Coefficient) -> None:
-        v = acc.get(key, 0) + c
-        acc[key] = v % p if p else v
-
-    for (left, right), coeff in table.raw(level, n).items():
-        c = ring.coerce(coeff)
-        da, ia = x.iterated_face(n, idx, left)
-        db, ib = x.iterated_face(n, idx, right)
-        ka, kb = of_cell[da][ia], of_cell[db][ib]
-        if ka is not None and kb is not None:
-            add((da, ka, db, kb), c)
-        if pos is not None:
-            fa, fb = face_of_generator(left), face_of_generator(right)
-            if fa is not None and fb is not None:
-                add((*fa, *fb), -c)
-    return {(a.basis_cell(da, ka), a.basis_cell(db, kb)): v for (da, ka, db, kb), v in acc.items() if v}
+    """The Hurewicz square's defect on the one cell (n, idx): see
+    ``hurewicz_square_defects``."""
+    return hurewicz_square_defects(x, ring, table, level, n, [idx])[0]

@@ -1,11 +1,17 @@
 import gc
+import random
 import weakref
 from collections import Counter
 
 import pytest
 
 from steenrod_kit import dold_kan, simplicial, suite
-from steenrod_kit.chains import Cell, Simplex
+from steenrod_kit.chains import Cell, ChainComplex, Simplex
+from steenrod_kit.diagonal import DiagonalTable
+from steenrod_kit.documents import load_corpus
+from steenrod_kit.homology import homology
+from steenrod_kit.linalg import invariant_factors
+from steenrod_kit.rings import F2, QQ, ZZ
 from steenrod_kit.suite import DEVIATION, FAIL, PASS, SuiteConfig, run_suite
 
 
@@ -203,6 +209,118 @@ def test_the_hurewicz_square_failure_renders_the_defect(monkeypatch):
     cell = "<1:('d(circle)', 1, 1)>"
     detail = f"circle cell (1,1) level 0: {cell}⊗<0:('d(circle)', 0, 1)> - {cell}⊗<0:('d(circle)', 0, 2)>"
     assert (item["status"], item["detail"]) == (FAIL, detail)
+
+
+def test_a_degree_that_raises_still_tells_an_earlier_cells_defect(monkeypatch):
+    # as above, and d_0 of the last edge of R̃X pointed past the vertex generators, so that the
+    # defects of the whole degree raise: the first defect, on an earlier edge, is still the one told
+    original, moved = dold_kan.free_simplicial_abelian, set()
+
+    def moving(x, ring, pointed=False):
+        a = original(x, ring, pointed=pointed)
+        if pointed and id(a) not in moved:
+            moved.add(id(a))
+            d0 = a.face_maps[(1, 0)]
+            k = next(k for k, target in enumerate(d0) if target is not None)
+            d0[k], d0[-1] = next(t for t in range(a.rank(0)) if t != d0[k]), a.rank(0)
+        return a
+
+    monkeypatch.setattr(dold_kan, "free_simplicial_abelian", moving)
+    with pytest.raises(IndexError):
+        dold_kan.hurewicz_square_defects(simplicial.freely_add_degeneracies(load_corpus("circle"), 3), ZZ,
+                                         DiagonalTable(), 0, 1)
+    item = run_suite(SuiteConfig(only="hurewicz-xi"))["items"][0]
+    cell = "<1:('d(circle)', 1, 1)>"
+    detail = f"circle cell (1,1) level 0: {cell}⊗<0:('d(circle)', 0, 1)> - {cell}⊗<0:('d(circle)', 0, 2)>"
+    assert (item["status"], item["detail"]) == (FAIL, detail)
+
+
+def _trials():
+    """The 50 (ring, complex) trials of dold-kan-roundtrip, drawn as it draws them."""
+    rng = random.Random(suite.SEED)
+    return [(ring, suite._random_complex(rng, ring)) for ring in ([ZZ, QQ, F2][t % 3] for t in range(50))]
+
+
+def _item_trial_by_trial():
+    """dold-kan-roundtrip as one round trip per trial, reported as run_suite reports it."""
+    try:
+        for trial, (ring, c) in enumerate(_trials()):
+            if not c.check_dd_zero():
+                return FAIL, f"trial {trial}: generated complex violates ∂∂ = 0"
+            if not dold_kan.dold_kan_round_trip(c):
+                return FAIL, f"trial {trial} over {ring}: N(Γ(C)) ≇ C"
+    except Exception as exc:
+        return FAIL, f"exception: {exc!r}"
+    return PASS, "N(Γ(C)) ≅ C on 50 random complexes over ℤ, ℚ, 𝔽₂"
+
+
+def _fails(c):
+    try:
+        return not dold_kan.dold_kan_round_trip(c)
+    except ValueError:
+        return True
+
+
+def _flip_a_boundary_sign(g, c):
+    # the first ∂ entry of d_1 on level 1, in the identity-word block that ends the level; left for
+    # the round trip's own checks to see, since Γ's identities are checked before it is planted
+    g.face_maps[(1, 1)] = cols = [dict(col) for col in dold_kan._columns(g.face(1, 1), g.ring)]
+    j = next((j for j in range(g.rank(1) - c.rank(1), g.rank(1)) if cols[j]), None)
+    if j is not None:
+        t = next(iter(cols[j]))
+        cols[j][t] = g.ring.coerce(-cols[j][t])
+
+
+def _zero_a_degeneracy(g, c):
+    # s_0 of the second vertex generator: no map of the round trip reads s_0, so Γ is validated
+    # again after the planting, as a freshly built one is
+    if c.rank(0) >= 2:
+        g.degeneracy_maps[(0, 0)][1] = None
+    g.validate()
+
+
+def _plant(monkeypatch, defect):
+    """Γ(C) with ``defect`` made in it after it is built."""
+    original = dold_kan.gamma
+
+    def planted(c, truncation):
+        g = original(c, truncation)
+        defect(g, c)
+        return g
+
+    monkeypatch.setattr(dold_kan, "gamma", planted)
+
+
+@pytest.mark.parametrize("defect", [None, _flip_a_boundary_sign, _zero_a_degeneracy])
+def test_each_rings_sum_fails_exactly_when_one_of_its_trials_does(monkeypatch, defect):
+    if defect is not None:
+        _plant(monkeypatch, defect)
+    verdicts = {}
+    for ring in (ZZ, QQ, F2):
+        complexes = [c for r, c in _trials() if r is ring]
+        verdicts[ring] = (_fails(suite._direct_sum(complexes, ring)), any(map(_fails, complexes)))
+        assert verdicts[ring][0] == verdicts[ring][1], ring
+    item = run_suite(SuiteConfig(only="dold-kan-roundtrip"))["items"][0]
+    assert (item["status"], item["detail"]) == _item_trial_by_trial()
+    if defect is None:
+        assert item["status"] == PASS and not any(v for v, _ in verdicts.values())
+    elif defect is _flip_a_boundary_sign:  # a sign is no change over 𝔽₂
+        assert [v for v, _ in verdicts.values()] == [True, True, False] and item["detail"].startswith("trial ")
+    else:
+        assert all(v for v, _ in verdicts.values()) and item["detail"].startswith("exception: ValueError")
+
+
+def test_a_sum_of_two_torsion_summands_passes_and_fails_as_they_do(monkeypatch):
+    def torsion(k, name):  # H_0 = ℤ/k
+        return ChainComplex(ZZ, {0: [Cell(0, name)], 1: [Cell(1, name)]}, {0: [{}], 1: [{0: k}]}, 1)
+
+    summands = [torsion(2, "a"), torsion(3, "b")]
+    total = suite._direct_sum(summands, ZZ)
+    # the Smith form of the sum joins the two blocks: ℤ/2 ⊕ ℤ/3 = ℤ/6
+    assert invariant_factors(total.boundary_matrix(1)) == [1, 6] and homology(total, 0).torsion == [6]
+    assert dold_kan.dold_kan_round_trip(total) and all(map(dold_kan.dold_kan_round_trip, summands))
+    _plant(monkeypatch, _flip_a_boundary_sign)
+    assert _fails(total) and all(map(_fails, summands))
 
 
 def test_the_vandermonde_failure_renders_the_tuple(monkeypatch):
